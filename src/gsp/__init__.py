@@ -14,7 +14,7 @@ from .baselines import (
     scr_cg_solve,
     scr_fom_solve,
 )
-from .craig import craig_error_estimate, craig_residual_check, craig_solve
+from .craig import craig_solve
 from .gkb import (
     AugmentedSystem,
     BidiagFactors,
@@ -37,7 +37,13 @@ from .linops import (
     weighted_norm,
 )
 from .mmio import load_system, read_matrix_market, save_system, write_matrix_market
-from .nscraig import nscraig_error_estimate, nscraig_residual_check, nscraig_solve
+from .nscraig import (
+    craig_error_estimate,
+    craig_residual_check,
+    nscraig_error_estimate,
+    nscraig_residual_check,
+    nscraig_solve,
+)
 from .problems import (
     RandomSpec,
     StokesSpec,

@@ -118,8 +118,7 @@ def scr_cg_solve(sys, N=None, cfg=None):
         rho = rho_next
 
     u = -sys.M.solve(sys.A.matvec(p))
-    return SolveResult(u, p, k, termination, history, p_iterates=p_list,
-                       betas=[beta1])
+    return SolveResult(u, p, termination, history, p_iterates=p_list, beta1=beta1)
 
 
 def scr_fom_solve(sys, N=None, cfg=None):
@@ -179,8 +178,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
         NQ.append(N.apply(Q[-1]))
 
     u = -sys.M.solve(sys.A.matvec(p))
-    return SolveResult(u, p, k, termination, history, p_iterates=p_list,
-                       betas=[beta1])
+    return SolveResult(u, p, termination, history, p_iterates=p_list, beta1=beta1)
 
 
 def pminres_solve(sys, N=None, cfg=None):
@@ -262,7 +260,7 @@ def pminres_solve(sys, N=None, cfg=None):
             termination = "converged"
             break
 
-    return SolveResult(x[:sys.m], x[sys.m:], k, termination, history, betas=[beta1])
+    return SolveResult(x[:sys.m], x[sys.m:], termination, history, beta1=beta1)
 
 
 def pgmres_solve(sys, N=None, cfg=None):
@@ -324,7 +322,7 @@ def pgmres_solve(sys, N=None, cfg=None):
         V.append(w / hnext)
 
     x = extract(k)
-    return SolveResult(x[:sys.m], x[sys.m:], k, termination, history, betas=[beta])
+    return SolveResult(x[:sys.m], x[sys.m:], termination, history, beta1=beta)
 
 
 def direct_solve(sys):

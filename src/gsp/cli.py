@@ -80,7 +80,6 @@ class RunManifest:
                 criterion=criterion,
                 error_delay=int(delay),
                 reorthogonalize=bool(cfg_doc.pop("reorthogonalize", False)),
-                second_pass=bool(cfg_doc.pop("second_pass", False)),
             )
         except ValueError as exc:
             raise UsageError(f"bad config: {exc}") from exc

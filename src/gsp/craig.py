@@ -1,198 +1,30 @@
 """CRAIG solver for symmetric generalized saddle point systems.
 
 Works directly on (M, A, C, b) with an SPD preconditioner N, never forming
-the SPSD factorization of C. Short recurrences update both iterates; the
-relative residual (beta_{k+1}/beta_1)|zeta_k| and a delayed energy-error
-estimate are available as stopping rules.
+the SPSD factorization of C. It is the three-term mode of the Golub-Kahan
+loop in gsp.nscraig: short recurrences update both iterates; the relative
+residual (beta_{k+1}/beta_1)|zeta_k| and a delayed energy-error estimate are
+available as stopping rules.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from .errors import WrongSolverError
+from .nscraig import gkb_solve
 
-import numpy as np
-
-from .errors import InsufficientHistoryError, WrongSolverError, ZeroRhsError
-from .linops import SpdPreconditioner
-from .system import ConvergenceRecord, SolveResult, SolverConfig
-
-# Re-exported problem containers: this module owns their contracts.
-from .system import SaddleSystem  # noqa: F401
+# Re-exported containers: this module owns their contracts, and the
+# benchmark's tracer (bench/tracing.py) patches ConvergenceRecord here.
+from .system import ConvergenceRecord, SaddleSystem  # noqa: F401
 
 
 def craig_solve(sys, N=None, cfg=None):
     """Run CRAIG on a symmetric instance.
 
     Only the latest q, v, r, s, t vectors are retained unless
-    cfg.reorthogonalize (store Q for repeated orthogonalization) or
-    cfg.keep_iterates (store per-iteration iterates and bases for replay
+    cfg.reorthogonalize (store Q for one MGS pass per step) or
+    cfg.keep_iterates (store per-iteration iterates and Q for replay
     diagnostics) is set.
     """
-    cfg = cfg or SolverConfig()
     if not sys.symmetric:
         raise WrongSolverError("craig requires a symmetric leading block; use nscraig")
-    if not np.any(sys.b):
-        raise ZeroRhsError("b must be nonzero")
-    N = N or SpdPreconditioner.identity(sys.n)
-    A, C, Mmat, M = sys.A, sys.C, sys.Mmat, sys.M
-    t0 = time.perf_counter()
-
-    q = N.solve(sys.b)
-    beta1 = float(np.sqrt(max(q @ sys.b, 0.0)))
-    if beta1 == 0.0:
-        raise ZeroRhsError("b has zero N^{-1}-norm")
-    q = q / beta1
-    nq = N.apply(q)
-    w = M.solve(A.matvec(q))
-    r = q.copy()
-    s = C.matvec(r)
-    alpha = float(np.sqrt(max(w @ Mmat.matvec(w) + r @ s, 0.0)))
-
-    alphas, betas, zetas = [alpha], [beta1], []
-    history = []
-    store_basis = cfg.reorthogonalize or cfg.keep_iterates
-    Q, NQ = ([q], [nq]) if store_basis else (None, None)
-    V = [] if cfg.keep_iterates else None
-    D = [] if cfg.keep_iterates else None
-    u_list = [] if cfg.keep_iterates else None
-    p_list = [] if cfg.keep_iterates else None
-
-    if alpha <= cfg.breakdown_tol * max(beta1, 1.0):
-        return SolveResult(np.zeros(sys.m), np.zeros(sys.n), 0, "breakdown",
-                           history, alphas=alphas, betas=betas, zetas=zetas)
-
-    v = w / alpha
-    t = s / alpha
-    zeta = beta1 / alpha
-    zetas.append(zeta)
-    u = zeta * v
-    p = -(zeta / alpha) * r
-    if cfg.keep_iterates:
-        V.append(v.copy())
-        D.append(r / alpha)
-        u_list.append(u.copy())
-        p_list.append(p.copy())
-
-    k = 1
-    termination = "max-iterations"
-    fired = None
-    while True:
-        g = N.solve(A.rmatvec(v) + t - alphas[-1] * nq)
-        if cfg.reorthogonalize:
-            for qj, nqj in zip(Q, NQ):
-                g = g - (nqj @ g) * qj
-        beta = float(np.sqrt(max(g @ N.apply(g), 0.0)))
-        betas.append(beta)
-
-        res_rel = (beta / beta1) * abs(zeta)
-        err_est = None
-        if cfg.wants_error_estimate and k >= cfg.error_delay:
-            err_est = float(np.sqrt(craig_error_estimate(zetas, k, cfg.error_delay)))
-        history.append(ConvergenceRecord(k, res_rel, err_est, alphas[-1], beta, zeta,
-                                         time.perf_counter() - t0))
-
-        if beta <= cfg.breakdown_tol * beta1:
-            termination = "exact-termination"
-            break
-        if cfg.wants_residual and res_rel < cfg.tolerance:
-            termination, fired = "converged", "relative-residual"
-            break
-        if cfg.wants_error_estimate and err_est is not None and err_est < cfg.tolerance:
-            termination, fired = "converged", "error-estimate"
-            break
-        if k >= cfg.max_iterations:
-            termination = "max-iterations"
-            break
-
-        q = g / beta
-        nq = N.apply(q)
-        if store_basis:
-            Q.append(q)
-            NQ.append(nq)
-        w = M.solve(A.matvec(q) - beta * Mmat.matvec(v))
-        r = q - (beta / alphas[-1]) * r
-        s = C.matvec(r)
-        alpha = float(np.sqrt(max(w @ Mmat.matvec(w) + r @ s, 0.0)))
-        if alpha <= cfg.breakdown_tol * alphas[0]:
-            termination = "breakdown"
-            break
-        alphas.append(alpha)
-        v = w / alpha
-        t = s / alpha
-        zeta = -(beta / alpha) * zeta
-        zetas.append(zeta)
-        u = u + zeta * v
-        p = p - (zeta / alpha) * r
-        k += 1
-        if cfg.keep_iterates:
-            V.append(v.copy())
-            D.append(r / alpha)
-            u_list.append(u.copy())
-            p_list.append(p.copy())
-
-    basis = None
-    if store_basis:
-        basis = {"Q": Q}
-        if cfg.keep_iterates:
-            basis.update(V=V, D=D)
-    return SolveResult(u, p, k, termination, history, fired_criterion=fired,
-                       alphas=alphas, betas=betas, zetas=zetas,
-                       u_iterates=u_list, p_iterates=p_list, basis=basis)
-
-
-def craig_error_estimate(zetas, k, d):
-    """Squared delayed relative energy-error estimate from the zeta history.
-
-    Returns sum(zeta_i^2, i = k-d+1..k) / sum(zeta_i^2, i = 1..k); the square
-    root estimates the relative energy error d steps back.
-    """
-    if d < 1:
-        raise ValueError("delay d must be >= 1")
-    if k < d or len(zetas) < k:
-        raise InsufficientHistoryError(f"need k >= d and {k} recorded zetas")
-    z = np.asarray(zetas[:k], dtype=float)
-    total = float(z @ z)
-    if total == 0.0:
-        raise ValueError("all-zero zeta history")
-    window = z[k - d:]
-    return float(window @ window) / total
-
-
-@dataclass
-class ResidualCheckReport:
-    """Replay diagnostics: recomputed residuals against the recurrence values.
-
-    dual_defects[i] = |explicit N^{-1}-norm residual - beta_{k+1}|scalar_k|| / beta_1,
-    upper_ratios[i] = ||M u + A p|| / (||A||_F ||p||),
-    orth_defects[i] = max_j |residual . q_j| (None when no basis was stored).
-    """
-
-    dual_defects: list[float]
-    upper_ratios: list[float]
-    orth_defects: list[float] | None
-    beta1: float
-
-
-def _residual_check(sys, N, result):
-    if result.u_iterates is None or result.p_iterates is None or not result.history:
-        raise InsufficientHistoryError("solve must be run with keep_iterates=True")
-    N = N or SpdPreconditioner.identity(sys.n)
-    beta1 = result.betas[0]
-    a_norm = float(np.linalg.norm(sys.A.to_dense()))
-    dual, upper, orth = [], [], []
-    Q = result.basis.get("Q") if result.basis else None
-    for rec, u, p in zip(result.history, result.u_iterates, result.p_iterates):
-        resid = sys.b - sys.A.rmatvec(u) + sys.C.matvec(p)
-        explicit = N.inv_norm(resid)
-        dual.append(abs(explicit - rec.beta_next * abs(rec.scalar)) / beta1)
-        block = np.linalg.norm(sys.Mmat.matvec(u) + sys.A.matvec(p))
-        upper.append(block / max(a_norm * np.linalg.norm(p), 1e-300))
-        if Q is not None:
-            orth.append(max(abs(resid @ qj) for qj in Q[: rec.k]))
-    return ResidualCheckReport(dual, upper, orth if Q is not None else None, beta1)
-
-
-def craig_residual_check(sys, N, result):
-    """Recompute every recorded residual explicitly and report the defects."""
-    return _residual_check(sys, N, result)
+    return gkb_solve(sys, N, cfg, full_mgs=False)

@@ -21,6 +21,10 @@ class SingularOperatorError(GspError):
     """A factorization hit a zero pivot."""
 
 
+class NonFiniteError(GspError):
+    """An input block or right-hand side holds a NaN or an infinity."""
+
+
 class ZeroRhsError(GspError):
     """The right-hand side is identically zero."""
 
@@ -43,6 +47,10 @@ class RankRepairError(GspError):
 
 class DegenerateBlockError(GspError):
     """The stabilization block has rank zero, so the augmented form collapses."""
+
+
+class LoadError(GspError):
+    """A system manifest or one of its files is missing or unreadable."""
 
 
 class ParseError(GspError):

@@ -156,58 +156,12 @@ def _init_step(aug, N):
     return q, beta1, wx / alpha1, wc / alpha1, alpha1
 
 
-def gkb_symmetric(aug, N, steps, reorthogonalize=False, breakdown_tol=BREAKDOWN_TOL):
-    """Bidiagonalize the augmented block with a symmetric leading block.
+def _bidiagonalize(aug, N, steps, full_mgs, reorthogonalize):
+    """Shared oracle loop: three-term orthogonalization, or full MGS when full_mgs.
 
-    Returns (GkbBasis, BidiagFactors) satisfying the two-sided factorization
-    identities. Stops early (fewer than `steps` factors) once beta_{k+1}
-    falls below breakdown_tol * beta_1; a vanishing alpha raises
-    BreakdownError instead, since it signals an inconsistent right-hand side.
-    """
-    n = aug.n
-    if not 1 <= steps <= n:
-        raise DimensionError(f"steps must be in [1, {n}]")
-    Ad, Ed, Fd = aug.A, aug.E.array, aug.F.array
-
-    q, beta1, vx, vc, alpha = _init_step(aug, N)
-    Q, NQ = [q], [N.apply(q)]
-    Vx, Vc = [vx], [vc]
-    alphas, betas = [alpha], [beta1]
-
-    for k in range(1, steps + 1):
-        g = N.solve(Ad.rmatvec(vx) + Ed.T @ vc - alphas[-1] * NQ[-1])
-        if reorthogonalize:
-            for qj, nqj in zip(Q, NQ):
-                g = g - (nqj @ g) * qj
-        beta = float(np.sqrt(max(g @ N.apply(g), 0.0)))
-        betas.append(beta)
-        if beta <= breakdown_tol * beta1:
-            break
-        q = g / beta
-        Q.append(q)
-        NQ.append(N.apply(q))
-        if k == steps:
-            break
-        wx = aug.M.solve(Ad.matvec(q) - beta * aug.M.apply(vx))
-        wc = Fd @ (Ed @ q - beta * aug.Finv.solve(vc))
-        alpha = float(np.sqrt(max(wx @ aug.M.apply(wx) + wc @ aug.Finv.solve(wc), 0.0)))
-        if alpha <= breakdown_tol * alphas[0]:
-            raise BreakdownError(f"alpha_{k + 1} = {alpha} below breakdown tolerance")
-        alphas.append(alpha)
-        vx, vc = wx / alpha, wc / alpha
-        Vx.append(vx)
-        Vc.append(vc)
-
-    return GkbBasis(Q, Vx, Vc), BidiagFactors(alphas, betas)
-
-
-def gkb_nonsymmetric(aug, N, steps, second_pass=False, breakdown_tol=BREAKDOWN_TOL):
-    """Decompose the augmented block with a (possibly) nonsymmetric leading block.
-
-    The new right vector is orthogonalized against all previous ones with
-    modified Gram-Schmidt in the N inner product; the projection coefficients
-    form the Hessenberg columns. The left Gram matrix (unit lower triangular
-    in exact arithmetic) is returned as the lower factor.
+    reorthogonalize adds one more MGS pass over the stored right basis. Returns
+    the basis, alphas, betas and the MGS coefficient columns, which are the
+    Hessenberg columns under full_mgs.
     """
     n = aug.n
     if not 1 <= steps <= n:
@@ -219,15 +173,13 @@ def gkb_nonsymmetric(aug, N, steps, second_pass=False, breakdown_tol=BREAKDOWN_T
     Vx, Vc = [vx], [vc]
     alphas, betas = [alpha], [beta1]
     h_columns = []
+    passes = int(full_mgs) + int(reorthogonalize)
 
     for k in range(1, steps + 1):
-        g = N.solve(Ad.rmatvec(vx) + Ed.T @ vc)
+        g = Ad.rmatvec(vx) + Ed.T @ vc
+        g = N.solve(g if full_mgs else g - alphas[-1] * NQ[-1])
         h = np.zeros(k)
-        for j in range(k):
-            c = NQ[j] @ g
-            g = g - c * Q[j]
-            h[j] = c
-        if second_pass:
+        for _ in range(passes):
             for j in range(k):
                 c = NQ[j] @ g
                 g = g - c * Q[j]
@@ -235,7 +187,7 @@ def gkb_nonsymmetric(aug, N, steps, second_pass=False, breakdown_tol=BREAKDOWN_T
         h_columns.append(h)
         beta = float(np.sqrt(max(g @ N.apply(g), 0.0)))
         betas.append(beta)
-        if beta <= breakdown_tol * beta1:
+        if beta <= BREAKDOWN_TOL * beta1:
             break
         q = g / beta
         Q.append(q)
@@ -245,16 +197,41 @@ def gkb_nonsymmetric(aug, N, steps, second_pass=False, breakdown_tol=BREAKDOWN_T
         wx = aug.M.solve(Ad.matvec(q) - beta * aug.M.apply(vx))
         wc = Fd @ (Ed @ q - beta * aug.Finv.solve(vc))
         alpha = float(np.sqrt(max(wx @ aug.M.apply(wx) + wc @ aug.Finv.solve(wc), 0.0)))
-        if alpha <= breakdown_tol * alphas[0]:
+        if alpha <= BREAKDOWN_TOL * alphas[0]:
             raise BreakdownError(f"alpha_{k + 1} = {alpha} below breakdown tolerance")
         alphas.append(alpha)
         vx, vc = wx / alpha, wc / alpha
         Vx.append(vx)
         Vc.append(vc)
 
+    return GkbBasis(Q, Vx, Vc), alphas, betas, h_columns
+
+
+def gkb_symmetric(aug, N, steps, reorthogonalize=False):
+    """Bidiagonalize the augmented block with a symmetric leading block.
+
+    Returns (GkbBasis, BidiagFactors) satisfying the two-sided factorization
+    identities. Stops early (fewer than `steps` factors) once beta_{k+1}
+    falls below BREAKDOWN_TOL * beta_1; a vanishing alpha raises
+    BreakdownError instead, since it signals an inconsistent right-hand side.
+    """
+    basis, alphas, betas, _ = _bidiagonalize(aug, N, steps, False, reorthogonalize)
+    return basis, BidiagFactors(alphas, betas)
+
+
+def gkb_nonsymmetric(aug, N, steps, reorthogonalize=False):
+    """Decompose the augmented block with a (possibly) nonsymmetric leading block.
+
+    The new right vector is orthogonalized against all previous ones with
+    modified Gram-Schmidt in the N inner product (twice under
+    reorthogonalize); the projection coefficients form the Hessenberg
+    columns. The left Gram matrix (unit lower triangular in exact arithmetic)
+    is returned as the lower factor.
+    """
+    basis, alphas, betas, h_columns = _bidiagonalize(aug, N, steps, True, reorthogonalize)
     k = len(alphas)
-    gram = _left_gram(aug, Vx, Vc, k)
-    return GkbBasis(Q, Vx, Vc), BidiagFactors(
+    gram = _left_gram(aug, basis.Vx, basis.Vc, k)
+    return basis, BidiagFactors(
         alphas, betas, h_columns[:k], DenseMatrix.from_array(np.tril(gram))
     )
 

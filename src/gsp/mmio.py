@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import LoadError, ParseError
 from .linops import SparseMatrix
 from .system import SaddleSystem
 
@@ -65,8 +65,11 @@ def _data_lines(raw):
 
 def read_matrix_market(path):
     """Read a real coordinate/array file; symmetric entries are mirrored."""
-    with open(path) as fh:
-        raw = fh.readlines()
+    try:
+        with open(path) as fh:
+            raw = fh.readlines()
+    except OSError as exc:
+        raise LoadError(f"cannot read {path}: {exc}") from exc
     if not raw:
         raise ParseError("empty file", line=1)
     layout, symmetry = _parse_header(raw[0])
@@ -163,13 +166,20 @@ def save_system(directory, sys, manifest_name=MANIFEST_NAME):
 
 def load_system(manifest_path):
     """Rebuild a SaddleSystem from a manifest written by save_system."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise LoadError(f"cannot read manifest {manifest_path}: {exc}") from exc
     base = os.path.dirname(os.path.abspath(manifest_path))
-    def resolve(key):
-        return os.path.join(base, manifest[key])
-    M = read_matrix_market(resolve("m_file"))
-    A = read_matrix_market(resolve("a_file"))
-    C = read_matrix_market(resolve("c_file"))
-    b = read_vector(resolve("b_file"))
-    return SaddleSystem.from_matrices(M, A, C, b, symmetric=bool(manifest["symmetric"]))
+    try:
+        m_file, a_file, c_file, b_file = [os.path.join(base, manifest[key]) for key in
+                                          ("m_file", "a_file", "c_file", "b_file")]
+        symmetric = bool(manifest["symmetric"])
+    except (KeyError, TypeError) as exc:
+        raise LoadError(f"bad manifest {manifest_path}: missing or invalid key {exc}") from exc
+    M = read_matrix_market(m_file)
+    A = read_matrix_market(a_file)
+    C = read_matrix_market(c_file)
+    b = read_vector(b_file)
+    return SaddleSystem.from_matrices(M, A, C, b, symmetric=symmetric)

@@ -1,9 +1,12 @@
-"""nsCRAIG solver for nonsymmetric generalized saddle point systems.
+"""Generalized Golub-Kahan solver loop behind CRAIG and nsCRAIG.
 
-The right basis is fully orthogonalized (modified Gram-Schmidt in the N
-inner product) and kept in memory; solution assembly is deferred until the
-stopping rule fires, then done with one Hessenberg solve and one bidiagonal
-back substitution.
+One loop serves both solvers. CRAIG orthogonalizes each new right vector
+against the previous one only (three-term recurrence) and updates both
+iterates by short recurrences. nsCRAIG orthogonalizes it against the whole
+stored right basis (modified Gram-Schmidt in the N inner product), whose
+coefficients form the Hessenberg columns, and defers solution assembly until
+the stopping rule fires: one Hessenberg solve and one bidiagonal back
+substitution.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .craig import ResidualCheckReport, _residual_check  # noqa: F401
 from .errors import BreakdownError, InsufficientHistoryError, ZeroRhsError
-from .gkb import assemble_bidiagonal, assemble_hessenberg
+from .gkb import BREAKDOWN_TOL, assemble_bidiagonal, assemble_hessenberg
 from .linops import SpdPreconditioner, as_dense
 from .system import ConvergenceRecord, SolveResult, SolverConfig
 
@@ -28,10 +30,13 @@ class HessenbergFactors:
     B: np.ndarray
     H: np.ndarray
 
+    @classmethod
+    def assemble(cls, alphas, betas, h_columns, k):
+        return cls(assemble_bidiagonal(alphas, betas, k), assemble_hessenberg(h_columns, betas, k))
+
     def lower_factor(self):
         """Unit lower triangular L with H = B^T L^T, extracted by triangular solve."""
-        Lt = scipy.linalg.solve_triangular(self.B.T, self.H, lower=True)
-        return Lt.T
+        return scipy.linalg.solve_triangular(self.B.T, self.H, lower=True).T
 
 
 def assemble_solution(alphas, betas, h_columns, beta1, method="triangular"):
@@ -42,13 +47,12 @@ def assemble_solution(alphas, betas, h_columns, beta1, method="triangular"):
     Hessenberg with row-pivoted elimination as a cross-check.
     """
     k = len(alphas)
-    B = assemble_bidiagonal(alphas, betas, k)
+    factors = HessenbergFactors.assemble(alphas, betas, h_columns, k)
     if method == "dense":
-        H = assemble_hessenberg(h_columns, betas, k)
         e1 = np.zeros(k)
         e1[0] = beta1
         try:
-            z = np.linalg.solve(H, e1)
+            z = np.linalg.solve(factors.H, e1)
         except np.linalg.LinAlgError as exc:
             raise BreakdownError(f"singular Hessenberg block: {exc}") from exc
     else:
@@ -56,18 +60,18 @@ def assemble_solution(alphas, betas, h_columns, beta1, method="triangular"):
         x[0] = beta1 / alphas[0]
         for i in range(1, k):
             x[i] = -(betas[i] / alphas[i]) * x[i - 1]
-        H = assemble_hessenberg(h_columns, betas, k)
-        Lt = scipy.linalg.solve_triangular(B.T, H, lower=True)
-        z = scipy.linalg.solve_triangular(Lt, x, lower=False)
-    y = scipy.linalg.solve_triangular(B, -z, lower=False)
-    return y
+        z = scipy.linalg.solve_triangular(factors.lower_factor().T, x, lower=False)
+    return scipy.linalg.solve_triangular(factors.B, -z, lower=False)
 
 
-def nscraig_solve(sys, N=None, cfg=None):
-    """Run nsCRAIG; symmetric instances are accepted and match craig's iterates.
+def gkb_solve(sys, N, cfg, full_mgs):
+    """Run the generalized Golub-Kahan loop; full_mgs selects nsCRAIG over CRAIG.
 
-    Iterates are assembled only on termination unless cfg.keep_iterates turns
-    on the eager mode (every iteration, for replay diagnostics).
+    Without full_mgs (CRAIG) only the latest q, v, r, s, t vectors are
+    retained unless cfg.reorthogonalize or cfg.keep_iterates needs the right
+    basis. cfg.reorthogonalize adds one more MGS pass over the stored basis in
+    both modes. Under cfg.keep_iterates every iterate is formed (nsCRAIG:
+    assembled each iteration) and kept with the right basis Q.
     """
     cfg = cfg or SolverConfig()
     if not np.any(sys.b):
@@ -81,74 +85,80 @@ def nscraig_solve(sys, N=None, cfg=None):
     if beta1 == 0.0:
         raise ZeroRhsError("b has zero N^{-1}-norm")
     q = q / beta1
-    Q, NQ = [q], [N.apply(q)]
+    nq = N.apply(q)
+    store_basis = full_mgs or cfg.reorthogonalize or cfg.keep_iterates
+    Q, NQ = ([q], [nq]) if store_basis else (None, None)
     w = M.solve(A.matvec(q))
     r = q.copy()
     s = C.matvec(r)
     alpha = float(np.sqrt(max(w @ Mmat.matvec(w) + r @ s, 0.0)))
 
-    alphas, betas, chis = [alpha], [beta1], []
-    h_columns = []
+    alphas, betas, scalars = [alpha], [beta1], []
+    h_columns = [] if full_mgs else None
     history = []
     u_list = [] if cfg.keep_iterates else None
     p_list = [] if cfg.keep_iterates else None
 
-    if alpha <= cfg.breakdown_tol * max(beta1, 1.0):
-        return SolveResult(np.zeros(sys.m), np.zeros(sys.n), 0, "breakdown",
-                           history, alphas=alphas, betas=betas, chis=chis)
+    if alpha <= BREAKDOWN_TOL * max(beta1, 1.0):
+        return SolveResult(np.zeros(sys.m), np.zeros(sys.n), "breakdown", history, beta1=beta1)
 
     v = w / alpha
     t = s / alpha
-    chi = beta1 / alpha
-    chis.append(chi)
+    zeta = beta1 / alpha
+    scalars.append(zeta)
+    if not full_mgs:
+        u = zeta * v
+        p = -(zeta / alpha) * r
 
-    def make_iterate(k):
+    def assemble_iterate(k):
         y = assemble_solution(alphas[:k], betas, h_columns, beta1)
         p = np.column_stack(Q[:k]) @ y
-        u = -M.solve(A.matvec(p))
-        return u, p
+        return -M.solve(A.matvec(p)), p
 
+    passes = int(full_mgs) + int(cfg.reorthogonalize)
     k = 1
     termination = "max-iterations"
     fired = None
     while True:
-        g = N.solve(A.rmatvec(v) + t)
+        if full_mgs:
+            g = N.solve(A.rmatvec(v) + t)
+        else:
+            g = N.solve(A.rmatvec(v) + t - alphas[-1] * nq)
         h = np.zeros(k)
-        for j in range(k):
-            c = NQ[j] @ g
-            g = g - c * Q[j]
-            h[j] = c
-        if cfg.second_pass:
+        for _ in range(passes):
             for j in range(k):
                 c = NQ[j] @ g
                 g = g - c * Q[j]
                 h[j] += c
-        h_columns.append(h)
+        if full_mgs:
+            h_columns.append(h)
         beta = float(np.sqrt(max(g @ N.apply(g), 0.0)))
         betas.append(beta)
 
         if cfg.keep_iterates:
-            ui, pi = make_iterate(k)
+            ui, pi = assemble_iterate(k) if full_mgs else (u, p)
             u_list.append(ui)
             p_list.append(pi)
 
-        res_rel = (beta / beta1) * abs(chi)
+        res_rel = (beta / beta1) * abs(zeta)
         err_est = None
         if cfg.wants_error_estimate and k >= cfg.error_delay:
-            B = assemble_bidiagonal(alphas, betas, k)
-            H = assemble_hessenberg(h_columns, betas, k)
-            Lt = scipy.linalg.solve_triangular(B.T, H, lower=True)
-            err_est = nscraig_error_estimate(chis, Lt.T, k, cfg.error_delay)
-        history.append(ConvergenceRecord(k, res_rel, err_est, alphas[-1], beta, chi,
+            if full_mgs:
+                L = HessenbergFactors.assemble(alphas, betas, h_columns, k).lower_factor()
+                ratio = nscraig_error_estimate(scalars, L, k, cfg.error_delay)
+            else:
+                ratio = craig_error_estimate(scalars, k, cfg.error_delay)
+            err_est = float(np.sqrt(abs(ratio)))
+        history.append(ConvergenceRecord(k, res_rel, err_est, alphas[-1], beta, zeta,
                                          time.perf_counter() - t0))
 
-        if beta <= cfg.breakdown_tol * beta1:
+        if beta <= BREAKDOWN_TOL * beta1:
             termination = "exact-termination"
             break
         if cfg.wants_residual and res_rel < cfg.tolerance:
             termination, fired = "converged", "relative-residual"
             break
-        if cfg.wants_error_estimate and err_est is not None and abs(err_est) < cfg.tolerance:
+        if cfg.wants_error_estimate and err_est is not None and err_est < cfg.tolerance:
             termination, fired = "converged", "error-estimate"
             break
         if k >= cfg.max_iterations:
@@ -156,43 +166,74 @@ def nscraig_solve(sys, N=None, cfg=None):
             break
 
         q = g / beta
-        Q.append(q)
-        NQ.append(N.apply(q))
+        nq = N.apply(q)
+        if store_basis:
+            Q.append(q)
+            NQ.append(nq)
         w = M.solve(A.matvec(q) - beta * Mmat.matvec(v))
         r = q - (beta / alphas[-1]) * r
         s = C.matvec(r)
         alpha = float(np.sqrt(max(w @ Mmat.matvec(w) + r @ s, 0.0)))
-        if alpha <= cfg.breakdown_tol * alphas[0]:
+        if alpha <= BREAKDOWN_TOL * alphas[0]:
             termination = "breakdown"
             break
         alphas.append(alpha)
         v = w / alpha
         t = s / alpha
-        chi = -(beta / alpha) * chi
-        chis.append(chi)
+        zeta = -(beta / alpha) * zeta
+        scalars.append(zeta)
+        if not full_mgs:
+            u = u + zeta * v
+            p = p - (zeta / alpha) * r
         k += 1
 
-    if cfg.keep_iterates:
-        u, p = u_list[-1], p_list[-1]
-    else:
-        u, p = make_iterate(min(k, len(alphas)))
-    return SolveResult(u, p, k, termination, history, fired_criterion=fired,
-                       alphas=alphas, betas=betas, chis=chis, h_columns=h_columns,
-                       u_iterates=u_list, p_iterates=p_list,
-                       basis={"Q": Q} if cfg.keep_iterates else None)
+    if full_mgs:
+        u, p = (u_list[-1], p_list[-1]) if cfg.keep_iterates else assemble_iterate(k)
+    return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1,
+                       h_columns=h_columns, u_iterates=u_list, p_iterates=p_list,
+                       Q=Q if cfg.keep_iterates else None)
+
+
+def nscraig_solve(sys, N=None, cfg=None):
+    """Run nsCRAIG; symmetric instances are accepted and match craig's iterates.
+
+    Iterates are assembled only on termination unless cfg.keep_iterates turns
+    on the eager mode (every iteration, for replay diagnostics).
+    """
+    return gkb_solve(sys, N, cfg, full_mgs=True)
+
+
+def _check_window(scalars, k, d):
+    if d < 1:
+        raise ValueError("delay d must be >= 1")
+    if k < d or len(scalars) < k:
+        raise InsufficientHistoryError(f"need k >= d and {k} recorded scalars")
+
+
+def craig_error_estimate(zetas, k, d):
+    """Squared delayed relative energy-error estimate from the zeta history.
+
+    Returns sum(zeta_i^2, i = k-d+1..k) / sum(zeta_i^2, i = 1..k); the square
+    root estimates the relative energy error d steps back.
+    """
+    _check_window(zetas, k, d)
+    z = np.asarray(zetas[:k], dtype=float)
+    total = float(z @ z)
+    if total == 0.0:
+        raise ValueError("all-zero zeta history")
+    window = z[k - d:]
+    return float(window @ window) / total
 
 
 def nscraig_error_estimate(chis, lower_factor, k, d):
-    """Delayed relative energy-error estimate for nsCRAIG.
+    """Squared delayed relative energy-error estimate for nsCRAIG.
 
     Solves L^T z = x by back substitution (x holds chi_1..chi_k) and returns
     sum(chi_i z_i, i = k-d+1..k) / sum(chi_i z_i, i = 1..k). The ratio can be
-    negative or exceed 1: no minimization property holds here.
+    negative or exceed 1: no minimization property holds here. The solver
+    monitors the square root of its magnitude, as CRAIG does.
     """
-    if d < 1:
-        raise ValueError("delay d must be >= 1")
-    if k < d or len(chis) < k:
-        raise InsufficientHistoryError(f"need k >= d and {k} recorded chis")
+    _check_window(chis, k, d)
     L = as_dense(lower_factor)
     if L.shape != (k, k):
         raise InsufficientHistoryError(f"lower factor must be {k} x {k}")
@@ -205,6 +246,40 @@ def nscraig_error_estimate(chis, lower_factor, k, d):
     return float(terms[k - d:].sum()) / total
 
 
-def nscraig_residual_check(sys, N, result):
-    """Replay diagnostics for nsCRAIG, using the chi recurrence estimates."""
-    return _residual_check(sys, N, result)
+@dataclass
+class ResidualCheckReport:
+    """Replay diagnostics: recomputed residuals against the recurrence values.
+
+    dual_defects[i] = |explicit N^{-1}-norm residual - beta_{k+1}|scalar_k|| / beta_1,
+    upper_ratios[i] = ||M u + A p|| / (||A||_F ||p||),
+    orth_defects[i] = max_j |residual . q_j| (None when no basis was stored).
+    """
+
+    dual_defects: list[float]
+    upper_ratios: list[float]
+    orth_defects: list[float] | None
+    beta1: float
+
+
+def residual_check(sys, N, result):
+    """Recompute every recorded residual explicitly and report the defects."""
+    if result.u_iterates is None or result.p_iterates is None or not result.history:
+        raise InsufficientHistoryError("solve must be run with keep_iterates=True")
+    N = N or SpdPreconditioner.identity(sys.n)
+    beta1 = result.beta1
+    a_norm = float(np.linalg.norm(sys.A.to_dense()))
+    dual, upper, orth = [], [], []
+    Q = result.Q
+    for rec, u, p in zip(result.history, result.u_iterates, result.p_iterates):
+        resid = sys.b - sys.A.rmatvec(u) + sys.C.matvec(p)
+        explicit = N.inv_norm(resid)
+        dual.append(abs(explicit - rec.beta_next * abs(rec.scalar)) / beta1)
+        block = np.linalg.norm(sys.Mmat.matvec(u) + sys.A.matvec(p))
+        upper.append(block / max(a_norm * np.linalg.norm(p), 1e-300))
+        if Q is not None:
+            orth.append(max(abs(resid @ qj) for qj in Q[: rec.k]))
+    return ResidualCheckReport(dual, upper, orth if Q is not None else None, beta1)
+
+
+# Both solvers run the same loop and fill the same result fields.
+craig_residual_check = nscraig_residual_check = residual_check

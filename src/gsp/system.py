@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NotSpsdError, WrongSolverError
+from .errors import DimensionError, NonFiniteError, NotSpsdError, WrongSolverError
 from .linops import FactorizedOperator, SparseMatrix, factorize
 
 CRITERION_RESIDUAL = "relative-residual"
@@ -40,6 +40,10 @@ class SaddleSystem:
             raise DimensionError("C must be n x n")
         if self.b.shape != (n,):
             raise DimensionError("b must have length n")
+        for name, values in (("b", self.b), ("M", self.Mmat.values), ("A", self.A.values),
+                             ("C", self.C.values)):
+            if not np.isfinite(values).all():
+                raise NonFiniteError(f"{name} holds a NaN or an infinity")
         c_dense = self.C.to_dense()
         c_scale = max(np.abs(c_dense).max() if self.C.nnz else 0.0, 1e-300)
         if np.abs(c_dense - c_dense.T).max() > 1e-12 * c_scale:
@@ -86,8 +90,10 @@ class SolverConfig:
     criterion selects the stopping rule: 'relative-residual' monitors
     (beta_{k+1}/beta_1)|zeta_k| (or the chi analogue), 'error-estimate' the
     delayed energy-error estimate with window error_delay, 'both' stops on
-    whichever fires first. keep_iterates retains per-iteration (u, p) and the
-    Krylov bases for replay diagnostics.
+    whichever fires first. reorthogonalize adds one more modified Gram-Schmidt
+    pass over the stored right basis (CRAIG: its only pass; nsCRAIG: a second
+    one). keep_iterates retains per-iteration (u, p) and the right basis for
+    replay diagnostics.
     """
 
     tolerance: float = 1e-6
@@ -95,9 +101,7 @@ class SolverConfig:
     criterion: str = CRITERION_RESIDUAL
     error_delay: int = 5
     reorthogonalize: bool = False
-    second_pass: bool = False
     keep_iterates: bool = False
-    breakdown_tol: float = 1e-14
 
     def __post_init__(self):
         if not self.tolerance > 0.0:
@@ -138,22 +142,44 @@ class ConvergenceRecord:
 
 @dataclass
 class SolveResult:
-    """Final iterates and per-iteration history of one solver run."""
+    """Final iterates and per-iteration history of one solver run.
+
+    The bidiagonalization scalars live in the history records only; alphas,
+    betas and scalars read them back. beta1 is the N^{-1}-norm of b (baselines
+    store their own initial residual norm there). h_columns holds nsCRAIG's
+    Hessenberg columns; u_iterates, p_iterates and the right basis Q are kept
+    only under keep_iterates (baselines record p_iterates alone).
+    """
 
     u: np.ndarray
     p: np.ndarray
-    iterations: int
     termination: str  # converged | max-iterations | breakdown | exact-termination
     history: list[ConvergenceRecord] = field(default_factory=list)
     fired_criterion: str | None = None
-    alphas: list[float] | None = None
-    betas: list[float] | None = None
-    zetas: list[float] | None = None
-    chis: list[float] | None = None
+    beta1: float | None = None
     h_columns: list[np.ndarray] | None = None
     u_iterates: list[np.ndarray] | None = None
     p_iterates: list[np.ndarray] | None = None
-    basis: dict | None = None
+    Q: list[np.ndarray] | None = None
+
+    @property
+    def iterations(self):
+        return len(self.history)
+
+    @property
+    def alphas(self):
+        """alpha_1 .. alpha_k."""
+        return [rec.alpha for rec in self.history]
+
+    @property
+    def betas(self):
+        """beta_1 .. beta_{k+1}."""
+        return [self.beta1] + [rec.beta_next for rec in self.history]
+
+    @property
+    def scalars(self):
+        """zeta_1 .. zeta_k for CRAIG, chi_1 .. chi_k for nsCRAIG."""
+        return [rec.scalar for rec in self.history]
 
     @property
     def converged(self):

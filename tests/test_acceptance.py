@@ -160,7 +160,7 @@ def test_criterion_04_energy_error_identity():
     res = craig_solve(sys, None, cfg)
     assert res.iterations == 24
     u_star, p_star = direct_solve(sys)
-    z = np.array(res.zetas)
+    z = np.array(res.scalars)
     total = float(z @ z)
     for k in range(res.iterations):
         lhs = _energy_lhs(sys, u_star, p_star, res.u_iterates[k], res.p_iterates[k])
@@ -171,7 +171,7 @@ def test_criterion_04_energy_error_identity():
     # nonsymmetric: tail sums of chi*zeta with zeta = L^{-T} chi
     sys_n = random_system(48, 24, skew=0.5, c_rank=12, seed=91, spectrum=(1.0, 1e3))
     cfg_n = SolverConfig(tolerance=1e-300, max_iterations=24, keep_iterates=True,
-                         second_pass=True)
+                         reorthogonalize=True)
     res_n = nscraig_solve(sys_n, None, cfg_n)
     assert res_n.iterations == 24
     u_star, p_star = direct_solve(sys_n)
@@ -179,8 +179,8 @@ def test_criterion_04_energy_error_identity():
     B = assemble_bidiagonal(res_n.alphas, res_n.betas, k_full)
     H = assemble_hessenberg(res_n.h_columns, res_n.betas, k_full)
     Lt = scipy.linalg.solve_triangular(B.T, H, lower=True)
-    zeta = scipy.linalg.solve_triangular(Lt, np.array(res_n.chis), lower=False)
-    terms = np.array(res_n.chis) * zeta
+    zeta = scipy.linalg.solve_triangular(Lt, np.array(res_n.scalars), lower=False)
+    terms = np.array(res_n.scalars) * zeta
     total_n = float(terms.sum())
     worst_n = 0.0
     for k in range(res_n.iterations):
@@ -301,7 +301,7 @@ def test_criterion_08_exact_full_length_termination():
 
     sys_n = random_system(24, 12, skew=0.5, c_rank=6, seed=701, spectrum=(1.0, 100.0))
     res_n = nscraig_solve(sys_n, None, SolverConfig(tolerance=1e-300, max_iterations=12,
-                                                    second_pass=True))
+                                                    reorthogonalize=True))
     assert res_n.termination != "breakdown"
     assert len(res_n.alphas) == 12
     assert res_n.betas[12] <= 1e-8 * res_n.betas[0]
@@ -379,7 +379,7 @@ def test_criterion_11_constrained_minimization():
             return math.sqrt(du @ Md @ du + dp @ Cd @ dp)
 
         for k in range(1, res.iterations + 1):
-            Q = np.column_stack(res.basis["Q"][:k])
+            Q = np.column_stack(res.Q[:k])
             U = -np.column_stack([sys.M.solve(Ad @ Q[:, j]) for j in range(k)])
             H = U.T @ Md @ U + Q.T @ Cd @ Q
             g = U.T @ Md @ u_star + Q.T @ Cd @ p_star

@@ -78,6 +78,29 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert rows[0]["termination"] == "max-iterations"
 
+    @pytest.mark.parametrize("failure", ["missing-file", "missing-key", "bad-json"])
+    def test_load_failure_is_reported_without_traceback(self, tmp_path, hand_dir, capsys,
+                                                         failure):
+        system_json = hand_dir / "system.json"
+        culprit = system_json
+        if failure == "missing-file":
+            culprit = hand_dir / "A.mtx"
+            culprit.unlink()
+        elif failure == "missing-key":
+            doc = json.loads(system_json.read_text())
+            del doc["c_file"]
+            system_json.write_text(json.dumps(doc))
+        else:
+            system_json.write_text("{not json")
+        manifest = write_manifest(
+            tmp_path / "m.json",
+            problem={"source": "load", "path": str(system_json)},
+            solvers=["craig"],
+        )
+        assert main(["run", manifest]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gsp: error: ") and str(culprit) in err
+
     def test_incompatible_solver_rejected_before_running(self, tmp_path, capsys):
         manifest = write_manifest(
             tmp_path / "m.json",

@@ -1,5 +1,6 @@
 """CRAIG solver: hand values, stopping rules, identities, minimization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import random_preconditioner, random_system
 from gsp import (
     SaddleSystem,
     SolverConfig,
+    SparseMatrix,
     SpdPreconditioner,
     craig_error_estimate,
     craig_residual_check,
@@ -20,6 +22,7 @@ from gsp import (
 from gsp.baselines import SchurOperator
 from gsp.errors import (
     InsufficientHistoryError,
+    NonFiniteError,
     NotSpsdError,
     WrongSolverError,
     ZeroRhsError,
@@ -36,6 +39,18 @@ class TestContainers:
         with pytest.raises(WrongSolverError):
             SaddleSystem.from_matrices(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2),
                                        np.zeros((2, 2)), np.ones(2), symmetric=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("block", ["Mmat", "A", "C", "b"])
+    def test_system_rejects_non_finite(self, hand_system, block, bad):
+        if block == "b":
+            value = np.array([bad])
+        else:
+            dense = getattr(hand_system, block).to_dense()
+            dense[0, 0] = bad
+            value = SparseMatrix.from_dense(dense)
+        with pytest.raises(NonFiniteError):
+            dataclasses.replace(hand_system, **{block: value})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -55,7 +70,7 @@ class TestHandInstance:
         assert np.allclose(res.p, [-1.0 / 3.0], atol=1e-14)
         assert res.betas[0] == 1.0
         assert abs(res.alphas[0] - math.sqrt(3.0)) <= 1e-14
-        assert abs(res.zetas[0] - 1.0 / math.sqrt(3.0)) <= 1e-14
+        assert abs(res.scalars[0] - 1.0 / math.sqrt(3.0)) <= 1e-14
         assert len(res.history) == res.iterations
 
     def test_wrong_solver(self, hand_system_nonsym):
@@ -204,7 +219,7 @@ def test_energy_error_identity_full_length():
     res = craig_solve(sys, N, cfg)
     u_star, p_star = direct_solve(sys)
     Md, Cd = sys.Mmat.to_dense(), sys.C.to_dense()
-    z = np.array(res.zetas)
+    z = np.array(res.scalars)
     total = float(z @ z)
     for k in range(res.iterations):
         du = u_star - res.u_iterates[k]
@@ -249,7 +264,7 @@ def test_constrained_minimization_property():
         return math.sqrt(du @ Md @ du + dp @ Cd @ dp)
 
     for k in range(1, res.iterations + 1):
-        Q = np.column_stack(res.basis["Q"][:k])
+        Q = np.column_stack(res.Q[:k])
         U = -np.column_stack([sys.M.solve(Ad @ Q[:, j]) for j in range(k)])
         # f(y) = ||u* - U y||_M^2 + (p* - Q y)^T C (p* - Q y), y in R^k
         H = U.T @ Md @ U + Q.T @ Cd @ Q

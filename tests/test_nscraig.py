@@ -116,6 +116,17 @@ class TestErrorEstimate:
         res = nscraig_solve(sys, None, cfg)
         assert res.termination in ("converged", "exact-termination")
 
+    def test_estimate_stop_meets_tolerance(self):
+        # The delayed ratio is a squared energy norm; stopping on the ratio
+        # itself rather than its root fired at k=30 here with error 1e-5.
+        sys = random_system(120, 60, c_rank=30, seed=3, spectrum=(1.0, 50.0))
+        tol = 1e-8
+        cfg = SolverConfig(tolerance=tol, criterion="error-estimate", error_delay=5)
+        res = nscraig_solve(sys, None, cfg)
+        assert res.fired_criterion == "error-estimate"
+        z_star = np.concatenate(direct_solve(sys))
+        assert np.linalg.norm(res.final_vector() - z_star) <= 100 * tol * np.linalg.norm(z_star)
+
 
 class TestResidualCheck:
     def test_defects_small(self):
@@ -172,7 +183,7 @@ def test_arnoldi_identity_at_partial_length():
     k = len(res.alphas)
     HB = assemble_hessenberg(res.h_columns, res.betas, k) @ \
         assemble_bidiagonal(res.alphas, res.betas, k)
-    Q = np.column_stack(res.basis["Q"][:k])
+    Q = np.column_stack(res.Q[:k])
     Sd = SchurOperator(sys).dense()
     assert np.linalg.norm(HB - Q.T @ Sd @ Q) <= 1e-8 * np.linalg.norm(HB)
 
