@@ -25,13 +25,10 @@ from .gkb import (
     verify_decomposition,
 )
 from .linops import (
-    DenseMatrix,
     FactorizedOperator,
     SparseMatrix,
     SpdPreconditioner,
     factorize,
-    sparse_matvec,
-    sparse_matvec_transpose,
     spsd_factor,
     weighted_inner,
     weighted_norm,

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BreakdownError, DegenerateBlockError, DimensionError, ZeroRhsError
-from .linops import (
-    DenseMatrix,
-    FactorizedOperator,
-    SparseMatrix,
-    SpdPreconditioner,
-    factorize,
-    spsd_factor,
-)
+from .linops import FactorizedOperator, SparseMatrix, SpdPreconditioner, factorize, spsd_factor
 
 BREAKDOWN_TOL = 1e-14
 
@@ -31,19 +24,19 @@ class AugmentedSystem:
     """Explicit augmented form of a generalized saddle point instance."""
 
     M: FactorizedOperator
-    F: DenseMatrix
+    F: np.ndarray
     Finv: FactorizedOperator
     A: SparseMatrix
-    E: DenseMatrix
+    E: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         m, n = self.A.shape
-        l = self.E.rows
+        l = self.l
         if l < 1:
             raise DegenerateBlockError("augmented form needs rank(C) >= 1")
-        if self.E.cols != n:
+        if self.E.shape[1] != n:
             raise DimensionError("E must be l x n")
         if self.F.shape != (l, l) or self.Finv.dimension != l:
             raise DimensionError("F must be l x l")
@@ -62,7 +55,7 @@ class AugmentedSystem:
 
     @property
     def l(self):
-        return self.E.rows
+        return self.E.shape[0]
 
 
 def augment(sys, rank_tolerance=1e-12):
@@ -103,7 +96,7 @@ class BidiagFactors:
     alphas: list[float]
     betas: list[float]
     hessenberg_columns: list[np.ndarray] | None = None
-    lower_factor: DenseMatrix | None = None
+    lower_factor: np.ndarray | None = None
 
     @property
     def k(self):
@@ -149,7 +142,7 @@ def _init_step(aug, N):
         raise ZeroRhsError("b has zero N^{-1}-norm")
     q = q / beta1
     wx = aug.M.solve(aug.A.matvec(q))
-    wc = aug.F.array @ (aug.E.array @ q)
+    wc = aug.F @ (aug.E @ q)
     alpha1 = float(np.sqrt(max(wx @ aug.M.apply(wx) + wc @ aug.Finv.solve(wc), 0.0)))
     if alpha1 <= BREAKDOWN_TOL * max(beta1, 1.0):
         raise BreakdownError("alpha_1 vanished: b is outside Range([A^T C])")
@@ -166,7 +159,7 @@ def _bidiagonalize(aug, N, steps, full_mgs, reorthogonalize):
     n = aug.n
     if not 1 <= steps <= n:
         raise DimensionError(f"steps must be in [1, {n}]")
-    Ad, Ed, Fd = aug.A, aug.E.array, aug.F.array
+    Ad, Ed, Fd = aug.A, aug.E, aug.F
 
     q, beta1, vx, vc, alpha = _init_step(aug, N)
     Q, NQ = [q], [N.apply(q)]
@@ -231,9 +224,7 @@ def gkb_nonsymmetric(aug, N, steps, reorthogonalize=False):
     basis, alphas, betas, h_columns = _bidiagonalize(aug, N, steps, True, reorthogonalize)
     k = len(alphas)
     gram = _left_gram(aug, basis.Vx, basis.Vc, k)
-    return basis, BidiagFactors(
-        alphas, betas, h_columns[:k], DenseMatrix.from_array(np.tril(gram))
-    )
+    return basis, BidiagFactors(alphas, betas, h_columns[:k], np.tril(gram))
 
 
 def _left_gram(aug, Vx, Vc, k):
@@ -271,8 +262,7 @@ def verify_decomposition(aug, N, basis, factors, symmetric):
     VC = basis.vc_matrix(k)
     B = factors.bidiagonal()
     Ad = aug.A.to_dense()
-    Ed = aug.E.array
-    Fd = aug.F.array
+    Ed, Fd = aug.E, aug.F
     NQ = np.column_stack([N.apply(Qk[:, j]) for j in range(k)])
     MVX = np.column_stack([aug.M.apply(VX[:, j]) for j in range(k)])
     FiVC = np.column_stack([aug.Finv.solve(VC[:, j]) for j in range(k)])
@@ -290,7 +280,7 @@ def verify_decomposition(aug, N, basis, factors, symmetric):
 
     q_orth = float(np.linalg.norm(Qk.T @ NQ - np.eye(k)))
     gram = VX.T @ MVX + VC.T @ FiVC
-    target = factors.lower_factor.array if factors.lower_factor is not None else np.eye(k)
+    target = factors.lower_factor if factors.lower_factor is not None else np.eye(k)
     v_orth = float(np.linalg.norm(gram - target))
 
     schur_residual = None

@@ -1,17 +1,22 @@
-"""Sparse/dense matrix kernels, weighted inner products, and exact factorizations.
+"""Sparse matrices, weighted inner products, and exact factorizations.
 
-Everything here is desk-scale: factorizations densify their input (dimension
-capped at 5000) and the SPSD factorization uses a full symmetric
-eigendecomposition. Matvec accumulation order is fixed (row-major, ascending
-column index) so repeated runs are bit-reproducible.
+SparseMatrix stores one canonical scipy.sparse CSR array: rows in order,
+strictly increasing columns within a row, no duplicates. scipy's CSR kernels
+sum each output entry's terms in storage order (row-major, ascending column),
+for A x and, through the transposed view, for A^T y, so repeated runs are
+bit-reproducible. Factorizations are desk-scale: they densify their input
+(dimension capped at 5000) and the SPSD factorization uses a full symmetric
+eigendecomposition.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import DimensionError, NotSpdError, NotSpsdError, SingularOperatorError
 
@@ -27,205 +32,132 @@ def _as_float_vector(x, length=None, name="x"):
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """Compressed sparse row matrix with immutable storage.
+    """Immutable matrix held as one canonical scipy.sparse CSR array.
 
     Duplicate (row, col) entries are forbidden; explicit zeros are allowed.
+    The transposed view used by rmatvec shares the CSR arrays.
     """
 
-    rows: int
-    cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    csr: scipy.sparse.csr_array
+    _transposed: scipy.sparse.csc_array = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "row_offsets", np.asarray(self.row_offsets, dtype=np.int64))
-        object.__setattr__(self, "col_indices", np.asarray(self.col_indices, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        ro, ci = self.row_offsets, self.col_indices
-        if ro.shape != (self.rows + 1,):
-            raise DimensionError("row_offsets must have length rows+1")
-        if ro[0] != 0 or np.any(np.diff(ro) < 0) or ro[-1] != len(self.values):
-            raise DimensionError("row_offsets must be nondecreasing, start at 0, end at nnz")
-        if len(ci) != len(self.values):
-            raise DimensionError("col_indices and values must have equal length")
-        if len(ci) and (ci.min() < 0 or ci.max() >= self.cols):
-            raise DimensionError("col index out of range")
-        for i in range(self.rows):
-            seg = ci[ro[i]:ro[i + 1]]
-            if len(seg) > 1 and np.any(np.diff(seg) <= 0):
-                raise DimensionError(f"col indices in row {i} must strictly increase")
+        csr = self.csr
+        try:
+            csr.check_format(full_check=True)
+        except ValueError as exc:
+            raise DimensionError(f"invalid CSR storage: {exc}") from exc
+        if not csr.has_canonical_format:
+            raise DimensionError("col indices must strictly increase within each row")
+        object.__setattr__(self, "_transposed", csr.T)
 
-    @property
-    def nnz(self):
-        return len(self.values)
-
-    @property
-    def row_of_entry(self):
-        """Row index of each stored entry (cached; storage is row-major)."""
-        cached = getattr(self, "_row_of_entry", None)
-        if cached is None:
-            cached = np.repeat(np.arange(self.rows, dtype=np.int64),
-                               np.diff(self.row_offsets))
-            object.__setattr__(self, "_row_of_entry", cached)
-        return cached
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
+    @classmethod
+    def from_csr(cls, rows, cols, row_offsets, col_indices, values):
+        """Build from raw CSR arrays, refusing malformed ones with DimensionError."""
+        values, row_offsets = np.asarray(values, dtype=float), np.asarray(row_offsets)
+        try:
+            if len(row_offsets) and row_offsets[-1] != len(values):
+                raise ValueError("row offsets must end at the number of values")
+            csr = scipy.sparse.csr_array((values, col_indices, row_offsets), shape=(rows, cols))
+        except ValueError as exc:
+            raise DimensionError(f"invalid CSR storage: {exc}") from exc
+        return cls(csr)
 
     @classmethod
     def from_dense(cls, a):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        rows, cols = a.shape
-        ro = [0]
-        ci = []
-        vals = []
-        for i in range(rows):
-            (nz,) = np.nonzero(a[i])
-            ci.extend(nz.tolist())
-            vals.extend(a[i, nz].tolist())
-            ro.append(len(vals))
-        return cls(rows, cols, np.array(ro), np.array(ci, dtype=np.int64), np.array(vals))
+        return cls(scipy.sparse.csr_array(np.atleast_2d(np.asarray(a, dtype=float))))
 
     @classmethod
     def from_coo(cls, rows, cols, i, j, v):
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
         v = np.asarray(v, dtype=float)
-        if not (len(i) == len(j) == len(v)):
-            raise DimensionError("coordinate arrays must have equal length")
-        order = np.lexsort((j, i))
-        i, j, v = i[order], j[order], v[order]
-        if len(i) > 1 and np.any((np.diff(i) == 0) & (np.diff(j) == 0)):
+        try:
+            csr = scipy.sparse.coo_array((v, (i, j)), shape=(rows, cols)).tocsr()
+        except ValueError as exc:
+            raise DimensionError(f"invalid coordinates: {exc}") from exc
+        if csr.nnz != len(v):  # tocsr sums duplicates
             raise DimensionError("duplicate (row, col) entries are forbidden")
-        ro = np.zeros(rows + 1, dtype=np.int64)
-        np.add.at(ro, i + 1, 1)
-        np.cumsum(ro, out=ro)
-        return cls(rows, cols, ro, j, v)
+        return cls(csr)
 
     @classmethod
     def identity(cls, n):
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
+        return cls(scipy.sparse.eye_array(n, format="csr"))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, np.zeros(rows + 1, dtype=np.int64),
-                   np.zeros(0, dtype=np.int64), np.zeros(0))
-
-    def to_dense(self):
-        a = np.zeros((self.rows, self.cols))
-        for i in range(self.rows):
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            a[i, self.col_indices[lo:hi]] = self.values[lo:hi]
-        return a
-
-    def transpose(self):
-        i = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.row_offsets))
-        return SparseMatrix.from_coo(self.cols, self.rows, self.col_indices, i, self.values)
-
-    def matvec(self, x):
-        return sparse_matvec(self, x)
-
-    def rmatvec(self, x):
-        return sparse_matvec_transpose(self, x)
-
-    def __array__(self, dtype=None):
-        d = self.to_dense()
-        return d if dtype is None else d.astype(dtype)
-
-
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Small dense matrix stored in column-major order."""
-
-    rows: int
-    cols: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float).ravel())
-        if self.values.shape[0] != self.rows * self.cols:
-            raise DimensionError("values length must equal rows*cols")
-
-    @classmethod
-    def from_array(cls, a):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        return cls(a.shape[0], a.shape[1], a.ravel(order="F"))
+        return cls(scipy.sparse.csr_array((rows, cols)))
 
     @property
-    def array(self):
-        return self.values.reshape((self.rows, self.cols), order="F")
+    def rows(self):
+        return self.csr.shape[0]
+
+    @property
+    def cols(self):
+        return self.csr.shape[1]
 
     @property
     def shape(self):
-        return (self.rows, self.cols)
+        return self.csr.shape
 
-    def __array__(self, dtype=None):
-        a = self.array
-        return a if dtype is None else a.astype(dtype)
+    @property
+    def nnz(self):
+        return self.csr.nnz
 
+    @property
+    def values(self):
+        return self.csr.data
 
-def as_dense(a):
-    """Coerce SparseMatrix / DenseMatrix / array-like into a 2-D ndarray."""
-    if isinstance(a, SparseMatrix):
-        return a.to_dense()
-    if isinstance(a, DenseMatrix):
-        return a.array
-    return np.atleast_2d(np.asarray(a, dtype=float))
+    def to_dense(self):
+        return self.csr.toarray()
 
+    def matvec(self, x):
+        return self.csr @ _as_float_vector(x, self.cols)
 
-def sparse_matvec(A, x):
-    """Return A @ x, accumulated per row in ascending column order.
+    def rmatvec(self, x):
+        return self._transposed @ _as_float_vector(x, self.rows)
 
-    bincount sums the stored entries in storage order (row-major, ascending
-    column), so repeated runs are bit-identical.
-    """
-    x = _as_float_vector(x, A.cols)
-    if not A.nnz:
-        return np.zeros(A.rows)
-    return np.bincount(A.row_of_entry, weights=A.values * x[A.col_indices],
-                       minlength=A.rows)
+    def is_symmetric(self):
+        """max|K - K^T| <= 1e-12 max|K|, computed from the stored entries only."""
+        if self.rows != self.cols:
+            return False
+        gap = abs(self.csr - self._transposed)
+        scale = np.abs(self.values).max() if self.nnz else 0.0
+        return bool((gap.max() if gap.nnz else 0.0) <= 1e-12 * max(scale, 1e-300))
 
+    def is_diagonal(self):
+        """True when every stored entry off the diagonal is zero."""
+        coo = self.csr.tocoo()
+        return not np.any(coo.data[coo.row != coo.col])
 
-def sparse_matvec_transpose(A, x):
-    """Return A.T @ x without forming the transpose (same storage order)."""
-    x = _as_float_vector(x, A.rows)
-    if not A.nnz:
-        return np.zeros(A.cols)
-    return np.bincount(A.col_indices, weights=A.values * x[A.row_of_entry],
-                       minlength=A.cols)
+    def __array__(self, dtype=None, copy=None):
+        d = self.to_dense()
+        return d if dtype is None else d.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
 class FactorizedOperator:
     """Square operator K with exact apply (K x) and solve (K^{-1} b).
 
-    kind is one of 'cholesky-spd', 'lu-general', 'diagonal'. The dense input
-    is retained so apply() reproduces the original operator exactly.
+    kind is one of 'cholesky-spd', 'lu-general', 'diagonal'. matrix is the
+    SparseMatrix the factor was built from; apply() multiplies by it, so K is
+    stored once, next to its factor.
     """
 
-    dimension: int
     kind: str
-    dense: np.ndarray
+    matrix: SparseMatrix
     _chol: tuple | None = field(default=None, repr=False)
     _lu: tuple | None = field(default=None, repr=False)
     _diag: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def permutation(self):
-        if self.kind == "lu-general":
-            return self._lu[1].copy()
-        return np.arange(self.dimension, dtype=np.int64)
+    def dimension(self):
+        return self.matrix.rows
 
     def apply(self, x):
-        x = _as_float_vector(x, self.dimension)
         if self.kind == "diagonal":
-            return self._diag * x
-        return self.dense @ x
+            return self._diag * _as_float_vector(x, self.dimension)
+        return self.matrix.matvec(x)
 
     def solve(self, b):
         b = _as_float_vector(b, self.dimension)
@@ -235,11 +167,10 @@ class FactorizedOperator:
             return scipy.linalg.cho_solve(self._chol, b, check_finite=False)
         return scipy.linalg.lu_solve(self._lu, b, check_finite=False)
 
-    def solve_transpose(self, b):
-        b = _as_float_vector(b, self.dimension)
-        if self.kind == "lu-general":
-            return scipy.linalg.lu_solve(self._lu, b, trans=1, check_finite=False)
-        return self.solve(b)
+
+def as_sparse(K):
+    """Return K itself if it is a SparseMatrix, else its CSR form."""
+    return K if isinstance(K, SparseMatrix) else SparseMatrix.from_dense(K)
 
 
 def factorize(kind, K):
@@ -247,44 +178,41 @@ def factorize(kind, K):
 
     cholesky-spd requires symmetric input and fails on a nonpositive pivot;
     lu-general fails on a (numerically) zero pivot; diagonal accepts only
-    diagonal input.
+    diagonal input. The Cholesky and LU factors are dense: K is densified once,
+    as their input.
     """
-    dense = as_dense(K)
-    n = dense.shape[0]
-    if dense.shape[0] != dense.shape[1]:
+    K = as_sparse(K)
+    n = K.rows
+    if K.rows != K.cols:
         raise DimensionError("factorize requires a square matrix")
     if n > DENSE_FACTOR_LIMIT:
         raise DimensionError(f"dense factorization capped at dimension {DENSE_FACTOR_LIMIT}")
 
     if kind == "diagonal":
-        off = dense - np.diag(np.diag(dense))
-        if np.any(off != 0.0):
+        if not K.is_diagonal():
             raise DimensionError("diagonal kind requires a diagonal matrix")
-        d = np.diag(dense).copy()
+        d = K.csr.diagonal()
         if np.any(d == 0.0):
             raise SingularOperatorError("zero entry on the diagonal")
-        return FactorizedOperator(n, kind, dense, _diag=d)
+        return FactorizedOperator(kind, K, _diag=d)
 
     if kind == "cholesky-spd":
-        scale = np.abs(dense).max() if n else 0.0
-        if np.abs(dense - dense.T).max() > 1e-12 * max(scale, 1e-300):
+        if not K.is_symmetric():
             raise NotSpdError("cholesky-spd requires symmetric input")
         try:
-            chol = scipy.linalg.cho_factor(dense, lower=True, check_finite=False)
+            chol = scipy.linalg.cho_factor(K.to_dense(), lower=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
-        return FactorizedOperator(n, kind, dense, _chol=chol)
+        return FactorizedOperator(kind, K, _chol=chol)
 
     if kind == "lu-general":
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(dense, check_finite=False)
+            lu = scipy.linalg.lu_factor(K.to_dense(), check_finite=False)
         piv_diag = np.abs(np.diag(lu[0]))
         if n and piv_diag.min() <= 1e-13 * max(piv_diag.max(), 1e-300):
             raise SingularOperatorError("zero pivot in LU factorization")
-        return FactorizedOperator(n, kind, dense, _lu=lu)
+        return FactorizedOperator(kind, K, _lu=lu)
 
     raise ValueError(f"unknown factorization kind '{kind}'")
 
@@ -297,12 +225,7 @@ def weighted_inner(W, x, y):
         raise DimensionError("weighted_inner needs two vectors of equal length")
     if np.any(np.isnan(x)) or np.any(np.isnan(y)):
         raise ValueError("NaN in weighted_inner input")
-    if isinstance(W, FactorizedOperator):
-        wy = W.apply(y)
-    elif isinstance(W, SparseMatrix):
-        wy = sparse_matvec(W, y)
-    else:
-        wy = as_dense(W) @ y
+    wy = W.apply(y) if isinstance(W, FactorizedOperator) else as_sparse(W).matvec(y)
     if wy.shape != x.shape:
         raise DimensionError("weight dimension does not match the vectors")
     return float(x @ wy)
@@ -326,9 +249,9 @@ def spsd_factor(C, rank_tolerance=1e-12):
     below rank_tolerance * lambda_max are truncated; an eigenvalue below
     -rank_tolerance * lambda_max raises NotSpsdError.
     """
-    dense = as_dense(C)
+    dense = np.asarray(C, dtype=float)
     n = dense.shape[0]
-    if dense.shape[0] != dense.shape[1]:
+    if dense.shape != (n, n):
         raise DimensionError("spsd_factor requires a square matrix")
     if n > 2000:
         raise DimensionError("dense eigendecomposition capped at dimension 2000")
@@ -336,17 +259,14 @@ def spsd_factor(C, rank_tolerance=1e-12):
     if np.linalg.norm(dense - dense.T) > 1e-12 * max(norm_c, 1e-300):
         raise NotSpsdError("matrix is not symmetric")
     if norm_c == 0.0:
-        return DenseMatrix.from_array(np.zeros((0, n))), DenseMatrix.from_array(np.zeros((0, 0))), 0
+        return np.zeros((0, n)), np.zeros((0, 0)), 0
     w, v = np.linalg.eigh(dense)
     lam_max = float(w.max())
     cutoff = rank_tolerance * max(lam_max, 0.0)
     if float(w.min()) < -cutoff:
         raise NotSpsdError(f"negative eigenvalue {w.min()} below -{cutoff}")
     keep = w > cutoff
-    lam = w[keep]
-    E = v[:, keep].T
-    F = np.diag(lam)
-    return DenseMatrix.from_array(E), DenseMatrix.from_array(F), int(keep.sum())
+    return v[:, keep].T, np.diag(w[keep]), int(keep.sum())
 
 
 @dataclass(frozen=True)
@@ -367,19 +287,17 @@ class SpdPreconditioner:
 
     @classmethod
     def identity(cls, n):
-        return cls(factorize("diagonal", np.eye(n)))
+        return cls(factorize("diagonal", SparseMatrix.identity(n)))
 
     @classmethod
     def from_diagonal(cls, d):
-        return cls(factorize("diagonal", np.diag(np.asarray(d, dtype=float))))
+        d = np.asarray(d, dtype=float)
+        return cls(factorize("diagonal", SparseMatrix(scipy.sparse.diags_array(d, format="csr"))))
 
     @classmethod
     def from_matrix(cls, K):
-        dense = as_dense(K)
-        off = dense - np.diag(np.diag(dense))
-        if not np.any(off != 0.0):
-            return cls(factorize("diagonal", dense))
-        return cls(factorize("cholesky-spd", dense))
+        K = as_sparse(K)
+        return cls(factorize("diagonal" if K.is_diagonal() else "cholesky-spd", K))
 
     def apply(self, x):
         return self.operator.apply(x)

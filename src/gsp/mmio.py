@@ -23,8 +23,8 @@ def write_matrix_market(path, A):
     """Write a SparseMatrix in coordinate real general format."""
     lines = [f"{_HEADER} matrix coordinate real general"]
     lines.append(f"{A.rows} {A.cols} {A.nnz}")
-    i_of = np.repeat(np.arange(A.rows), np.diff(A.row_offsets))
-    for i, j, v in zip(i_of, A.col_indices, A.values):
+    coo = A.csr.tocoo()
+    for i, j, v in zip(coo.row, coo.col, coo.data):
         lines.append(f"{i + 1} {j + 1} {v:.16e}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .errors import BreakdownError, InsufficientHistoryError, ZeroRhsError
 from .gkb import BREAKDOWN_TOL, assemble_bidiagonal, assemble_hessenberg
-from .linops import SpdPreconditioner, as_dense
+from .linops import SpdPreconditioner
 from .system import ConvergenceRecord, SolveResult, SolverConfig
 
 
@@ -234,7 +234,7 @@ def nscraig_error_estimate(chis, lower_factor, k, d):
     monitors the square root of its magnitude, as CRAIG does.
     """
     _check_window(chis, k, d)
-    L = as_dense(lower_factor)
+    L = np.asarray(lower_factor, dtype=float)
     if L.shape != (k, k):
         raise InsufficientHistoryError(f"lower factor must be {k} x {k}")
     x = np.asarray(chis[:k], dtype=float)
@@ -267,7 +267,7 @@ def residual_check(sys, N, result):
         raise InsufficientHistoryError("solve must be run with keep_iterates=True")
     N = N or SpdPreconditioner.identity(sys.n)
     beta1 = result.beta1
-    a_norm = float(np.linalg.norm(sys.A.to_dense()))
+    a_norm = float(np.linalg.norm(sys.A.values))
     dual, upper, orth = [], [], []
     Q = result.Q
     for rec, u, p in zip(result.history, result.u_iterates, result.p_iterates):

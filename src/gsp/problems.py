@@ -285,14 +285,15 @@ def gen_stokes_channel_detailed(spec):
     p_star = p_star[1:]
 
     symmetric = spec.oseen_wind is None
-    M = factorize("cholesky-spd" if symmetric else "lu-general", Md)
+    Mmat = SparseMatrix.from_dense(Md)
+    M = factorize("cholesky-spd" if symmetric else "lu-general", Mmat)
     b1 = Md @ vel + Ad @ p_star
     b2 = Ad.T @ vel - Cd @ p_star
     w0 = M.solve(b1)
     b = b2 - Ad.T @ w0
 
-    system = SaddleSystem(M, SparseMatrix.from_dense(Md), SparseMatrix.from_dense(Ad),
-                          SparseMatrix.from_dense(Cd), b, symmetric)
+    system = SaddleSystem(M, Mmat, SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Cd),
+                          b, symmetric)
     mass = hx * hy * np.ones(n)
     if not symmetric:
         mass = mass / nu

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError, NotSpsdError, WrongSolverError
-from .linops import FactorizedOperator, SparseMatrix, factorize
+from .linops import FactorizedOperator, SparseMatrix, as_sparse, factorize
 
 CRITERION_RESIDUAL = "relative-residual"
 CRITERION_ERROR = "error-estimate"
@@ -18,8 +18,9 @@ CRITERION_BOTH = "both"
 class SaddleSystem:
     """Immutable instance of the block system [[M, A], [A^T, -C]] [u; p] = [0; b].
 
-    M is held twice: factorized (for M^{-1} applications) and as an explicit
-    sparse matrix (for M v products inside the bidiagonalization updates).
+    M is stored once: Mmat is the sparse matrix (for M v products inside the
+    bidiagonalization updates) and M its factorization (for M^{-1}
+    applications), which refers back to Mmat rather than copying it.
     """
 
     M: FactorizedOperator
@@ -44,15 +45,10 @@ class SaddleSystem:
                              ("C", self.C.values)):
             if not np.isfinite(values).all():
                 raise NonFiniteError(f"{name} holds a NaN or an infinity")
-        c_dense = self.C.to_dense()
-        c_scale = max(np.abs(c_dense).max() if self.C.nnz else 0.0, 1e-300)
-        if np.abs(c_dense - c_dense.T).max() > 1e-12 * c_scale:
+        if not self.C.is_symmetric():
             raise NotSpsdError("C must be symmetric")
-        if self.symmetric:
-            m_dense = self.Mmat.to_dense()
-            m_scale = max(np.abs(m_dense).max(), 1e-300)
-            if np.abs(m_dense - m_dense.T).max() > 1e-12 * m_scale:
-                raise WrongSolverError("symmetric flag set but M is not symmetric")
+        if self.symmetric and not self.Mmat.is_symmetric():
+            raise WrongSolverError("symmetric flag set but M is not symmetric")
 
     @property
     def m(self):
@@ -65,21 +61,12 @@ class SaddleSystem:
     @classmethod
     def from_matrices(cls, Mmat, A, C, b, symmetric=None):
         """Build a system from raw blocks, factorizing M (Cholesky or LU)."""
-        if not isinstance(Mmat, SparseMatrix):
-            Mmat = SparseMatrix.from_dense(Mmat)
-        if not isinstance(A, SparseMatrix):
-            A = SparseMatrix.from_dense(A)
-        if not isinstance(C, SparseMatrix):
-            C = SparseMatrix.from_dense(C)
-        md = Mmat.to_dense()
-        scale = max(np.abs(md).max(), 1e-300)
-        is_sym = bool(np.abs(md - md.T).max() <= 1e-12 * scale)
+        Mmat, A, C = as_sparse(Mmat), as_sparse(A), as_sparse(C)
         if symmetric is None:
-            symmetric = is_sym
-        elif symmetric and not is_sym:
+            symmetric = Mmat.is_symmetric()
+        elif symmetric and not Mmat.is_symmetric():
             raise WrongSolverError("symmetric flag set but M is not symmetric")
-        kind = "cholesky-spd" if symmetric else "lu-general"
-        M = factorize(kind, Mmat)
+        M = factorize("cholesky-spd" if symmetric else "lu-general", Mmat)
         return cls(M, Mmat, A, C, np.asarray(b, dtype=float), symmetric)
 
 

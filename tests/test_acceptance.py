@@ -251,7 +251,7 @@ def test_criterion_06_decomposition_identities():
         k = len(factors.alphas)
         B = factors.bidiagonal()
         if not symmetric:
-            H, L = factors.hessenberg(), factors.lower_factor.array
+            H, L = factors.hessenberg(), factors.lower_factor
             assert np.abs(H - B.T @ L.T).max() <= 1e-10 * max(np.abs(H).max(), 1.0)
             reduced = H @ B
         else:
@@ -405,8 +405,8 @@ def test_criterion_12_io_round_trip(tmp_path):
         B = read_matrix_market(path)
         assert B.shape == A.shape
         assert np.array_equal(A.values, B.values)
-        assert np.array_equal(A.col_indices, B.col_indices)
-        assert np.array_equal(A.row_offsets, B.row_offsets)
+        assert np.array_equal(A.csr.indices, B.csr.indices)
+        assert np.array_equal(A.csr.indptr, B.csr.indptr)
 
     sys_full = well_conditioned_instance(12, 6, 3, seed=901)
     b1 = rng.standard_normal(12)

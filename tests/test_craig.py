@@ -52,6 +52,25 @@ class TestContainers:
         with pytest.raises(NonFiniteError):
             dataclasses.replace(hand_system, **{block: value})
 
+    @pytest.mark.parametrize("skew", [0.0, 0.5])
+    def test_validation_does_not_densify(self, monkeypatch, skew):
+        sys = random_system(30, 12, skew=skew, c_rank=5, seed=4, density=0.3)
+        calls = []
+        to_dense = SparseMatrix.to_dense
+
+        def counting(self):
+            calls.append(self.shape)
+            return to_dense(self)
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", counting)
+        SaddleSystem(sys.M, sys.Mmat, sys.A, sys.C, sys.b, sys.symmetric)
+        SpdPreconditioner.from_matrix(SparseMatrix.from_dense(np.diag(np.arange(1.0, 13.0))))
+        assert calls == []
+        built = SaddleSystem.from_matrices(sys.Mmat, sys.A, sys.C, sys.b)
+        assert calls == [(30, 30)]  # the dense factor's input only
+        assert built.M.matrix is built.Mmat
+        assert built.symmetric == (skew == 0.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tolerance=0.0)

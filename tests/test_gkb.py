@@ -101,7 +101,7 @@ class TestNonsymmetric:
         aug = augment(sys)
         basis_n, factors_n = gkb_nonsymmetric(aug, N, steps=4)
         basis_s, factors_s = gkb_symmetric(aug, N, steps=4)
-        L = factors_n.lower_factor.array
+        L = factors_n.lower_factor
         assert np.abs(L - np.eye(len(factors_n.alphas))).max() <= 1e-10
         H = factors_n.hessenberg()
         B = factors_n.bidiagonal()
@@ -119,7 +119,7 @@ class TestNonsymmetric:
         assert rep.transpose_residual <= 1e-9 * rep.scale
         assert rep.q_orthogonality <= 1e-8
         assert rep.v_orthogonality <= 1e-8
-        H, B, L = factors.hessenberg(), factors.bidiagonal(), factors.lower_factor.array
+        H, B, L = factors.hessenberg(), factors.bidiagonal(), factors.lower_factor
         assert np.abs(H - B.T @ L.T).max() <= 1e-10 * max(np.abs(H).max(), 1.0)
 
     def test_preconditioned_schur_eigenvalues(self):
@@ -130,7 +130,7 @@ class TestNonsymmetric:
         HB = factors.hessenberg() @ factors.bidiagonal()
         Ad = sys.A.to_dense()
         S = Ad.T @ np.column_stack([sys.M.solve(Ad[:, j]) for j in range(4)]) + sys.C.to_dense()
-        d = np.sqrt(np.diag(N.operator.dense))
+        d = np.sqrt(N.operator.matrix.csr.diagonal())
         centered = S / np.outer(d, d)
         got = np.sort_complex(np.linalg.eigvals(HB))
         want = np.sort_complex(np.linalg.eigvals(centered))

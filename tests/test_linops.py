@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from gsp import (
-    DenseMatrix,
     SparseMatrix,
     SpdPreconditioner,
     factorize,
-    sparse_matvec,
-    sparse_matvec_transpose,
     spsd_factor,
     weighted_inner,
     weighted_norm,
@@ -25,32 +22,32 @@ from gsp.errors import (
 class TestSparseMatrix:
     def test_matvec_identity(self):
         A = SparseMatrix.identity(2)
-        assert sparse_matvec(A, [3.0, 4.0]).tolist() == [3.0, 4.0]
+        assert A.matvec([3.0, 4.0]).tolist() == [3.0, 4.0]
 
     def test_matvec_permutation(self):
         A = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-        assert sparse_matvec(A, [3.0, 4.0]).tolist() == [4.0, 3.0]
+        assert A.matvec([3.0, 4.0]).tolist() == [4.0, 3.0]
 
     def test_matvec_row_sums(self):
         A = SparseMatrix.from_dense([[1.0, 2.0], [3.0, 4.0]])
-        assert sparse_matvec(A, [1.0, 1.0]).tolist() == [3.0, 7.0]
+        assert A.matvec([1.0, 1.0]).tolist() == [3.0, 7.0]
 
     def test_matvec_dimension_mismatch(self):
         A = SparseMatrix.identity(2)
         with pytest.raises(DimensionError):
-            sparse_matvec(A, [1.0, 2.0, 3.0])
+            A.matvec([1.0, 2.0, 3.0])
 
     def test_transpose_matvec_identity(self):
         A = SparseMatrix.identity(2)
-        assert sparse_matvec_transpose(A, [5.0, 6.0]).tolist() == [5.0, 6.0]
+        assert A.rmatvec([5.0, 6.0]).tolist() == [5.0, 6.0]
 
     def test_transpose_matvec_column_sum(self):
         A = SparseMatrix.from_dense([[1.0], [1.0]])
-        assert sparse_matvec_transpose(A, [1.0, 1.0]).tolist() == [2.0]
+        assert A.rmatvec([1.0, 1.0]).tolist() == [2.0]
 
     def test_transpose_matvec_first_row(self):
         A = SparseMatrix.from_dense([[1.0, 2.0], [3.0, 4.0]])
-        assert sparse_matvec_transpose(A, [1.0, 0.0]).tolist() == [1.0, 2.0]
+        assert A.rmatvec([1.0, 0.0]).tolist() == [1.0, 2.0]
 
     def test_transpose_agrees_with_explicit_transpose(self):
         rng = np.random.default_rng(0)
@@ -58,21 +55,45 @@ class TestSparseMatrix:
             m, n = rng.integers(1, 12, size=2)
             a = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
             A = SparseMatrix.from_dense(a)
-            At = A.transpose()
+            At = SparseMatrix.from_dense(a.T)
             x = rng.standard_normal(m)
-            got = sparse_matvec_transpose(A, x)
-            want = sparse_matvec(At, x)
+            got = A.rmatvec(x)
+            want = At.matvec(x)
             assert np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want), 1.0)
 
     def test_invariant_violations(self):
         with pytest.raises(DimensionError):
-            SparseMatrix(2, 2, [0, 1], [0], [1.0])  # offsets too short
+            SparseMatrix.from_csr(2, 2, [0, 1], [0], [1.0])  # offsets too short
         with pytest.raises(DimensionError):
-            SparseMatrix(1, 2, [0, 1], [5], [1.0])  # col out of range
+            SparseMatrix.from_csr(1, 2, [0, 1], [5], [1.0])  # col out of range
         with pytest.raises(DimensionError):
-            SparseMatrix(1, 3, [0, 2], [1, 1], [1.0, 2.0])  # non-increasing cols
+            SparseMatrix.from_csr(1, 3, [0, 2], [1, 1], [1.0, 2.0])  # non-increasing cols
         with pytest.raises(DimensionError):
             SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])  # duplicates
+
+    def test_products_sum_in_storage_order(self):
+        """A x and A^T y add each entry's terms left to right, row-major by column."""
+        rng = np.random.default_rng(7)
+        order_sensitive = False
+        for trial in range(20):
+            m, n = rng.integers(1, 25, size=2)
+            a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-15, 16, size=(m, n))
+            a *= rng.random((m, n)) < 0.6
+            x, y = rng.standard_normal(n), rng.standard_normal(m)
+            ax, aty, ax_reversed = np.zeros(m), np.zeros(n), np.zeros(m)
+            for i in range(m):
+                for j in range(n):
+                    if a[i, j] != 0.0:
+                        ax[i] += a[i, j] * x[j]
+                        aty[j] += a[i, j] * y[i]
+                for j in reversed(range(n)):
+                    if a[i, j] != 0.0:
+                        ax_reversed[i] += a[i, j] * x[j]
+            A = SparseMatrix.from_dense(a)
+            assert A.matvec(x).tobytes() == ax.tobytes()
+            assert A.rmatvec(y).tobytes() == aty.tobytes()
+            order_sensitive |= ax_reversed.tobytes() != ax.tobytes()
+        assert order_sensitive  # the data can tell summation orders apart
 
     def test_round_trip_dense(self):
         rng = np.random.default_rng(1)
@@ -175,20 +196,20 @@ class TestSpsdFactor:
     def test_diagonal_rank_one(self):
         E, F, l = spsd_factor(SparseMatrix.from_dense(np.diag([2.0, 0.0])))
         assert l == 1
-        assert np.allclose(F.array, [[2.0]])
-        assert np.allclose(np.abs(E.array), [[1.0, 0.0]])
-        assert np.allclose(E.array.T @ F.array @ E.array, np.diag([2.0, 0.0]))
+        assert np.allclose(F, [[2.0]])
+        assert np.allclose(np.abs(E), [[1.0, 0.0]])
+        assert np.allclose(E.T @ F @ E, np.diag([2.0, 0.0]))
 
     def test_identity_full_rank(self):
         E, F, l = spsd_factor(SparseMatrix.identity(2))
         assert l == 2
-        assert np.allclose(E.array.T @ F.array @ E.array, np.eye(2), atol=1e-14)
+        assert np.allclose(E.T @ F @ E, np.eye(2), atol=1e-14)
 
     def test_rank_one_ones(self):
         E, F, l = spsd_factor(SparseMatrix.from_dense([[1.0, 1.0], [1.0, 1.0]]))
         assert l == 1
-        assert np.allclose(F.array, [[2.0]])
-        assert np.allclose(np.abs(E.array), [[2**-0.5, 2**-0.5]])
+        assert np.allclose(F, [[2.0]])
+        assert np.allclose(np.abs(E), [[2**-0.5, 2**-0.5]])
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSpsdError):
@@ -207,7 +228,7 @@ class TestSpsdFactor:
             c = (c + c.T) / 2
             E, F, got = spsd_factor(SparseMatrix.from_dense(c))
             assert got == l
-            recon = E.array.T @ F.array @ E.array
+            recon = E.T @ F @ E
             assert np.linalg.norm(recon - c) <= 1e-10 * np.linalg.norm(c)
 
     def test_zero_matrix(self):
@@ -235,8 +256,3 @@ class TestSpdPreconditioner:
         N = SpdPreconditioner.from_diagonal([4.0])
         assert N.inv_norm([2.0]) == 1.0
 
-
-def test_dense_matrix_column_major():
-    d = DenseMatrix(2, 2, [1.0, 3.0, 2.0, 4.0])
-    assert np.array_equal(d.array, [[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(DenseMatrix.from_array(d.array).values, d.values)

@@ -17,8 +17,8 @@ class TestRoundTrip:
         write_matrix_market(path, A)
         B = read_matrix_market(path)
         assert np.array_equal(A.values, B.values)
-        assert np.array_equal(A.col_indices, B.col_indices)
-        assert np.array_equal(A.row_offsets, B.row_offsets)
+        assert np.array_equal(A.csr.indices, B.csr.indices)
+        assert np.array_equal(A.csr.indptr, B.csr.indptr)
 
     def test_many_random_matrices_lossless(self, tmp_path):
         rng = np.random.default_rng(80)
@@ -32,7 +32,7 @@ class TestRoundTrip:
             B = read_matrix_market(path)
             assert B.shape == A.shape
             assert np.array_equal(A.values, B.values)
-            assert np.array_equal(A.col_indices, B.col_indices)
+            assert np.array_equal(A.csr.indices, B.csr.indices)
 
     def test_vector_round_trip(self, tmp_path):
         v = np.array([1.0, -2.5, 3e-17])

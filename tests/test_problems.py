@@ -12,7 +12,9 @@ from gsp import (
     gen_random,
     gen_stokes_channel,
     gen_stokes_channel_detailed,
+    load_system,
     recover_w,
+    save_system,
     schur_condition_number,
     validate_system,
 )
@@ -98,6 +100,13 @@ class TestGenStokes:
         long_cond = schur_condition_number(gen_stokes_channel(StokesSpec(nx=8, ny=8, length=8.0)))
         square_cond = schur_condition_number(gen_stokes_channel(StokesSpec(nx=8, ny=8, length=1.0)))
         assert long_cond > square_cond
+
+    @pytest.mark.parametrize("wind", [None, "poiseuille"])
+    def test_m_stored_once(self, tmp_path, wind):
+        sys = gen_stokes_channel(StokesSpec(nx=4, ny=3, viscosity=0.2, oseen_wind=wind))
+        loaded = load_system(save_system(tmp_path, sys))
+        for s in (sys, loaded):
+            assert s.M.matrix is s.Mmat
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
