@@ -334,9 +334,6 @@ def main(argv=None):
         if args.command == "compare":
             return cmd_compare(args.manifest)
         return cmd_gen(args)
-    except UsageError as exc:
-        print(f"gsp: error: {exc}", file=_sys.stderr)
-        return 1
     except GspError as exc:
         print(f"gsp: error: {exc}", file=_sys.stderr)
         return 1

@@ -109,7 +109,12 @@ class SparseMatrix:
         return self.csr.data
 
     def to_dense(self):
-        return self.csr.toarray()
+        """Dense copy in Fortran order, which LAPACK factors in place.
+
+        The COO scatter writes that order directly; CSR's toarray(order="F")
+        would first build a CSC copy of every stored entry.
+        """
+        return self.csr.tocoo().toarray(order="F")
 
     def matvec(self, x):
         return self.csr @ _as_float_vector(x, self.cols)
@@ -179,7 +184,7 @@ def factorize(kind, K):
     cholesky-spd requires symmetric input and fails on a nonpositive pivot;
     lu-general fails on a (numerically) zero pivot; diagonal accepts only
     diagonal input. The Cholesky and LU factors are dense: K is densified once,
-    as their input.
+    and that copy is overwritten by the factor.
     """
     K = as_sparse(K)
     n = K.rows
@@ -200,7 +205,8 @@ def factorize(kind, K):
         if not K.is_symmetric():
             raise NotSpdError("cholesky-spd requires symmetric input")
         try:
-            chol = scipy.linalg.cho_factor(K.to_dense(), lower=True, check_finite=False)
+            chol = scipy.linalg.cho_factor(K.to_dense(), lower=True, overwrite_a=True,
+                                          check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
         return FactorizedOperator(kind, K, _chol=chol)
@@ -208,7 +214,7 @@ def factorize(kind, K):
     if kind == "lu-general":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(K.to_dense(), check_finite=False)
+            lu = scipy.linalg.lu_factor(K.to_dense(), overwrite_a=True, check_finite=False)
         piv_diag = np.abs(np.diag(lu[0]))
         if n and piv_diag.min() <= 1e-13 * max(piv_diag.max(), 1e-300):
             raise SingularOperatorError("zero pivot in LU factorization")

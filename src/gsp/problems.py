@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import SchurOperator
 from .errors import NotSpdError, NotSpsdError, RankRepairError
 from .linops import SparseMatrix, SpdPreconditioner, factorize
 from .system import SaddleSystem
@@ -138,15 +139,24 @@ class StokesProblem:
     hy: float
 
 
-def _wind_at(selector, x, y):
-    if selector == "poiseuille":
-        return 4.0 * y * (1.0 - y), 0.0
-    return 1.0, 0.0  # constant
-
-
 def gen_stokes_channel(spec):
     """Return just the SaddleSystem of the channel analogue."""
     return gen_stokes_channel_detailed(spec).system
+
+
+def _five_point(ids, diag, west, east, south, north):
+    """COO triplets of a 5-point stencil on the 2-D index grid ids[i, j].
+
+    Row ids[i, j] holds diag and couples to ids[i-1, j] (west), ids[i+1, j]
+    (east), ids[i, j-1] (south) and ids[i, j+1] (north); neighbours outside
+    the grid are skipped. Each coefficient is a scalar or an array over the
+    rows that have that neighbour.
+    """
+    pairs = ((ids, ids, diag), (ids[1:], ids[:-1], west), (ids[:-1], ids[1:], east),
+             (ids[:, 1:], ids[:, :-1], south), (ids[:, :-1], ids[:, 1:], north))
+    rows, cols, vals = zip(*[(r.ravel(), c.ravel(), np.broadcast_to(v, r.shape).ravel())
+                             for r, c, v in pairs])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def gen_stokes_channel_detailed(spec):
@@ -154,7 +164,9 @@ def gen_stokes_channel_detailed(spec):
 
     m = (nx-1) ny + nx (ny-1) interior velocity faces; one pressure cell is
     pinned, n = nx ny - 1. With oseen_wind set the momentum block gains a
-    first-order upwind convection term and becomes NSPD.
+    first-order upwind convection term and becomes NSPD. Both winds blow in +x
+    and are nonnegative on every face (4y(1-y) with 0 < y < 1, or 1), so the
+    upwind neighbour is always the one at i-1.
     """
     nx, ny, nu = spec.nx, spec.ny, spec.viscosity
     hx = spec.length / nx
@@ -164,136 +176,67 @@ def gen_stokes_channel_detailed(spec):
     m = n_u + n_v
     n = nx * ny - 1
 
-    def id_u(i, j):
-        return (i - 1) * ny + j
+    # Index grids: u face (i, j) sits at x = i hx (i >= 1), v face (i, j) at
+    # y = j hy (j >= 1); cell (i, j) has pressure index p_ids[i, j], -1 for the
+    # pinned cell. int32 is the CSR index type scipy picks for these sizes.
+    u_ids = np.arange(n_u, dtype=np.int32).reshape(nx - 1, ny)
+    v_ids = n_u + np.arange(n_v, dtype=np.int32).reshape(nx, ny - 1)
+    p_ids = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny) - 1
+    y_u = (np.arange(ny) + 0.5) * hy
+    profile = 4.0 * y_u * (1.0 - y_u)
 
-    def id_v(i, j):
-        return n_u + i * (ny - 1) + (j - 1)
+    def momentum(ids, y, wall_x, wall_y):
+        """Viscous rows of one face family plus the upwind wind; wall_* add ghost terms."""
+        if spec.oseen_wind is None:
+            wind = np.zeros(ids.shape)
+        elif spec.oseen_wind == "constant":
+            wind = np.full(ids.shape, 1.0 / hx)
+        else:
+            wind = np.broadcast_to(4.0 * y * (1.0 - y) / hx, ids.shape)
+        diag = np.full(ids.shape, 2.0 * nu / hx**2 + 2.0 * nu / hy**2)
+        if wall_x:
+            diag[0] += nu / hx**2
+            diag[-1] += nu / hx**2
+        if wall_y:
+            diag[:, 0] += nu / hy**2
+            diag[:, -1] += nu / hy**2
+        return _five_point(ids, diag + wind, -(nu / hx**2) - wind[1:], -(nu / hx**2),
+                           -(nu / hy**2), -(nu / hy**2))
 
-    def id_p(i, j):
-        return i * ny + j  # full pressure index; 0 is the pinned cell
+    u_rows = momentum(u_ids, y_u, False, True)
+    v_rows = momentum(v_ids, np.arange(1, ny) * hy, True, False)
+    Mmat = SparseMatrix.from_coo(m, m, *(np.concatenate(t) for t in zip(u_rows, v_rows)))
 
-    Md = np.zeros((m, m))
-    for i in range(1, nx):
-        for j in range(ny):
-            row = id_u(i, j)
-            Md[row, row] += 2.0 * nu / hx**2 + 2.0 * nu / hy**2
-            if i - 1 >= 1:
-                Md[row, id_u(i - 1, j)] -= nu / hx**2
-            if i + 1 <= nx - 1:
-                Md[row, id_u(i + 1, j)] -= nu / hx**2
-            if j - 1 >= 0:
-                Md[row, id_u(i, j - 1)] -= nu / hy**2
-            else:
-                Md[row, row] += nu / hy**2  # wall ghost at y = 0
-            if j + 1 <= ny - 1:
-                Md[row, id_u(i, j + 1)] -= nu / hy**2
-            else:
-                Md[row, row] += nu / hy**2  # wall ghost at y = 1
-    for i in range(nx):
-        for j in range(1, ny):
-            row = id_v(i, j)
-            Md[row, row] += 2.0 * nu / hx**2 + 2.0 * nu / hy**2
-            if i - 1 >= 0:
-                Md[row, id_v(i - 1, j)] -= nu / hx**2
-            else:
-                Md[row, row] += nu / hx**2
-            if i + 1 <= nx - 1:
-                Md[row, id_v(i + 1, j)] -= nu / hx**2
-            else:
-                Md[row, row] += nu / hx**2
-            if j - 1 >= 1:
-                Md[row, id_v(i, j - 1)] -= nu / hy**2
-            if j + 1 <= ny - 1:
-                Md[row, id_v(i, j + 1)] -= nu / hy**2
+    rows = np.concatenate([u_ids, u_ids, v_ids, v_ids], axis=None)
+    cols = np.concatenate([p_ids[1:], p_ids[:-1], p_ids[:, 1:], p_ids[:, :-1]], axis=None)
+    vals = np.repeat([1.0 / hx, -(1.0 / hx), 1.0 / hy, -(1.0 / hy)], [n_u, n_u, n_v, n_v])
+    keep = cols >= 0
+    A = SparseMatrix.from_coo(m, n, rows[keep], cols[keep], vals[keep])
 
-    if spec.oseen_wind is not None:
-        for i in range(1, nx):
-            for j in range(ny):
-                row = id_u(i, j)
-                wx, wy = _wind_at(spec.oseen_wind, i * hx, (j + 0.5) * hy)
-                if wx > 0.0:
-                    Md[row, row] += wx / hx
-                    if i - 1 >= 1:
-                        Md[row, id_u(i - 1, j)] -= wx / hx
-                elif wx < 0.0:
-                    Md[row, row] -= wx / hx
-                    if i + 1 <= nx - 1:
-                        Md[row, id_u(i + 1, j)] += wx / hx
-                if wy > 0.0:
-                    Md[row, row] += wy / hy
-                    if j - 1 >= 0:
-                        Md[row, id_u(i, j - 1)] -= wy / hy
-                elif wy < 0.0:
-                    Md[row, row] -= wy / hy
-                    if j + 1 <= ny - 1:
-                        Md[row, id_u(i, j + 1)] += wy / hy
-        for i in range(nx):
-            for j in range(1, ny):
-                row = id_v(i, j)
-                wx, wy = _wind_at(spec.oseen_wind, (i + 0.5) * hx, j * hy)
-                if wx > 0.0:
-                    Md[row, row] += wx / hx
-                    if i - 1 >= 0:
-                        Md[row, id_v(i - 1, j)] -= wx / hx
-                elif wx < 0.0:
-                    Md[row, row] -= wx / hx
-                    if i + 1 <= nx - 1:
-                        Md[row, id_v(i + 1, j)] += wx / hx
-                if wy > 0.0:
-                    Md[row, row] += wy / hy
-                    if j - 1 >= 1:
-                        Md[row, id_v(i, j - 1)] -= wy / hy
-                elif wy < 0.0:
-                    Md[row, row] -= wy / hy
-                    if j + 1 <= ny - 1:
-                        Md[row, id_v(i, j + 1)] += wy / hy
-
-    Ad = np.zeros((m, n + 1))  # full pressure columns; pinned one dropped below
-    for i in range(1, nx):
-        for j in range(ny):
-            row = id_u(i, j)
-            Ad[row, id_p(i, j)] += 1.0 / hx
-            Ad[row, id_p(i - 1, j)] -= 1.0 / hx
-    for i in range(nx):
-        for j in range(1, ny):
-            row = id_v(i, j)
-            Ad[row, id_p(i, j)] += 1.0 / hy
-            Ad[row, id_p(i, j - 1)] -= 1.0 / hy
-    Ad = Ad[:, 1:]
-
-    Cd = np.zeros((n + 1, n + 1))
     if spec.gamma > 0.0:
-        for i in range(nx):
-            for j in range(ny):
-                c = id_p(i, j)
-                for di, dj, wgt in ((1, 0, 1.0 / hx**2), (-1, 0, 1.0 / hx**2),
-                                    (0, 1, 1.0 / hy**2), (0, -1, 1.0 / hy**2)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < nx and 0 <= jj < ny:
-                        Cd[c, c] += spec.gamma * hx * hy * wgt
-                        Cd[c, id_p(ii, jj)] -= spec.gamma * hx * hy * wgt
-    Cd = Cd[1:, 1:]
+        tx = spec.gamma * hx * hy * (1.0 / hx**2)
+        ty = spec.gamma * hx * hy * (1.0 / hy**2)
+        diag = np.zeros((nx, ny))
+        diag[:-1] += tx
+        diag[1:] += tx
+        diag[:, :-1] += ty
+        diag[:, 1:] += ty
+        rows, cols, vals = _five_point(p_ids, diag, -tx, -tx, -ty, -ty)
+        keep = (rows >= 0) & (cols >= 0)
+        C = SparseMatrix.from_coo(n, n, rows[keep], cols[keep], vals[keep])
+    else:
+        C = SparseMatrix.zeros(n, n)
 
-    vel = np.zeros(m)
-    for i in range(1, nx):
-        for j in range(ny):
-            y = (j + 0.5) * hy
-            vel[id_u(i, j)] = 4.0 * y * (1.0 - y)
-    p_full = np.array([-8.0 * nu * (i + 0.5) * hx for i in range(nx) for j in range(ny)])
-    p_star = p_full - p_full[0]
-    p_star = p_star[1:]
+    vel = np.concatenate([np.tile(profile, nx - 1), np.zeros(n_v)])
+    p_full = np.repeat(-8.0 * nu * (np.arange(nx) + 0.5) * hx, ny)
+    p_star = (p_full - p_full[0])[1:]
 
     symmetric = spec.oseen_wind is None
-    Mmat = SparseMatrix.from_dense(Md)
     M = factorize("cholesky-spd" if symmetric else "lu-general", Mmat)
-    b1 = Md @ vel + Ad @ p_star
-    b2 = Ad.T @ vel - Cd @ p_star
-    w0 = M.solve(b1)
-    b = b2 - Ad.T @ w0
+    w0 = M.solve(Mmat.matvec(vel) + A.matvec(p_star))
+    b = A.rmatvec(vel) - C.matvec(p_star) - A.rmatvec(w0)
 
-    system = SaddleSystem(M, Mmat, SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Cd),
-                          b, symmetric)
+    system = SaddleSystem(M, Mmat, A, C, b, symmetric)
     mass = hx * hy * np.ones(n)
     if not symmetric:
         mass = mass / nu
@@ -321,7 +264,4 @@ def recover_w(u, w0):
 
 def schur_condition_number(sys):
     """Dense 2-norm condition number of S = A^T M^{-1} A + C (diagnostic)."""
-    Ad = sys.A.to_dense()
-    S = Ad.T @ np.column_stack([sys.M.solve(Ad[:, j]) for j in range(sys.n)])
-    S = S + sys.C.to_dense()
-    return float(np.linalg.cond(S))
+    return float(np.linalg.cond(SchurOperator(sys).dense()))

@@ -1,5 +1,7 @@
 """Generators, RHS compression, and problem validators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,61 @@ class TestGenStokes:
         loaded = load_system(save_system(tmp_path, sys))
         for s in (sys, loaded):
             assert s.M.matrix is s.Mmat
+
+    # sha256 of (indptr, indices, data) as little-endian int64/int64/float64,
+    # recorded from the dense loop assembly the sparse one replaced.
+    BLOCK_DIGESTS = [
+        (StokesSpec(nx=4, ny=3),
+         "45b86bb8821647df757451bc34215b9b2d8f8e4c06d887af1a9debc9880049cb",
+         "987f939c62a428cc50f8f49356d400947e0d122653ae161bab9f5f9fc758253a",
+         "c8731e9d54bd8547df36cdba019cce3e167161092ce638cba7ad9cb860e9f380"),
+        (StokesSpec(nx=4, ny=3, gamma=0.0),
+         "45b86bb8821647df757451bc34215b9b2d8f8e4c06d887af1a9debc9880049cb",
+         "987f939c62a428cc50f8f49356d400947e0d122653ae161bab9f5f9fc758253a",
+         "2ea9ab9198d1638007400cd2c3bef1cc745b864b76011a0e1bc52180ac6452d4"),
+        (StokesSpec(nx=4, ny=3, viscosity=0.1, oseen_wind="poiseuille"),
+         "0baf1252711243a6035cf5cc4ccc23c56c18770a67327a48e65ca7479fb62989",
+         "987f939c62a428cc50f8f49356d400947e0d122653ae161bab9f5f9fc758253a",
+         "c8731e9d54bd8547df36cdba019cce3e167161092ce638cba7ad9cb860e9f380"),
+        (StokesSpec(nx=4, ny=3, length=3.0, oseen_wind="constant"),
+         "342e4a79d26e50ae9ac998a0bd7f34f9accc594a493543c5a8f674fecd555fbf",
+         "18455da3a09f869a564518b8d1a76d1a3a27412518a4ca3056305805d13b183e",
+         "331f24a4c133d6fb8965f71ba47c46bb557c4beb83f065be9f623e0fe7143f12"),
+        (StokesSpec(nx=32, ny=32, viscosity=1e-3, oseen_wind="poiseuille"),
+         "9c38d994196a1a44ff36761c0fbb24797bd3aeb200c3197ccf06241357257524",
+         "ba0c8f85e8ac68af68d58457962970a6503b80e919a184f09f739ed7d3ac89d7",
+         "628d4068c08a59942efcc1f6d881b4f02ac50c1e2a9bfc2b2c8016352b743701"),
+    ]
+
+    @pytest.mark.parametrize("spec, m_digest, a_digest, c_digest", BLOCK_DIGESTS)
+    def test_blocks_are_pinned_bitwise(self, spec, m_digest, a_digest, c_digest):
+        def digest(S):
+            h = hashlib.sha256()
+            csr = S.csr
+            for arr, dtype in ((csr.indptr, "<i8"), (csr.indices, "<i8"), (csr.data, "<f8")):
+                h.update(arr.astype(dtype).tobytes())
+            return h.hexdigest()
+
+        sys = gen_stokes_channel(spec)
+        assert (digest(sys.Mmat), digest(sys.A), digest(sys.C)) == (m_digest, a_digest, c_digest)
+
+    @pytest.mark.parametrize("wind", [None, "poiseuille"])
+    def test_generation_does_not_densify(self, monkeypatch, wind):
+        calls = []
+        to_dense, from_dense = SparseMatrix.to_dense, SparseMatrix.from_dense.__func__
+
+        def counting_to_dense(self):
+            calls.append(("to_dense", self.shape))
+            return to_dense(self)
+
+        def counting_from_dense(cls, a):
+            calls.append(("from_dense", np.shape(a)))
+            return from_dense(cls, a)
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", counting_to_dense)
+        monkeypatch.setattr(SparseMatrix, "from_dense", classmethod(counting_from_dense))
+        prob = gen_stokes_channel_detailed(StokesSpec(nx=5, ny=4, viscosity=0.2, oseen_wind=wind))
+        assert calls == [("to_dense", (prob.system.m, prob.system.m))]  # the dense factor's input
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
