@@ -4,8 +4,12 @@ SparseMatrix stores one canonical scipy.sparse CSR array: rows in order,
 strictly increasing columns within a row, no duplicates. scipy's CSR kernels
 sum each output entry's terms in storage order (row-major, ascending column),
 for A x and, through the transposed view, for A^T y, so repeated runs are
-bit-reproducible. Factorizations are desk-scale: they densify their input
-(dimension capped at 5000) and the SPSD factorization uses a full symmetric
+bit-reproducible.
+
+factorize factors a sparsely stored matrix with SuperLU, straight from its
+CSR arrays and with no size cap, and a densely stored one with LAPACK on a
+dense copy (capped at DENSE_FACTOR_LIMIT); see factorize for the choice and
+its known limitation. The SPSD factorization of C stays a full symmetric
 eigendecomposition.
 """
 
@@ -18,9 +22,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import DimensionError, NotSpdError, NotSpsdError, SingularOperatorError
+from .errors import (DimensionError, NonFiniteError, NotSpdError, NotSpsdError,
+                     SingularOperatorError)
 
 DENSE_FACTOR_LIMIT = 5000
+DENSE_FACTOR_DENSITY = 0.2  # stored fraction of the m^2 entries above which LAPACK runs
 
 
 def _as_float_vector(x, length=None, name="x"):
@@ -146,14 +152,14 @@ class FactorizedOperator:
 
     kind is one of 'cholesky-spd', 'lu-general', 'diagonal'. matrix is the
     SparseMatrix the factor was built from; apply() multiplies by it, so K is
-    stored once, next to its factor.
+    stored once, next to its factor. _factor is the diagonal (diagonal kind),
+    a SuperLU factor of K^T (sparse path), or LAPACK's (factor, flag/pivots)
+    pair (dense path).
     """
 
     kind: str
     matrix: SparseMatrix
-    _chol: tuple | None = field(default=None, repr=False)
-    _lu: tuple | None = field(default=None, repr=False)
-    _diag: np.ndarray | None = field(default=None, repr=False)
+    _factor: object = field(repr=False)
 
     @property
     def dimension(self):
@@ -161,16 +167,19 @@ class FactorizedOperator:
 
     def apply(self, x):
         if self.kind == "diagonal":
-            return self._diag * _as_float_vector(x, self.dimension)
+            return self._factor * _as_float_vector(x, self.dimension)
         return self.matrix.matvec(x)
 
     def solve(self, b):
         b = _as_float_vector(b, self.dimension)
+        f = self._factor
         if self.kind == "diagonal":
-            return b / self._diag
+            return b / f
+        if not isinstance(f, tuple):  # a SuperLU factor of K^T
+            return f.solve(b, trans="T")
         if self.kind == "cholesky-spd":
-            return scipy.linalg.cho_solve(self._chol, b, check_finite=False)
-        return scipy.linalg.lu_solve(self._lu, b, check_finite=False)
+            return scipy.linalg.cho_solve(f, b, check_finite=False)
+        return scipy.linalg.lu_solve(f, b, check_finite=False)
 
 
 def as_sparse(K):
@@ -178,20 +187,79 @@ def as_sparse(K):
     return K if isinstance(K, SparseMatrix) else SparseMatrix.from_dense(K)
 
 
+def _refuse_small_pivots(pivots):
+    """SingularOperatorError when min |pivot| <= 1e-13 max |pivot|."""
+    piv = np.abs(pivots)
+    if len(piv) and piv.min() <= 1e-13 * max(piv.max(), 1e-300):
+        raise SingularOperatorError("zero pivot in LU factorization")
+
+
+def _dense_factor(kind, K):
+    """LAPACK factor of a dense copy of K, which the factor overwrites."""
+    if K.rows > DENSE_FACTOR_LIMIT:
+        raise DimensionError(f"dense factorization capped at dimension {DENSE_FACTOR_LIMIT}")
+    if kind == "cholesky-spd":
+        try:
+            return scipy.linalg.cho_factor(K.to_dense(), lower=True, overwrite_a=True,
+                                           check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(K.to_dense(), overwrite_a=True, check_finite=False)
+    _refuse_small_pivots(np.diag(lu[0]))
+    return lu
+
+
+def _sparse_factor(kind, K):
+    """SuperLU factor of K^T, whose CSC arrays are K's CSR arrays (no copy).
+
+    cholesky-spd asks for a symmetric ordering and diagonal pivots; a
+    symmetric K is positive definite exactly when SuperLU kept every pivot on
+    the diagonal (perm_r == perm_c) and all of them are positive.
+    """
+    import scipy.sparse.linalg  # here, so a dense-only run never loads SuperLU (about 2 MB)
+
+    spd = kind == "cholesky-spd"
+    options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True)) if spd else {}
+    try:
+        lu = scipy.sparse.linalg.splu(K.csr.T, **options)
+    except RuntimeError as exc:  # SuperLU found an exactly zero pivot
+        if spd:
+            raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
+        raise SingularOperatorError(f"zero pivot in LU factorization: {exc}") from exc
+    pivots = lu.U.diagonal()
+    if not spd:
+        _refuse_small_pivots(pivots)
+    elif not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0.0)):
+        raise NotSpdError("matrix is not positive definite: nonpositive or off-diagonal pivot")
+    return lu
+
+
 def factorize(kind, K):
     """Factorize a square matrix for repeated exact solves.
 
     cholesky-spd requires symmetric input and fails on a nonpositive pivot;
     lu-general fails on a (numerically) zero pivot; diagonal accepts only
-    diagonal input. The Cholesky and LU factors are dense: K is densified once,
-    and that copy is overwritten by the factor.
+    diagonal input.
+
+    A K that stores more than DENSE_FACTOR_DENSITY of its entries is
+    densified once, and a LAPACK Cholesky/LU overwrites that copy (dimension
+    capped at DENSE_FACTOR_LIMIT): at full density a dense factor is several
+    times faster to build than SuperLU's. Any other K is factored by SuperLU
+    from its sparse storage, with no size cap and no dense copy. Known
+    limitation: random (expander-like) sparsity fills in almost completely
+    under any ordering, so such a K below the threshold factors and solves
+    slower under SuperLU than it would dense; grid stencils such as the
+    Stokes/Oseen channel stay sparse.
     """
     K = as_sparse(K)
     n = K.rows
     if K.rows != K.cols:
         raise DimensionError("factorize requires a square matrix")
-    if n > DENSE_FACTOR_LIMIT:
-        raise DimensionError(f"dense factorization capped at dimension {DENSE_FACTOR_LIMIT}")
+    if not np.isfinite(K.values).all():
+        raise NonFiniteError("cannot factorize a matrix holding a NaN or an infinity")
 
     if kind == "diagonal":
         if not K.is_diagonal():
@@ -199,28 +267,14 @@ def factorize(kind, K):
         d = K.csr.diagonal()
         if np.any(d == 0.0):
             raise SingularOperatorError("zero entry on the diagonal")
-        return FactorizedOperator(kind, K, _diag=d)
+        return FactorizedOperator(kind, K, d)
 
-    if kind == "cholesky-spd":
-        if not K.is_symmetric():
-            raise NotSpdError("cholesky-spd requires symmetric input")
-        try:
-            chol = scipy.linalg.cho_factor(K.to_dense(), lower=True, overwrite_a=True,
-                                          check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
-        return FactorizedOperator(kind, K, _chol=chol)
-
-    if kind == "lu-general":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(K.to_dense(), overwrite_a=True, check_finite=False)
-        piv_diag = np.abs(np.diag(lu[0]))
-        if n and piv_diag.min() <= 1e-13 * max(piv_diag.max(), 1e-300):
-            raise SingularOperatorError("zero pivot in LU factorization")
-        return FactorizedOperator(kind, K, _lu=lu)
-
-    raise ValueError(f"unknown factorization kind '{kind}'")
+    if kind not in ("cholesky-spd", "lu-general"):
+        raise ValueError(f"unknown factorization kind '{kind}'")
+    if kind == "cholesky-spd" and not K.is_symmetric():
+        raise NotSpdError("cholesky-spd requires symmetric input")
+    factor = _dense_factor if K.nnz > DENSE_FACTOR_DENSITY * n * n else _sparse_factor
+    return FactorizedOperator(kind, K, factor(kind, K))
 
 
 def weighted_inner(W, x, y):
@@ -284,7 +338,7 @@ class SpdPreconditioner:
     def __post_init__(self):
         if self.operator.kind not in ("cholesky-spd", "diagonal"):
             raise NotSpdError("preconditioner must be cholesky-spd or diagonal")
-        if self.operator.kind == "diagonal" and np.any(self.operator._diag <= 0.0):
+        if self.operator.kind == "diagonal" and np.any(self.operator._factor <= 0.0):
             raise NotSpdError("diagonal preconditioner must be positive")
 
     @property

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .errors import LoadError, ParseError
+from .errors import DimensionError, LoadError, ParseError
 from .linops import SparseMatrix
 from .system import SaddleSystem
 
@@ -63,8 +63,14 @@ def _data_lines(raw):
         yield no, stripped
 
 
-def read_matrix_market(path):
-    """Read a real coordinate/array file; symmetric entries are mirrored."""
+def _read(path):
+    """Parse a real coordinate/array file; symmetric entries are mirrored.
+
+    An array file gives a dense ndarray. A coordinate file gives a
+    SparseMatrix built from index arrays of the dtype scipy gives a generated
+    block of that size (int32 unless a dimension needs more), so a saved and
+    loaded block equals the original bit for bit.
+    """
     try:
         with open(path) as fh:
             raw = fh.readlines()
@@ -111,9 +117,11 @@ def read_matrix_market(path):
             count += 1
         if count != nnz:
             raise ParseError(f"expected {nnz} entries, found {count}", line=len(raw))
+        index = np.int32 if max(rows, cols) <= np.iinfo(np.int32).max else np.int64
         try:
-            return SparseMatrix.from_coo(rows, cols, ii, jj, vv)
-        except Exception as exc:
+            return SparseMatrix.from_coo(rows, cols, np.array(ii, dtype=index),
+                                         np.array(jj, dtype=index), vv)
+        except DimensionError as exc:
             raise ParseError(str(exc)) from exc
 
     if len(parts) != 2:
@@ -122,6 +130,8 @@ def read_matrix_market(path):
         rows, cols = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError(f"bad size line {size_line!r}", line=no) from None
+    if symmetry == "symmetric" and rows != cols:
+        raise ParseError("symmetric layout needs a square matrix", line=no)
     vals = []
     for no, entry in data:
         for tok in entry.split():
@@ -134,15 +144,23 @@ def read_matrix_market(path):
     a = np.array(vals).reshape((rows, cols), order="F")
     if symmetry == "symmetric":
         a = np.tril(a) + np.tril(a, -1).T
-    return SparseMatrix.from_dense(a)
+    return a
+
+
+def read_matrix_market(path):
+    """Read a real coordinate/array file as a SparseMatrix."""
+    entries = _read(path)
+    return SparseMatrix.from_dense(entries) if isinstance(entries, np.ndarray) else entries
 
 
 def read_vector(path):
     """Read a vector (n x 1 array or coordinate file)."""
-    A = read_matrix_market(path)
-    if A.cols != 1:
-        raise ParseError(f"expected a single-column vector, got {A.cols} columns")
-    return A.to_dense()[:, 0]
+    entries = _read(path)
+    if entries.shape[1] != 1:
+        raise ParseError(f"expected a single-column vector, got {entries.shape[1]} columns")
+    if isinstance(entries, np.ndarray):
+        return entries[:, 0]
+    return entries.csr.toarray()[:, 0]
 
 
 MANIFEST_NAME = "system.json"

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from gsp import (
     SparseMatrix,
@@ -13,10 +16,12 @@ from gsp import (
 )
 from gsp.errors import (
     DimensionError,
+    NonFiniteError,
     NotSpdError,
     NotSpsdError,
     SingularOperatorError,
 )
+from gsp.linops import DENSE_FACTOR_DENSITY, DENSE_FACTOR_LIMIT
 
 
 class TestSparseMatrix:
@@ -182,6 +187,66 @@ class TestFactorize:
                 b = rng.standard_normal(n)
                 x = op.solve(b)
                 assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_sparse_cholesky_refuses_zero_diagonal(self):
+        # [[0, 1], [1, 0]] blocks: the only pivots available lie off the diagonal
+        K = SparseMatrix.from_dense(scipy.linalg.block_diag(*[[[0.0, 1.0], [1.0, 0.0]]] * 10))
+        with pytest.raises(NotSpdError):
+            factorize("cholesky-spd", K)
+
+    def test_sparse_cholesky_refuses_indefinite_with_positive_diagonal(self):
+        K = SparseMatrix.from_dense(scipy.linalg.block_diag(*[[[1.0, 2.0], [2.0, 1.0]]] * 10))
+        with pytest.raises(NotSpdError):
+            factorize("cholesky-spd", K)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-15])
+    def test_sparse_lu_refuses_nearly_singular(self, eps):
+        blocks = [[[2.0, 1.0], [0.5, 3.0]]] * 9 + [[[1.0, 1.0], [1.0, 1.0 + eps]]]
+        K = SparseMatrix.from_dense(scipy.linalg.block_diag(*blocks))
+        with pytest.raises(SingularOperatorError):
+            factorize("lu-general", K)
+
+    def test_sparse_paths_solve_exactly(self):
+        rng = np.random.default_rng(7)
+        n = 60
+        lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+        general = np.diag(4.0 + rng.random(n)) + np.diag(lower, -1) + np.diag(upper, 1)
+        spd = np.diag(4.0 + rng.random(n)) + np.diag(lower, -1) + np.diag(lower, 1)
+        for kind, mat in [("lu-general", general), ("cholesky-spd", spd)]:
+            op = factorize(kind, SparseMatrix.from_dense(mat))
+            assert isinstance(op._factor, scipy.sparse.linalg.SuperLU)
+            b = rng.standard_normal(n)
+            want = np.linalg.solve(mat, b)
+            assert np.linalg.norm(op.solve(b) - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_sparse_path_has_no_size_cap_and_does_not_densify(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the sparse path densified its input")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
+        n = DENSE_FACTOR_LIMIT + 1
+        op = factorize("cholesky-spd", SparseMatrix(scipy.sparse.diags_array(
+            [-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], offsets=[-1, 0, 1],
+            format="csr")))
+        x = np.linspace(-1.0, 1.0, n)
+        assert np.linalg.norm(op.solve(op.apply(x)) - x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("kind", ["cholesky-spd", "lu-general", "diagonal"])
+    @pytest.mark.parametrize("n", [2, 30])  # dense and sparse storage
+    def test_non_finite_refused(self, kind, n):
+        mat = np.eye(n)
+        mat[1, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            factorize(kind, mat)
+
+    def test_dense_stored_matrix_above_cap_refused(self):
+        n = DENSE_FACTOR_LIMIT + 1
+        per_row = int(DENSE_FACTOR_DENSITY * n) + 1  # just above the density threshold
+        indptr = np.arange(n + 1, dtype=np.int32) * per_row
+        indices = np.tile(np.arange(per_row, dtype=np.int32), n)
+        K = SparseMatrix.from_csr(n, n, indptr, indices, np.ones(n * per_row))
+        with pytest.raises(DimensionError):
+            factorize("lu-general", K)
 
     def test_solve_apply_round_trip(self):
         rng = np.random.default_rng(4)

@@ -40,6 +40,17 @@ class TestRoundTrip:
         write_vector(path, v)
         assert np.array_equal(read_vector(path), v)
 
+    def test_vector_round_trip_keeps_signed_zeros(self, tmp_path):
+        v = np.array([-0.0, 0.0, 5e-324, -1.0])
+        path = tmp_path / "v0.mtx"
+        write_vector(path, v)
+        assert read_vector(path).tobytes() == v.tobytes()
+
+    def test_coordinate_vector(self, tmp_path):
+        path = tmp_path / "vc.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n3 1 2\n1 1 2.0\n3 1 -1.0\n")
+        assert read_vector(path).tolist() == [2.0, 0.0, -1.0]
+
     def test_empty_matrix_round_trip(self, tmp_path):
         A = SparseMatrix.zeros(3, 2)
         path = tmp_path / "z.mtx"
@@ -71,6 +82,14 @@ class TestSymmetricFormat:
 
 
 class TestParseErrors:
+    def test_symmetric_array_must_be_square(self, tmp_path):
+        path = tmp_path / "sv.mtx"
+        path.write_text("%%MatrixMarket matrix array real symmetric\n3 1\n1.0\n2.0\n3.0\n")
+        for read in (read_matrix_market, read_vector):
+            with pytest.raises(ParseError) as err:
+                read(path)
+            assert err.value.line == 2
+
     def test_complex_field_rejected(self, tmp_path):
         path = tmp_path / "c.mtx"
         path.write_text("%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n")

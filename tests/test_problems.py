@@ -7,9 +7,11 @@ import pytest
 
 from gsp import (
     RandomSpec,
+    SolverConfig,
     SparseMatrix,
     StokesSpec,
     compress_rhs,
+    craig_solve,
     direct_solve,
     gen_random,
     gen_stokes_channel,
@@ -20,6 +22,7 @@ from gsp import (
     schur_condition_number,
     validate_system,
 )
+from gsp.linops import DENSE_FACTOR_DENSITY
 
 
 class TestGenRandom:
@@ -103,6 +106,32 @@ class TestGenStokes:
         square_cond = schur_condition_number(gen_stokes_channel(StokesSpec(nx=8, ny=8, length=1.0)))
         assert long_cond > square_cond
 
+    def test_craig_beyond_the_dense_cap(self):
+        # m = 8064 was refused with DimensionError while every M was factored dense
+        prob = gen_stokes_channel_detailed(StokesSpec(nx=64, ny=64))
+        assert prob.system.m == 8064
+        tol = 1e-8
+        res = craig_solve(prob.system, prob.preconditioner, SolverConfig(tolerance=tol))
+        assert res.converged
+        w = recover_w(res.u, prob.w0)
+        assert np.linalg.norm(w - prob.velocity) <= 100 * tol * np.linalg.norm(prob.velocity)
+        assert np.linalg.norm(res.p - prob.pressure) <= 100 * tol * np.linalg.norm(prob.pressure)
+
+    @pytest.mark.parametrize("spec", [
+        StokesSpec(nx=4, ny=3),
+        StokesSpec(nx=4, ny=3, gamma=0.0),
+        StokesSpec(nx=6, ny=5, viscosity=0.1, oseen_wind="poiseuille"),
+    ])
+    def test_save_load_is_bitwise(self, tmp_path, spec):
+        sys = gen_stokes_channel(spec)
+        loaded = load_system(save_system(tmp_path, sys))
+        for name in ("Mmat", "A", "C"):
+            want, got = getattr(sys, name).csr, getattr(loaded, name).csr
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(want, attr), getattr(got, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, attr)
+        assert sys.b.dtype == loaded.b.dtype and sys.b.tobytes() == loaded.b.tobytes()
+
     @pytest.mark.parametrize("wind", [None, "poiseuille"])
     def test_m_stored_once(self, tmp_path, wind):
         sys = gen_stokes_channel(StokesSpec(nx=4, ny=3, viscosity=0.2, oseen_wind=wind))
@@ -163,7 +192,8 @@ class TestGenStokes:
         monkeypatch.setattr(SparseMatrix, "to_dense", counting_to_dense)
         monkeypatch.setattr(SparseMatrix, "from_dense", classmethod(counting_from_dense))
         prob = gen_stokes_channel_detailed(StokesSpec(nx=5, ny=4, viscosity=0.2, oseen_wind=wind))
-        assert calls == [("to_dense", (prob.system.m, prob.system.m))]  # the dense factor's input
+        assert prob.system.Mmat.nnz <= DENSE_FACTOR_DENSITY * prob.system.m**2
+        assert calls == []  # M is sparse, so SuperLU factors it from its CSR arrays
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
