@@ -21,10 +21,11 @@ def craig_solve(sys, N=None, cfg=None):
     """Run CRAIG on a symmetric instance.
 
     Only the latest q, v, r, s, t vectors are retained unless
-    cfg.reorthogonalize (store Q for one MGS pass per step) or
+    cfg.reorthogonalize (store Q for one classical Gram-Schmidt pass per
+    step) or
     cfg.keep_iterates (store per-iteration iterates and Q for replay
     diagnostics) is set.
     """
     if not sys.symmetric:
         raise WrongSolverError("craig requires a symmetric leading block; use nscraig")
-    return gkb_solve(sys, N, cfg, full_mgs=False)
+    return gkb_solve(sys, N, cfg, full_orth=False)

@@ -22,7 +22,7 @@ class SingularOperatorError(GspError):
 
 
 class NonFiniteError(GspError):
-    """An input block or right-hand side holds a NaN or an infinity."""
+    """An input block, the right-hand side or a solver scalar is a NaN or an infinity."""
 
 
 class ZeroRhsError(GspError):

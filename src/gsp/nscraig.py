@@ -3,21 +3,24 @@
 One loop serves both solvers. CRAIG orthogonalizes each new right vector
 against the previous one only (three-term recurrence) and updates both
 iterates by short recurrences. nsCRAIG orthogonalizes it against the whole
-stored right basis (modified Gram-Schmidt in the N inner product), whose
-coefficients form the Hessenberg columns, and defers solution assembly until
-the stopping rule fires: one Hessenberg solve and one bidiagonal back
+stored right basis in the N inner product by classical Gram-Schmidt run
+twice (CGS2: each pass is two matrix products over the basis, and two passes
+keep it orthogonal to working precision). The summed projection
+coefficients form the Hessenberg columns, and solution assembly is deferred
+until the stopping rule fires: one Hessenberg solve and one bidiagonal back
 substitution.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import BreakdownError, InsufficientHistoryError, ZeroRhsError
+from .errors import BreakdownError, InsufficientHistoryError, NonFiniteError, ZeroRhsError
 from .gkb import BREAKDOWN_TOL, assemble_bidiagonal, assemble_hessenberg
 from .linops import SpdPreconditioner
 from .system import ConvergenceRecord, SolveResult, SolverConfig
@@ -37,6 +40,56 @@ class HessenbergFactors:
     def lower_factor(self):
         """Unit lower triangular L with H = B^T L^T, extracted by triangular solve."""
         return scipy.linalg.solve_triangular(self.B.T, self.H, lower=True).T
+
+
+class IncrementalLowerFactor:
+    """L^T of H = B^T L^T, grown by one column per nsCRAIG step.
+
+    Column k of L^T depends only on B_k and the k leading entries of the
+    Hessenberg column h_k, so each step costs one k x k triangular solve
+    instead of rebuilding B, H and the whole factor.
+    """
+
+    def __init__(self, capacity):
+        self.Bt = np.zeros((capacity, capacity))
+        self.Lt = np.zeros((capacity, capacity))
+        self.k = 0
+
+    def append(self, alpha, beta, h):
+        """Add alpha_k, beta_k (below alpha_{k-1} in B^T; unused for k = 1) and h_k."""
+        k = self.k + 1
+        self.Bt = _with_rows(self.Bt, k, square=True)
+        self.Lt = _with_rows(self.Lt, k, square=True)
+        self.Bt[k - 1, k - 1] = alpha
+        if k > 1:
+            self.Bt[k - 1, k - 2] = beta
+        self.Lt[:k, k - 1] = scipy.linalg.solve_triangular(self.Bt[:k, :k], h, lower=True,
+                                                           check_finite=False)
+        self.k = k
+
+    def lower_factor(self):
+        """The k x k unit lower triangular L (a view)."""
+        return self.Lt[: self.k, : self.k].T
+
+
+def _with_rows(a, rows, square=False):
+    """a itself if it has at least rows rows; else a copy with twice its rows.
+
+    A square array doubles its columns too. Capacity can run out when a
+    stored-basis run goes past n steps, which floating point allows.
+    """
+    if rows <= len(a):
+        return a
+    size = 2 * len(a)
+    grown = np.zeros((size, size if square else a.shape[1]))
+    grown[: a.shape[0], : a.shape[1]] = a
+    return grown
+
+
+def _finite(value, name, k):
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{name} is {value} at iteration {k}")
+    return value
 
 
 def assemble_solution(alphas, betas, h_columns, beta1, method="triangular"):
@@ -64,14 +117,18 @@ def assemble_solution(alphas, betas, h_columns, beta1, method="triangular"):
     return scipy.linalg.solve_triangular(factors.B, -z, lower=False)
 
 
-def gkb_solve(sys, N, cfg, full_mgs):
-    """Run the generalized Golub-Kahan loop; full_mgs selects nsCRAIG over CRAIG.
+def gkb_solve(sys, N, cfg, full_orth):
+    """Run the generalized Golub-Kahan loop; full_orth selects nsCRAIG over CRAIG.
 
-    Without full_mgs (CRAIG) only the latest q, v, r, s, t vectors are
+    Without full_orth (CRAIG) only the latest q, v, r, s, t vectors are
     retained unless cfg.reorthogonalize or cfg.keep_iterates needs the right
-    basis. cfg.reorthogonalize adds one more MGS pass over the stored basis in
-    both modes. Under cfg.keep_iterates every iterate is formed (nsCRAIG:
-    assembled each iteration) and kept with the right basis Q.
+    basis. The basis is one preallocated array of rows q_1, q_2, ...; its
+    capacity doubles if a run outgrows min(max_iterations, n) + 1 rows.
+    nsCRAIG runs two classical Gram-Schmidt passes over it per step, and
+    cfg.reorthogonalize adds one more pass in both modes (CRAIG's only one).
+    Under cfg.keep_iterates every iterate is formed (nsCRAIG: assembled each
+    iteration) and kept with the right basis Q and the Hessenberg columns.
+    A NaN or infinite alpha or beta raises NonFiniteError.
     """
     cfg = cfg or SolverConfig()
     if not np.any(sys.b):
@@ -81,20 +138,24 @@ def gkb_solve(sys, N, cfg, full_mgs):
     t0 = time.perf_counter()
 
     q = N.solve(sys.b)
-    beta1 = float(np.sqrt(max(q @ sys.b, 0.0)))
+    beta1 = _finite(float(np.sqrt(max(q @ sys.b, 0.0))), "beta_1", 0)
     if beta1 == 0.0:
         raise ZeroRhsError("b has zero N^{-1}-norm")
     q = q / beta1
-    nq = N.apply(q)
-    store_basis = full_mgs or cfg.reorthogonalize or cfg.keep_iterates
-    Q, NQ = ([q], [nq]) if store_basis else (None, None)
+    nq = None if full_orth else N.apply(q)
+    store_basis = full_orth or cfg.reorthogonalize or cfg.keep_iterates
+    capacity = min(cfg.max_iterations, sys.n) + 1
+    Q = np.zeros((capacity, sys.n)) if store_basis else None
+    if store_basis:
+        Q[0] = q
     w = M.solve(A.matvec(q))
     r = q.copy()
     s = C.matvec(r)
-    alpha = float(np.sqrt(max(w @ Mmat.matvec(w) + r @ s, 0.0)))
+    alpha = _finite(float(np.sqrt(max(w @ Mmat.matvec(w) + r @ s, 0.0))), "alpha_1", 1)
 
     alphas, betas, scalars = [alpha], [beta1], []
-    h_columns = [] if full_mgs else None
+    h_columns = [] if full_orth else None
+    lower = IncrementalLowerFactor(capacity) if full_orth and cfg.wants_error_estimate else None
     history = []
     u_list = [] if cfg.keep_iterates else None
     p_list = [] if cfg.keep_iterates else None
@@ -106,46 +167,48 @@ def gkb_solve(sys, N, cfg, full_mgs):
     t = s / alpha
     zeta = beta1 / alpha
     scalars.append(zeta)
-    if not full_mgs:
+    if not full_orth:
         u = zeta * v
         p = -(zeta / alpha) * r
 
     def assemble_iterate(k):
         y = assemble_solution(alphas[:k], betas, h_columns, beta1)
-        p = np.column_stack(Q[:k]) @ y
+        p = y @ Q[:k]
         return -M.solve(A.matvec(p)), p
 
-    passes = int(full_mgs) + int(cfg.reorthogonalize)
+    passes = 2 * int(full_orth) + int(cfg.reorthogonalize)
     k = 1
     termination = "max-iterations"
     fired = None
     while True:
-        if full_mgs:
+        if full_orth:
             g = N.solve(A.rmatvec(v) + t)
         else:
             g = N.solve(A.rmatvec(v) + t - alphas[-1] * nq)
-        h = np.zeros(k)
-        for _ in range(passes):
-            for j in range(k):
-                c = NQ[j] @ g
-                g = g - c * Q[j]
-                h[j] += c
-        if full_mgs:
-            h_columns.append(h)
-        beta = float(np.sqrt(max(g @ N.apply(g), 0.0)))
+        if passes:
+            basis = Q[:k]
+            h = np.zeros(k)
+            for _ in range(passes):
+                c = basis @ N.apply(g)
+                g = g - c @ basis
+                h += c
+            if full_orth:
+                h_columns.append(h)
+        if lower is not None:
+            lower.append(alphas[-1], betas[-1], h)
+        beta = _finite(float(np.sqrt(max(g @ N.apply(g), 0.0))), f"beta_{k + 1}", k)
         betas.append(beta)
 
         if cfg.keep_iterates:
-            ui, pi = assemble_iterate(k) if full_mgs else (u, p)
+            ui, pi = assemble_iterate(k) if full_orth else (u, p)
             u_list.append(ui)
             p_list.append(pi)
 
         res_rel = (beta / beta1) * abs(zeta)
         err_est = None
         if cfg.wants_error_estimate and k >= cfg.error_delay:
-            if full_mgs:
-                L = HessenbergFactors.assemble(alphas, betas, h_columns, k).lower_factor()
-                ratio = nscraig_error_estimate(scalars, L, k, cfg.error_delay)
+            if full_orth:
+                ratio = nscraig_error_estimate(scalars, lower.lower_factor(), k, cfg.error_delay)
             else:
                 ratio = craig_error_estimate(scalars, k, cfg.error_delay)
             err_est = float(np.sqrt(abs(ratio)))
@@ -166,14 +229,16 @@ def gkb_solve(sys, N, cfg, full_mgs):
             break
 
         q = g / beta
-        nq = N.apply(q)
+        if not full_orth:
+            nq = N.apply(q)
         if store_basis:
-            Q.append(q)
-            NQ.append(nq)
+            Q = _with_rows(Q, k + 1)
+            Q[k] = q
         w = M.solve(A.matvec(q) - beta * Mmat.matvec(v))
         r = q - (beta / alphas[-1]) * r
         s = C.matvec(r)
-        alpha = float(np.sqrt(max(w @ Mmat.matvec(w) + r @ s, 0.0)))
+        alpha = _finite(float(np.sqrt(max(w @ Mmat.matvec(w) + r @ s, 0.0))),
+                        f"alpha_{k + 1}", k + 1)
         if alpha <= BREAKDOWN_TOL * alphas[0]:
             termination = "breakdown"
             break
@@ -182,16 +247,17 @@ def gkb_solve(sys, N, cfg, full_mgs):
         t = s / alpha
         zeta = -(beta / alpha) * zeta
         scalars.append(zeta)
-        if not full_mgs:
+        if not full_orth:
             u = u + zeta * v
             p = p - (zeta / alpha) * r
         k += 1
 
-    if full_mgs:
+    if full_orth:
         u, p = (u_list[-1], p_list[-1]) if cfg.keep_iterates else assemble_iterate(k)
+    kept = cfg.keep_iterates
     return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1,
-                       h_columns=h_columns, u_iterates=u_list, p_iterates=p_list,
-                       Q=Q if cfg.keep_iterates else None)
+                       h_columns=h_columns if kept else None, u_iterates=u_list,
+                       p_iterates=p_list, Q=list(Q[:k]) if kept else None)
 
 
 def nscraig_solve(sys, N=None, cfg=None):
@@ -200,7 +266,7 @@ def nscraig_solve(sys, N=None, cfg=None):
     Iterates are assembled only on termination unless cfg.keep_iterates turns
     on the eager mode (every iteration, for replay diagnostics).
     """
-    return gkb_solve(sys, N, cfg, full_mgs=True)
+    return gkb_solve(sys, N, cfg, full_orth=True)
 
 
 def _check_window(scalars, k, d):

@@ -77,10 +77,10 @@ class SolverConfig:
     criterion selects the stopping rule: 'relative-residual' monitors
     (beta_{k+1}/beta_1)|zeta_k| (or the chi analogue), 'error-estimate' the
     delayed energy-error estimate with window error_delay, 'both' stops on
-    whichever fires first. reorthogonalize adds one more modified Gram-Schmidt
-    pass over the stored right basis (CRAIG: its only pass; nsCRAIG: a second
-    one). keep_iterates retains per-iteration (u, p) and the right basis for
-    replay diagnostics.
+    whichever fires first. reorthogonalize adds one more classical Gram-Schmidt
+    pass over the stored right basis (CRAIG: its only pass; nsCRAIG: a third
+    one after its two). keep_iterates retains per-iteration (u, p), the right
+    basis and nsCRAIG's Hessenberg columns for replay diagnostics.
     """
 
     tolerance: float = 1e-6
@@ -109,7 +109,7 @@ class SolverConfig:
         return self.criterion in (CRITERION_RESIDUAL, CRITERION_BOTH)
 
 
-@dataclass
+@dataclass(slots=True)
 class ConvergenceRecord:
     """One iteration of a solve.
 
@@ -133,9 +133,10 @@ class SolveResult:
 
     The bidiagonalization scalars live in the history records only; alphas,
     betas and scalars read them back. beta1 is the N^{-1}-norm of b (baselines
-    store their own initial residual norm there). h_columns holds nsCRAIG's
-    Hessenberg columns; u_iterates, p_iterates and the right basis Q are kept
-    only under keep_iterates (baselines record p_iterates alone).
+    store their own initial residual norm there). nsCRAIG's Hessenberg columns
+    h_columns, u_iterates, p_iterates and the right basis Q (rows q_1..q_k)
+    are kept only under keep_iterates (baselines record p_iterates alone), so
+    a result without them is O(k + m + n) in size.
     """
 
     u: np.ndarray

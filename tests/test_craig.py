@@ -316,3 +316,13 @@ def test_max_iterations_termination():
     assert res.termination == "max-iterations"
     assert res.iterations == 3
     assert len(res.history) == 3
+
+
+def test_stored_basis_outgrows_initial_capacity():
+    # Ill-conditioned CRAIG without reorthogonalization runs past n steps, so
+    # the stored basis outgrows its min(max_iterations, n) + 1 rows twice.
+    sys = random_system(40, 20, c_rank=10, seed=7, spectrum=(1.0, 1e6))
+    res = craig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=80,
+                                              keep_iterates=True))
+    assert res.iterations == 80 > 2 * (sys.n + 1)
+    assert len(res.Q) == 80

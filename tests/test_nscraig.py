@@ -10,14 +10,16 @@ from gsp import (
     SaddleSystem,
     SolverConfig,
     SpdPreconditioner,
+    StokesSpec,
     craig_solve,
     direct_solve,
+    gen_stokes_channel,
     nscraig_error_estimate,
     nscraig_residual_check,
     nscraig_solve,
 )
-from gsp.errors import InsufficientHistoryError, ZeroRhsError
-from gsp.nscraig import HessenbergFactors, assemble_solution
+from gsp.errors import InsufficientHistoryError, NonFiniteError, ZeroRhsError
+from gsp.nscraig import HessenbergFactors, IncrementalLowerFactor, assemble_solution
 
 
 class TestHandInstances:
@@ -80,7 +82,8 @@ def test_deferred_and_eager_assembly_agree():
 
 def test_triangular_and_dense_assembly_cross_check():
     sys = random_system(12, 6, skew=0.5, c_rank=3, seed=44)
-    res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=5))
+    res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=5,
+                                                keep_iterates=True))
     k = len(res.alphas)
     y_tri = assemble_solution(res.alphas[:k], res.betas, res.h_columns, res.betas[0])
     y_dense = assemble_solution(res.alphas[:k], res.betas, res.h_columns, res.betas[0],
@@ -127,6 +130,32 @@ class TestErrorEstimate:
         z_star = np.concatenate(direct_solve(sys))
         assert np.linalg.norm(res.final_vector() - z_star) <= 100 * tol * np.linalg.norm(z_star)
 
+    def test_incremental_lower_factor_matches_rebuild(self):
+        sys = random_system(30, 15, skew=0.5, c_rank=7, seed=53, spectrum=(1.0, 50.0))
+        res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=12,
+                                                    keep_iterates=True))
+        lower = IncrementalLowerFactor(2)  # outgrows its capacity three times
+        for k in range(1, res.iterations + 1):
+            lower.append(res.alphas[k - 1], res.betas[k - 1], res.h_columns[k - 1])
+            L = HessenbergFactors.assemble(res.alphas, res.betas, res.h_columns, k).lower_factor()
+            # Only the lower triangle is defined; above it the rebuild holds roundoff.
+            assert np.abs(np.tril(lower.lower_factor() - L)).max() <= 1e-12 * np.abs(L).max()
+
+    def test_history_matches_rebuilt_factor(self):
+        # Stops at k = 27, as the rebuild of B, H and L^T on every step did.
+        sys = random_system(60, 30, skew=0.5, c_rank=15, seed=53, spectrum=(1.0, 50.0))
+        tol, d = 1e-6, 3
+        res = nscraig_solve(sys, None, SolverConfig(tolerance=tol, criterion="error-estimate",
+                                                    error_delay=d, keep_iterates=True))
+        assert res.fired_criterion == "error-estimate" and res.iterations == 27
+        rebuilt = []
+        for k in range(d, res.iterations + 1):
+            L = HessenbergFactors.assemble(res.alphas, res.betas, res.h_columns, k).lower_factor()
+            rebuilt.append(math.sqrt(abs(nscraig_error_estimate(res.scalars, L, k, d))))
+        recorded = [rec.err_est for rec in res.history[d - 1:]]
+        assert np.allclose(recorded, rebuilt, rtol=1e-10, atol=0.0)
+        assert [e < tol for e in rebuilt].index(True) + d == res.iterations
+
 
 class TestResidualCheck:
     def test_defects_small(self):
@@ -159,7 +188,8 @@ class TestResidualCheck:
 
 def test_hessenberg_factors_lower_extraction():
     sys = random_system(10, 5, skew=0.5, c_rank=2, seed=49)
-    res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=5))
+    res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=5,
+                                                keep_iterates=True))
     from gsp.gkb import assemble_bidiagonal, assemble_hessenberg
 
     k = len(res.alphas)
@@ -195,3 +225,39 @@ def test_no_monotonicity_assumed_but_converges():
     assert res.converged
     explicit = np.linalg.norm(sys.b - sys.A.rmatvec(res.u) + sys.C.matvec(res.p))
     assert explicit <= 1e-6 * np.linalg.norm(sys.b)
+
+
+def test_cgs2_keeps_basis_orthogonal():
+    # Modified Gram-Schmidt, one pass per step, reached max|Q^T N Q - I| = 0.30 here.
+    sys = gen_stokes_channel(StokesSpec(nx=12, ny=12, viscosity=1e-2, oseen_wind="poiseuille"))
+    N = random_preconditioner(sys.n, seed=5)
+    res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=120,
+                                             keep_iterates=True))
+    assert res.iterations == 120
+    Q = np.array(res.Q)
+    NQ = np.array([N.apply(q) for q in Q])
+    assert np.abs(Q @ NQ.T - np.eye(len(Q))).max() <= 1e-12
+
+
+class _NanFromFourthSolve:
+    """Preconditioner whose solve returns NaN from its fourth call on."""
+
+    def __init__(self, N):
+        self._N = N
+        self.calls = 0
+
+    def solve(self, x):
+        self.calls += 1
+        y = self._N.solve(x)
+        return y if self.calls < 4 else np.full_like(y, np.nan)
+
+    def __getattr__(self, name):
+        return getattr(self._N, name)
+
+
+@pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5)])
+def test_non_finite_beta_is_refused(solve, skew):
+    sys = random_system(12, 6, skew=skew, c_rank=3, seed=52)
+    N = _NanFromFourthSolve(random_preconditioner(6, seed=52))
+    with pytest.raises(NonFiniteError, match="beta_4 is nan at iteration 3"):
+        solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=500))
