@@ -54,7 +54,7 @@ class LoadError(GspError):
 
 
 class ParseError(GspError):
-    """Malformed Matrix Market content. Carries the 1-based offending line."""
+    """Malformed Matrix Market content. Carries the 1-based offending line, or None if unknown."""
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -1,14 +1,21 @@
 """Matrix Market serialization and the on-disk system manifest.
 
-Coordinate and array formats, real field only, general or symmetric layout.
-Writes use 17 significant digits so read(write(A)) reproduces every float64
-bit-exactly; parse failures report the offending 1-based line.
+Files go through scipy.io (fast_matrix_market), imported where it is used so
+runs that never touch a file do not load it. Reads take the real field,
+general or symmetric symmetry, coordinate or array layout; a symmetric file
+stores the lower triangle (column by column in the array layout) and is
+mirrored. Writes are coordinate real general with the shortest decimal that
+reads back to the same float64, so read(write(A)) equals A bit for bit.
+Vectors are written as coordinate files listing every entry, because the
+array-layout reader drops the sign of -0.0. Malformed content raises
+ParseError, with the 1-based line wherever scipy names one.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 
@@ -16,135 +23,61 @@ from .errors import DimensionError, LoadError, ParseError
 from .linops import SparseMatrix
 from .system import SaddleSystem
 
-_HEADER = "%%MatrixMarket"
+_SCIPY_LINE = re.compile(r"Line (\d+): (.*)", re.DOTALL)
 
 
 def write_matrix_market(path, A):
     """Write a SparseMatrix in coordinate real general format."""
-    lines = [f"{_HEADER} matrix coordinate real general"]
-    lines.append(f"{A.rows} {A.cols} {A.nnz}")
-    coo = A.csr.tocoo()
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        lines.append(f"{i + 1} {j + 1} {v:.16e}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    import scipy.io
+
+    scipy.io.mmwrite(path, A.csr, symmetry="general")
 
 
 def write_vector(path, v):
-    """Write a vector in array real general format (n x 1)."""
+    """Write a vector as an n x 1 coordinate file that lists every entry, zeros included."""
     v = np.asarray(v, dtype=float)
-    lines = [f"{_HEADER} matrix array real general", f"{v.shape[0]} 1"]
-    lines.extend(f"{x:.16e}" for x in v)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = np.arange(v.shape[0])
+    write_matrix_market(path, SparseMatrix.from_coo(v.shape[0], 1, rows, np.zeros_like(rows), v))
 
 
-def _parse_header(line):
-    tokens = line.strip().split()
-    if len(tokens) != 5 or tokens[0].lower() != _HEADER.lower() or tokens[1].lower() != "matrix":
-        raise ParseError(f"malformed header: {line.strip()!r}", line=1)
-    layout, field, symmetry = (t.lower() for t in tokens[2:5])
-    if layout not in ("coordinate", "array"):
-        raise ParseError(f"unsupported layout '{layout}'", line=1)
-    if field != "real":
-        raise ParseError(f"unsupported field '{field}' (only real)", line=1)
-    if symmetry not in ("general", "symmetric"):
-        raise ParseError(f"unsupported symmetry '{symmetry}'", line=1)
-    return layout, symmetry
-
-
-def _data_lines(raw):
-    for no, line in enumerate(raw, start=1):
-        if no == 1:
-            continue
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        yield no, stripped
+def _size_line(path):
+    """1-based number of the first line after the header that is not blank or a comment."""
+    with open(path) as fh:
+        for no, line in enumerate(fh, start=1):
+            if no > 1 and line.strip() and not line.startswith("%"):
+                return no
 
 
 def _read(path):
-    """Parse a real coordinate/array file; symmetric entries are mirrored.
+    """Read a file as a dense ndarray (array layout) or a SparseMatrix (coordinate).
 
-    An array file gives a dense ndarray. A coordinate file gives a
-    SparseMatrix built from index arrays of the dtype scipy gives a generated
-    block of that size (int32 unless a dimension needs more), so a saved and
-    loaded block equals the original bit for bit.
+    Duplicate coordinates are refused. Indices are int32 unless a dimension
+    needs more, as in a generated block, so save/load is bitwise.
     """
+    import scipy.io
+
     try:
-        with open(path) as fh:
-            raw = fh.readlines()
+        rows, cols, _, _, field, symmetry = scipy.io.mminfo(path)
+        if field != "real" or symmetry not in ("general", "symmetric"):
+            raise ParseError(f"unsupported field '{field}' or symmetry '{symmetry}' "
+                             "(only real, general or symmetric)", line=1)
+        if symmetry == "symmetric" and rows != cols:
+            # scipy reads such a file without complaint and returns garbage.
+            raise ParseError("symmetric layout needs a square matrix", line=_size_line(path))
+        entries = scipy.io.mmread(path, spmatrix=False)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
-    if not raw:
-        raise ParseError("empty file", line=1)
-    layout, symmetry = _parse_header(raw[0])
-    data = _data_lines(raw)
-
+    except ValueError as exc:
+        found = _SCIPY_LINE.match(str(exc))
+        if found:
+            raise ParseError(found[2], line=int(found[1])) from exc
+        raise ParseError(str(exc)) from exc
+    if isinstance(entries, np.ndarray):
+        return entries
     try:
-        no, size_line = next(data)
-    except StopIteration:
-        raise ParseError("missing size line", line=len(raw)) from None
-    parts = size_line.split()
-
-    if layout == "coordinate":
-        if len(parts) != 3:
-            raise ParseError("coordinate size line needs 'rows cols nnz'", line=no)
-        try:
-            rows, cols, nnz = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"bad size line {size_line!r}", line=no) from None
-        ii, jj, vv = [], [], []
-        count = 0
-        for no, entry in data:
-            fields = entry.split()
-            if len(fields) != 3:
-                raise ParseError(f"entry needs 'i j value', got {entry!r}", line=no)
-            try:
-                i, j = int(fields[0]) - 1, int(fields[1]) - 1
-                v = float(fields[2])
-            except ValueError:
-                raise ParseError(f"non-real entry {entry!r}", line=no) from None
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ParseError(f"index ({i + 1}, {j + 1}) out of bounds", line=no)
-            ii.append(i)
-            jj.append(j)
-            vv.append(v)
-            if symmetry == "symmetric" and i != j:
-                ii.append(j)
-                jj.append(i)
-                vv.append(v)
-            count += 1
-        if count != nnz:
-            raise ParseError(f"expected {nnz} entries, found {count}", line=len(raw))
-        index = np.int32 if max(rows, cols) <= np.iinfo(np.int32).max else np.int64
-        try:
-            return SparseMatrix.from_coo(rows, cols, np.array(ii, dtype=index),
-                                         np.array(jj, dtype=index), vv)
-        except DimensionError as exc:
-            raise ParseError(str(exc)) from exc
-
-    if len(parts) != 2:
-        raise ParseError("array size line needs 'rows cols'", line=no)
-    try:
-        rows, cols = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad size line {size_line!r}", line=no) from None
-    if symmetry == "symmetric" and rows != cols:
-        raise ParseError("symmetric layout needs a square matrix", line=no)
-    vals = []
-    for no, entry in data:
-        for tok in entry.split():
-            try:
-                vals.append(float(tok))
-            except ValueError:
-                raise ParseError(f"non-real entry {tok!r}", line=no) from None
-    if len(vals) != rows * cols:
-        raise ParseError(f"expected {rows * cols} values, found {len(vals)}", line=len(raw))
-    a = np.array(vals).reshape((rows, cols), order="F")
-    if symmetry == "symmetric":
-        a = np.tril(a) + np.tril(a, -1).T
-    return a
+        return SparseMatrix.from_coo(rows, cols, entries.row, entries.col, entries.data)
+    except DimensionError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def read_matrix_market(path):
@@ -154,13 +87,20 @@ def read_matrix_market(path):
 
 
 def read_vector(path):
-    """Read a vector (n x 1 array or coordinate file)."""
+    """Read a vector (n x 1 array or coordinate file).
+
+    Coordinate entries are scattered by assignment rather than summed into
+    zeros, so a stored -0.0 keeps its sign.
+    """
     entries = _read(path)
     if entries.shape[1] != 1:
         raise ParseError(f"expected a single-column vector, got {entries.shape[1]} columns")
     if isinstance(entries, np.ndarray):
         return entries[:, 0]
-    return entries.csr.toarray()[:, 0]
+    coo = entries.csr.tocoo()
+    v = np.zeros(entries.rows)
+    v[coo.row] = coo.data
+    return v
 
 
 MANIFEST_NAME = "system.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsp import SparseMatrix, load_system, read_matrix_market, save_system, write_matrix_market
-from gsp.errors import ParseError
+from gsp.errors import LoadError, ParseError
 from gsp.mmio import read_vector, write_vector
 
 from conftest import random_system
@@ -51,6 +51,12 @@ class TestRoundTrip:
         path.write_text("%%MatrixMarket matrix coordinate real general\n3 1 2\n1 1 2.0\n3 1 -1.0\n")
         assert read_vector(path).tolist() == [2.0, 0.0, -1.0]
 
+    def test_coordinate_vector_keeps_signed_zero(self, tmp_path):
+        path = tmp_path / "vz.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 1 2\n1 1 -0.0\n2 1 1.0\n")
+        v = read_vector(path)
+        assert v.tolist() == [0.0, 1.0] and np.signbit(v[0])
+
     def test_empty_matrix_round_trip(self, tmp_path):
         A = SparseMatrix.zeros(3, 2)
         path = tmp_path / "z.mtx"
@@ -76,7 +82,7 @@ class TestSymmetricFormat:
         path.write_text(
             "%%MatrixMarket matrix array real symmetric\n"
             "2 2\n"
-            "4.0\n2.0\n0.0\n3.0\n")
+            "4.0\n2.0\n3.0\n")
         A = read_matrix_market(path)
         assert np.array_equal(A.to_dense(), [[4.0, 2.0], [2.0, 3.0]])
 
@@ -90,12 +96,18 @@ class TestParseErrors:
                 read(path)
             assert err.value.line == 2
 
-    def test_complex_field_rejected(self, tmp_path):
+    # scipy reads all of these; gsp refuses them at the header.
+    @pytest.mark.parametrize("field, symmetry", [
+        ("integer", "general"), ("pattern", "general"), ("complex", "general"),
+        ("real", "skew-symmetric"), ("real", "hermitian")])
+    def test_complex_field_rejected(self, tmp_path, field, symmetry):
+        entry = {"integer": "2 1 1", "pattern": "2 1", "complex": "2 1 1 0"}.get(field, "2 1 1.0")
         path = tmp_path / "c.mtx"
-        path.write_text("%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n")
+        path.write_text(f"%%MatrixMarket matrix coordinate {field} {symmetry}\n2 2 1\n{entry}\n")
         with pytest.raises(ParseError) as err:
             read_matrix_market(path)
-        assert "complex" in str(err.value)
+        assert err.value.line == 1
+        assert (symmetry if field == "real" else field) in str(err.value)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "h.mtx"
@@ -127,6 +139,31 @@ class TestParseErrors:
             "1 1 1\n"
             "1 1 2.5\n")
         assert read_matrix_market(path).to_dense()[0, 0] == 2.5
+
+    def test_truncated_file(self, tmp_path):
+        path = tmp_path / "t.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 2 1.0\n")
+        with pytest.raises(ParseError):
+            read_matrix_market(path)
+
+    def test_extra_entry_reports_line(self, tmp_path):
+        path = tmp_path / "x.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n")
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(path)
+        assert err.value.line == 4
+
+    def test_duplicate_coordinates_rejected(self, tmp_path):
+        path = tmp_path / "d.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n1 1 2.0\n")
+        for read in (read_matrix_market, read_vector):
+            with pytest.raises(ParseError, match="duplicate"):
+                read(path)
+
+    def test_missing_file(self, tmp_path):
+        for read in (read_matrix_market, read_vector):
+            with pytest.raises(LoadError):
+                read(tmp_path / "absent.mtx")
 
 
 def test_system_manifest_round_trip(tmp_path):
