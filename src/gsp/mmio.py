@@ -56,6 +56,9 @@ def _read(path):
     """
     import scipy.io
 
+    if os.path.isdir(path):
+        # mminfo reads a directory as a file without a banner ("Line 1").
+        raise LoadError(f"cannot read {path}: is a directory")
     try:
         rows, cols, _, _, field, symmetry = scipy.io.mminfo(path)
         if field != "real" or symmetry not in ("general", "symmetric"):

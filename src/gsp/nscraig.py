@@ -43,33 +43,74 @@ class HessenbergFactors:
 
 
 class IncrementalLowerFactor:
-    """L^T of H = B^T L^T, grown by one column per nsCRAIG step.
+    """L^T of H = B^T L^T and x with B^T x = beta_1 e1, grown by one step at a time.
 
     Column k of L^T depends only on B_k and the k leading entries of the
-    Hessenberg column h_k, so each step costs one k x k triangular solve
-    instead of rebuilding B, H and the whole factor.
+    Hessenberg column h_k, so each step costs one banded solve with the
+    bidiagonal B^T instead of rebuilding B, H and the whole factor. B^T is
+    stored as LAPACK lower band rows (alpha_i, beta_{i+1}). x holds chi_1..chi_k
+    (nsCRAIG's zetas, by the same recursion), and w = L^{-1} x grows by one
+    forward-substitution entry per step: x . w is the denominator of the
+    delayed error estimate.
     """
 
     def __init__(self, capacity):
-        self.Bt = np.zeros((capacity, capacity))
+        self.band = np.zeros((capacity, 2))
         self.Lt = np.zeros((capacity, capacity))
+        self.x = np.zeros(capacity)
+        self.w = np.zeros(capacity)
         self.k = 0
 
     def append(self, alpha, beta, h):
-        """Add alpha_k, beta_k (below alpha_{k-1} in B^T; unused for k = 1) and h_k."""
-        k = self.k + 1
-        self.Bt = _with_rows(self.Bt, k, square=True)
+        """Add alpha_k, beta_k (below alpha_{k-1} in B^T; beta_1 for k = 1) and h_k."""
+        k = self.k = self.k + 1
+        self.band = _with_rows(self.band, k)
         self.Lt = _with_rows(self.Lt, k, square=True)
-        self.Bt[k - 1, k - 1] = alpha
+        self.x = _with_rows(self.x, k)
+        self.w = _with_rows(self.w, k)
+        self.band[k - 1, 0] = alpha
         if k > 1:
-            self.Bt[k - 1, k - 2] = beta
-        self.Lt[:k, k - 1] = scipy.linalg.solve_triangular(self.Bt[:k, :k], h, lower=True,
-                                                           check_finite=False)
-        self.k = k
+            self.band[k - 2, 1] = beta
+            chi = -(beta / alpha) * self.x[k - 2]
+        else:
+            chi = beta / alpha
+        col = self._bidiagonal_solve(h, "N")
+        self.Lt[:k, k - 1] = col
+        self.x[k - 1] = chi
+        self.w[k - 1] = (chi - col[: k - 1] @ self.w[: k - 1]) / col[k - 1]
+
+    def _bidiagonal_solve(self, rhs, trans):
+        """B^T y = rhs (trans 'N') or B y = rhs (trans 'T'), O(k) for the current k."""
+        y, _ = scipy.linalg.lapack.dtbtrs(self.band[: self.k].T, rhs, uplo="L", trans=trans)
+        return y
 
     def lower_factor(self):
         """The k x k unit lower triangular L (a view)."""
         return self.Lt[: self.k, : self.k].T
+
+    def error_ratio(self, d):
+        """nscraig_error_estimate at the current k, without a k x k solve.
+
+        The denominator sum(chi_i z_i) with L^T z = x is x . (L^{-1} x); the
+        window needs only the trailing d entries of z, which the trailing
+        d x d block of L^T determines.
+        """
+        k = self.k
+        _check_window(self.x, k, d)
+        total = float(self.x[:k] @ self.w[:k])
+        if total == 0.0:
+            raise ValueError("zero denominator in error estimate")
+        x = self.x[k - d:k]
+        z = scipy.linalg.solve_triangular(self.Lt[k - d:k, k - d:k], x, lower=False,
+                                          check_finite=False)
+        return float(x @ z) / total
+
+    def coefficients(self):
+        """y with B y = -z, L^T z = x: the current iterate's coordinates in q_1..q_k."""
+        k = self.k
+        z = scipy.linalg.solve_triangular(self.Lt[:k, :k], self.x[:k], lower=False,
+                                          check_finite=False)
+        return self._bidiagonal_solve(-z, "T")
 
 
 def _with_rows(a, rows, square=False):
@@ -81,8 +122,8 @@ def _with_rows(a, rows, square=False):
     if rows <= len(a):
         return a
     size = 2 * len(a)
-    grown = np.zeros((size, size if square else a.shape[1]))
-    grown[: a.shape[0], : a.shape[1]] = a
+    grown = np.zeros((size, size) if square else (size,) + a.shape[1:])
+    grown[tuple(map(slice, a.shape))] = a
     return grown
 
 
@@ -120,21 +161,28 @@ def assemble_solution(alphas, betas, h_columns, beta1, method="triangular"):
 def gkb_solve(sys, N, cfg, full_orth):
     """Run the generalized Golub-Kahan loop; full_orth selects nsCRAIG over CRAIG.
 
+    The loop carries mv = M v next to v. M w = A q - beta M v is the
+    right-hand side of the M-solve, so it gives w . M w in
+    alpha = sqrt(w . M w + r . s) and, over alpha, the next M v (Arioli,
+    SIMAX 2013): a step applies A, A^T, the M-solve and C once each and
+    never multiplies by M.
     Without full_orth (CRAIG) only the latest q, v, r, s, t vectors are
     retained unless cfg.reorthogonalize or cfg.keep_iterates needs the right
     basis. The basis is one preallocated array of rows q_1, q_2, ...; its
     capacity doubles if a run outgrows min(max_iterations, n) + 1 rows.
     nsCRAIG runs two classical Gram-Schmidt passes over it per step, and
     cfg.reorthogonalize adds one more pass in both modes (CRAIG's only one).
-    Under cfg.keep_iterates every iterate is formed (nsCRAIG: assembled each
-    iteration) and kept with the right basis Q and the Hessenberg columns.
+    Under cfg.keep_iterates every iterate is formed (nsCRAIG: from the
+    incremental L^T factor each iteration) and kept with the right basis Q
+    and the Hessenberg columns; nsCRAIG's returned u, p are assembled on
+    termination either way.
     A NaN or infinite alpha or beta raises NonFiniteError.
     """
     cfg = cfg or SolverConfig()
     if not np.any(sys.b):
         raise ZeroRhsError("b must be nonzero")
     N = N or SpdPreconditioner.identity(sys.n)
-    A, C, Mmat, M = sys.A, sys.C, sys.Mmat, sys.M
+    A, C, M = sys.A, sys.C, sys.M
     t0 = time.perf_counter()
 
     q = N.solve(sys.b)
@@ -148,14 +196,17 @@ def gkb_solve(sys, N, cfg, full_orth):
     Q = np.zeros((capacity, sys.n)) if store_basis else None
     if store_basis:
         Q[0] = q
-    w = M.solve(A.matvec(q))
+    mw = A.matvec(q)
+    w = M.solve(mw)
     r = q.copy()
     s = C.matvec(r)
-    alpha = _finite(float(np.sqrt(max(w @ Mmat.matvec(w) + r @ s, 0.0))), "alpha_1", 1)
+    alpha = _finite(float(np.sqrt(max(w @ mw + r @ s, 0.0))), "alpha_1", 1)
 
     alphas, betas, scalars = [alpha], [beta1], []
     h_columns = [] if full_orth else None
-    lower = IncrementalLowerFactor(capacity) if full_orth and cfg.wants_error_estimate else None
+    eager = full_orth and cfg.keep_iterates
+    lower = (IncrementalLowerFactor(capacity)
+             if full_orth and (cfg.wants_error_estimate or eager) else None)
     history = []
     u_list = [] if cfg.keep_iterates else None
     p_list = [] if cfg.keep_iterates else None
@@ -164,6 +215,7 @@ def gkb_solve(sys, N, cfg, full_orth):
         return SolveResult(np.zeros(sys.m), np.zeros(sys.n), "breakdown", history, beta1=beta1)
 
     v = w / alpha
+    mv = mw / alpha
     t = s / alpha
     zeta = beta1 / alpha
     scalars.append(zeta)
@@ -171,9 +223,8 @@ def gkb_solve(sys, N, cfg, full_orth):
         u = zeta * v
         p = -(zeta / alpha) * r
 
-    def assemble_iterate(k):
-        y = assemble_solution(alphas[:k], betas, h_columns, beta1)
-        p = y @ Q[:k]
+    def assemble_iterate(y):
+        p = y @ Q[: len(y)]
         return -M.solve(A.matvec(p)), p
 
     passes = 2 * int(full_orth) + int(cfg.reorthogonalize)
@@ -200,7 +251,7 @@ def gkb_solve(sys, N, cfg, full_orth):
         betas.append(beta)
 
         if cfg.keep_iterates:
-            ui, pi = assemble_iterate(k) if full_orth else (u, p)
+            ui, pi = assemble_iterate(lower.coefficients()) if eager else (u, p)
             u_list.append(ui)
             p_list.append(pi)
 
@@ -208,7 +259,7 @@ def gkb_solve(sys, N, cfg, full_orth):
         err_est = None
         if cfg.wants_error_estimate and k >= cfg.error_delay:
             if full_orth:
-                ratio = nscraig_error_estimate(scalars, lower.lower_factor(), k, cfg.error_delay)
+                ratio = lower.error_ratio(cfg.error_delay)
             else:
                 ratio = craig_error_estimate(scalars, k, cfg.error_delay)
             err_est = float(np.sqrt(abs(ratio)))
@@ -234,16 +285,17 @@ def gkb_solve(sys, N, cfg, full_orth):
         if store_basis:
             Q = _with_rows(Q, k + 1)
             Q[k] = q
-        w = M.solve(A.matvec(q) - beta * Mmat.matvec(v))
+        mw = A.matvec(q) - beta * mv
+        w = M.solve(mw)
         r = q - (beta / alphas[-1]) * r
         s = C.matvec(r)
-        alpha = _finite(float(np.sqrt(max(w @ Mmat.matvec(w) + r @ s, 0.0))),
-                        f"alpha_{k + 1}", k + 1)
+        alpha = _finite(float(np.sqrt(max(w @ mw + r @ s, 0.0))), f"alpha_{k + 1}", k + 1)
         if alpha <= BREAKDOWN_TOL * alphas[0]:
             termination = "breakdown"
             break
         alphas.append(alpha)
         v = w / alpha
+        mv = mw / alpha
         t = s / alpha
         zeta = -(beta / alpha) * zeta
         scalars.append(zeta)
@@ -253,7 +305,7 @@ def gkb_solve(sys, N, cfg, full_orth):
         k += 1
 
     if full_orth:
-        u, p = (u_list[-1], p_list[-1]) if cfg.keep_iterates else assemble_iterate(k)
+        u, p = assemble_iterate(assemble_solution(alphas[:k], betas, h_columns, beta1))
     kept = cfg.keep_iterates
     return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1,
                        h_columns=h_columns if kept else None, u_iterates=u_list,
@@ -292,9 +344,11 @@ def craig_error_estimate(zetas, k, d):
 
 
 def nscraig_error_estimate(chis, lower_factor, k, d):
-    """Squared delayed relative energy-error estimate for nsCRAIG.
+    """Squared delayed relative energy-error estimate for nsCRAIG (reference form).
 
-    Solves L^T z = x by back substitution (x holds chi_1..chi_k) and returns
+    The solver computes the same ratio per step with
+    IncrementalLowerFactor.error_ratio. This form solves L^T z = x by back
+    substitution (x holds chi_1..chi_k) and returns
     sum(chi_i z_i, i = k-d+1..k) / sum(chi_i z_i, i = 1..k). The ratio can be
     negative or exceed 1: no minimization property holds here. The solver
     monitors the square root of its magnitude, as CRAIG does.

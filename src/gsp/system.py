@@ -18,9 +18,10 @@ CRITERION_BOTH = "both"
 class SaddleSystem:
     """Immutable instance of the block system [[M, A], [A^T, -C]] [u; p] = [0; b].
 
-    M is stored once: Mmat is the sparse matrix (for M v products inside the
-    bidiagonalization updates) and M its factorization (for M^{-1}
-    applications), which refers back to Mmat rather than copying it.
+    M is stored once: Mmat is the sparse matrix and M its factorization (for
+    M^{-1} applications), which refers back to Mmat rather than copying it.
+    The Golub-Kahan loop only solves with M; Mmat serves residual checks,
+    the full-system baselines and oracles, and file output.
     """
 
     M: FactorizedOperator

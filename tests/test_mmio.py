@@ -165,6 +165,11 @@ class TestParseErrors:
             with pytest.raises(LoadError):
                 read(tmp_path / "absent.mtx")
 
+    def test_directory_is_a_load_error(self, tmp_path):
+        for read in (read_matrix_market, read_vector):
+            with pytest.raises(LoadError, match="is a directory"):
+                read(tmp_path)
+
 
 def test_system_manifest_round_trip(tmp_path):
     sys = random_system(8, 4, skew=0.3, c_rank=2, seed=81)
@@ -175,3 +180,12 @@ def test_system_manifest_round_trip(tmp_path):
     assert np.array_equal(back.A.values, sys.A.values)
     assert np.array_equal(back.C.values, sys.C.values)
     assert np.array_equal(back.b, sys.b)
+
+
+def test_manifest_naming_a_directory_is_a_load_error(tmp_path):
+    manifest = save_system(tmp_path, random_system(8, 4, seed=82))
+    (tmp_path / "blocks").mkdir()
+    text = (tmp_path / "system.json").read_text()
+    (tmp_path / "system.json").write_text(text.replace('"A.mtx"', '"blocks"'))
+    with pytest.raises(LoadError, match="is a directory"):
+        load_system(manifest)

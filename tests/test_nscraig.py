@@ -1,9 +1,12 @@
 """nsCRAIG solver: hand values, deferred assembly, estimates, equivalences."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+
+import gsp.nscraig
 
 from conftest import random_preconditioner, random_system
 from gsp import (
@@ -71,13 +74,21 @@ def test_matches_craig_scalars_on_symmetric_input():
 
 
 def test_deferred_and_eager_assembly_agree():
-    sys = random_system(12, 6, skew=0.5, c_rank=3, seed=43)
-    lazy = nscraig_solve(sys, None, SolverConfig(tolerance=1e-10))
-    eager = nscraig_solve(sys, None, SolverConfig(tolerance=1e-10, keep_iterates=True))
-    assert lazy.iterations == eager.iterations
-    assert np.allclose(lazy.p, eager.p, atol=0, rtol=1e-14)
-    assert np.allclose(lazy.u, eager.u, atol=0, rtol=1e-14)
-    assert len(eager.p_iterates) == eager.iterations
+    for sys in (random_system(12, 6, skew=0.5, c_rank=3, seed=43),
+                random_system(40, 20, skew=0.8, c_rank=10, seed=56, spectrum=(1.0, 20.0))):
+        lazy = nscraig_solve(sys, None, SolverConfig(tolerance=1e-10))
+        eager = nscraig_solve(sys, None, SolverConfig(tolerance=1e-10, keep_iterates=True))
+        assert lazy.iterations == eager.iterations
+        assert np.allclose(lazy.p, eager.p, atol=0, rtol=1e-14)
+        assert np.allclose(lazy.u, eager.u, atol=0, rtol=1e-14)
+        assert len(eager.p_iterates) == eager.iterations
+        # Eager iterates come from the incremental factor, not the final assembly.
+        assert np.allclose(eager.u_iterates[-1], lazy.u, rtol=1e-12, atol=0.0)
+        assert np.allclose(eager.p_iterates[-1], lazy.p, rtol=1e-12, atol=0.0)
+        Q = np.array(eager.Q)
+        for k, p in enumerate(eager.p_iterates, start=1):
+            y = assemble_solution(eager.alphas[:k], eager.betas, eager.h_columns, eager.beta1)
+            assert np.linalg.norm(p - y @ Q[:k]) <= 1e-12 * np.linalg.norm(p)
 
 
 def test_triangular_and_dense_assembly_cross_check():
@@ -261,3 +272,66 @@ def test_non_finite_beta_is_refused(solve, skew):
     N = _NanFromFourthSolve(random_preconditioner(6, seed=52))
     with pytest.raises(NonFiniteError, match="beta_4 is nan at iteration 3"):
         solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=500))
+
+
+class _Counted:
+    """Forwards every attribute to target; the named methods also log each call."""
+
+    def __init__(self, target, label, log, *methods):
+        self._target = target
+        for name in methods:
+            def counted(*args, _fn=getattr(target, name), _key=f"{label}.{name}"):
+                out = _fn(*args)
+                log.append((_key, args, out))
+                return out
+            setattr(self, name, counted)
+
+    def __getattr__(self, attr):
+        return getattr(self._target, attr)
+
+
+class _System(_Counted):
+    """A saddle system whose blocks log every product and solve."""
+
+    def __init__(self, sys, log):
+        super().__init__(sys, "sys", log)
+        self.M = _Counted(sys.M, "M", log, "solve", "apply")
+        self.Mmat = _Counted(sys.Mmat, "Mmat", log, "matvec", "rmatvec")
+        self.A = _Counted(sys.A, "A", log, "matvec", "rmatvec")
+        self.C = _Counted(sys.C, "C", log, "matvec")
+
+
+@pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5)])
+def test_one_kernel_application_each_per_iteration(monkeypatch, solve, skew):
+    sys = random_system(40, 20, skew=skew, c_rank=10, seed=54, spectrum=(1.0, 20.0))
+    log, marks = [], []
+    record = gsp.nscraig.ConvergenceRecord
+
+    def marked(*args):
+        marks.append(len(log))
+        return record(*args)
+
+    monkeypatch.setattr(gsp.nscraig, "ConvergenceRecord", marked)
+    res = solve(_System(sys, log), random_preconditioner(20, seed=54),
+                SolverConfig(tolerance=1e-10))
+    assert res.converged and res.iterations > 5
+    assert not [key for key, _, _ in log if key.startswith("Mmat.") or key == "M.apply"]
+    windows = [Counter(key for key, _, _ in log[a:b]) for a, b in zip(marks, marks[1:])]
+    assert len(windows) == res.iterations - 1
+    one_each = {"A.matvec": 1, "A.rmatvec": 1, "M.solve": 1, "C.matvec": 1}
+    assert all(window == one_each for window in windows)
+
+
+def test_carried_m_v_matches_explicit_product():
+    # Step k + 1 solves M w = A q_{k+1} - beta_{k+1} M v_k with M v_k carried
+    # as the previous right-hand side over alpha_k, never formed by Mmat.
+    sys = random_system(40, 20, skew=0.8, c_rank=10, seed=55, spectrum=(1.0, 20.0))
+    log = []
+    res = nscraig_solve(_System(sys, log), None, SolverConfig(tolerance=1e-10))
+    aq = [out for key, _, out in log if key == "A.matvec"]
+    solves = [(args[0], out) for key, args, out in log if key == "M.solve"]
+    assert res.iterations > 5
+    for j in range(1, res.iterations):
+        mv = sys.Mmat.matvec(solves[j - 1][1] / res.alphas[j - 1])
+        expected = aq[j] - res.betas[j] * mv
+        assert np.linalg.norm(solves[j][0] - expected) <= 1e-13 * np.linalg.norm(expected)
