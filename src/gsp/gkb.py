@@ -121,9 +121,13 @@ def assemble_bidiagonal(alphas, betas, k=None):
 
 
 def assemble_hessenberg(h_columns, betas, k=None):
-    """Upper Hessenberg H_k from orthogonalization columns and subdiagonal betas."""
+    """Upper Hessenberg H_k from orthogonalization columns and subdiagonal betas.
+
+    H is stored column-major: each column is written contiguously, and
+    LAPACK's solves read it without a copy.
+    """
     k = k or len(h_columns)
-    H = np.zeros((k, k))
+    H = np.zeros((k, k), order="F")
     for j in range(k):
         col = np.asarray(h_columns[j], dtype=float)
         H[: j + 1, j] = col[: j + 1]

@@ -214,17 +214,19 @@ def _dense_factor(kind, K):
 def _sparse_factor(kind, K):
     """SuperLU factor of K^T, whose CSC arrays are K's CSR arrays (no copy).
 
-    cholesky-spd asks for a symmetric ordering and diagonal pivots; a
-    symmetric K is positive definite exactly when SuperLU kept every pivot on
-    the diagonal (perm_r == perm_c) and all of them are positive.
+    Both kinds order the columns by minimum degree on the structure of
+    K^T + K, which on a structurally symmetric stencil (the Oseen channel's
+    convection-diffusion M) fills in less than SuperLU's default COLAMD.
+    lu-general keeps partial pivoting. cholesky-spd asks for diagonal pivots;
+    a symmetric K is positive definite exactly when SuperLU kept every pivot
+    on the diagonal (perm_r == perm_c) and all of them are positive.
     """
     import scipy.sparse.linalg  # here, so a dense-only run never loads SuperLU (about 2 MB)
 
     spd = kind == "cholesky-spd"
-    options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True)) if spd else {}
+    options = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)) if spd else {}
     try:
-        lu = scipy.sparse.linalg.splu(K.csr.T, **options)
+        lu = scipy.sparse.linalg.splu(K.csr.T, permc_spec="MMD_AT_PLUS_A", **options)
     except RuntimeError as exc:  # SuperLU found an exactly zero pivot
         if spd:
             raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
@@ -248,11 +250,12 @@ def factorize(kind, K):
     densified once, and a LAPACK Cholesky/LU overwrites that copy (dimension
     capped at DENSE_FACTOR_LIMIT): at full density a dense factor is several
     times faster to build than SuperLU's. Any other K is factored by SuperLU
-    from its sparse storage, with no size cap and no dense copy. Known
-    limitation: random (expander-like) sparsity fills in almost completely
-    under any ordering, so such a K below the threshold factors and solves
-    slower under SuperLU than it would dense; grid stencils such as the
-    Stokes/Oseen channel stay sparse.
+    from its sparse storage, with no size cap and no dense copy, after a
+    minimum-degree ordering of K^T + K (lu-general keeps partial pivoting).
+    Known limitation: random (expander-like) sparsity fills in almost
+    completely under any ordering, so such a K below the threshold factors
+    and solves slower under SuperLU than it would dense; grid stencils such
+    as the Stokes/Oseen channel stay sparse.
     """
     K = as_sparse(K)
     n = K.rows

@@ -4,11 +4,13 @@ One loop serves both solvers. CRAIG orthogonalizes each new right vector
 against the previous one only (three-term recurrence) and updates both
 iterates by short recurrences. nsCRAIG orthogonalizes it against the whole
 stored right basis in the N inner product by classical Gram-Schmidt run
-twice (CGS2: each pass is two matrix products over the basis, and two passes
-keep it orthogonal to working precision). The summed projection
+twice (CGS2, which keeps the basis orthogonal to working precision), with
+each vector's second pass lagged into the next step's projection (DCGS2):
+a step reads the stored basis twice, in one product that forms the
+coefficients of both passes and one that subtracts them. The projection
 coefficients form the Hessenberg columns, and solution assembly is deferred
-until the stopping rule fires: one Hessenberg solve and one bidiagonal back
-substitution.
+until the stopping rule fires: one banded solve for the lower factor, one
+triangular solve and one bidiagonal back substitution.
 """
 
 from __future__ import annotations
@@ -38,8 +40,16 @@ class HessenbergFactors:
         return cls(assemble_bidiagonal(alphas, betas, k), assemble_hessenberg(h_columns, betas, k))
 
     def lower_factor(self):
-        """Unit lower triangular L with H = B^T L^T, extracted by triangular solve."""
-        return scipy.linalg.solve_triangular(self.B.T, self.H, lower=True).T
+        """Unit lower triangular L with H = B^T L^T, by one banded solve with B^T.
+
+        B^T has one subdiagonal, so the solve costs O(k^2) for the k x k H
+        (a dense triangular solve would cost O(k^3)).
+        """
+        band = np.zeros((2, len(self.B)))
+        band[0] = np.diag(self.B)
+        band[1, :-1] = np.diag(self.B, 1)
+        Lt, _ = scipy.linalg.lapack.dtbtrs(band, self.H, uplo="L")
+        return Lt.T
 
 
 class IncrementalLowerFactor:
@@ -133,12 +143,41 @@ def _finite(value, name, k):
     return value
 
 
+def _lagged_cgs2(Q, k, nq, g, ng):
+    """Step k of nsCRAIG's Gram-Schmidt: CGS2 in two sweeps over the stored basis.
+
+    Rows Q[:k-1] are final. Q[k-1] holds q~_k, the vector after one pass,
+    normalized in the N norm, that drove the step-k recurrences; nq = N q~_k
+    and ng = N g. One product gives q~_k's second-pass coefficients a, g's
+    first-pass coefficients b and q~_k . N g; one more subtracts Q a and Q b.
+    q_k = (q~_k - Q a)/rho with rho = sqrt(1 - a . a) replaces row k-1, and
+    g loses its q_k component d = (q~_k . N g - a . b)/rho with no further N
+    product. g's own second pass is lagged to step k + 1 (DCGS2: Swirydowicz,
+    Langou, Ananthan, Yang and Thomas, NLAA 2021). Returns (g, h) with the
+    Hessenberg column h = [b, d], or None when 1 - a . a <= 0, i.e. q~_k has
+    no N-norm left outside the final basis.
+    """
+    coef = np.array([nq, ng]) @ Q[:k].T
+    ab = coef[:, : k - 1]
+    a, b = ab
+    rho2 = 1.0 - a @ a
+    if rho2 <= 0.0:
+        return None
+    rho = math.sqrt(rho2)
+    pair = np.array([Q[k - 1], g]) - ab @ Q[: k - 1]
+    q = Q[k - 1] = pair[0] / rho
+    h = coef[1].copy()  # b, then q~_k . N g until it is replaced by d
+    h[k - 1] = (h[k - 1] - a @ b) / rho
+    return pair[1] - h[k - 1] * q, h
+
+
 def assemble_solution(alphas, betas, h_columns, beta1, method="triangular"):
     """Solve for the small coefficient vector y with B y = -z, H z = beta_1 e1.
 
-    'triangular' exploits H = B^T L^T (forward substitution for the chi
-    recursion, one back substitution with L^T); 'dense' solves the assembled
-    Hessenberg with row-pivoted elimination as a cross-check.
+    'triangular' exploits H = B^T L^T (one banded solve with B^T for L^T,
+    the chi recursion, one back substitution with L^T: O(k^2) in all);
+    'dense' solves the assembled Hessenberg with row-pivoted elimination,
+    O(k^3), as a cross-check.
     """
     k = len(alphas)
     factors = HessenbergFactors.assemble(alphas, betas, h_columns, k)
@@ -170,8 +209,15 @@ def gkb_solve(sys, N, cfg, full_orth):
     retained unless cfg.reorthogonalize or cfg.keep_iterates needs the right
     basis. The basis is one preallocated array of rows q_1, q_2, ...; its
     capacity doubles if a run outgrows min(max_iterations, n) + 1 rows.
-    nsCRAIG runs two classical Gram-Schmidt passes over it per step, and
-    cfg.reorthogonalize adds one more pass in both modes (CRAIG's only one).
+    nsCRAIG orthogonalizes by CGS2 with the second pass lagged one step
+    (_lagged_cgs2): step k drives its recurrences with q~_k, the vector after
+    one pass, and finishes q_k in row k-1 of the basis while projecting the
+    new vector, so the rows a step reads are final (eager iterates, the
+    assembly, result.Q). A step of either solver makes one N-solve and two N
+    products. cfg.reorthogonalize adds one explicit classical Gram-Schmidt
+    pass over the final basis, and one N product, per step in both modes
+    (CRAIG's only pass). If the lagged pass finds 1 - a . a <= 0, the run
+    ends with termination "breakdown" and the previous step's iterate.
     Under cfg.keep_iterates every iterate is formed (nsCRAIG: from the
     incremental L^T factor each iteration) and kept with the right basis Q
     and the Hessenberg columns; nsCRAIG's returned u, p are assembled on
@@ -190,7 +236,7 @@ def gkb_solve(sys, N, cfg, full_orth):
     if beta1 == 0.0:
         raise ZeroRhsError("b has zero N^{-1}-norm")
     q = q / beta1
-    nq = None if full_orth else N.apply(q)
+    nq = N.apply(q)
     store_basis = full_orth or cfg.reorthogonalize or cfg.keep_iterates
     capacity = min(cfg.max_iterations, sys.n) + 1
     Q = np.zeros((capacity, sys.n)) if store_basis else None
@@ -227,27 +273,31 @@ def gkb_solve(sys, N, cfg, full_orth):
         p = y @ Q[: len(y)]
         return -M.solve(A.matvec(p)), p
 
-    passes = 2 * int(full_orth) + int(cfg.reorthogonalize)
     k = 1
     termination = "max-iterations"
     fired = None
     while True:
         if full_orth:
             g = N.solve(A.rmatvec(v) + t)
+            step = _lagged_cgs2(Q, k, nq, g, N.apply(g))
+            if step is None:
+                termination = "breakdown"
+                k -= 1
+                break
+            g, h = step
         else:
             g = N.solve(A.rmatvec(v) + t - alphas[-1] * nq)
-        if passes:
-            basis = Q[:k]
-            h = np.zeros(k)
-            for _ in range(passes):
-                c = basis @ N.apply(g)
-                g = g - c @ basis
-                h += c
+        if cfg.reorthogonalize:
+            c = Q[:k] @ N.apply(g)
+            g = g - c @ Q[:k]
             if full_orth:
-                h_columns.append(h)
+                h += c
+        if full_orth:
+            h_columns.append(h)
         if lower is not None:
             lower.append(alphas[-1], betas[-1], h)
-        beta = _finite(float(np.sqrt(max(g @ N.apply(g), 0.0))), f"beta_{k + 1}", k)
+        ng = N.apply(g)
+        beta = _finite(float(np.sqrt(max(g @ ng, 0.0))), f"beta_{k + 1}", k)
         betas.append(beta)
 
         if cfg.keep_iterates:
@@ -280,8 +330,7 @@ def gkb_solve(sys, N, cfg, full_orth):
             break
 
         q = g / beta
-        if not full_orth:
-            nq = N.apply(q)
+        nq = ng / beta if full_orth else N.apply(q)
         if store_basis:
             Q = _with_rows(Q, k + 1)
             Q[k] = q

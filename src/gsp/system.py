@@ -78,10 +78,11 @@ class SolverConfig:
     criterion selects the stopping rule: 'relative-residual' monitors
     (beta_{k+1}/beta_1)|zeta_k| (or the chi analogue), 'error-estimate' the
     delayed energy-error estimate with window error_delay, 'both' stops on
-    whichever fires first. reorthogonalize adds one more classical Gram-Schmidt
-    pass over the stored right basis (CRAIG: its only pass; nsCRAIG: a third
-    one after its two). keep_iterates retains per-iteration (u, p), the right
-    basis and nsCRAIG's Hessenberg columns for replay diagnostics.
+    whichever fires first. reorthogonalize adds one explicit classical
+    Gram-Schmidt pass per step over the stored right basis, at the cost of one
+    more N product (CRAIG: its only pass; nsCRAIG: one more after its lagged
+    CGS2, over the final rows). keep_iterates retains per-iteration (u, p),
+    the right basis and nsCRAIG's Hessenberg columns for replay diagnostics.
     """
 
     tolerance: float = 1e-6

@@ -250,6 +250,56 @@ def test_cgs2_keeps_basis_orthogonal():
     assert np.abs(Q @ NQ.T - np.eye(len(Q))).max() <= 1e-12
 
 
+def test_lagged_cgs2_keeps_long_oseen_basis_orthogonal():
+    # 320 steps on a 575-pressure Oseen channel with a non-identity N. Skipping
+    # the lagged second pass (one classical Gram-Schmidt pass per step) leaves
+    # max|Q^T N Q - I| at 1.0 here.
+    sys = gen_stokes_channel(StokesSpec(nx=24, ny=24, viscosity=1e-3, oseen_wind="poiseuille"))
+    N = random_preconditioner(sys.n, seed=6)
+    res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=320,
+                                             keep_iterates=True))
+    assert res.iterations == 320
+    Q = np.array(res.Q)
+    NQ = np.array([N.apply(q) for q in Q])
+    assert np.abs(Q @ NQ.T - np.eye(len(Q))).max() <= 1e-12
+
+
+class _ScaledProducts:
+    """N's solves, but products scaled by a factor: N.apply is no longer N.solve's inverse."""
+
+    def __init__(self, N, factor):
+        self._N = N
+        self.factor = factor
+
+    def solve(self, x):
+        return self._N.solve(x)
+
+    def apply(self, x):
+        return self.factor * self._N.apply(x)
+
+
+def test_lost_lagged_pass_ends_in_breakdown(monkeypatch):
+    # With products twice too large, q~_2 appears to lie inside span(q_1) in
+    # the N inner product: 1 - a.a <= 0 at step 2. The run stops there and
+    # returns the step-1 iterate, whose basis row is final.
+    sys = random_system(12, 6, skew=0.5, c_rank=3, seed=57)
+    N = _ScaledProducts(random_preconditioner(6, seed=57), 2.0)
+    steps = []
+    lagged = gsp.nscraig._lagged_cgs2
+
+    def spy(*args):
+        steps.append(lagged(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(gsp.nscraig, "_lagged_cgs2", spy)
+    res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-12, keep_iterates=True))
+    assert res.termination == "breakdown" and not res.converged
+    assert len(steps) == 2 and steps[-1] is None
+    assert res.iterations == 1 and len(res.Q) == 1 and len(res.p_iterates) == 1
+    first = nscraig_solve(sys, N, SolverConfig(max_iterations=1))
+    assert np.array_equal(res.u, first.u) and np.array_equal(res.p, first.p)
+
+
 class _NanFromFourthSolve:
     """Preconditioner whose solve returns NaN from its fourth call on."""
 
@@ -301,8 +351,8 @@ class _System(_Counted):
         self.C = _Counted(sys.C, "C", log, "matvec")
 
 
-@pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5)])
-def test_one_kernel_application_each_per_iteration(monkeypatch, solve, skew):
+def _kernel_windows(monkeypatch, solve, skew, cfg):
+    """Counters of the logged kernel calls between consecutive iteration records."""
     sys = random_system(40, 20, skew=skew, c_rank=10, seed=54, spectrum=(1.0, 20.0))
     log, marks = [], []
     record = gsp.nscraig.ConvergenceRecord
@@ -312,13 +362,31 @@ def test_one_kernel_application_each_per_iteration(monkeypatch, solve, skew):
         return record(*args)
 
     monkeypatch.setattr(gsp.nscraig, "ConvergenceRecord", marked)
-    res = solve(_System(sys, log), random_preconditioner(20, seed=54),
-                SolverConfig(tolerance=1e-10))
+    N = _Counted(random_preconditioner(20, seed=54), "N", log, "solve", "apply")
+    res = solve(_System(sys, log), N, cfg)
     assert res.converged and res.iterations > 5
     assert not [key for key, _, _ in log if key.startswith("Mmat.") or key == "M.apply"]
     windows = [Counter(key for key, _, _ in log[a:b]) for a, b in zip(marks, marks[1:])]
     assert len(windows) == res.iterations - 1
-    one_each = {"A.matvec": 1, "A.rmatvec": 1, "M.solve": 1, "C.matvec": 1}
+    return windows
+
+
+@pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5)])
+def test_one_kernel_application_each_per_iteration(monkeypatch, solve, skew):
+    # Both solvers make one N-solve and two N products per step, in every
+    # step: nsCRAIG's lagged second Gram-Schmidt pass needs no third.
+    windows = _kernel_windows(monkeypatch, solve, skew, SolverConfig(tolerance=1e-10))
+    one_each = {"A.matvec": 1, "A.rmatvec": 1, "M.solve": 1, "C.matvec": 1,
+                "N.solve": 1, "N.apply": 2}
+    assert all(window == one_each for window in windows)
+
+
+@pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5)])
+def test_reorthogonalize_adds_one_n_product_per_iteration(monkeypatch, solve, skew):
+    windows = _kernel_windows(monkeypatch, solve, skew,
+                              SolverConfig(tolerance=1e-10, reorthogonalize=True))
+    one_each = {"A.matvec": 1, "A.rmatvec": 1, "M.solve": 1, "C.matvec": 1,
+                "N.solve": 1, "N.apply": 3}
     assert all(window == one_each for window in windows)
 
 
