@@ -1,10 +1,14 @@
 """Sparse matrices, weighted inner products, and exact factorizations.
 
 SparseMatrix stores one canonical scipy.sparse CSR array: rows in order,
-strictly increasing columns within a row, no duplicates. scipy's CSR kernels
-sum each output entry's terms in storage order (row-major, ascending column),
-for A x and, through the transposed view, for A^T y, so repeated runs are
-bit-reproducible.
+strictly increasing columns within a row, no duplicates. A partly stored
+matrix multiplies through scipy's CSR kernels, which sum each output entry's
+terms in storage order (row-major, ascending column), for A x and, through
+the transposed view, for A^T y. A fully stored matrix (all rows x cols
+entries) multiplies by BLAS gemv on a view of csr.data, which in canonical
+CSR order is already the row-major dense matrix, so no second copy exists.
+Repeated runs are bit-reproducible: the CSR kernels always, gemv for a fixed
+BLAS build and thread count.
 
 factorize factors a sparsely stored matrix with SuperLU, straight from its
 CSR arrays and with no size cap, and a densely stored one with LAPACK on a
@@ -43,11 +47,15 @@ class SparseMatrix:
     """Immutable matrix held as one canonical scipy.sparse CSR array.
 
     Duplicate (row, col) entries are forbidden; explicit zeros are allowed.
-    The transposed view used by rmatvec shares the CSR arrays.
+    The transposed view used by rmatvec shares the CSR arrays. When every
+    entry is stored, _full is csr.data viewed as the rows x cols row-major
+    matrix, and matvec/rmatvec run BLAS gemv on it; otherwise it is None and
+    they run scipy's CSR/CSC kernels.
     """
 
     csr: scipy.sparse.csr_array
     _transposed: scipy.sparse.csc_array = field(init=False, repr=False)
+    _full: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         csr = self.csr
@@ -58,6 +66,9 @@ class SparseMatrix:
         if not csr.has_canonical_format:
             raise DimensionError("col indices must strictly increase within each row")
         object.__setattr__(self, "_transposed", csr.T)
+        # Canonical storage holds a full row only as columns 0..cols-1 in order.
+        full = csr.nnz == csr.shape[0] * csr.shape[1] > 0
+        object.__setattr__(self, "_full", csr.data.reshape(csr.shape) if full else None)
 
     @classmethod
     def from_csr(cls, rows, cols, row_offsets, col_indices, values):
@@ -117,16 +128,23 @@ class SparseMatrix:
     def to_dense(self):
         """Dense copy in Fortran order, which LAPACK factors in place.
 
-        The COO scatter writes that order directly; CSR's toarray(order="F")
-        would first build a CSC copy of every stored entry.
+        A fully stored matrix copies its view (np.array always copies, where
+        np.asfortranarray would return a 1 x n or n x 1 view itself and let
+        the factor overwrite csr.data). Otherwise the COO scatter writes
+        Fortran order directly; CSR's toarray(order="F") would first build a
+        CSC copy of every stored entry.
         """
+        if self._full is not None:
+            return np.array(self._full, order="F")
         return self.csr.tocoo().toarray(order="F")
 
     def matvec(self, x):
-        return self.csr @ _as_float_vector(x, self.cols)
+        x = _as_float_vector(x, self.cols)
+        return self.csr @ x if self._full is None else self._full @ x
 
     def rmatvec(self, x):
-        return self._transposed @ _as_float_vector(x, self.rows)
+        x = _as_float_vector(x, self.rows)
+        return self._transposed @ x if self._full is None else x @ self._full
 
     def is_symmetric(self):
         """max|K - K^T| <= 1e-12 max|K|, computed from the stored entries only."""
@@ -177,9 +195,15 @@ class FactorizedOperator:
             return b / f
         if not isinstance(f, tuple):  # a SuperLU factor of K^T
             return f.solve(b, trans="T")
+        # LAPACK directly: scipy's cho_solve/lu_solve wrappers cost more than
+        # the triangular solves at the dimensions the dense path serves.
         if self.kind == "cholesky-spd":
-            return scipy.linalg.cho_solve(f, b, check_finite=False)
-        return scipy.linalg.lu_solve(f, b, check_finite=False)
+            x, info = scipy.linalg.lapack.dpotrs(f[0], b, lower=f[1])
+        else:
+            x, info = scipy.linalg.lapack.dgetrs(f[0], f[1], b)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of the LAPACK solve")
+        return x
 
 
 def as_sparse(K):

@@ -65,11 +65,12 @@ def gen_random(spec):
     for j in range(n):
         rows = rng.choice(m, size=per_col, replace=False)
         Ad[rows, j] = rng.standard_normal(per_col)
-    U, sv, Vt = np.linalg.svd(Ad, full_matrices=False)
+    sv = np.linalg.svd(Ad, compute_uv=False)
     if sv[0] == 0.0:
         raise RankRepairError("coupling block is identically zero")
-    deficient = sv < 1e-10 * sv[0]
-    if np.any(deficient):
+    if np.any(sv < 1e-10 * sv[0]):
+        U, sv, Vt = np.linalg.svd(Ad, full_matrices=False)  # singular vectors only to repair
+        deficient = sv < 1e-10 * sv[0]
         sv = np.where(deficient, 1e-2 * sv[0], sv)
         Ad = (U * sv) @ Vt
         if np.linalg.matrix_rank(Ad) < n:

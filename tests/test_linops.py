@@ -79,13 +79,18 @@ class TestSparseMatrix:
             SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])  # duplicates
 
     def test_products_sum_in_storage_order(self):
-        """A x and A^T y add each entry's terms left to right, row-major by column."""
+        """A partly stored A sums A x and A^T y left to right, row-major by column.
+
+        A fully stored A runs BLAS gemv instead (test below), so every trial
+        leaves at least one entry unstored.
+        """
         rng = np.random.default_rng(7)
         order_sensitive = False
         for trial in range(20):
             m, n = rng.integers(1, 25, size=2)
             a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-15, 16, size=(m, n))
             a *= rng.random((m, n)) < 0.6
+            a[rng.integers(m), rng.integers(n)] = 0.0
             x, y = rng.standard_normal(n), rng.standard_normal(m)
             ax, aty, ax_reversed = np.zeros(m), np.zeros(n), np.zeros(m)
             for i in range(m):
@@ -97,10 +102,24 @@ class TestSparseMatrix:
                     if a[i, j] != 0.0:
                         ax_reversed[i] += a[i, j] * x[j]
             A = SparseMatrix.from_dense(a)
+            assert A._full is None
             assert A.matvec(x).tobytes() == ax.tobytes()
             assert A.rmatvec(y).tobytes() == aty.tobytes()
             order_sensitive |= ax_reversed.tobytes() != ax.tobytes()
         assert order_sensitive  # the data can tell summation orders apart
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (40, 30)])
+    def test_full_storage_products_use_blas_view(self, shape):
+        """A fully stored A multiplies by gemv on csr.data viewed as the dense matrix."""
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal(shape)
+        x, y = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+        A = SparseMatrix.from_dense(a)
+        assert np.shares_memory(A._full, A.csr.data)
+        assert A.matvec(x).tobytes() == (a @ x).tobytes()
+        assert A.rmatvec(y).tobytes() == (y @ a).tobytes()
+        a[-1, 0] = 0.0  # from_dense drops the zero: one entry unstored
+        assert SparseMatrix.from_dense(a)._full is None
 
     def test_round_trip_dense(self):
         rng = np.random.default_rng(1)
@@ -167,6 +186,34 @@ class TestFactorize:
     def test_cholesky_rejects_asymmetric(self):
         with pytest.raises(NotSpdError):
             factorize("cholesky-spd", np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("kind, a", [
+        ("cholesky-spd", [[4.0]]),
+        ("lu-general", [[-2.0]]),
+        ("cholesky-spd", [[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]]),
+        ("lu-general", [[1.0, 2.0, 3.0], [0.5, 4.0, 1.0], [2.0, 1.0, 5.0]]),
+    ])
+    def test_dense_factor_leaves_full_storage_intact(self, kind, a):
+        """The dense factor overwrites a copy, never the csr.data it densified."""
+        K = SparseMatrix.from_dense(a)
+        stored = K.csr.data.copy()
+        op = factorize(kind, K)
+        assert np.array_equal(K.csr.data, stored)
+        b = np.arange(1.0, K.rows + 1)
+        assert np.allclose(np.asarray(a) @ op.solve(b), b, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["cholesky-spd", "lu-general"])
+    def test_dense_solve_matches_scipy_wrappers(self, kind):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((30, 30))
+        a = g @ g.T + 30.0 * np.eye(30) if kind == "cholesky-spd" else g
+        b = rng.standard_normal(30)
+        op = factorize(kind, a)
+        if kind == "cholesky-spd":
+            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+        else:
+            expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+        assert op.solve(b).tobytes() == expected.tobytes()
 
     def test_lu_singular(self):
         with pytest.raises(SingularOperatorError):

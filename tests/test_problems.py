@@ -71,6 +71,13 @@ class TestGenRandom:
         sv = np.linalg.svd(sys.A.to_dense(), compute_uv=False)
         assert sv.min() > 1e-10 * sv.max()
 
+    def test_rank_repair_restores_full_rank(self):
+        # One entry per column (per_col = 1); seed 1 puts two columns on the
+        # same row, so A is rank deficient until the repair mixes the columns.
+        sys = gen_random(RandomSpec(m=6, n=4, density=0.1, seed=1))
+        assert sys.A.nnz > sys.n  # repaired: no longer one entry per column
+        assert np.linalg.matrix_rank(sys.A.to_dense()) == sys.n
+
 
 class TestGenStokes:
     def test_dimension_formula(self):
@@ -175,6 +182,14 @@ class TestGenStokes:
 
         sys = gen_stokes_channel(spec)
         assert (digest(sys.Mmat), digest(sys.A), digest(sys.C)) == (m_digest, a_digest, c_digest)
+
+    @pytest.mark.parametrize("spec", [
+        StokesSpec(nx=48, ny=48),
+        StokesSpec(nx=32, ny=32, viscosity=1e-3, oseen_wind="poiseuille"),
+    ])
+    def test_benchmark_channel_blocks_are_not_fully_stored(self, spec):
+        sys = gen_stokes_channel(spec)
+        assert [S._full for S in (sys.Mmat, sys.A, sys.C)] == [None, None, None]  # CSR kernels
 
     @pytest.mark.parametrize("wind", [None, "poiseuille"])
     def test_generation_does_not_densify(self, monkeypatch, wind):
