@@ -37,6 +37,7 @@ SOLVERS = {
     "pgmres": pgmres_solve,
 }
 NEEDS_SYMMETRIC = {"craig", "scr-cg", "pminres"}
+JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string"}
 HISTORY_COLUMNS = ("k", "res_rel", "err_est", "alpha", "beta_next", "scalar", "wall_time_s")
 
 
@@ -62,16 +63,25 @@ class RunManifest:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read manifest {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise UsageError(f"manifest {path} must hold a JSON object")
         try:
-            problem = dict(doc["problem"])
-            solvers = list(doc["solvers"])
-            output_dir = doc.get("output_dir", ".")
+            problem, solvers = doc["problem"], doc["solvers"]
         except KeyError as exc:
             raise UsageError(f"manifest missing key {exc}") from exc
-        cfg_doc = dict(doc.get("config", {}))
+        cfg_doc = doc.get("config", {})
+        output_dir = doc.get("output_dir", ".")
+        for key, value, kind in (("problem", problem, dict), ("solvers", solvers, list),
+                                 ("config", cfg_doc, dict), ("output_dir", output_dir, str)):
+            if not isinstance(value, kind):
+                raise UsageError(f"manifest '{key}' must be a JSON {JSON_TYPE_NAMES[kind]}, "
+                                 f"got {value!r}")
+        cfg_doc = dict(cfg_doc)
         criterion = cfg_doc.pop("criterion", "relative-residual")
         delay = cfg_doc.pop("error_delay", 5)
         if isinstance(criterion, dict):  # {"error-estimate": d}
+            if len(criterion) != 1:
+                raise UsageError(f"criterion object must have exactly one entry, got {criterion}")
             (criterion, delay), = criterion.items()
         try:
             cfg = SolverConfig(
@@ -81,11 +91,11 @@ class RunManifest:
                 error_delay=int(delay),
                 reorthogonalize=bool(cfg_doc.pop("reorthogonalize", False)),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
         if cfg_doc:
             raise UsageError(f"unknown config keys: {sorted(cfg_doc)}")
-        unknown = [s for s in solvers if s not in SOLVERS]
+        unknown = [s for s in solvers if not isinstance(s, str) or s not in SOLVERS]
         if unknown:
             raise UsageError(f"unknown solvers: {unknown}")
         return cls(problem, solvers, cfg, output_dir,
@@ -109,7 +119,7 @@ def build_problem(manifest):
                 c_rank=int(spec.pop("c_rank", 0)),
                 seed=int(spec.pop("seed", 0)),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad random problem spec: {exc}") from exc
         system = gen_random(rspec)
     elif source == "generate-stokes":
@@ -121,15 +131,15 @@ def build_problem(manifest):
                 gamma=float(spec.pop("gamma", 0.25)),
                 oseen_wind=spec.pop("oseen_wind", None),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad stokes problem spec: {exc}") from exc
         prob = gen_stokes_channel_detailed(sspec)
         system, precond = prob.system, prob.preconditioner
     elif source == "load":
-        try:
-            system = load_system(spec.pop("path"))
-        except KeyError as exc:
-            raise UsageError(f"load source needs a 'path': {exc}") from exc
+        path = spec.pop("path", None)
+        if not isinstance(path, str):  # open(0) would read stdin
+            raise UsageError(f"load source needs a string 'path', got {path!r}")
+        system = load_system(path)
     else:
         raise UsageError(f"unknown problem source '{source}'")
     if spec:

@@ -136,9 +136,12 @@ def load_system(manifest_path):
     try:
         m_file, a_file, c_file, b_file = [os.path.join(base, manifest[key]) for key in
                                           ("m_file", "a_file", "c_file", "b_file")]
-        symmetric = bool(manifest["symmetric"])
+        symmetric = manifest["symmetric"]
     except (KeyError, TypeError) as exc:
         raise LoadError(f"bad manifest {manifest_path}: missing or invalid key {exc}") from exc
+    if not isinstance(symmetric, bool):  # bool("false") is True
+        raise LoadError(f"bad manifest {manifest_path}: 'symmetric' must be true or false, "
+                        f"got {symmetric!r}")
     M = read_matrix_market(m_file)
     A = read_matrix_market(a_file)
     C = read_matrix_market(c_file)

@@ -8,9 +8,10 @@ twice (CGS2, which keeps the basis orthogonal to working precision), with
 each vector's second pass lagged into the next step's projection (DCGS2):
 a step reads the stored basis twice, in one product that forms the
 coefficients of both passes and one that subtracts them. The projection
-coefficients form the Hessenberg columns, and solution assembly is deferred
-until the stopping rule fires: one banded solve for the lower factor, one
-triangular solve and one bidiagonal back substitution.
+coefficients form the Hessenberg columns. Every step appends one column of
+the lower factor L^T of H = B^T L^T (one banded solve with B^T), and solution
+assembly is deferred until the stopping rule fires: one triangular solve with
+that L^T and one bidiagonal back substitution.
 """
 
 from __future__ import annotations
@@ -22,34 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BreakdownError, InsufficientHistoryError, NonFiniteError, ZeroRhsError
-from .gkb import BREAKDOWN_TOL, assemble_bidiagonal, assemble_hessenberg
+from .errors import InsufficientHistoryError, NonFiniteError, ZeroRhsError
+from .gkb import BREAKDOWN_TOL
 from .linops import SpdPreconditioner
 from .system import ConvergenceRecord, SolveResult, SolverConfig
-
-
-@dataclass
-class HessenbergFactors:
-    """Assembled small factors of a nsCRAIG run."""
-
-    B: np.ndarray
-    H: np.ndarray
-
-    @classmethod
-    def assemble(cls, alphas, betas, h_columns, k):
-        return cls(assemble_bidiagonal(alphas, betas, k), assemble_hessenberg(h_columns, betas, k))
-
-    def lower_factor(self):
-        """Unit lower triangular L with H = B^T L^T, by one banded solve with B^T.
-
-        B^T has one subdiagonal, so the solve costs O(k^2) for the k x k H
-        (a dense triangular solve would cost O(k^3)).
-        """
-        band = np.zeros((2, len(self.B)))
-        band[0] = np.diag(self.B)
-        band[1, :-1] = np.diag(self.B, 1)
-        Lt, _ = scipy.linalg.lapack.dtbtrs(band, self.H, uplo="L")
-        return Lt.T
 
 
 class IncrementalLowerFactor:
@@ -64,11 +41,11 @@ class IncrementalLowerFactor:
     delayed error estimate.
     """
 
-    def __init__(self, capacity):
-        self.band = np.zeros((capacity, 2))
-        self.Lt = np.zeros((capacity, capacity))
-        self.x = np.zeros(capacity)
-        self.w = np.zeros(capacity)
+    def __init__(self):
+        self.band = np.zeros((1, 2))
+        self.Lt = np.zeros((1, 1))
+        self.x = np.zeros(1)
+        self.w = np.zeros(1)
         self.k = 0
 
     def append(self, alpha, beta, h):
@@ -126,8 +103,8 @@ class IncrementalLowerFactor:
 def _with_rows(a, rows, square=False):
     """a itself if it has at least rows rows; else a copy with twice its rows.
 
-    A square array doubles its columns too. Capacity can run out when a
-    stored-basis run goes past n steps, which floating point allows.
+    A square array doubles its columns too. The stored basis and the lower
+    factor start at one row and grow by this doubling as a run goes on.
     """
     if rows <= len(a):
         return a
@@ -171,30 +148,14 @@ def _lagged_cgs2(Q, k, nq, g, ng):
     return pair[1] - h[k - 1] * q, h
 
 
-def assemble_solution(alphas, betas, h_columns, beta1, method="triangular"):
-    """Solve for the small coefficient vector y with B y = -z, H z = beta_1 e1.
+def assemble_solution(lower):
+    """The coefficients y of nsCRAIG's iterate in q_1..q_k, from the grown factor.
 
-    'triangular' exploits H = B^T L^T (one banded solve with B^T for L^T,
-    the chi recursion, one back substitution with L^T: O(k^2) in all);
-    'dense' solves the assembled Hessenberg with row-pivoted elimination,
-    O(k^3), as a cross-check.
+    y solves B y = -z with H z = beta_1 e1; lower (an IncrementalLowerFactor)
+    holds L^T of H = B^T L^T and chi with B^T chi = beta_1 e1, so y costs one
+    back substitution with L^T and one with B: O(k^2).
     """
-    k = len(alphas)
-    factors = HessenbergFactors.assemble(alphas, betas, h_columns, k)
-    if method == "dense":
-        e1 = np.zeros(k)
-        e1[0] = beta1
-        try:
-            z = np.linalg.solve(factors.H, e1)
-        except np.linalg.LinAlgError as exc:
-            raise BreakdownError(f"singular Hessenberg block: {exc}") from exc
-    else:
-        x = np.empty(k)
-        x[0] = beta1 / alphas[0]
-        for i in range(1, k):
-            x[i] = -(betas[i] / alphas[i]) * x[i - 1]
-        z = scipy.linalg.solve_triangular(factors.lower_factor().T, x, lower=False)
-    return scipy.linalg.solve_triangular(factors.B, -z, lower=False)
+    return lower.coefficients()
 
 
 def gkb_solve(sys, N, cfg, full_orth):
@@ -207,21 +168,22 @@ def gkb_solve(sys, N, cfg, full_orth):
     never multiplies by M.
     Without full_orth (CRAIG) only the latest q, v, r, s, t vectors are
     retained unless cfg.reorthogonalize or cfg.keep_iterates needs the right
-    basis. The basis is one preallocated array of rows q_1, q_2, ...; its
-    capacity doubles if a run outgrows min(max_iterations, n) + 1 rows.
-    nsCRAIG orthogonalizes by CGS2 with the second pass lagged one step
-    (_lagged_cgs2): step k drives its recurrences with q~_k, the vector after
-    one pass, and finishes q_k in row k-1 of the basis while projecting the
-    new vector, so the rows a step reads are final (eager iterates, the
-    assembly, result.Q). A step of either solver makes one N-solve and two N
-    products. cfg.reorthogonalize adds one explicit classical Gram-Schmidt
-    pass over the final basis, and one N product, per step in both modes
-    (CRAIG's only pass). If the lagged pass finds 1 - a . a <= 0, the run
-    ends with termination "breakdown" and the previous step's iterate.
-    Under cfg.keep_iterates every iterate is formed (nsCRAIG: from the
-    incremental L^T factor each iteration) and kept with the right basis Q
-    and the Hessenberg columns; nsCRAIG's returned u, p are assembled on
-    termination either way.
+    basis. The basis is one array of rows q_1, q_2, ... that starts at one row
+    and doubles its rows when a step outgrows it. nsCRAIG orthogonalizes by
+    CGS2 with the second pass lagged one step (_lagged_cgs2): step k drives
+    its recurrences with q~_k, the vector after one pass, and finishes q_k in
+    row k-1 of the basis while projecting the new vector, so the rows a step
+    reads are final (kept iterates, the assembly, result.Q). A step of either
+    solver makes one N-solve and two N products. cfg.reorthogonalize adds one
+    explicit classical Gram-Schmidt pass over the final basis, and one N
+    product, per step in both modes (CRAIG's only pass). If the lagged pass
+    finds 1 - a . a <= 0, the run ends with termination "breakdown" and the
+    previous step's iterate.
+    nsCRAIG grows its IncrementalLowerFactor on every step; the error-estimate
+    rule reads it each step and assemble_solution once, on termination.
+    Under cfg.keep_iterates every iterate is formed (nsCRAIG: from the same
+    factor, so the returned u, p do not depend on keep_iterates) and kept with
+    the right basis Q and nsCRAIG's Hessenberg columns.
     A NaN or infinite alpha or beta raises NonFiniteError.
     """
     cfg = cfg or SolverConfig()
@@ -238,10 +200,7 @@ def gkb_solve(sys, N, cfg, full_orth):
     q = q / beta1
     nq = N.apply(q)
     store_basis = full_orth or cfg.reorthogonalize or cfg.keep_iterates
-    capacity = min(cfg.max_iterations, sys.n) + 1
-    Q = np.zeros((capacity, sys.n)) if store_basis else None
-    if store_basis:
-        Q[0] = q
+    Q = np.array([q]) if store_basis else None
     mw = A.matvec(q)
     w = M.solve(mw)
     r = q.copy()
@@ -249,10 +208,8 @@ def gkb_solve(sys, N, cfg, full_orth):
     alpha = _finite(float(np.sqrt(max(w @ mw + r @ s, 0.0))), "alpha_1", 1)
 
     alphas, betas, scalars = [alpha], [beta1], []
-    h_columns = [] if full_orth else None
-    eager = full_orth and cfg.keep_iterates
-    lower = (IncrementalLowerFactor(capacity)
-             if full_orth and (cfg.wants_error_estimate or eager) else None)
+    h_columns = [] if full_orth and cfg.keep_iterates else None
+    lower = IncrementalLowerFactor() if full_orth else None
     history = []
     u_list = [] if cfg.keep_iterates else None
     p_list = [] if cfg.keep_iterates else None
@@ -293,15 +250,15 @@ def gkb_solve(sys, N, cfg, full_orth):
             if full_orth:
                 h += c
         if full_orth:
-            h_columns.append(h)
-        if lower is not None:
             lower.append(alphas[-1], betas[-1], h)
+            if h_columns is not None:
+                h_columns.append(h)
         ng = N.apply(g)
         beta = _finite(float(np.sqrt(max(g @ ng, 0.0))), f"beta_{k + 1}", k)
         betas.append(beta)
 
         if cfg.keep_iterates:
-            ui, pi = assemble_iterate(lower.coefficients()) if eager else (u, p)
+            ui, pi = assemble_iterate(lower.coefficients()) if full_orth else (u, p)
             u_list.append(ui)
             p_list.append(pi)
 
@@ -354,18 +311,17 @@ def gkb_solve(sys, N, cfg, full_orth):
         k += 1
 
     if full_orth:
-        u, p = assemble_iterate(assemble_solution(alphas[:k], betas, h_columns, beta1))
-    kept = cfg.keep_iterates
+        u, p = assemble_iterate(assemble_solution(lower))
     return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1,
-                       h_columns=h_columns if kept else None, u_iterates=u_list,
-                       p_iterates=p_list, Q=list(Q[:k]) if kept else None)
+                       h_columns=h_columns, u_iterates=u_list, p_iterates=p_list,
+                       Q=list(Q[:k]) if cfg.keep_iterates else None)
 
 
 def nscraig_solve(sys, N=None, cfg=None):
     """Run nsCRAIG; symmetric instances are accepted and match craig's iterates.
 
-    Iterates are assembled only on termination unless cfg.keep_iterates turns
-    on the eager mode (every iteration, for replay diagnostics).
+    The iterate is assembled only on termination; cfg.keep_iterates also forms
+    and keeps every earlier one (for replay diagnostics).
     """
     return gkb_solve(sys, N, cfg, full_orth=True)
 

@@ -9,6 +9,9 @@ from gsp import save_system
 from gsp.cli import main
 
 
+RANDOM = {"source": "generate-random", "m": 10, "n": 5, "c_rank": 2, "seed": 1}
+
+
 def write_manifest(path, **doc):
     doc.setdefault("config", {"tolerance": 1e-6, "max_iterations": 3000})
     doc.setdefault("output_dir", str(path.parent / "out"))
@@ -100,6 +103,31 @@ class TestRun:
         assert main(["run", manifest]) == 1
         err = capsys.readouterr().err
         assert err.startswith("gsp: error: ") and str(culprit) in err
+
+    @pytest.mark.parametrize("doc, fragment", [
+        ([{"problem": RANDOM, "solvers": ["craig"]}], "must hold a JSON object"),
+        ({"problem": "x", "solvers": ["craig"]}, "'problem' must be a JSON object"),
+        ({"problem": RANDOM, "solvers": ["craig"], "config": [1]},
+         "'config' must be a JSON object"),
+        ({"problem": RANDOM, "solvers": ["craig"],
+          "config": {"criterion": {"error-estimate": 2, "x": 1}}}, "exactly one entry"),
+        ({"problem": dict(RANDOM, spectrum=5), "solvers": ["craig"]}, "bad random problem spec"),
+        ({"problem": RANDOM, "solvers": "craig"}, "'solvers' must be a JSON array"),
+        ({"problem": RANDOM, "solvers": [["craig"]]}, "unknown solvers"),
+        ({"problem": RANDOM, "solvers": ["craig"], "config": {"tolerance": None}}, "bad config"),
+        # open(0) would read a system manifest from stdin.
+        ({"problem": {"source": "load", "path": 0}, "solvers": ["craig"]}, "string 'path'"),
+        ({"problem": {"source": "load"}, "solvers": ["craig"]}, "string 'path'"),
+    ], ids=["top-level-array", "problem-string", "config-array", "criterion-two-entries",
+            "spectrum-number", "solvers-string", "solver-array", "tolerance-null",
+            "load-path-number", "load-path-missing"])
+    def test_malformed_manifest_is_refused_without_traceback(self, tmp_path, capsys, doc,
+                                                             fragment):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gsp: error: ") and err.count("\n") == 1 and fragment in err
 
     def test_incompatible_solver_rejected_before_running(self, tmp_path, capsys):
         manifest = write_manifest(

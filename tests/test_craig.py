@@ -319,8 +319,8 @@ def test_max_iterations_termination():
 
 
 def test_stored_basis_outgrows_initial_capacity():
-    # Ill-conditioned CRAIG without reorthogonalization runs past n steps, so
-    # the stored basis outgrows its min(max_iterations, n) + 1 rows twice.
+    # Ill-conditioned CRAIG without reorthogonalization runs past n steps; the
+    # stored basis starts at one row and doubles seven times, to 128 rows.
     sys = random_system(40, 20, c_rank=10, seed=7, spectrum=(1.0, 1e6))
     res = craig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=80,
                                               keep_iterates=True))

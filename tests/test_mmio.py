@@ -1,5 +1,7 @@
 """Matrix Market serialization and the system manifest."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -188,4 +190,15 @@ def test_manifest_naming_a_directory_is_a_load_error(tmp_path):
     text = (tmp_path / "system.json").read_text()
     (tmp_path / "system.json").write_text(text.replace('"A.mtx"', '"blocks"'))
     with pytest.raises(LoadError, match="is a directory"):
+        load_system(manifest)
+
+
+@pytest.mark.parametrize("flag", ["false", "no", 1, None])
+def test_manifest_symmetric_flag_must_be_a_boolean(tmp_path, flag):
+    # bool("false") is True: a string flag would load an Oseen M as symmetric.
+    manifest = save_system(tmp_path, random_system(8, 4, skew=0.3, seed=83))
+    doc = json.loads((tmp_path / "system.json").read_text())
+    doc["symmetric"] = flag
+    (tmp_path / "system.json").write_text(json.dumps(doc))
+    with pytest.raises(LoadError, match="'symmetric' must be true or false"):
         load_system(manifest)

@@ -22,7 +22,30 @@ from gsp import (
     nscraig_solve,
 )
 from gsp.errors import InsufficientHistoryError, NonFiniteError, ZeroRhsError
-from gsp.nscraig import HessenbergFactors, IncrementalLowerFactor, assemble_solution
+from gsp.gkb import assemble_bidiagonal, assemble_hessenberg
+from gsp.nscraig import IncrementalLowerFactor, assemble_solution
+
+
+def dense_reference(res, k):
+    """B, H, L with H = B^T L^T and the coefficients y of a run's first k steps.
+
+    Built by dense solves from the kept Hessenberg columns: H z = beta_1 e1,
+    B y = -z and L^T = B^{-T} H.
+    """
+    B = assemble_bidiagonal(res.alphas, res.betas, k)
+    H = assemble_hessenberg(res.h_columns, res.betas, k)
+    e1 = np.zeros(k)
+    e1[0] = res.beta1
+    y = np.linalg.solve(B, -np.linalg.solve(H, e1))
+    return B, H, np.linalg.solve(B.T, H).T, y
+
+
+def grown_factor(res, k):
+    """The solver's incremental factor after k steps, replayed from a kept run."""
+    lower = IncrementalLowerFactor()
+    for i in range(k):
+        lower.append(res.alphas[i], res.betas[i], res.h_columns[i])
+    return lower
 
 
 class TestHandInstances:
@@ -79,15 +102,16 @@ def test_deferred_and_eager_assembly_agree():
         lazy = nscraig_solve(sys, None, SolverConfig(tolerance=1e-10))
         eager = nscraig_solve(sys, None, SolverConfig(tolerance=1e-10, keep_iterates=True))
         assert lazy.iterations == eager.iterations
-        assert np.allclose(lazy.p, eager.p, atol=0, rtol=1e-14)
-        assert np.allclose(lazy.u, eager.u, atol=0, rtol=1e-14)
+        # Both runs grow one factor and assemble from it, so keep_iterates
+        # changes nothing in the returned iterate.
+        assert np.array_equal(lazy.p, eager.p) and np.array_equal(lazy.u, eager.u)
+        assert lazy.h_columns is None and len(eager.h_columns) == eager.iterations
         assert len(eager.p_iterates) == eager.iterations
-        # Eager iterates come from the incremental factor, not the final assembly.
         assert np.allclose(eager.u_iterates[-1], lazy.u, rtol=1e-12, atol=0.0)
         assert np.allclose(eager.p_iterates[-1], lazy.p, rtol=1e-12, atol=0.0)
         Q = np.array(eager.Q)
         for k, p in enumerate(eager.p_iterates, start=1):
-            y = assemble_solution(eager.alphas[:k], eager.betas, eager.h_columns, eager.beta1)
+            y = dense_reference(eager, k)[3]
             assert np.linalg.norm(p - y @ Q[:k]) <= 1e-12 * np.linalg.norm(p)
 
 
@@ -96,9 +120,8 @@ def test_triangular_and_dense_assembly_cross_check():
     res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=5,
                                                 keep_iterates=True))
     k = len(res.alphas)
-    y_tri = assemble_solution(res.alphas[:k], res.betas, res.h_columns, res.betas[0])
-    y_dense = assemble_solution(res.alphas[:k], res.betas, res.h_columns, res.betas[0],
-                                method="dense")
+    y_tri = assemble_solution(grown_factor(res, k))
+    y_dense = dense_reference(res, k)[3]
     assert np.linalg.norm(y_tri - y_dense) <= 1e-11 * np.linalg.norm(y_dense)
 
 
@@ -145,10 +168,10 @@ class TestErrorEstimate:
         sys = random_system(30, 15, skew=0.5, c_rank=7, seed=53, spectrum=(1.0, 50.0))
         res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=12,
                                                     keep_iterates=True))
-        lower = IncrementalLowerFactor(2)  # outgrows its capacity three times
+        lower = IncrementalLowerFactor()  # one row, grown four times to 16
         for k in range(1, res.iterations + 1):
             lower.append(res.alphas[k - 1], res.betas[k - 1], res.h_columns[k - 1])
-            L = HessenbergFactors.assemble(res.alphas, res.betas, res.h_columns, k).lower_factor()
+            L = dense_reference(res, k)[2]
             # Only the lower triangle is defined; above it the rebuild holds roundoff.
             assert np.abs(np.tril(lower.lower_factor() - L)).max() <= 1e-12 * np.abs(L).max()
 
@@ -161,7 +184,7 @@ class TestErrorEstimate:
         assert res.fired_criterion == "error-estimate" and res.iterations == 27
         rebuilt = []
         for k in range(d, res.iterations + 1):
-            L = HessenbergFactors.assemble(res.alphas, res.betas, res.h_columns, k).lower_factor()
+            L = dense_reference(res, k)[2]
             rebuilt.append(math.sqrt(abs(nscraig_error_estimate(res.scalars, L, k, d))))
         recorded = [rec.err_est for rec in res.history[d - 1:]]
         assert np.allclose(recorded, rebuilt, rtol=1e-10, atol=0.0)
@@ -201,12 +224,9 @@ def test_hessenberg_factors_lower_extraction():
     sys = random_system(10, 5, skew=0.5, c_rank=2, seed=49)
     res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=5,
                                                 keep_iterates=True))
-    from gsp.gkb import assemble_bidiagonal, assemble_hessenberg
-
     k = len(res.alphas)
-    B = assemble_bidiagonal(res.alphas, res.betas, k)
-    H = assemble_hessenberg(res.h_columns, res.betas, k)
-    L = HessenbergFactors(B, H).lower_factor()
+    B, H, _, _ = dense_reference(res, k)
+    L = grown_factor(res, k).lower_factor()
     assert np.abs(np.triu(L, 1)).max() <= 1e-12
     assert np.abs(np.diag(L) - 1.0).max() <= 1e-10
     assert np.abs(H - B.T @ L.T).max() <= 1e-10 * max(np.abs(H).max(), 1.0)
@@ -219,7 +239,6 @@ def test_arnoldi_identity_at_partial_length():
     res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=4,
                                              keep_iterates=True))
     from gsp.baselines import SchurOperator
-    from gsp.gkb import assemble_bidiagonal, assemble_hessenberg
 
     k = len(res.alphas)
     HB = assemble_hessenberg(res.h_columns, res.betas, k) @ \
