@@ -89,7 +89,7 @@ class RunManifest:
                 max_iterations=int(cfg_doc.pop("max_iterations", 3000)),
                 criterion=criterion,
                 error_delay=int(delay),
-                reorthogonalize=bool(cfg_doc.pop("reorthogonalize", False)),
+                reorthogonalize=_flag(cfg_doc.pop("reorthogonalize", False), "reorthogonalize"),
             )
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
@@ -99,8 +99,15 @@ class RunManifest:
         if unknown:
             raise UsageError(f"unknown solvers: {unknown}")
         return cls(problem, solvers, cfg, output_dir,
-                   bool(doc.get("report_error_vs_oracle", False)),
+                   _flag(doc.get("report_error_vs_oracle", False), "report_error_vs_oracle"),
                    doc.get("preconditioner"))
+
+
+def _flag(value, key):
+    """A manifest flag that must be JSON true or false: bool("false") is True."""
+    if not isinstance(value, bool):
+        raise UsageError(f"manifest '{key}' must be true or false, got {value!r}")
+    return value
 
 
 def build_problem(manifest):

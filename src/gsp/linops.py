@@ -8,7 +8,12 @@ the transposed view, for A^T y. A fully stored matrix (all rows x cols
 entries) multiplies by BLAS gemv on a view of csr.data, which in canonical
 CSR order is already the row-major dense matrix, so no second copy exists.
 Repeated runs are bit-reproducible: the CSR kernels always, gemv for a fixed
-BLAS build and thread count.
+BLAS build and thread count. from_dense copies dense input into that CSR
+storage by index arithmetic (a fully nonzero array is its own row-major data
+with column indices 0..cols-1 in every row), byte-identical to scipy's
+dense -> CSR conversion at about the cost of one copy. is_symmetric tests a
+fully stored matrix on its dense view and a partly stored one on K - K^T in
+CSR form, by the same rule.
 
 factorize factors a sparsely stored matrix with SuperLU, straight from its
 CSR arrays and with no size cap, and a densely stored one with LAPACK on a
@@ -84,7 +89,32 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, a):
-        return cls(scipy.sparse.csr_array(np.atleast_2d(np.asarray(a, dtype=float))))
+        """CSR storage of the nonzero entries of a 2-D (or 1-D, as one row) array.
+
+        The CSR arrays are built by index arithmetic, byte-identical to
+        scipy.sparse.csr_array(a) (same index dtype, -0.0 dropped, NaN kept)
+        without its dense -> COO -> CSR scan. When every entry is nonzero,
+        data is a row-major copy of a and the column indices repeat
+        0..cols-1; otherwise a boolean mask selects the entries. Either way
+        data is a copy: writing to a afterwards leaves the matrix unchanged.
+        """
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        if a.ndim != 2:
+            raise DimensionError(f"from_dense needs a 1-D or 2-D array, got shape {a.shape}")
+        rows, cols = a.shape
+        nnz = np.count_nonzero(a)
+        idx = np.int32 if max(rows, cols, nnz) <= np.iinfo(np.int32).max else np.int64
+        if nnz == a.size > 0:
+            data = a.flatten()  # always a copy, in row-major order
+            indices = np.tile(np.arange(cols, dtype=idx), rows)
+            indptr = np.arange(0, nnz + 1, cols, dtype=idx)
+        else:
+            keep = a != 0
+            data = a[keep]
+            indices = np.broadcast_to(np.arange(cols, dtype=idx), a.shape)[keep]
+            indptr = np.zeros(rows + 1, dtype=idx)
+            np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        return cls(scipy.sparse.csr_array((data, indices, indptr), shape=(rows, cols)))
 
     @classmethod
     def from_coo(cls, rows, cols, i, j, v):
@@ -147,9 +177,18 @@ class SparseMatrix:
         return self._transposed @ x if self._full is None else x @ self._full
 
     def is_symmetric(self):
-        """max|K - K^T| <= 1e-12 max|K|, computed from the stored entries only."""
+        """max|K - K^T| <= 1e-12 max|K|, computed from the stored entries only.
+
+        A fully stored K is tested on its dense view; a partly stored one
+        on the sparse difference of its CSR arrays.
+        """
         if self.rows != self.cols:
             return False
+        if self._full is not None:
+            full = self._full
+            gap = full - full.T
+            scale = max(full.max(), -full.min())  # max|K| without a temporary
+            return bool(np.abs(gap, out=gap).max() <= 1e-12 * max(scale, 1e-300))
         gap = abs(self.csr - self._transposed)
         scale = np.abs(self.values).max() if self.nnz else 0.0
         return bool((gap.max() if gap.nnz else 0.0) <= 1e-12 * max(scale, 1e-300))

@@ -28,6 +28,9 @@ from .gkb import BREAKDOWN_TOL
 from .linops import SpdPreconditioner
 from .system import ConvergenceRecord, SolveResult, SolverConfig
 
+_dtbtrs = scipy.linalg.lapack.dtbtrs
+_dtrtrs = scipy.linalg.lapack.dtrtrs
+
 
 class IncrementalLowerFactor:
     """L^T of H = B^T L^T and x with B^T x = beta_1 e1, grown by one step at a time.
@@ -35,40 +38,54 @@ class IncrementalLowerFactor:
     Column k of L^T depends only on B_k and the k leading entries of the
     Hessenberg column h_k, so each step costs one banded solve with the
     bidiagonal B^T instead of rebuilding B, H and the whole factor. B^T is
-    stored as LAPACK lower band rows (alpha_i, beta_{i+1}). x holds chi_1..chi_k
-    (nsCRAIG's zetas, by the same recursion), and w = L^{-1} x grows by one
-    forward-substitution entry per step: x . w is the denominator of the
-    delayed error estimate.
+    stored as the LAPACK lower band, column i holding (alpha_i, beta_{i+1}).
+    x holds chi_1..chi_k (nsCRAIG's zetas, by the same recursion), and
+    w = L^{-1} x grows by one forward-substitution entry per step: x . w is
+    the denominator of the delayed error estimate.
     """
 
     def __init__(self):
-        self.band = np.zeros((1, 2))
-        self.Lt = np.zeros((1, 1))
-        self.x = np.zeros(1)
-        self.w = np.zeros(1)
         self.k = 0
+        self._grow(1)
+
+    def _grow(self, size):
+        """Move band, L^T, x and w into zeroed arrays of size rows (and columns).
+
+        Both 2-D arrays are Fortran-ordered: the band's leading k columns are
+        the (2, k) LAPACK band that dtbtrs reads in place, and each new
+        column of L^T is one contiguous write.
+        """
+        k = self.k
+        band = np.zeros((2, size), order="F")
+        Lt = np.zeros((size, size), order="F")
+        x, w = np.zeros(size), np.zeros(size)
+        if k:
+            band[:, :k] = self.band[:, :k]
+            Lt[:k, :k] = self.Lt[:k, :k]
+            x[:k], w[:k] = self.x[:k], self.w[:k]
+        self.band, self.Lt, self.x, self.w = band, Lt, x, w
 
     def append(self, alpha, beta, h):
         """Add alpha_k, beta_k (below alpha_{k-1} in B^T; beta_1 for k = 1) and h_k."""
-        k = self.k = self.k + 1
-        self.band = _with_rows(self.band, k)
-        self.Lt = _with_rows(self.Lt, k, square=True)
-        self.x = _with_rows(self.x, k)
-        self.w = _with_rows(self.w, k)
-        self.band[k - 1, 0] = alpha
+        k = self.k + 1
+        if k > len(self.x):
+            self._grow(2 * len(self.x))
+        self.k = k
+        band, x, w = self.band, self.x, self.w
+        band[0, k - 1] = alpha
         if k > 1:
-            self.band[k - 2, 1] = beta
-            chi = -(beta / alpha) * self.x[k - 2]
+            band[1, k - 2] = beta
+            chi = -(beta / alpha) * x[k - 2]
         else:
             chi = beta / alpha
         col = self._bidiagonal_solve(h, "N")
         self.Lt[:k, k - 1] = col
-        self.x[k - 1] = chi
-        self.w[k - 1] = (chi - col[: k - 1] @ self.w[: k - 1]) / col[k - 1]
+        x[k - 1] = chi
+        w[k - 1] = (chi - col[: k - 1] @ w[: k - 1]) / col[k - 1]
 
     def _bidiagonal_solve(self, rhs, trans):
         """B^T y = rhs (trans 'N') or B y = rhs (trans 'T'), O(k) for the current k."""
-        y, _ = scipy.linalg.lapack.dtbtrs(self.band[: self.k].T, rhs, uplo="L", trans=trans)
+        y, _ = _dtbtrs(self.band[:, : self.k], rhs, "L", trans)  # f2py keywords cost ~1 us
         return y
 
     def lower_factor(self):
@@ -88,29 +105,40 @@ class IncrementalLowerFactor:
         if total == 0.0:
             raise ValueError("zero denominator in error estimate")
         x = self.x[k - d:k]
-        z = scipy.linalg.solve_triangular(self.Lt[k - d:k, k - d:k], x, lower=False,
-                                          check_finite=False)
+        z = _upper_solve(self.Lt[k - d:k, k - d:k], x)
         return float(x @ z) / total
 
     def coefficients(self):
         """y with B y = -z, L^T z = x: the current iterate's coordinates in q_1..q_k."""
         k = self.k
-        z = scipy.linalg.solve_triangular(self.Lt[:k, :k], self.x[:k], lower=False,
-                                          check_finite=False)
+        z = _upper_solve(self.Lt[:k, :k], self.x[:k])
         return self._bidiagonal_solve(-z, "T")
 
 
-def _with_rows(a, rows, square=False):
+def _upper_solve(Lt, rhs):
+    """Lt z = rhs for upper triangular Lt, as LAPACK's transposed solve with L = Lt^T.
+
+    Always this one LAPACK call: scipy.linalg.solve_triangular would switch
+    to the untransposed upper solve, which sums in another order, whenever
+    the view of the Fortran-ordered factor happens to be contiguous (k equal
+    to its capacity), so z would depend on the capacity.
+    """
+    z, info = _dtrtrs(Lt.T, rhs, 1, 1)  # lower, trans
+    if info > 0:
+        raise scipy.linalg.LinAlgError(f"singular matrix: zero diagonal entry {info - 1}")
+    return z
+
+
+def _with_rows(a, rows):
     """a itself if it has at least rows rows; else a copy with twice its rows.
 
-    A square array doubles its columns too. The stored basis and the lower
-    factor start at one row and grow by this doubling as a run goes on.
+    The stored basis starts at one row and grows by this doubling as a run
+    goes on (IncrementalLowerFactor doubles its arrays the same way).
     """
     if rows <= len(a):
         return a
-    size = 2 * len(a)
-    grown = np.zeros((size, size) if square else (size,) + a.shape[1:])
-    grown[tuple(map(slice, a.shape))] = a
+    grown = np.zeros((2 * len(a),) + a.shape[1:])
+    grown[: len(a)] = a
     return grown
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from gsp import save_system
-from gsp.cli import main
+from gsp.cli import RunManifest, UsageError, main
 
 
 RANDOM = {"source": "generate-random", "m": 10, "n": 5, "c_rank": 2, "seed": 1}
@@ -128,6 +128,34 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("gsp: error: ") and err.count("\n") == 1 and fragment in err
+
+    @pytest.mark.parametrize("value", ["false", 0, None], ids=["string-false", "zero", "null"])
+    @pytest.mark.parametrize("key", ["reorthogonalize", "report_error_vs_oracle"])
+    def test_non_boolean_flag_is_refused(self, tmp_path, capsys, key, value):
+        # bool("false") is True: a non-boolean flag must not switch anything on.
+        doc = {"problem": RANDOM, "solvers": ["craig"], "output_dir": str(tmp_path / "out")}
+        if key == "reorthogonalize":
+            doc["config"] = {key: value}
+        else:
+            doc[key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(UsageError, match=f"'{key}' must be true or false"):
+            RunManifest.from_file(str(path))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gsp: error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_boolean_flags_load_as_given(self, tmp_path):
+        path = tmp_path / "m.json"
+        for flag in (True, False):
+            path.write_text(json.dumps({"problem": RANDOM, "solvers": ["craig"],
+                                        "config": {"reorthogonalize": flag},
+                                        "report_error_vs_oracle": flag}))
+            manifest = RunManifest.from_file(str(path))
+            assert manifest.config.reorthogonalize is flag
+            assert manifest.report_error_vs_oracle is flag
 
     def test_incompatible_solver_rejected_before_running(self, tmp_path, capsys):
         manifest = write_manifest(

@@ -40,6 +40,20 @@ class TestContainers:
             SaddleSystem.from_matrices(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2),
                                        np.zeros((2, 2)), np.ones(2), symmetric=True)
 
+    def test_fully_stored_blocks_checked_on_dense_view(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((3, 3))
+        spd = g @ g.T + 3.0 * np.eye(3)
+        bent = spd.copy()
+        bent[0, 1] += 1e-9 * np.abs(spd).max()
+        assert SparseMatrix.from_dense(bent)._full is not None
+        A = rng.standard_normal((3, 3))
+        with pytest.raises(NotSpsdError):
+            SaddleSystem.from_matrices(spd, A, bent, np.ones(3))
+        with pytest.raises(WrongSolverError):
+            SaddleSystem.from_matrices(bent, A, spd, np.ones(3), symmetric=True)
+        assert SaddleSystem.from_matrices(spd, A, spd, np.ones(3)).symmetric
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("block", ["Mmat", "A", "C", "b"])
     def test_system_rejects_non_finite(self, hand_system, block, bad):

@@ -26,6 +26,36 @@ from gsp.errors import (
 from gsp.linops import DENSE_FACTOR_DENSITY, DENSE_FACTOR_LIMIT
 
 
+def _dense_inputs():
+    """A seeded sweep of from_dense inputs: shapes, densities, special values, layouts."""
+    rng = np.random.default_rng(2024)
+    cases = {}
+    for rows, cols in [(1, 1), (1, 9), (9, 1), (0, 4), (4, 0), (17, 13)]:
+        shape = f"{rows}x{cols}"
+        cases[f"zeros-{shape}"] = np.zeros((rows, cols))
+        cases[f"full-{shape}"] = rng.standard_normal((rows, cols))
+        half = rng.standard_normal((rows, cols))
+        half[rng.random((rows, cols)) < 0.5] = 0.0
+        cases[f"half-{shape}"] = half
+    special = rng.standard_normal((6, 5))
+    special[0, 0], special[1, 2], special[2, 1], special[3, 3] = -0.0, np.nan, np.inf, -np.inf
+    cases["signed-zero-nan-inf"] = special
+    cases["nan-inf-fully-stored"] = np.where(special == 0.0, np.nan, special)
+    cases["int"] = rng.integers(-2, 3, size=(7, 6))
+    cases["int-fully-stored"] = rng.integers(1, 4, size=(3, 4))
+    cases["bool"] = rng.random((5, 4)) < 0.5
+    cases["list"] = [[1.0, 0.0, 2.0], [0.0, 0.0, 3.0]]
+    cases["list-1d"] = [0.0, 1.5, -2.0]
+    cases["scalar"] = 2.5
+    wide = rng.standard_normal((8, 12))
+    cases["fortran-full"] = np.asfortranarray(wide)
+    cases["strided-full"] = wide[:, ::2]
+    wide = wide * (rng.random((8, 12)) < 0.5)
+    cases["fortran-half"] = np.asfortranarray(wide)
+    cases["strided-half"] = wide[:, ::2]
+    return cases
+
+
 class TestSparseMatrix:
     def test_matvec_identity(self):
         A = SparseMatrix.identity(2)
@@ -120,6 +150,61 @@ class TestSparseMatrix:
         assert A.rmatvec(y).tobytes() == (y @ a).tobytes()
         a[-1, 0] = 0.0  # from_dense drops the zero: one entry unstored
         assert SparseMatrix.from_dense(a)._full is None
+
+    @pytest.mark.parametrize("name, a", list(_dense_inputs().items()))
+    def test_from_dense_matches_scipy_csr_bytewise(self, name, a):
+        """Index arithmetic gives the arrays and index dtype scipy's dense path gives."""
+        want = scipy.sparse.csr_array(np.atleast_2d(np.asarray(a, dtype=float)))
+        A = SparseMatrix.from_dense(a)
+        assert A.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            got, ref = getattr(A.csr, part), getattr(want, part)
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            assert got.tobytes() == ref.tobytes()
+        rows, cols = A.shape
+        assert (A._full is not None) == (A.nnz == rows * cols > 0)
+
+    @pytest.mark.parametrize("density", [1.0, 0.5])
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (8, 5)])
+    def test_from_dense_copies_its_input(self, shape, density):
+        # A plain ravel() of a C-contiguous float array would alias it.
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(shape) * (rng.random(shape) < density)
+        A = SparseMatrix.from_dense(a)
+        kept = A.csr.data.copy()
+        a[...] = 7.0
+        assert A.csr.data.tobytes() == kept.tobytes()
+
+    def test_from_dense_refuses_three_dimensions(self):
+        with pytest.raises(DimensionError, match="1-D or 2-D"):
+            SparseMatrix.from_dense(np.ones((2, 3, 4)))
+
+    @pytest.mark.parametrize("n", [2, 9])
+    @pytest.mark.parametrize("factor, symmetric", [(0.0, True), (0.9, True), (1.1, False)])
+    def test_dense_view_symmetry_agrees_with_csr_path(self, n, factor, symmetric):
+        """A fully stored K is tested on its dense view by the CSR path's rule.
+
+        K padded with a zero row and column has the same max|K| and max|K - K^T|
+        but is partly stored, so it runs the CSR path.
+        """
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n))
+        k = g + g.T
+        k[0, 1] += factor * 1e-12 * np.abs(k).max()
+        padded = np.zeros((n + 1, n + 1))
+        padded[:n, :n] = k
+        K, P = SparseMatrix.from_dense(k), SparseMatrix.from_dense(padded)
+        assert K._full is not None and P._full is None
+        assert K.is_symmetric() is symmetric
+        assert P.is_symmetric() is symmetric
+
+    def test_dense_view_symmetry_refuses_non_square(self):
+        a = np.ones((3, 4))
+        padded = np.zeros((4, 5))
+        padded[:3, :4] = a
+        assert SparseMatrix.from_dense(a)._full is not None
+        assert not SparseMatrix.from_dense(a).is_symmetric()
+        assert not SparseMatrix.from_dense(padded).is_symmetric()
 
     def test_round_trip_dense(self):
         rng = np.random.default_rng(1)
