@@ -56,15 +56,6 @@ class BlockDiagPreconditioner:
         return np.concatenate([self.Msolve.solve(z[:m]), self.Nsolve.solve(z[m:])])
 
 
-def _full_matvec(sys, z):
-    m = sys.m
-    x, y = z[:m], z[m:]
-    return np.concatenate([
-        sys.Mmat.matvec(x) + sys.A.matvec(y),
-        sys.A.rmatvec(x) - sys.C.matvec(y),
-    ])
-
-
 def scr_cg_solve(sys, N=None, cfg=None):
     """Schur complement reduction with preconditioned CG on S p = -b.
 
@@ -221,7 +212,7 @@ def pminres_solve(sys, N=None, cfg=None):
     while k < cfg.max_iterations:
         k += 1
         v = y / beta
-        y = _full_matvec(sys, v)
+        y = sys.matvec(v)
         if k >= 2:
             y = y - (beta / oldb) * r1
         alfa = float(v @ y)
@@ -295,7 +286,7 @@ def pgmres_solve(sys, N=None, cfg=None):
     k = 0
     for j in range(maxit):
         k = j + 1
-        w = _full_matvec(sys, D0.solve(V[j]))
+        w = sys.matvec(D0.solve(V[j]))
         for i in range(k):
             R[i, j] = float(V[i] @ w)
             w = w - R[i, j] * V[i]

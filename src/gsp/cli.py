@@ -85,10 +85,10 @@ class RunManifest:
             (criterion, delay), = criterion.items()
         try:
             cfg = SolverConfig(
-                tolerance=float(cfg_doc.pop("tolerance", 1e-6)),
-                max_iterations=int(cfg_doc.pop("max_iterations", 3000)),
+                tolerance=_number(cfg_doc.pop("tolerance", 1e-6), "tolerance", float),
+                max_iterations=_number(cfg_doc.pop("max_iterations", 3000), "max_iterations", int),
                 criterion=criterion,
-                error_delay=int(delay),
+                error_delay=_number(delay, "error_delay", int),
                 reorthogonalize=_flag(cfg_doc.pop("reorthogonalize", False), "reorthogonalize"),
             )
         except (TypeError, ValueError) as exc:
@@ -110,8 +110,24 @@ def _flag(value, key):
     return value
 
 
+def _number(value, key, kind):
+    """A manifest number as kind: int takes JSON integers only, float any JSON number.
+
+    JSON true is not 1 here, nor is 2.9 a count. Raises TypeError, which the
+    callers report as a UsageError naming the manifest section.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise TypeError(f"'{key}' must be a JSON {'integer' if kind is int else 'number'}, "
+                        f"got {value!r}")
+    return kind(value)
+
+
 def build_problem(manifest):
-    """Instantiate the system and preconditioner; returns factorization time too."""
+    """Instantiate the system and preconditioner; returns the setup time too.
+
+    The setup time is the wall time of generating or loading the system,
+    factorizing M included (the preconditioner is chosen after it).
+    """
     spec = dict(manifest.problem)
     source = spec.pop("source", None)
     t0 = time.perf_counter()
@@ -119,12 +135,13 @@ def build_problem(manifest):
     if source == "generate-random":
         try:
             rspec = RandomSpec(
-                m=int(spec.pop("m")), n=int(spec.pop("n")),
-                density=float(spec.pop("density", 1.0)),
-                spectrum=tuple(spec.pop("spectrum", (1.0, 2.0))),
-                skew_strength=float(spec.pop("skew_strength", 0.0)),
-                c_rank=int(spec.pop("c_rank", 0)),
-                seed=int(spec.pop("seed", 0)),
+                m=_number(spec.pop("m"), "m", int), n=_number(spec.pop("n"), "n", int),
+                density=_number(spec.pop("density", 1.0), "density", float),
+                spectrum=tuple(_number(v, "spectrum", float)
+                               for v in spec.pop("spectrum", (1.0, 2.0))),
+                skew_strength=_number(spec.pop("skew_strength", 0.0), "skew_strength", float),
+                c_rank=_number(spec.pop("c_rank", 0), "c_rank", int),
+                seed=_number(spec.pop("seed", 0), "seed", int),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad random problem spec: {exc}") from exc
@@ -132,10 +149,10 @@ def build_problem(manifest):
     elif source == "generate-stokes":
         try:
             sspec = StokesSpec(
-                nx=int(spec.pop("nx")), ny=int(spec.pop("ny")),
-                length=float(spec.pop("length", 1.0)),
-                viscosity=float(spec.pop("viscosity", 1.0)),
-                gamma=float(spec.pop("gamma", 0.25)),
+                nx=_number(spec.pop("nx"), "nx", int), ny=_number(spec.pop("ny"), "ny", int),
+                length=_number(spec.pop("length", 1.0), "length", float),
+                viscosity=_number(spec.pop("viscosity", 1.0), "viscosity", float),
+                gamma=_number(spec.pop("gamma", 0.25), "gamma", float),
                 oseen_wind=spec.pop("oseen_wind", None),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -151,7 +168,7 @@ def build_problem(manifest):
         raise UsageError(f"unknown problem source '{source}'")
     if spec:
         raise UsageError(f"unknown problem keys: {sorted(spec)}")
-    factor_time = time.perf_counter() - t0
+    setup_time = time.perf_counter() - t0
 
     choice = manifest.preconditioner
     if choice not in (None, "identity", "pressure-mass"):
@@ -160,7 +177,7 @@ def build_problem(manifest):
         raise UsageError("pressure-mass preconditioner needs a generated stokes problem")
     if choice == "identity" or precond is None:
         precond = SpdPreconditioner.identity(system.n)
-    return system, precond, factor_time
+    return system, precond, setup_time
 
 
 def check_compatibility(manifest, system):
@@ -186,10 +203,7 @@ def write_history_csv(path, history):
 
 def _full_residual_two_norm(system, result):
     f = np.concatenate([np.zeros(system.m), system.b])
-    Kz = np.concatenate([
-        system.Mmat.matvec(result.u) + system.A.matvec(result.p),
-        system.A.rmatvec(result.u) - system.C.matvec(result.p),
-    ])
+    Kz = system.matvec(result.final_vector())
     return float(np.linalg.norm(f - Kz) / np.linalg.norm(f))
 
 
@@ -203,8 +217,8 @@ class RunReport:
 
 
 def execute(manifest):
-    """Run every solver in the manifest; returns (system, factor_time, reports)."""
-    system, precond, factor_time = build_problem(manifest)
+    """Run every solver in the manifest; returns (system, setup_time, reports)."""
+    system, precond, setup_time = build_problem(manifest)
     check_compatibility(manifest, system)
     oracle = None
     if manifest.report_error_vs_oracle:
@@ -218,14 +232,14 @@ def execute(manifest):
         if oracle is not None:
             err = float(np.linalg.norm(result.final_vector() - oracle) / np.linalg.norm(oracle))
         reports.append(RunReport(name, result, dt, err, _full_residual_two_norm(system, result)))
-    return system, factor_time, reports
+    return system, setup_time, reports
 
 
 def cmd_run(manifest_path):
     manifest = RunManifest.from_file(manifest_path)
-    system, factor_time, reports = execute(manifest)
+    system, setup_time, reports = execute(manifest)
     os.makedirs(manifest.output_dir, exist_ok=True)
-    summary_lines = ["solver,iterations,termination,solve_time_s,factor_time_s,"
+    summary_lines = ["solver,iterations,termination,solve_time_s,setup_time_s,"
                      "final_res_rel,final_res_two_norm,err_vs_oracle"]
     for rep in reports:
         res = rep.result
@@ -234,11 +248,11 @@ def cmd_run(manifest_path):
         final_res = res.history[-1].res_rel if res.history else float("nan")
         summary_lines.append(",".join([
             rep.solver, str(res.iterations), res.termination, _fmt(rep.solve_time_s),
-            _fmt(factor_time), _fmt(final_res), _fmt(rep.res_two_norm), _fmt(rep.err),
+            _fmt(setup_time), _fmt(final_res), _fmt(rep.res_two_norm), _fmt(rep.err),
         ]))
         err_txt = f"  ERR={rep.err:.4e}" if rep.err is not None else ""
         print(f"{rep.solver}: iterations={res.iterations} termination={res.termination} "
-              f"time={rep.solve_time_s:.4f}s factor={factor_time:.4f}s "
+              f"time={rep.solve_time_s:.4f}s setup={setup_time:.4f}s "
               f"res_rel={final_res:.4e} res_2norm={rep.res_two_norm:.4e}{err_txt}")
     with open(os.path.join(manifest.output_dir, "summary.csv"), "w") as fh:
         fh.write("\n".join(summary_lines) + "\n")
@@ -273,7 +287,7 @@ def cmd_compare(manifest_path):
     if len(manifest.solvers) < 2:
         raise UsageError("compare needs at least two solvers")
     manifest.report_error_vs_oracle = True
-    system, factor_time, reports = execute(manifest)
+    _, _, reports = execute(manifest)
     os.makedirs(manifest.output_dir, exist_ok=True)
     for rep in reports:
         write_history_csv(os.path.join(manifest.output_dir, f"{rep.solver}_history.csv"),

@@ -349,8 +349,8 @@ def weighted_inner(W, x, y):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionError("weighted_inner needs two vectors of equal length")
-    if np.any(np.isnan(x)) or np.any(np.isnan(y)):
-        raise ValueError("NaN in weighted_inner input")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("NaN or infinity in weighted_inner input")
     wy = W.apply(y) if isinstance(W, FactorizedOperator) else as_sparse(W).matvec(y)
     if wy.shape != x.shape:
         raise DimensionError("weight dimension does not match the vectors")

@@ -9,7 +9,7 @@ wired through the discrete operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -232,14 +232,13 @@ def gen_stokes_channel_detailed(spec):
     p_full = np.repeat(-8.0 * nu * (np.arange(nx) + 0.5) * hx, ny)
     p_star = (p_full - p_full[0])[1:]
 
-    symmetric = spec.oseen_wind is None
-    M = factorize("cholesky-spd" if symmetric else "lu-general", Mmat)
+    M = factorize("cholesky-spd" if spec.oseen_wind is None else "lu-general", Mmat)
     w0 = M.solve(Mmat.matvec(vel) + A.matvec(p_star))
     b = A.rmatvec(vel) - C.matvec(p_star) - A.rmatvec(w0)
 
-    system = SaddleSystem(M, Mmat, A, C, b, symmetric)
+    system = SaddleSystem(M, A, C, b)
     mass = hx * hy * np.ones(n)
-    if not symmetric:
+    if not system.symmetric:
         mass = mass / nu
     precond = SpdPreconditioner.from_diagonal(mass)
     return StokesProblem(system, precond, w0, vel, p_star, hx, hy)
@@ -256,7 +255,7 @@ def compress_rhs(Mmat, A, C, b1, b2, symmetric=None):
     b2 = np.asarray(b2, dtype=float)
     w0 = sys.M.solve(b1)
     b = b2 - sys.A.rmatvec(w0)
-    return SaddleSystem(sys.M, sys.Mmat, sys.A, sys.C, b, sys.symmetric), w0
+    return replace(sys, b=b), w0
 
 
 def recover_w(u, w0):

@@ -16,28 +16,27 @@ CRITERION_BOTH = "both"
 
 @dataclass(frozen=True)
 class SaddleSystem:
-    """Immutable instance of the block system [[M, A], [A^T, -C]] [u; p] = [0; b].
+    """Immutable instance of the block system K [u; p] = [0; b], K = [[M, A], [A^T, -C]].
 
-    M is stored once: Mmat is the sparse matrix and M its factorization (for
-    M^{-1} applications), which refers back to Mmat rather than copying it.
-    The Golub-Kahan loop only solves with M; Mmat serves residual checks,
-    the full-system baselines and oracles, and file output.
+    M is stored once, as its factorization: Mmat (the sparse matrix, for
+    residual checks, the full-system baselines and oracles, and file output)
+    is the matrix the factor was built from, and symmetric says whether that
+    factor is a Cholesky one. Neither can disagree with M. The Golub-Kahan
+    loop only solves with M; matvec forms the full product K z.
     """
 
     M: FactorizedOperator
-    Mmat: SparseMatrix
     A: SparseMatrix
     C: SparseMatrix
     b: np.ndarray
-    symmetric: bool
 
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         m, n = self.A.shape
         if not (1 <= n <= m):
             raise DimensionError(f"need 1 <= n <= m, got m={m}, n={n}")
-        if self.Mmat.shape != (m, m) or self.M.dimension != m:
-            raise DimensionError("M blocks must be m x m")
+        if self.M.dimension != m:
+            raise DimensionError("M must be m x m")
         if self.C.shape != (n, n):
             raise DimensionError("C must be n x n")
         if self.b.shape != (n,):
@@ -48,8 +47,6 @@ class SaddleSystem:
                 raise NonFiniteError(f"{name} holds a NaN or an infinity")
         if not self.C.is_symmetric():
             raise NotSpsdError("C must be symmetric")
-        if self.symmetric and not self.Mmat.is_symmetric():
-            raise WrongSolverError("symmetric flag set but M is not symmetric")
 
     @property
     def m(self):
@@ -58,6 +55,21 @@ class SaddleSystem:
     @property
     def n(self):
         return self.A.cols
+
+    @property
+    def Mmat(self):
+        return self.M.matrix
+
+    @property
+    def symmetric(self):
+        """True when M is Cholesky-factored (factorize refuses a nonsymmetric input)."""
+        return self.M.kind == "cholesky-spd"
+
+    def matvec(self, z):
+        """K z for z = [x; y]."""
+        x, y = z[:self.m], z[self.m:]
+        return np.concatenate([self.Mmat.matvec(x) + self.A.matvec(y),
+                               self.A.rmatvec(x) - self.C.matvec(y)])
 
     @classmethod
     def from_matrices(cls, Mmat, A, C, b, symmetric=None):
@@ -68,7 +80,7 @@ class SaddleSystem:
         elif symmetric and not Mmat.is_symmetric():
             raise WrongSolverError("symmetric flag set but M is not symmetric")
         M = factorize("cholesky-spd" if symmetric else "lu-general", Mmat)
-        return cls(M, Mmat, A, C, np.asarray(b, dtype=float), symmetric)
+        return cls(M, A, C, b)
 
 
 @dataclass(frozen=True)

@@ -269,7 +269,7 @@ def test_criterion_07_early_termination_on_eigenvector_rhs():
     S = SchurOperator(sys).dense()
     lam, V = scipy.linalg.eigh(S / np.outer(np.sqrt(nd), np.sqrt(nd)))
     b = np.sqrt(nd) * V[:, 1]
-    sys_eig = SaddleSystem(sys.M, sys.Mmat, sys.A, sys.C, b, sys.symmetric)
+    sys_eig = SaddleSystem(sys.M, sys.A, sys.C, b)
     res = craig_solve(sys_eig, N)
     z_star = np.concatenate(direct_solve(sys_eig))
     err_sym = np.linalg.norm(res.final_vector() - z_star) / np.linalg.norm(z_star)
@@ -282,7 +282,7 @@ def test_criterion_07_early_termination_on_eigenvector_rhs():
     ix = int(np.argmin(np.abs(w.imag)))
     b_n = np.real(Vn[:, ix])
     assert np.linalg.norm(Sn @ b_n - w[ix].real * b_n) <= 1e-10
-    sys_n_eig = SaddleSystem(sys_n.M, sys_n.Mmat, sys_n.A, sys_n.C, b_n, sys_n.symmetric)
+    sys_n_eig = SaddleSystem(sys_n.M, sys_n.A, sys_n.C, b_n)
     res_n = nscraig_solve(sys_n_eig, None)
     z_star = np.concatenate(direct_solve(sys_n_eig))
     err_nsym = np.linalg.norm(res_n.final_vector() - z_star) / np.linalg.norm(z_star)

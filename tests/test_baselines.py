@@ -108,7 +108,7 @@ class TestScrFom:
         ix = int(np.argmin(np.abs(w.imag)))
         b = np.real(V[:, ix])
         assert np.linalg.norm(Sd @ b - w[ix].real * b) <= 1e-10
-        sys_eig = SaddleSystem(sys.M, sys.Mmat, sys.A, sys.C, b, sys.symmetric)
+        sys_eig = SaddleSystem(sys.M, sys.A, sys.C, b)
         res = scr_fom_solve(sys_eig, None, SolverConfig(tolerance=1e-10))
         assert res.iterations == 1
         u_star, p_star = direct_solve(sys_eig)

@@ -118,9 +118,31 @@ class TestRun:
         # open(0) would read a system manifest from stdin.
         ({"problem": {"source": "load", "path": 0}, "solvers": ["craig"]}, "string 'path'"),
         ({"problem": {"source": "load"}, "solvers": ["craig"]}, "string 'path'"),
+        # float(True) is 1.0 and int(2.9) is 2: wrong-kind numbers must not run.
+        ({"problem": RANDOM, "solvers": ["craig"], "config": {"tolerance": True}},
+         "'tolerance' must be a JSON number, got True"),
+        ({"problem": RANDOM, "solvers": ["craig"], "config": {"max_iterations": 2.9}},
+         "'max_iterations' must be a JSON integer, got 2.9"),
+        ({"problem": RANDOM, "solvers": ["craig"], "config": {"max_iterations": False}},
+         "'max_iterations' must be a JSON integer, got False"),
+        ({"problem": RANDOM, "solvers": ["craig"],
+          "config": {"criterion": {"error-estimate": 2.0}}},
+         "'error_delay' must be a JSON integer"),
+        ({"problem": dict(RANDOM, m=10.0), "solvers": ["craig"]},
+         "bad random problem spec: 'm' must be a JSON integer, got 10.0"),
+        ({"problem": dict(RANDOM, density="1"), "solvers": ["craig"]},
+         "'density' must be a JSON number, got '1'"),
+        ({"problem": dict(RANDOM, spectrum=[1, True]), "solvers": ["craig"]},
+         "'spectrum' must be a JSON number, got True"),
+        ({"problem": {"source": "generate-stokes", "nx": 4.9, "ny": 4}, "solvers": ["craig"]},
+         "bad stokes problem spec: 'nx' must be a JSON integer, got 4.9"),
+        ({"problem": {"source": "generate-stokes", "nx": 4, "ny": 4, "viscosity": True},
+          "solvers": ["craig"]}, "'viscosity' must be a JSON number, got True"),
     ], ids=["top-level-array", "problem-string", "config-array", "criterion-two-entries",
             "spectrum-number", "solvers-string", "solver-array", "tolerance-null",
-            "load-path-number", "load-path-missing"])
+            "load-path-number", "load-path-missing", "tolerance-true", "max-iterations-float",
+            "max-iterations-false", "error-delay-float", "m-float", "density-string",
+            "spectrum-entry-true", "nx-float", "viscosity-true"])
     def test_malformed_manifest_is_refused_without_traceback(self, tmp_path, capsys, doc,
                                                              fragment):
         path = tmp_path / "m.json"
@@ -156,6 +178,14 @@ class TestRun:
             manifest = RunManifest.from_file(str(path))
             assert manifest.config.reorthogonalize is flag
             assert manifest.report_error_vs_oracle is flag
+
+    def test_integer_reals_load_as_floats(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"problem": RANDOM, "solvers": ["craig"],
+                                    "config": {"tolerance": 1, "max_iterations": 7}}))
+        cfg = RunManifest.from_file(str(path)).config
+        assert (cfg.tolerance, cfg.max_iterations) == (1.0, 7)
+        assert type(cfg.tolerance) is float and type(cfg.max_iterations) is int
 
     def test_incompatible_solver_rejected_before_running(self, tmp_path, capsys):
         manifest = write_manifest(

@@ -13,10 +13,15 @@ from gsp import (
     SolverConfig,
     SparseMatrix,
     SpdPreconditioner,
+    StokesSpec,
+    compress_rhs,
     craig_error_estimate,
     craig_residual_check,
     craig_solve,
     direct_solve,
+    gen_stokes_channel,
+    load_system,
+    save_system,
     scr_cg_solve,
 )
 from gsp.baselines import SchurOperator
@@ -63,8 +68,28 @@ class TestContainers:
             dense = getattr(hand_system, block).to_dense()
             dense[0, 0] = bad
             value = SparseMatrix.from_dense(dense)
+        if block == "Mmat":  # Mmat is read off the factor
+            block, value = "M", dataclasses.replace(hand_system.M, matrix=value)
         with pytest.raises(NonFiniteError):
             dataclasses.replace(hand_system, **{block: value})
+
+    def test_every_construction_path_derives_mmat_and_symmetric_from_m(self, tmp_path):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((6, 6))
+        spd, A, C = g @ g.T + 6.0 * np.eye(6), rng.standard_normal((6, 3)), np.eye(3)
+        oseen = StokesSpec(nx=4, ny=4, viscosity=0.1, oseen_wind="poiseuille")
+        systems = [SaddleSystem.from_matrices(spd, A, C, np.ones(3), symmetric=flag)
+                   for flag in (True, False, None)]
+        systems += [random_system(12, 5, skew=skew, seed=2) for skew in (0.0, 0.5)]
+        systems += [gen_stokes_channel(StokesSpec(nx=4, ny=4)), gen_stokes_channel(oseen)]
+        systems.append(load_system(save_system(str(tmp_path), systems[-1])))
+        systems.append(compress_rhs(spd, A, C, np.ones(6), np.ones(3))[0])
+        for sys in systems:
+            assert sys.Mmat is sys.M.matrix
+            assert sys.symmetric == (sys.M.kind == "cholesky-spd")
+        assert [sys.symmetric for sys in systems] == [True, False, True, True, False,
+                                                      True, False, False, True]
+        assert [f.name for f in dataclasses.fields(SaddleSystem)] == ["M", "A", "C", "b"]
 
     @pytest.mark.parametrize("skew", [0.0, 0.5])
     def test_validation_does_not_densify(self, monkeypatch, skew):
@@ -77,12 +102,11 @@ class TestContainers:
             return to_dense(self)
 
         monkeypatch.setattr(SparseMatrix, "to_dense", counting)
-        SaddleSystem(sys.M, sys.Mmat, sys.A, sys.C, sys.b, sys.symmetric)
+        SaddleSystem(sys.M, sys.A, sys.C, sys.b)
         SpdPreconditioner.from_matrix(SparseMatrix.from_dense(np.diag(np.arange(1.0, 13.0))))
         assert calls == []
         built = SaddleSystem.from_matrices(sys.Mmat, sys.A, sys.C, sys.b)
         assert calls == [(30, 30)]  # the dense factor's input only
-        assert built.M.matrix is built.Mmat
         assert built.symmetric == (skew == 0.0)
 
     def test_config_validation(self):
@@ -111,8 +135,7 @@ class TestHandInstance:
             craig_solve(hand_system_nonsym, None)
 
     def test_zero_rhs(self, hand_system):
-        sys0 = SaddleSystem(hand_system.M, hand_system.Mmat, hand_system.A,
-                            hand_system.C, np.zeros(1), True)
+        sys0 = SaddleSystem(hand_system.M, hand_system.A, hand_system.C, np.zeros(1))
         with pytest.raises(ZeroRhsError):
             craig_solve(sys0, None)
 
@@ -124,7 +147,7 @@ def test_eigenvector_rhs_terminates_in_one_step():
     S = SchurOperator(sys).dense()
     lam, V = scipy.linalg.eigh(S / np.outer(np.sqrt(nd), np.sqrt(nd)))
     b = np.sqrt(nd) * V[:, 2]  # any eigenvector of S N^{-1}
-    sys_eig = SaddleSystem(sys.M, sys.Mmat, sys.A, sys.C, b, sys.symmetric)
+    sys_eig = SaddleSystem(sys.M, sys.A, sys.C, b)
     res = craig_solve(sys_eig, N)
     assert res.iterations == 1
     assert res.termination == "exact-termination"

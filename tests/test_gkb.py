@@ -34,14 +34,13 @@ class TestSymmetric:
         assert factors.betas[1] <= 1e-14  # early termination
 
     def test_zero_c_rejected(self, hand_system):
-        sys0 = SaddleSystem(hand_system.M, hand_system.Mmat, hand_system.A,
-                            type(hand_system.C).zeros(1, 1), hand_system.b, True)
+        sys0 = SaddleSystem(hand_system.M, hand_system.A, type(hand_system.C).zeros(1, 1),
+                            hand_system.b)
         with pytest.raises(DegenerateBlockError):
             augment(sys0)
 
     def test_zero_rhs_rejected(self, hand_system):
-        sys0 = SaddleSystem(hand_system.M, hand_system.Mmat, hand_system.A,
-                            hand_system.C, np.zeros(1), True)
+        sys0 = SaddleSystem(hand_system.M, hand_system.A, hand_system.C, np.zeros(1))
         with pytest.raises(ZeroRhsError):
             gkb_symmetric(augment(sys0), SpdPreconditioner.identity(1), steps=1)
 

@@ -228,6 +228,11 @@ class TestWeightedInner:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             weighted_inner(SparseMatrix.identity(2), [np.nan, 0.0], [1.0, 1.0])
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                weighted_inner(SparseMatrix.identity(2), [1.0, 0.0], [bad, 1.0])
+            with pytest.raises(ValueError):
+                weighted_norm(SparseMatrix.identity(2), [bad, 1.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

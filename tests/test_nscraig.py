@@ -66,9 +66,8 @@ class TestHandInstances:
         assert np.allclose(res.u, [0.4 / 2.6, 1.2 / 2.6], atol=1e-12)
 
     def test_zero_rhs(self, hand_system_nonsym):
-        sys0 = SaddleSystem(hand_system_nonsym.M, hand_system_nonsym.Mmat,
-                            hand_system_nonsym.A, hand_system_nonsym.C,
-                            np.zeros(1), False)
+        sys0 = SaddleSystem(hand_system_nonsym.M, hand_system_nonsym.A,
+                            hand_system_nonsym.C, np.zeros(1))
         with pytest.raises(ZeroRhsError):
             nscraig_solve(sys0, None)
 
