@@ -40,6 +40,7 @@ from .nscraig import (
     nscraig_error_estimate,
     nscraig_residual_check,
     nscraig_solve,
+    replay,
 )
 from .problems import (
     RandomSpec,

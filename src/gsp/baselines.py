@@ -1,7 +1,7 @@
 """Oracle and comparison solvers.
 
 Schur complement reduction with inner CG or FOM, block-diagonally
-preconditioned MINRES/GMRES on the full system, and a dense direct solver.
+preconditioned MINRES/GMRES on the full system, and a sparse direct solver.
 The Krylov codes are textbook formulations written against the same
 containers as the production solvers so iterate histories line up.
 """
@@ -59,8 +59,7 @@ class BlockDiagPreconditioner:
 def scr_cg_solve(sys, N=None, cfg=None):
     """Schur complement reduction with preconditioned CG on S p = -b.
 
-    p iterates are recorded each step (kept when cfg.keep_iterates); u is
-    recovered once at termination by a single M-solve.
+    u is recovered once at termination by a single M-solve.
     """
     cfg = cfg or SolverConfig()
     if not sys.symmetric:
@@ -78,7 +77,6 @@ def scr_cg_solve(sys, N=None, cfg=None):
     beta1 = float(np.sqrt(max(rho, 0.0)))
     d = z.copy()
     history = []
-    p_list = [] if cfg.keep_iterates else None
     termination = "max-iterations"
 
     k = 0
@@ -97,8 +95,6 @@ def scr_cg_solve(sys, N=None, cfg=None):
         rho_next = max(float(r @ z), 0.0)
         res_rel = float(np.sqrt(rho_next)) / beta1
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
-        if cfg.keep_iterates:
-            p_list.append(p.copy())
         if rho_next <= (EXACT_TOL * beta1) ** 2:
             termination = "exact-termination"
             break
@@ -109,7 +105,7 @@ def scr_cg_solve(sys, N=None, cfg=None):
         rho = rho_next
 
     u = -sys.M.solve(sys.A.matvec(p))
-    return SolveResult(u, p, termination, history, p_iterates=p_list, beta1=beta1)
+    return SolveResult(u, p, termination, history, beta1=beta1)
 
 
 def scr_fom_solve(sys, N=None, cfg=None):
@@ -134,7 +130,6 @@ def scr_fom_solve(sys, N=None, cfg=None):
     maxit = min(cfg.max_iterations, sys.n)
     Hbar = np.zeros((maxit + 1, maxit))
     history = []
-    p_list = [] if cfg.keep_iterates else None
     p = np.zeros(sys.n)
     termination = "max-iterations"
 
@@ -157,8 +152,6 @@ def scr_fom_solve(sys, N=None, cfg=None):
         p = np.column_stack(Q[:k]) @ y
         res_rel = hnext * abs(y[-1]) / beta1
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
-        if cfg.keep_iterates:
-            p_list.append(p.copy())
         if hnext <= EXACT_TOL * beta1:
             termination = "exact-termination"
             break
@@ -169,7 +162,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
         NQ.append(N.apply(Q[-1]))
 
     u = -sys.M.solve(sys.A.matvec(p))
-    return SolveResult(u, p, termination, history, p_iterates=p_list, beta1=beta1)
+    return SolveResult(u, p, termination, history, beta1=beta1)
 
 
 def pminres_solve(sys, N=None, cfg=None):
@@ -317,27 +310,25 @@ def pgmres_solve(sys, N=None, cfg=None):
 
 
 def direct_solve(sys):
-    """Dense LU (partial pivoting) on the assembled full system; test oracle."""
-    m, n = sys.m, sys.n
-    if m + n > 5000:
-        raise GspError("direct solve capped at m + n <= 5000")
-    K = np.zeros((m + n, m + n))
-    K[:m, :m] = sys.Mmat.to_dense()
-    Ad = sys.A.to_dense()
-    K[:m, m:] = Ad
-    K[m:, :m] = Ad.T
-    K[m:, m:] = -sys.C.to_dense()
-    f = np.concatenate([np.zeros(m), sys.b])
-    import warnings
+    """Sparse LU of the assembled K with no size cap; the test oracle.
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu = scipy.linalg.lu_factor(K, check_finite=False)
-    piv_diag = np.abs(np.diag(lu[0]))
+    SuperLU keeps its defaults (COLAMD, partial pivoting): factorize's
+    minimum-degree order on K^T + K, chosen for M, fills catastrophically here.
+    """
+    import scipy.sparse.linalg  # here, as in linops._sparse_factor: loaded only when used
+
+    A = sys.A.csr
+    K = scipy.sparse.block_array([[sys.Mmat.csr, A], [A.T, -sys.C.csr]], format="csc")
+    f = np.concatenate([np.zeros(sys.m), sys.b])
+    try:
+        lu = scipy.sparse.linalg.splu(K)
+    except RuntimeError as exc:  # SuperLU found an exactly zero pivot
+        raise SingularOperatorError(f"full system matrix is singular: {exc}") from exc
+    piv_diag = np.abs(lu.U.diagonal())
     if piv_diag.min() <= 1e-14 * max(piv_diag.max(), 1e-300):
         raise SingularOperatorError("full system matrix is numerically singular")
-    z = scipy.linalg.lu_solve(lu, f, check_finite=False)
+    z = lu.solve(f)
     resid = np.linalg.norm(K @ z - f)
     if resid > 1e-8 * np.linalg.norm(f):
-        raise GspError("full system too ill-conditioned for the dense oracle")
-    return z[:m], z[m:]
+        raise GspError("full system too ill-conditioned for the direct oracle")
+    return z[:sys.m], z[sys.m:]

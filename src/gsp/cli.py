@@ -111,14 +111,17 @@ def _flag(value, key):
 
 
 def _number(value, key, kind):
-    """A manifest number as kind: int takes JSON integers only, float any JSON number.
+    """A manifest number as kind: int takes JSON integers only, float any finite JSON number.
 
-    JSON true is not 1 here, nor is 2.9 a count. Raises TypeError, which the
-    callers report as a UsageError naming the manifest section.
+    JSON true is not 1 here, nor is 2.9 a count, nor are Python's json
+    extensions Infinity and NaN numbers. Raises TypeError, which the callers
+    report as a UsageError naming the manifest section.
     """
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise TypeError(f"'{key}' must be a JSON {'integer' if kind is int else 'number'}, "
                         f"got {value!r}")
+    if kind is float and not abs(value) <= _sys.float_info.max:  # inf, NaN, 10**400
+        raise TypeError(f"'{key}' must be finite, got {value!r}")
     return kind(value)
 
 

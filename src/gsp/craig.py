@@ -22,9 +22,8 @@ def craig_solve(sys, N=None, cfg=None):
 
     Only the latest q, v, r, s, t vectors are retained unless
     cfg.reorthogonalize (store Q for one classical Gram-Schmidt pass per
-    step) or
-    cfg.keep_iterates (store per-iteration iterates and Q for replay
-    diagnostics) is set.
+    step) or cfg.keep_basis (return Q) is set. Earlier iterates come from
+    gsp.nscraig.replay.
     """
     if not sys.symmetric:
         raise WrongSolverError("craig requires a symmetric leading block; use nscraig")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -180,8 +181,13 @@ class SparseMatrix:
         """max|K - K^T| <= 1e-12 max|K|, computed from the stored entries only.
 
         A fully stored K is tested on its dense view; a partly stored one
-        on the sparse difference of its CSR arrays.
+        on the sparse difference of its CSR arrays. The matrix is immutable,
+        so the verdict is computed once and kept.
         """
+        return self._symmetric
+
+    @cached_property
+    def _symmetric(self):
         if self.rows != self.cols:
             return False
         if self._full is not None:
@@ -375,12 +381,13 @@ def spsd_factor(C, rank_tolerance=1e-12):
     below rank_tolerance * lambda_max are truncated; an eigenvalue below
     -rank_tolerance * lambda_max raises NotSpsdError.
     """
-    dense = np.asarray(C, dtype=float)
-    n = dense.shape[0]
-    if dense.shape != (n, n):
+    shape = np.shape(C)  # before densifying: a SparseMatrix has a shape
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise DimensionError("spsd_factor requires a square matrix")
+    n = shape[0]
     if n > 2000:
         raise DimensionError("dense eigendecomposition capped at dimension 2000")
+    dense = np.asarray(C, dtype=float)
     norm_c = np.linalg.norm(dense)
     if np.linalg.norm(dense - dense.T) > 1e-12 * max(norm_c, 1e-300):
         raise NotSpsdError("matrix is not symmetric")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -195,23 +195,22 @@ def gkb_solve(sys, N, cfg, full_orth):
     SIMAX 2013): a step applies A, A^T, the M-solve and C once each and
     never multiplies by M.
     Without full_orth (CRAIG) only the latest q, v, r, s, t vectors are
-    retained unless cfg.reorthogonalize or cfg.keep_iterates needs the right
+    retained unless cfg.reorthogonalize or cfg.keep_basis needs the right
     basis. The basis is one array of rows q_1, q_2, ... that starts at one row
     and doubles its rows when a step outgrows it. nsCRAIG orthogonalizes by
     CGS2 with the second pass lagged one step (_lagged_cgs2): step k drives
     its recurrences with q~_k, the vector after one pass, and finishes q_k in
     row k-1 of the basis while projecting the new vector, so the rows a step
-    reads are final (kept iterates, the assembly, result.Q). A step of either
-    solver makes one N-solve and two N products. cfg.reorthogonalize adds one
+    reads are final (the assembly, result.Q). A step of either solver makes
+    one N-solve and two N products. cfg.reorthogonalize adds one
     explicit classical Gram-Schmidt pass over the final basis, and one N
     product, per step in both modes (CRAIG's only pass). If the lagged pass
     finds 1 - a . a <= 0, the run ends with termination "breakdown" and the
     previous step's iterate.
     nsCRAIG grows its IncrementalLowerFactor on every step; the error-estimate
-    rule reads it each step and assemble_solution once, on termination.
-    Under cfg.keep_iterates every iterate is formed (nsCRAIG: from the same
-    factor, so the returned u, p do not depend on keep_iterates) and kept with
-    the right basis Q and nsCRAIG's Hessenberg columns.
+    rule reads it each step and assemble_solution once, on termination: the
+    only iterate nsCRAIG forms. cfg.keep_basis keeps the right basis Q and
+    nsCRAIG's Hessenberg columns; earlier iterates come from replay.
     A NaN or infinite alpha or beta raises NonFiniteError.
     """
     cfg = cfg or SolverConfig()
@@ -227,7 +226,7 @@ def gkb_solve(sys, N, cfg, full_orth):
         raise ZeroRhsError("b has zero N^{-1}-norm")
     q = q / beta1
     nq = N.apply(q)
-    store_basis = full_orth or cfg.reorthogonalize or cfg.keep_iterates
+    store_basis = full_orth or cfg.reorthogonalize or cfg.keep_basis
     Q = np.array([q]) if store_basis else None
     mw = A.matvec(q)
     w = M.solve(mw)
@@ -236,11 +235,9 @@ def gkb_solve(sys, N, cfg, full_orth):
     alpha = _finite(float(np.sqrt(max(w @ mw + r @ s, 0.0))), "alpha_1", 1)
 
     alphas, betas, scalars = [alpha], [beta1], []
-    h_columns = [] if full_orth and cfg.keep_iterates else None
+    h_columns = [] if full_orth and cfg.keep_basis else None
     lower = IncrementalLowerFactor() if full_orth else None
     history = []
-    u_list = [] if cfg.keep_iterates else None
-    p_list = [] if cfg.keep_iterates else None
 
     if alpha <= BREAKDOWN_TOL * max(beta1, 1.0):
         return SolveResult(np.zeros(sys.m), np.zeros(sys.n), "breakdown", history, beta1=beta1)
@@ -253,10 +250,6 @@ def gkb_solve(sys, N, cfg, full_orth):
     if not full_orth:
         u = zeta * v
         p = -(zeta / alpha) * r
-
-    def assemble_iterate(y):
-        p = y @ Q[: len(y)]
-        return -M.solve(A.matvec(p)), p
 
     k = 1
     termination = "max-iterations"
@@ -284,11 +277,6 @@ def gkb_solve(sys, N, cfg, full_orth):
         ng = N.apply(g)
         beta = _finite(float(np.sqrt(max(g @ ng, 0.0))), f"beta_{k + 1}", k)
         betas.append(beta)
-
-        if cfg.keep_iterates:
-            ui, pi = assemble_iterate(lower.coefficients()) if full_orth else (u, p)
-            u_list.append(ui)
-            p_list.append(pi)
 
         res_rel = (beta / beta1) * abs(zeta)
         err_est = None
@@ -339,17 +327,17 @@ def gkb_solve(sys, N, cfg, full_orth):
         k += 1
 
     if full_orth:
-        u, p = assemble_iterate(assemble_solution(lower))
+        y = assemble_solution(lower)
+        p = y @ Q[:k]
+        u = -M.solve(A.matvec(p))
     return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1,
-                       h_columns=h_columns, u_iterates=u_list, p_iterates=p_list,
-                       Q=list(Q[:k]) if cfg.keep_iterates else None)
+                       h_columns=h_columns, Q=list(Q[:k]) if cfg.keep_basis else None)
 
 
 def nscraig_solve(sys, N=None, cfg=None):
     """Run nsCRAIG; symmetric instances are accepted and match craig's iterates.
 
-    The iterate is assembled only on termination; cfg.keep_iterates also forms
-    and keeps every earlier one (for replay diagnostics).
+    The iterate is assembled only on termination.
     """
     return gkb_solve(sys, N, cfg, full_orth=True)
 
@@ -405,7 +393,7 @@ class ResidualCheckReport:
 
     dual_defects[i] = |explicit N^{-1}-norm residual - beta_{k+1}|scalar_k|| / beta_1,
     upper_ratios[i] = ||M u + A p|| / (||A||_F ||p||),
-    orth_defects[i] = max_j |residual . q_j| (None when no basis was stored).
+    orth_defects[i] = max_j |residual . q_j| (None without cfg.keep_basis).
     """
 
     dual_defects: list[float]
@@ -414,24 +402,37 @@ class ResidualCheckReport:
     beta1: float
 
 
-def residual_check(sys, N, result):
-    """Recompute every recorded residual explicitly and report the defects."""
-    if result.u_iterates is None or result.p_iterates is None or not result.history:
-        raise InsufficientHistoryError("solve must be run with keep_iterates=True")
+def replay(solve, sys, N, cfg=None):
+    """Runs of solve capped at k = 1..K steps; the last is the uncapped run, of K steps.
+
+    The loops are deterministic, so run k ends on the uncapped run's iterate k
+    bit for bit: every iterate without storing any, at O(K^2) steps.
+    """
+    cfg = cfg or SolverConfig()
+    last = solve(sys, N, cfg)
+    capped = [solve(sys, N, replace(cfg, max_iterations=k)) for k in range(1, last.iterations)]
+    return capped + [last]
+
+
+def residual_check(sys, N, solve, cfg=None):
+    """Recompute each replayed run's final residual explicitly against its last record."""
+    runs = replay(solve, sys, N, cfg)
+    if not runs[-1].history:
+        raise InsufficientHistoryError("the solve recorded no iteration")
     N = N or SpdPreconditioner.identity(sys.n)
-    beta1 = result.beta1
     a_norm = float(np.linalg.norm(sys.A.values))
-    dual, upper, orth = [], [], []
-    Q = result.Q
-    for rec, u, p in zip(result.history, result.u_iterates, result.p_iterates):
+    Q = runs[-1].Q
+    dual, upper, orth = [], [], [] if Q is not None else None
+    for run in runs:
+        rec, u, p = run.history[-1], run.u, run.p
         resid = sys.b - sys.A.rmatvec(u) + sys.C.matvec(p)
         explicit = N.inv_norm(resid)
-        dual.append(abs(explicit - rec.beta_next * abs(rec.scalar)) / beta1)
+        dual.append(abs(explicit - rec.beta_next * abs(rec.scalar)) / run.beta1)
         block = np.linalg.norm(sys.Mmat.matvec(u) + sys.A.matvec(p))
         upper.append(block / max(a_norm * np.linalg.norm(p), 1e-300))
         if Q is not None:
             orth.append(max(abs(resid @ qj) for qj in Q[: rec.k]))
-    return ResidualCheckReport(dual, upper, orth if Q is not None else None, beta1)
+    return ResidualCheckReport(dual, upper, orth, runs[-1].beta1)
 
 
 # Both solvers run the same loop and fill the same result fields.

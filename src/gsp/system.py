@@ -93,8 +93,9 @@ class SolverConfig:
     whichever fires first. reorthogonalize adds one explicit classical
     Gram-Schmidt pass per step over the stored right basis, at the cost of one
     more N product (CRAIG: its only pass; nsCRAIG: one more after its lagged
-    CGS2, over the final rows). keep_iterates retains per-iteration (u, p),
-    the right basis and nsCRAIG's Hessenberg columns for replay diagnostics.
+    CGS2, over the final rows). keep_basis retains what a rerun cannot give
+    back, the right basis and nsCRAIG's Hessenberg columns; earlier iterates
+    come from gsp.nscraig.replay, the same run capped at each step count.
     """
 
     tolerance: float = 1e-6
@@ -102,11 +103,11 @@ class SolverConfig:
     criterion: str = CRITERION_RESIDUAL
     error_delay: int = 5
     reorthogonalize: bool = False
-    keep_iterates: bool = False
+    keep_basis: bool = False
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < float("inf"):
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.criterion not in (CRITERION_RESIDUAL, CRITERION_ERROR, CRITERION_BOTH):
@@ -147,10 +148,9 @@ class SolveResult:
 
     The bidiagonalization scalars live in the history records only; alphas,
     betas and scalars read them back. beta1 is the N^{-1}-norm of b (baselines
-    store their own initial residual norm there). nsCRAIG's Hessenberg columns
-    h_columns, u_iterates, p_iterates and the right basis Q (rows q_1..q_k)
-    are kept only under keep_iterates (baselines record p_iterates alone), so
-    a result without them is O(k + m + n) in size.
+    store their own initial residual norm there). The right basis Q (rows
+    q_1..q_k) and nsCRAIG's Hessenberg columns h_columns are kept only under
+    keep_basis, so a result without them is O(k + m + n) in size.
     """
 
     u: np.ndarray
@@ -160,8 +160,6 @@ class SolveResult:
     fired_criterion: str | None = None
     beta1: float | None = None
     h_columns: list[np.ndarray] | None = None
-    u_iterates: list[np.ndarray] | None = None
-    p_iterates: list[np.ndarray] | None = None
     Q: list[np.ndarray] | None = None
 
     @property

@@ -37,6 +37,7 @@ from gsp import (
     pminres_solve,
     read_matrix_market,
     recover_w,
+    replay,
     scr_cg_solve,
     scr_fom_solve,
     verify_decomposition,
@@ -78,39 +79,41 @@ def suite_specs():
 
 @pytest.fixture(scope="module")
 def suite1():
-    """20 symmetric instances: craig and scr-cg runs with kept iterates."""
+    """20 symmetric instances: craig and scr-cg runs replayed at every step count."""
     t0 = time.perf_counter()
-    cfg = SolverConfig(tolerance=1e-6, keep_iterates=True)
+    cfg = SolverConfig(tolerance=1e-6)
     runs = []
     for m, n, c_rank, seed in suite_specs():
         sys = well_conditioned_instance(m, n, c_rank, seed)
-        runs.append((sys, craig_solve(sys, None, cfg), scr_cg_solve(sys, None, cfg)))
+        runs.append((sys, replay(craig_solve, sys, None, cfg),
+                     replay(scr_cg_solve, sys, None, cfg)))
     return {"runs": runs, "seconds": time.perf_counter() - t0}
 
 
 @pytest.fixture(scope="module")
 def suite2():
-    """20 NSPD instances (skew 0.5): nscraig and scr-fom runs."""
+    """20 NSPD instances (skew 0.5): nscraig and scr-fom runs replayed at every step count."""
     t0 = time.perf_counter()
-    cfg = SolverConfig(tolerance=1e-6, keep_iterates=True)
+    cfg = SolverConfig(tolerance=1e-6)
     runs = []
     for m, n, c_rank, seed in suite_specs():
         sys = well_conditioned_instance(m, n, c_rank, 2000 + seed, skew=0.5)
-        runs.append((sys, nscraig_solve(sys, None, cfg), scr_fom_solve(sys, None, cfg)))
+        runs.append((sys, replay(nscraig_solve, sys, None, cfg),
+                     replay(scr_fom_solve, sys, None, cfg)))
     return {"runs": runs, "seconds": time.perf_counter() - t0}
 
 
-def max_iterate_gap(res_a, res_b):
+def max_iterate_gap(runs_a, runs_b):
     gap = 0.0
-    for pa, pb in zip(res_a.p_iterates, res_b.p_iterates):
-        gap = max(gap, np.linalg.norm(pa - pb) / max(np.linalg.norm(pb), 1e-300))
+    for ra, rb in zip(runs_a, runs_b):
+        gap = max(gap, np.linalg.norm(ra.p - rb.p) / max(np.linalg.norm(rb.p), 1e-300))
     return gap
 
 
 def test_criterion_01_craig_equals_scr_cg(suite1):
     worst = 0.0
     for sys, rc, rg in suite1["runs"]:
-        assert rc.converged and rg.converged
+        assert rc[-1].converged and rg[-1].converged
         worst = max(worst, max_iterate_gap(rc, rg))
     assert worst <= 1e-9
     assert suite1["seconds"] < 10.0
@@ -121,7 +124,7 @@ def test_criterion_01_craig_equals_scr_cg(suite1):
 def test_criterion_02_nscraig_equals_scr_fom(suite2):
     worst = 0.0
     for sys, rn, rf in suite2["runs"]:
-        assert rn.converged and rf.converged
+        assert rn[-1].converged and rf[-1].converged
         worst = max(worst, max_iterate_gap(rn, rf))
     assert worst <= 1e-8
     assert suite2["seconds"] < 20.0
@@ -131,12 +134,13 @@ def test_criterion_02_nscraig_equals_scr_fom(suite2):
 
 def test_criterion_03_residual_recurrence_identity(suite1, suite2):
     worst_dual, worst_upper = 0.0, 0.0
-    for sys, rc, _ in suite1["runs"]:
-        rep = craig_residual_check(sys, None, rc)
+    cfg = SolverConfig(tolerance=1e-6)
+    for sys, _, _ in suite1["runs"]:
+        rep = craig_residual_check(sys, None, craig_solve, cfg)
         worst_dual = max(worst_dual, max(rep.dual_defects))
         worst_upper = max(worst_upper, max(rep.upper_ratios))
-    for sys, rn, _ in suite2["runs"]:
-        rep = nscraig_residual_check(sys, None, rn)
+    for sys, _, _ in suite2["runs"]:
+        rep = nscraig_residual_check(sys, None, nscraig_solve, cfg)
         worst_dual = max(worst_dual, max(rep.dual_defects))
         worst_upper = max(worst_upper, max(rep.upper_ratios))
     assert worst_dual <= 1e-8   # |explicit - beta|scalar|| / beta_1
@@ -155,24 +159,25 @@ def test_criterion_04_energy_error_identity():
     worst = 0.0
     # symmetric: tail sums of zeta^2
     sys = random_system(48, 24, c_rank=12, seed=90, spectrum=(1.0, 1e4))
-    cfg = SolverConfig(tolerance=1e-300, max_iterations=24, keep_iterates=True,
-                       reorthogonalize=True)
-    res = craig_solve(sys, None, cfg)
+    cfg = SolverConfig(tolerance=1e-300, max_iterations=24, reorthogonalize=True)
+    runs = replay(craig_solve, sys, None, cfg)
+    res = runs[-1]
     assert res.iterations == 24
     u_star, p_star = direct_solve(sys)
     z = np.array(res.scalars)
     total = float(z @ z)
     for k in range(res.iterations):
-        lhs = _energy_lhs(sys, u_star, p_star, res.u_iterates[k], res.p_iterates[k])
+        lhs = _energy_lhs(sys, u_star, p_star, runs[k].u, runs[k].p)
         rhs = float(z[k + 1:] @ z[k + 1:])
         worst = max(worst, abs(lhs - rhs) / total)
     assert worst <= 1e-7
 
     # nonsymmetric: tail sums of chi*zeta with zeta = L^{-T} chi
     sys_n = random_system(48, 24, skew=0.5, c_rank=12, seed=91, spectrum=(1.0, 1e3))
-    cfg_n = SolverConfig(tolerance=1e-300, max_iterations=24, keep_iterates=True,
+    cfg_n = SolverConfig(tolerance=1e-300, max_iterations=24, keep_basis=True,
                          reorthogonalize=True)
-    res_n = nscraig_solve(sys_n, None, cfg_n)
+    runs_n = replay(nscraig_solve, sys_n, None, cfg_n)
+    res_n = runs_n[-1]
     assert res_n.iterations == 24
     u_star, p_star = direct_solve(sys_n)
     k_full = len(res_n.alphas)
@@ -184,7 +189,7 @@ def test_criterion_04_energy_error_identity():
     total_n = float(terms.sum())
     worst_n = 0.0
     for k in range(res_n.iterations):
-        lhs = _energy_lhs(sys_n, u_star, p_star, res_n.u_iterates[k], res_n.p_iterates[k])
+        lhs = _energy_lhs(sys_n, u_star, p_star, runs_n[k].u, runs_n[k].p)
         rhs = float(terms[k + 1:].sum())  # terms[i-1] holds chi_i * zeta_i
         worst_n = max(worst_n, abs(lhs - rhs) / abs(total_n))
     assert worst_n <= 1e-7
@@ -349,8 +354,8 @@ def test_criterion_10_monotonicity(suite1):
     for sys, rc, _ in suite1["runs"]:
         _, p_star = direct_solve(sys)
         S = SchurOperator(sys).dense()
-        errs = [math.sqrt(max((p_star - pk) @ S @ (p_star - pk), 0.0))
-                for pk in rc.p_iterates]
+        errs = [math.sqrt(max((p_star - run.p) @ S @ (p_star - run.p), 0.0))
+                for run in rc]
         assert all(b < a for a, b in zip(errs, errs[1:]))
     for sys, rc, _ in suite1["runs"][:4]:
         rm = pminres_solve(sys, None, SolverConfig(tolerance=1e-10))
@@ -368,9 +373,10 @@ def test_criterion_11_constrained_minimization():
     for n, seed in [(2, 800), (3, 801), (4, 802)]:
         sys = random_system(2 * n + 2, n, c_rank=max(1, n // 2), seed=seed)
         N = random_preconditioner(n, seed=seed)
-        cfg = SolverConfig(tolerance=1e-300, max_iterations=n, keep_iterates=True,
+        cfg = SolverConfig(tolerance=1e-300, max_iterations=n, keep_basis=True,
                            reorthogonalize=True)
-        res = craig_solve(sys, N, cfg)
+        runs = replay(craig_solve, sys, N, cfg)
+        res = runs[-1]
         u_star, p_star = direct_solve(sys)
         Md, Cd, Ad = sys.Mmat.to_dense(), sys.C.to_dense(), sys.A.to_dense()
 
@@ -385,7 +391,7 @@ def test_criterion_11_constrained_minimization():
             g = U.T @ Md @ u_star + Q.T @ Cd @ p_star
             y_min = np.linalg.solve(H, g)
             obj_min = objective(U @ y_min, Q @ y_min)
-            obj_craig = objective(res.u_iterates[k - 1], res.p_iterates[k - 1])
+            obj_craig = objective(runs[k - 1].u, runs[k - 1].p)
             worst = max(worst, abs(obj_craig - obj_min) / (1.0 + obj_min))
             resid = sys.b - Ad.T @ (U @ y_min) + Cd @ (Q @ y_min)
             assert np.linalg.norm(Q.T @ resid) <= 1e-8 * res.betas[0]

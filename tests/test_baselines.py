@@ -1,4 +1,4 @@
-"""SCR, MINRES/GMRES baselines, and the dense direct oracle."""
+"""SCR, MINRES/GMRES baselines, and the sparse direct oracle."""
 
 import numpy as np
 import pytest
@@ -9,16 +9,20 @@ from gsp import (
     SolverConfig,
     SparseMatrix,
     SpdPreconditioner,
+    StokesSpec,
     craig_solve,
     direct_solve,
+    gen_stokes_channel_detailed,
     nscraig_solve,
     pgmres_solve,
     pminres_solve,
+    recover_w,
+    replay,
     scr_cg_solve,
     scr_fom_solve,
 )
 from gsp.baselines import BlockDiagPreconditioner, SchurOperator
-from gsp.errors import WrongSolverError
+from gsp.errors import SingularOperatorError, WrongSolverError
 
 
 class TestSchurOperator:
@@ -55,22 +59,22 @@ class TestScrCg:
     def test_matches_craig_iterates(self):
         sys = random_system(20, 8, c_rank=4, seed=62)
         N = random_preconditioner(8, seed=62)
-        cfg = SolverConfig(keep_iterates=True)
-        rg = scr_cg_solve(sys, N, cfg)
-        rc = craig_solve(sys, N, cfg)
-        for pk_g, pk_c in zip(rg.p_iterates, rc.p_iterates):
-            assert np.linalg.norm(pk_g - pk_c) <= 1e-9 * np.linalg.norm(pk_g)
+        cfg = SolverConfig()
+        rg = replay(scr_cg_solve, sys, N, cfg)
+        rc = replay(craig_solve, sys, N, cfg)
+        for g, c in zip(rg, rc):
+            assert np.linalg.norm(g.p - c.p) <= 1e-9 * np.linalg.norm(g.p)
 
     def test_zero_c_identity_preconditioner_matches_textbook_cg(self):
         sys = random_system(12, 6, c_rank=0, seed=63)
-        res = scr_cg_solve(sys, None, SolverConfig(tolerance=1e-12, keep_iterates=True))
+        runs = replay(scr_cg_solve, sys, None, SolverConfig(tolerance=1e-12))
         # independent plain CG on A^T M^{-1} A p = -b
         Sd = SchurOperator(sys).dense()
         p = np.zeros(6)
         r = -sys.b
         d = r.copy()
         rho = r @ r
-        for pk in res.p_iterates:
+        for run in runs:
             w = Sd @ d
             eta = rho / (d @ w)
             p = p + eta * d
@@ -78,28 +82,28 @@ class TestScrCg:
             rho_next = r @ r
             d = r + (rho_next / rho) * d
             rho = rho_next
-            assert np.linalg.norm(pk - p) <= 1e-10 * max(np.linalg.norm(p), 1e-30)
+            assert np.linalg.norm(run.p - p) <= 1e-10 * max(np.linalg.norm(p), 1e-30)
 
 
 class TestScrFom:
     def test_symmetric_instance_matches_cg(self):
         sys = random_system(20, 8, c_rank=4, seed=64)
         N = random_preconditioner(8, seed=64)
-        cfg = SolverConfig(keep_iterates=True)
-        rf = scr_fom_solve(sys, N, cfg)
-        rg = scr_cg_solve(sys, N, cfg)
-        for pf, pg in zip(rf.p_iterates, rg.p_iterates):
-            assert np.linalg.norm(pf - pg) <= 1e-9 * max(np.linalg.norm(pg), 1e-30)
+        cfg = SolverConfig()
+        rf = replay(scr_fom_solve, sys, N, cfg)
+        rg = replay(scr_cg_solve, sys, N, cfg)
+        for f, g in zip(rf, rg):
+            assert np.linalg.norm(f.p - g.p) <= 1e-9 * max(np.linalg.norm(g.p), 1e-30)
 
     def test_matches_nscraig_iterates(self):
         sys = random_system(20, 8, skew=0.5, c_rank=4, seed=65)
         N = random_preconditioner(8, seed=65)
-        cfg = SolverConfig(keep_iterates=True)
-        rf = scr_fom_solve(sys, N, cfg)
-        rn = nscraig_solve(sys, N, cfg)
-        assert rf.iterations == rn.iterations
-        for pf, pn in zip(rf.p_iterates, rn.p_iterates):
-            assert np.linalg.norm(pf - pn) <= 1e-9 * max(np.linalg.norm(pn), 1e-30)
+        cfg = SolverConfig()
+        rf = replay(scr_fom_solve, sys, N, cfg)
+        rn = replay(nscraig_solve, sys, N, cfg)
+        assert rf[-1].iterations == rn[-1].iterations
+        for f, n in zip(rf, rn):
+            assert np.linalg.norm(f.p - n.p) <= 1e-9 * max(np.linalg.norm(n.p), 1e-30)
 
     def test_eigenvector_rhs_one_step(self):
         sys = random_system(12, 5, skew=0.5, c_rank=3, seed=66)
@@ -194,6 +198,22 @@ class TestDirectSolve:
         r2 = sys.A.rmatvec(u) - sys.C.matvec(p) - sys.b
         scale = np.linalg.norm(sys.b)
         assert np.linalg.norm(np.concatenate([r1, r2])) <= 1e-10 * scale
+
+    def test_stokes48_matches_manufactured_solution(self):
+        # m + n = 6815: the oracle has no size cap.
+        prob = gen_stokes_channel_detailed(StokesSpec(nx=48, ny=48))
+        u, p = direct_solve(prob.system)
+        vel = recover_w(u, prob.w0)
+        assert np.linalg.norm(vel - prob.velocity) <= 1e-10 * np.linalg.norm(prob.velocity)
+        assert np.linalg.norm(p - prob.pressure) <= 1e-10 * np.linalg.norm(prob.pressure)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-20], ids=["exact", "numerical"])
+    def test_singular_system_refused(self, scale):
+        # C = 0 and a (nearly) zero column of A leave K a (nearly) zero column.
+        A = np.array([[1.0, 0.0], [0.0, scale], [1.0, 0.0]])
+        sys = SaddleSystem.from_matrices(np.eye(3), A, np.zeros((2, 2)), np.ones(2))
+        with pytest.raises(SingularOperatorError):
+            direct_solve(sys)
 
 
 def test_block_diag_preconditioner_blockwise():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -138,11 +139,19 @@ class TestRun:
          "bad stokes problem spec: 'nx' must be a JSON integer, got 4.9"),
         ({"problem": {"source": "generate-stokes", "nx": 4, "ny": 4, "viscosity": True},
           "solvers": ["craig"]}, "'viscosity' must be a JSON number, got True"),
+        # Python's json reads Infinity and NaN; neither is a usable real.
+        ({"problem": RANDOM, "solvers": ["craig"], "config": {"tolerance": math.inf}},
+         "bad config: 'tolerance' must be finite, got inf"),
+        ({"problem": RANDOM, "solvers": ["craig"], "config": {"tolerance": math.nan}},
+         "bad config: 'tolerance' must be finite, got nan"),
+        ({"problem": {"source": "generate-stokes", "nx": 4, "ny": 4, "length": math.inf},
+          "solvers": ["craig"]}, "bad stokes problem spec: 'length' must be finite, got inf"),
     ], ids=["top-level-array", "problem-string", "config-array", "criterion-two-entries",
             "spectrum-number", "solvers-string", "solver-array", "tolerance-null",
             "load-path-number", "load-path-missing", "tolerance-true", "max-iterations-float",
             "max-iterations-false", "error-delay-float", "m-float", "density-string",
-            "spectrum-entry-true", "nx-float", "viscosity-true"])
+            "spectrum-entry-true", "nx-float", "viscosity-true", "tolerance-infinity",
+            "tolerance-nan", "length-infinity"])
     def test_malformed_manifest_is_refused_without_traceback(self, tmp_path, capsys, doc,
                                                              fragment):
         path = tmp_path / "m.json"
@@ -275,6 +284,19 @@ class TestCompare:
         lines = (tmp_path / "out" / "compare.txt").read_text().splitlines()
         assert lines[0].split() == ["craig", "pminres"]
         assert [ln.split()[0] for ln in lines[1:]] == ["iterations", "time", "ERR"]
+
+    def test_stokes48_compare_reports_oracle_error(self, tmp_path):
+        # m + n = 6815: the oracle has no size cap.
+        manifest = write_manifest(
+            tmp_path / "m.json",
+            problem={"source": "generate-stokes", "nx": 48, "ny": 48},
+            solvers=["craig", "nscraig"],
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["compare", manifest]) == 0
+        with open(tmp_path / "out" / "compare.csv") as fh:
+            rows = {r[0]: r[1:] for r in csv.reader(fh)}
+        assert all(float(err) < 1e-5 for err in rows["ERR"])
 
 
 def test_error_estimate_criterion_in_manifest(tmp_path):

@@ -21,6 +21,7 @@ from gsp import (
     direct_solve,
     gen_stokes_channel,
     load_system,
+    replay,
     save_system,
     scr_cg_solve,
 )
@@ -117,6 +118,12 @@ class TestContainers:
         with pytest.raises(ValueError):
             SolverConfig(criterion="nonsense")
 
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        # An infinite tolerance stopped nsCRAIG after one step as "converged".
+        with pytest.raises(ValueError):
+            SolverConfig(tolerance=tolerance)
+
 
 class TestHandInstance:
     def test_exact_termination_and_solution(self, hand_system):
@@ -189,12 +196,13 @@ def _reference_craig_c_zero(Md, Ad, b, steps):
 
 def test_zero_c_matches_prior_recurrence_and_direct_solve():
     sys = random_system(8, 4, c_rank=0, seed=22)
-    cfg = SolverConfig(tolerance=1e-300, max_iterations=4, keep_iterates=True)
-    res = craig_solve(sys, None, cfg)
+    cfg = SolverConfig(tolerance=1e-300, max_iterations=4)
+    runs = replay(craig_solve, sys, None, cfg)
+    res = runs[-1]
     us, ps = _reference_craig_c_zero(sys.Mmat.to_dense(), sys.A.to_dense(), sys.b, 4)
     for k in range(min(len(us), res.iterations)):
-        assert np.linalg.norm(res.u_iterates[k] - us[k]) <= 1e-12 * np.linalg.norm(us[k])
-        assert np.linalg.norm(res.p_iterates[k] - ps[k]) <= 1e-12 * np.linalg.norm(ps[k])
+        assert np.linalg.norm(runs[k].u - us[k]) <= 1e-12 * np.linalg.norm(us[k])
+        assert np.linalg.norm(runs[k].p - ps[k]) <= 1e-12 * np.linalg.norm(ps[k])
     z_star = np.concatenate(direct_solve(sys))
     assert np.linalg.norm(res.final_vector() - z_star) <= 1e-9 * np.linalg.norm(z_star)
 
@@ -227,59 +235,65 @@ class TestResidualCheck:
     def test_defects_small_on_converged_run(self):
         sys = random_system(12, 6, c_rank=3, seed=24)
         N = random_preconditioner(6, seed=24)
-        res = craig_solve(sys, N, SolverConfig(keep_iterates=True))
-        rep = craig_residual_check(sys, N, res)
+        rep = craig_residual_check(sys, N, craig_solve, SolverConfig())
         assert max(rep.dual_defects) <= 1e-8
         assert max(rep.upper_ratios) <= 1e-9
 
     def test_hand_instance_zero_residual(self, hand_system):
-        res = craig_solve(hand_system, None, SolverConfig(keep_iterates=True))
-        rep = craig_residual_check(hand_system, None, res)
+        rep = craig_residual_check(hand_system, None, craig_solve, SolverConfig())
         assert rep.dual_defects[0] <= 1e-14
 
     def test_corrupted_scalar_detected(self):
         sys = random_system(12, 6, c_rank=3, seed=25)
-        res = craig_solve(sys, None, SolverConfig(keep_iterates=True))
+        res = craig_solve(sys, None, SolverConfig())
         k = res.iterations // 2
         expected = res.history[k - 1].beta_next * abs(res.history[k - 1].scalar) / res.betas[0]
-        res.history[k - 1].scalar *= 2.0
-        rep = craig_residual_check(sys, None, res)
+
+        def corrupted(s, N, cfg):  # doubles the scalar of record k in every run that reaches it
+            run = craig_solve(s, N, cfg)
+            if run.iterations >= k:
+                run.history[k - 1].scalar *= 2.0
+            return run
+
+        rep = craig_residual_check(sys, None, corrupted, SolverConfig())
         assert abs(rep.dual_defects[k - 1] - expected) <= 1e-8 + 1e-6 * expected
         assert rep.dual_defects[k - 1] > 1e-10
 
     def test_missing_history_rejected(self):
+        # A = 0 and C = 0: alpha_1 vanishes, so the run ends before recording a step.
         sys = random_system(8, 4, seed=26)
-        res = craig_solve(sys, None)
+        sys0 = SaddleSystem(sys.M, SparseMatrix.zeros(8, 4), SparseMatrix.zeros(4, 4), sys.b)
+        assert craig_solve(sys0, None).iterations == 0
         with pytest.raises(InsufficientHistoryError):
-            craig_residual_check(sys, None, res)
+            craig_residual_check(sys0, None, craig_solve)
 
 
 def test_matches_preconditioned_cg(hand_system):
     sys = random_system(20, 10, c_rank=5, seed=27)
     N = random_preconditioner(10, seed=27)
-    cfg = SolverConfig(tolerance=1e-10, keep_iterates=True)
-    rc = craig_solve(sys, N, cfg)
-    rg = scr_cg_solve(sys, N, cfg)
-    assert rc.iterations == rg.iterations
-    for pk_c, pk_g, uk_c in zip(rc.p_iterates, rg.p_iterates, rc.u_iterates):
-        assert np.linalg.norm(pk_c - pk_g) <= 1e-9 * np.linalg.norm(pk_g)
-        want_u = -sys.M.solve(sys.A.matvec(pk_c))
-        assert np.linalg.norm(uk_c - want_u) <= 1e-9 * max(np.linalg.norm(want_u), 1e-30)
+    cfg = SolverConfig(tolerance=1e-10)
+    rc = replay(craig_solve, sys, N, cfg)
+    rg = replay(scr_cg_solve, sys, N, cfg)
+    assert rc[-1].iterations == rg[-1].iterations
+    for c, g in zip(rc, rg):
+        assert np.linalg.norm(c.p - g.p) <= 1e-9 * np.linalg.norm(g.p)
+        want_u = -sys.M.solve(sys.A.matvec(c.p))
+        assert np.linalg.norm(c.u - want_u) <= 1e-9 * max(np.linalg.norm(want_u), 1e-30)
 
 
 def test_energy_error_identity_full_length():
     sys = random_system(16, 8, c_rank=4, seed=28, spectrum=(1.0, 1e3))
     N = random_preconditioner(8, seed=28)
-    cfg = SolverConfig(tolerance=1e-300, max_iterations=8, keep_iterates=True,
-                       reorthogonalize=True)
-    res = craig_solve(sys, N, cfg)
+    cfg = SolverConfig(tolerance=1e-300, max_iterations=8, reorthogonalize=True)
+    runs = replay(craig_solve, sys, N, cfg)
+    res = runs[-1]
     u_star, p_star = direct_solve(sys)
     Md, Cd = sys.Mmat.to_dense(), sys.C.to_dense()
     z = np.array(res.scalars)
     total = float(z @ z)
     for k in range(res.iterations):
-        du = u_star - res.u_iterates[k]
-        dp = p_star - res.p_iterates[k]
+        du = u_star - runs[k].u
+        dp = p_star - runs[k].p
         lhs = du @ Md @ du + dp @ Cd @ dp
         rhs = float(z[k + 1:] @ z[k + 1:])
         assert abs(lhs - rhs) <= 1e-8 * total
@@ -287,19 +301,19 @@ def test_energy_error_identity_full_length():
 
 def test_schur_norm_error_strictly_decreases():
     sys = random_system(16, 8, c_rank=4, seed=29)
-    res = craig_solve(sys, None, SolverConfig(keep_iterates=True))
+    runs = replay(craig_solve, sys, None, SolverConfig())
     _, p_star = direct_solve(sys)
     S = SchurOperator(sys).dense()
-    errs = [math.sqrt((p_star - pk) @ S @ (p_star - pk)) for pk in res.p_iterates]
+    errs = [math.sqrt((p_star - run.p) @ S @ (p_star - run.p)) for run in runs]
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
 def test_residual_orthogonal_to_basis_with_reorthogonalization():
     sys = random_system(14, 7, c_rank=3, seed=30)
     N = random_preconditioner(7, seed=30)
-    res = craig_solve(sys, N, SolverConfig(keep_iterates=True, reorthogonalize=True))
-    rep = craig_residual_check(sys, N, res)
-    assert max(rep.orth_defects) <= 1e-8 * res.betas[0]
+    rep = craig_residual_check(sys, N, craig_solve,
+                               SolverConfig(keep_basis=True, reorthogonalize=True))
+    assert max(rep.orth_defects) <= 1e-8 * rep.beta1
 
 
 def test_constrained_minimization_property():
@@ -309,9 +323,10 @@ def test_constrained_minimization_property():
     # residual-orthogonality condition characterizes the argmin.
     sys = random_system(6, 3, c_rank=2, seed=31)
     N = random_preconditioner(3, seed=31)
-    cfg = SolverConfig(tolerance=1e-300, max_iterations=3, keep_iterates=True,
+    cfg = SolverConfig(tolerance=1e-300, max_iterations=3, keep_basis=True,
                        reorthogonalize=True)
-    res = craig_solve(sys, N, cfg)
+    runs = replay(craig_solve, sys, N, cfg)
+    res = runs[-1]
     u_star, p_star = direct_solve(sys)
     Md, Cd, Ad = sys.Mmat.to_dense(), sys.C.to_dense(), sys.A.to_dense()
 
@@ -327,7 +342,7 @@ def test_constrained_minimization_property():
         g = U.T @ Md @ u_star + Q.T @ Cd @ p_star
         y_min = np.linalg.solve(H, g)
         obj_min = objective(U @ y_min, Q @ y_min)
-        obj_craig = objective(res.u_iterates[k - 1], res.p_iterates[k - 1])
+        obj_craig = objective(runs[k - 1].u, runs[k - 1].p)
         assert abs(obj_craig - obj_min) <= 1e-8 * (1.0 + obj_min)
         # the argmin satisfies the Galerkin orthogonality of the lower residual
         resid = sys.b - Ad.T @ (U @ y_min) + Cd @ (Q @ y_min)
@@ -360,6 +375,6 @@ def test_stored_basis_outgrows_initial_capacity():
     # stored basis starts at one row and doubles seven times, to 128 rows.
     sys = random_system(40, 20, c_rank=10, seed=7, spectrum=(1.0, 1e6))
     res = craig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=80,
-                                              keep_iterates=True))
+                                              keep_basis=True))
     assert res.iterations == 80 > 2 * (sys.n + 1)
     assert len(res.Q) == 80

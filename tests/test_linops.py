@@ -450,6 +450,14 @@ class TestSpsdFactor:
         E, F, l = spsd_factor(SparseMatrix.zeros(3, 3))
         assert l == 0 and E.shape == (0, 3)
 
+    def test_cap_checked_before_densifying(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("densified a matrix the cap refuses")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
+        with pytest.raises(DimensionError):
+            spsd_factor(SparseMatrix.identity(2001))
+
 
 class TestSpdPreconditioner:
     def test_symmetry_and_positivity_probes(self):

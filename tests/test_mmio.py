@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from gsp import SparseMatrix, load_system, read_matrix_market, save_system, write_matrix_market
+from gsp import (SparseMatrix, StokesSpec, gen_stokes_channel, load_system, read_matrix_market,
+                 save_system, write_matrix_market)
 from gsp.errors import LoadError, ParseError
 from gsp.mmio import read_vector, write_vector
 
@@ -202,3 +203,22 @@ def test_manifest_symmetric_flag_must_be_a_boolean(tmp_path, flag):
     (tmp_path / "system.json").write_text(json.dumps(doc))
     with pytest.raises(LoadError, match="'symmetric' must be true or false"):
         load_system(manifest)
+
+
+def test_load_tests_each_block_symmetry_once(tmp_path, monkeypatch):
+    # from_matrices and factorize("cholesky-spd") both ask whether M is
+    # symmetric; the immutable SparseMatrix answers the second time from cache.
+    sys = gen_stokes_channel(StokesSpec(nx=8, ny=8))
+    path = save_system(tmp_path / "stokes", sys)
+    shapes = []
+    cache = vars(SparseMatrix)["_symmetric"]  # the functools.cached_property
+    verdict = cache.func
+
+    def counted(K):
+        shapes.append(K.shape)
+        return verdict(K)
+
+    monkeypatch.setattr(cache, "func", counted)
+    loaded = load_system(path)
+    assert loaded.symmetric
+    assert shapes == [(sys.m, sys.m), (sys.n, sys.n)]  # M once, then C

@@ -20,6 +20,7 @@ from gsp import (
     nscraig_error_estimate,
     nscraig_residual_check,
     nscraig_solve,
+    replay,
 )
 from gsp.errors import InsufficientHistoryError, NonFiniteError, ZeroRhsError
 from gsp.gkb import assemble_bidiagonal, assemble_hessenberg
@@ -75,7 +76,7 @@ class TestHandInstances:
 def test_random_nspd_residual_identity():
     sys = random_system(12, 5, skew=0.5, c_rank=3, seed=41)
     N = random_preconditioner(5, seed=41)
-    res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-12, keep_iterates=True))
+    res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-12))
     explicit = N.inv_norm(sys.b - sys.A.rmatvec(res.u) + sys.C.matvec(res.p))
     assert explicit / res.betas[0] <= 1e-10
     rec = res.history[-1]
@@ -99,25 +100,43 @@ def test_deferred_and_eager_assembly_agree():
     for sys in (random_system(12, 6, skew=0.5, c_rank=3, seed=43),
                 random_system(40, 20, skew=0.8, c_rank=10, seed=56, spectrum=(1.0, 20.0))):
         lazy = nscraig_solve(sys, None, SolverConfig(tolerance=1e-10))
-        eager = nscraig_solve(sys, None, SolverConfig(tolerance=1e-10, keep_iterates=True))
+        eager = nscraig_solve(sys, None, SolverConfig(tolerance=1e-10, keep_basis=True))
+        runs = replay(nscraig_solve, sys, None, SolverConfig(tolerance=1e-10))
         assert lazy.iterations == eager.iterations
-        # Both runs grow one factor and assemble from it, so keep_iterates
+        # Both runs grow one factor and assemble from it, so keep_basis
         # changes nothing in the returned iterate.
         assert np.array_equal(lazy.p, eager.p) and np.array_equal(lazy.u, eager.u)
         assert lazy.h_columns is None and len(eager.h_columns) == eager.iterations
-        assert len(eager.p_iterates) == eager.iterations
-        assert np.allclose(eager.u_iterates[-1], lazy.u, rtol=1e-12, atol=0.0)
-        assert np.allclose(eager.p_iterates[-1], lazy.p, rtol=1e-12, atol=0.0)
+        assert len(runs) == eager.iterations
+        assert np.allclose(runs[-1].u, lazy.u, rtol=1e-12, atol=0.0)
+        assert np.allclose(runs[-1].p, lazy.p, rtol=1e-12, atol=0.0)
         Q = np.array(eager.Q)
-        for k, p in enumerate(eager.p_iterates, start=1):
+        for k, run in enumerate(runs, start=1):
             y = dense_reference(eager, k)[3]
-            assert np.linalg.norm(p - y @ Q[:k]) <= 1e-12 * np.linalg.norm(p)
+            assert np.linalg.norm(run.p - y @ Q[:k]) <= 1e-12 * np.linalg.norm(run.p)
+
+
+def test_iterate_formed_only_on_termination(monkeypatch):
+    # One assembly and one M-solve per step plus the assembly's, with the basis kept or not.
+    sys = random_system(40, 20, skew=0.8, c_rank=10, seed=56, spectrum=(1.0, 20.0))
+    assemblies, solves = [], []
+    assemble, solve = gsp.nscraig.assemble_solution, type(sys.M).solve
+    monkeypatch.setattr(gsp.nscraig, "assemble_solution",
+                        lambda lower: assemblies.append(lower.k) or assemble(lower))
+    monkeypatch.setattr(type(sys.M), "solve",
+                        lambda op, b: solves.append(op is sys.M) or solve(op, b))
+    for keep_basis in (False, True):
+        assemblies.clear()
+        solves.clear()
+        res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-10, keep_basis=keep_basis))
+        assert assemblies == [res.iterations] > [1]
+        assert sum(solves) == res.iterations + 1
 
 
 def test_triangular_and_dense_assembly_cross_check():
     sys = random_system(12, 6, skew=0.5, c_rank=3, seed=44)
     res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=5,
-                                                keep_iterates=True))
+                                                keep_basis=True))
     k = len(res.alphas)
     y_tri = assemble_solution(grown_factor(res, k))
     y_dense = dense_reference(res, k)[3]
@@ -166,7 +185,7 @@ class TestErrorEstimate:
     def test_incremental_lower_factor_matches_rebuild(self):
         sys = random_system(30, 15, skew=0.5, c_rank=7, seed=53, spectrum=(1.0, 50.0))
         res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=12,
-                                                    keep_iterates=True))
+                                                    keep_basis=True))
         lower = IncrementalLowerFactor()  # one row, grown four times to 16
         for k in range(1, res.iterations + 1):
             lower.append(res.alphas[k - 1], res.betas[k - 1], res.h_columns[k - 1])
@@ -179,7 +198,7 @@ class TestErrorEstimate:
         sys = random_system(60, 30, skew=0.5, c_rank=15, seed=53, spectrum=(1.0, 50.0))
         tol, d = 1e-6, 3
         res = nscraig_solve(sys, None, SolverConfig(tolerance=tol, criterion="error-estimate",
-                                                    error_delay=d, keep_iterates=True))
+                                                    error_delay=d, keep_basis=True))
         assert res.fired_criterion == "error-estimate" and res.iterations == 27
         rebuilt = []
         for k in range(d, res.iterations + 1):
@@ -194,27 +213,25 @@ class TestResidualCheck:
     def test_defects_small(self):
         sys = random_system(14, 7, skew=0.5, c_rank=3, seed=46)
         N = random_preconditioner(7, seed=46)
-        res = nscraig_solve(sys, N, SolverConfig(keep_iterates=True))
-        rep = nscraig_residual_check(sys, N, res)
+        rep = nscraig_residual_check(sys, N, nscraig_solve, SolverConfig(keep_basis=True))
         assert max(rep.dual_defects) <= 1e-8
         assert max(rep.upper_ratios) <= 1e-9
-        assert max(rep.orth_defects) <= 1e-8 * res.betas[0]
+        assert max(rep.orth_defects) <= 1e-8 * rep.beta1
 
     def test_estimates_available_before_assembly(self):
         sys = random_system(14, 7, skew=0.5, c_rank=3, seed=47)
         res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-8))
         assert all(rec.res_rel >= 0.0 for rec in res.history)
-        assert res.p_iterates is None  # deferred mode never formed them
+        assert res.Q is None and res.h_columns is None  # nothing kept per step
 
     def test_symmetric_input_matches_craig_defects(self):
         sys = random_system(12, 6, c_rank=3, seed=48)
         N = random_preconditioner(6, seed=48)
-        cfg = SolverConfig(tolerance=1e-300, max_iterations=6, keep_iterates=True)
-        rn = nscraig_residual_check(sys, N, nscraig_solve(sys, N, cfg))
-        rc_res = craig_solve(sys, N, cfg)
+        cfg = SolverConfig(tolerance=1e-300, max_iterations=6)
+        rn = nscraig_residual_check(sys, N, nscraig_solve, cfg)
         from gsp import craig_residual_check
 
-        rc = craig_residual_check(sys, N, rc_res)
+        rc = craig_residual_check(sys, N, craig_solve, cfg)
         for a, b in zip(rn.dual_defects, rc.dual_defects):
             assert abs(a - b) <= 1e-10
 
@@ -222,7 +239,7 @@ class TestResidualCheck:
 def test_hessenberg_factors_lower_extraction():
     sys = random_system(10, 5, skew=0.5, c_rank=2, seed=49)
     res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=5,
-                                                keep_iterates=True))
+                                                keep_basis=True))
     k = len(res.alphas)
     B, H, _, _ = dense_reference(res, k)
     L = grown_factor(res, k).lower_factor()
@@ -236,7 +253,7 @@ def test_arnoldi_identity_at_partial_length():
     sys = random_system(14, 7, skew=0.5, c_rank=3, seed=51)
     N = random_preconditioner(7, seed=51)
     res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=4,
-                                             keep_iterates=True))
+                                             keep_basis=True))
     from gsp.baselines import SchurOperator
 
     k = len(res.alphas)
@@ -261,7 +278,7 @@ def test_cgs2_keeps_basis_orthogonal():
     sys = gen_stokes_channel(StokesSpec(nx=12, ny=12, viscosity=1e-2, oseen_wind="poiseuille"))
     N = random_preconditioner(sys.n, seed=5)
     res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=120,
-                                             keep_iterates=True))
+                                             keep_basis=True))
     assert res.iterations == 120
     Q = np.array(res.Q)
     NQ = np.array([N.apply(q) for q in Q])
@@ -275,7 +292,7 @@ def test_lagged_cgs2_keeps_long_oseen_basis_orthogonal():
     sys = gen_stokes_channel(StokesSpec(nx=24, ny=24, viscosity=1e-3, oseen_wind="poiseuille"))
     N = random_preconditioner(sys.n, seed=6)
     res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=320,
-                                             keep_iterates=True))
+                                             keep_basis=True))
     assert res.iterations == 320
     Q = np.array(res.Q)
     NQ = np.array([N.apply(q) for q in Q])
@@ -310,10 +327,10 @@ def test_lost_lagged_pass_ends_in_breakdown(monkeypatch):
         return steps[-1]
 
     monkeypatch.setattr(gsp.nscraig, "_lagged_cgs2", spy)
-    res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-12, keep_iterates=True))
+    res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-12, keep_basis=True))
     assert res.termination == "breakdown" and not res.converged
     assert len(steps) == 2 and steps[-1] is None
-    assert res.iterations == 1 and len(res.Q) == 1 and len(res.p_iterates) == 1
+    assert res.iterations == 1 and len(res.Q) == 1 and len(res.h_columns) == 1
     first = nscraig_solve(sys, N, SolverConfig(max_iterations=1))
     assert np.array_equal(res.u, first.u) and np.array_equal(res.p, first.p)
 
