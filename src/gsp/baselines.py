@@ -113,7 +113,8 @@ def scr_fom_solve(sys, N=None, cfg=None):
 
     Arnoldi runs in the N inner product on N^{-1} S (equivalent to the
     centered-preconditioned operator without forming square roots); each step
-    solves the small Hessenberg system for the Galerkin iterate.
+    solves the small Hessenberg system, whose last coefficient gives the
+    residual estimate, and the Galerkin iterate is formed once, on termination.
     """
     cfg = cfg or SolverConfig()
     if not np.any(sys.b):
@@ -130,11 +131,9 @@ def scr_fom_solve(sys, N=None, cfg=None):
     maxit = min(cfg.max_iterations, sys.n)
     Hbar = np.zeros((maxit + 1, maxit))
     history = []
-    p = np.zeros(sys.n)
     termination = "max-iterations"
 
-    k = 0
-    for j in range(maxit):
+    for j in range(maxit):  # maxit >= 1, so k and y are set
         k = j + 1
         w = N.solve(S.apply(Q[j]))
         for i in range(k):
@@ -149,7 +148,6 @@ def scr_fom_solve(sys, N=None, cfg=None):
             y = np.linalg.solve(Hbar[:k, :k], e1)
         except np.linalg.LinAlgError as exc:
             raise BreakdownError(f"singular Hessenberg block in FOM: {exc}") from exc
-        p = np.column_stack(Q[:k]) @ y
         res_rel = hnext * abs(y[-1]) / beta1
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
         if hnext <= EXACT_TOL * beta1:
@@ -161,6 +159,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
         Q.append(w / hnext)
         NQ.append(N.apply(Q[-1]))
 
+    p = np.column_stack(Q[:k]) @ y
     u = -sys.M.solve(sys.A.matvec(p))
     return SolveResult(u, p, termination, history, beta1=beta1)
 

@@ -11,11 +11,11 @@ Exit codes: 0 all runs converged, 2 any non-convergence, 1 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys as _sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .linops import SpdPreconditioner
 from .mmio import load_system, save_system
 from .nscraig import nscraig_solve
 from .problems import RandomSpec, StokesSpec, gen_random, gen_stokes_channel_detailed
-from .system import SolverConfig
+from .system import SolverConfig, check_fields
 
 SOLVERS = {
     "craig": craig_solve,
@@ -37,6 +37,8 @@ SOLVERS = {
     "pgmres": pgmres_solve,
 }
 NEEDS_SYMMETRIC = {"craig", "scr-cg", "pminres"}
+SPECS = {"random": RandomSpec, "stokes": StokesSpec}
+CONFIG_KEYS = ("tolerance", "max_iterations", "criterion", "error_delay", "reorthogonalize")
 JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string"}
 HISTORY_COLUMNS = ("k", "res_rel", "err_est", "alpha", "beta_next", "scalar", "wall_time_s")
 
@@ -45,7 +47,7 @@ class UsageError(GspError):
     """Bad manifest or incompatible solver selection (exit code 1)."""
 
 
-@dataclass
+@dataclasses.dataclass
 class RunManifest:
     """Parsed run description."""
 
@@ -55,6 +57,9 @@ class RunManifest:
     output_dir: str
     report_error_vs_oracle: bool = False
     preconditioner: str | None = None
+
+    def __post_init__(self):
+        check_fields(self, report_error_vs_oracle=bool)
 
     @classmethod
     def from_file(cls, path):
@@ -77,52 +82,46 @@ class RunManifest:
                 raise UsageError(f"manifest '{key}' must be a JSON {JSON_TYPE_NAMES[kind]}, "
                                  f"got {value!r}")
         cfg_doc = dict(cfg_doc)
-        criterion = cfg_doc.pop("criterion", "relative-residual")
-        delay = cfg_doc.pop("error_delay", 5)
+        criterion = cfg_doc.get("criterion")
         if isinstance(criterion, dict):  # {"error-estimate": d}
             if len(criterion) != 1:
                 raise UsageError(f"criterion object must have exactly one entry, got {criterion}")
-            (criterion, delay), = criterion.items()
+            (cfg_doc["criterion"], cfg_doc["error_delay"]), = criterion.items()
+        unknown = sorted(set(cfg_doc) - set(CONFIG_KEYS))
+        if unknown:
+            raise UsageError(f"unknown config keys: {unknown}")
         try:
-            cfg = SolverConfig(
-                tolerance=_number(cfg_doc.pop("tolerance", 1e-6), "tolerance", float),
-                max_iterations=_number(cfg_doc.pop("max_iterations", 3000), "max_iterations", int),
-                criterion=criterion,
-                error_delay=_number(delay, "error_delay", int),
-                reorthogonalize=_flag(cfg_doc.pop("reorthogonalize", False), "reorthogonalize"),
-            )
+            cfg = SolverConfig(**cfg_doc)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
-        if cfg_doc:
-            raise UsageError(f"unknown config keys: {sorted(cfg_doc)}")
         unknown = [s for s in solvers if not isinstance(s, str) or s not in SOLVERS]
         if unknown:
             raise UsageError(f"unknown solvers: {unknown}")
-        return cls(problem, solvers, cfg, output_dir,
-                   _flag(doc.get("report_error_vs_oracle", False), "report_error_vs_oracle"),
-                   doc.get("preconditioner"))
+        try:
+            return cls(problem, solvers, cfg, output_dir,
+                       doc.get("report_error_vs_oracle", False), doc.get("preconditioner"))
+        except TypeError as exc:
+            raise UsageError(f"manifest {exc}") from exc
 
 
-def _flag(value, key):
-    """A manifest flag that must be JSON true or false: bool("false") is True."""
-    if not isinstance(value, bool):
-        raise UsageError(f"manifest '{key}' must be true or false, got {value!r}")
-    return value
+def generate_problem(kind, fields):
+    """(system, preconditioner) from the fields of a 'random' or 'stokes' spec.
 
-
-def _number(value, key, kind):
-    """A manifest number as kind: int takes JSON integers only, float any finite JSON number.
-
-    JSON true is not 1 here, nor is 2.9 a count, nor are Python's json
-    extensions Infinity and NaN numbers. Raises TypeError, which the callers
-    report as a UsageError naming the manifest section.
+    The spec checks the fields; the preconditioner is the channel's
+    pressure-mass diagonal, None for a random instance.
     """
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise TypeError(f"'{key}' must be a JSON {'integer' if kind is int else 'number'}, "
-                        f"got {value!r}")
-    if kind is float and not abs(value) <= _sys.float_info.max:  # inf, NaN, 10**400
-        raise TypeError(f"'{key}' must be finite, got {value!r}")
-    return kind(value)
+    spec_type = SPECS[kind]
+    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(spec_type)})
+    if unknown:
+        raise UsageError(f"unknown problem keys: {unknown}")
+    try:
+        spec = spec_type(**fields)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {kind} problem spec: {exc}") from exc
+    if kind == "random":
+        return gen_random(spec), None
+    prob = gen_stokes_channel_detailed(spec)
+    return prob.system, prob.preconditioner
 
 
 def build_problem(manifest):
@@ -131,46 +130,21 @@ def build_problem(manifest):
     The setup time is the wall time of generating or loading the system,
     factorizing M included (the preconditioner is chosen after it).
     """
-    spec = dict(manifest.problem)
-    source = spec.pop("source", None)
+    fields = dict(manifest.problem)
+    source = fields.pop("source", None)
     t0 = time.perf_counter()
     precond = None
-    if source == "generate-random":
-        try:
-            rspec = RandomSpec(
-                m=_number(spec.pop("m"), "m", int), n=_number(spec.pop("n"), "n", int),
-                density=_number(spec.pop("density", 1.0), "density", float),
-                spectrum=tuple(_number(v, "spectrum", float)
-                               for v in spec.pop("spectrum", (1.0, 2.0))),
-                skew_strength=_number(spec.pop("skew_strength", 0.0), "skew_strength", float),
-                c_rank=_number(spec.pop("c_rank", 0), "c_rank", int),
-                seed=_number(spec.pop("seed", 0), "seed", int),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"bad random problem spec: {exc}") from exc
-        system = gen_random(rspec)
-    elif source == "generate-stokes":
-        try:
-            sspec = StokesSpec(
-                nx=_number(spec.pop("nx"), "nx", int), ny=_number(spec.pop("ny"), "ny", int),
-                length=_number(spec.pop("length", 1.0), "length", float),
-                viscosity=_number(spec.pop("viscosity", 1.0), "viscosity", float),
-                gamma=_number(spec.pop("gamma", 0.25), "gamma", float),
-                oseen_wind=spec.pop("oseen_wind", None),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"bad stokes problem spec: {exc}") from exc
-        prob = gen_stokes_channel_detailed(sspec)
-        system, precond = prob.system, prob.preconditioner
+    if source in ("generate-random", "generate-stokes"):
+        system, precond = generate_problem(source.removeprefix("generate-"), fields)
     elif source == "load":
-        path = spec.pop("path", None)
+        path = fields.pop("path", None)
         if not isinstance(path, str):  # open(0) would read stdin
             raise UsageError(f"load source needs a string 'path', got {path!r}")
+        if fields:
+            raise UsageError(f"unknown problem keys: {sorted(fields)}")
         system = load_system(path)
     else:
         raise UsageError(f"unknown problem source '{source}'")
-    if spec:
-        raise UsageError(f"unknown problem keys: {sorted(spec)}")
     setup_time = time.perf_counter() - t0
 
     choice = manifest.preconditioner
@@ -183,25 +157,19 @@ def build_problem(manifest):
     return system, precond, setup_time
 
 
-def check_compatibility(manifest, system):
-    bad = [s for s in manifest.solvers if s in NEEDS_SYMMETRIC and not system.symmetric]
-    if bad:
-        raise UsageError(f"solvers {bad} require the symmetric flag")
-
-
 def _fmt(x):
     return "" if x is None else repr(float(x))
 
 
-def write_history_csv(path, history):
-    lines = [",".join(HISTORY_COLUMNS)]
-    for rec in history:
-        lines.append(",".join([
-            str(rec.k), _fmt(rec.res_rel), _fmt(rec.err_est), _fmt(rec.alpha),
-            _fmt(rec.beta_next), _fmt(rec.scalar), _fmt(rec.wall_time_s),
-        ]))
+def _write_lines(path, lines):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_history_csv(path, history):
+    _write_lines(path, [",".join(HISTORY_COLUMNS)] + [
+        ",".join([str(rec.k)] + [_fmt(getattr(rec, col)) for col in HISTORY_COLUMNS[1:]])
+        for rec in history])
 
 
 def _full_residual_two_norm(system, result):
@@ -210,7 +178,7 @@ def _full_residual_two_norm(system, result):
     return float(np.linalg.norm(f - Kz) / np.linalg.norm(f))
 
 
-@dataclass
+@dataclasses.dataclass
 class RunReport:
     solver: str
     result: object
@@ -220,9 +188,11 @@ class RunReport:
 
 
 def execute(manifest):
-    """Run every solver in the manifest; returns (system, setup_time, reports)."""
+    """Run every solver in the manifest; returns (setup_time, reports)."""
     system, precond, setup_time = build_problem(manifest)
-    check_compatibility(manifest, system)
+    bad = [s for s in manifest.solvers if s in NEEDS_SYMMETRIC and not system.symmetric]
+    if bad:
+        raise UsageError(f"solvers {bad} require the symmetric flag")
     oracle = None
     if manifest.report_error_vs_oracle:
         oracle = np.concatenate(direct_solve(system))
@@ -235,19 +205,15 @@ def execute(manifest):
         if oracle is not None:
             err = float(np.linalg.norm(result.final_vector() - oracle) / np.linalg.norm(oracle))
         reports.append(RunReport(name, result, dt, err, _full_residual_two_norm(system, result)))
-    return system, setup_time, reports
+    return setup_time, reports
 
 
-def cmd_run(manifest_path):
-    manifest = RunManifest.from_file(manifest_path)
-    system, setup_time, reports = execute(manifest)
-    os.makedirs(manifest.output_dir, exist_ok=True)
+def write_summary(output_dir, setup_time, reports):
+    """gsp run's report: summary.csv plus one printed line per solver."""
     summary_lines = ["solver,iterations,termination,solve_time_s,setup_time_s,"
                      "final_res_rel,final_res_two_norm,err_vs_oracle"]
     for rep in reports:
         res = rep.result
-        write_history_csv(os.path.join(manifest.output_dir, f"{rep.solver}_history.csv"),
-                          res.history)
         final_res = res.history[-1].res_rel if res.history else float("nan")
         summary_lines.append(",".join([
             rep.solver, str(res.iterations), res.termination, _fmt(rep.solve_time_s),
@@ -257,65 +223,51 @@ def cmd_run(manifest_path):
         print(f"{rep.solver}: iterations={res.iterations} termination={res.termination} "
               f"time={rep.solve_time_s:.4f}s setup={setup_time:.4f}s "
               f"res_rel={final_res:.4e} res_2norm={rep.res_two_norm:.4e}{err_txt}")
-    with open(os.path.join(manifest.output_dir, "summary.csv"), "w") as fh:
-        fh.write("\n".join(summary_lines) + "\n")
-    return 0 if all(r.result.converged for r in reports) else 2
+    _write_lines(os.path.join(output_dir, "summary.csv"), summary_lines)
 
 
-def render_compare_table(reports):
-    """Rows iterations/time/ERR, one column per solver, '-' when not converged."""
+def write_compare(output_dir, setup_time, reports):
+    """gsp compare's report: rows iterations/time/ERR, one column per solver, '-' when
+    not converged; printed, and written as compare.txt and compare.csv."""
     headers = [rep.solver for rep in reports]
-    rows = {"iterations": [], "time": [], "ERR": []}
-    for rep in reports:
-        if rep.result.converged:
-            rows["iterations"].append(str(rep.result.iterations))
-            rows["time"].append(f"{rep.solve_time_s:.4f}")
-            rows["ERR"].append(f"{rep.err:.4e}" if rep.err is not None else "")
-        else:
-            rows["iterations"].append("-")
-            rows["time"].append("-")
-            rows["ERR"].append("-")
+    cols = [(str(r.result.iterations), f"{r.solve_time_s:.4f}", f"{r.err:.4e}")
+            if r.result.converged else ("-", "-", "-") for r in reports]
     width = max(12, *(len(h) + 2 for h in headers))
     text = ["".rjust(12) + "".join(h.rjust(width) for h in headers)]
-    for label in ("iterations", "time", "ERR"):
-        text.append(label.rjust(12) + "".join(v.rjust(width) for v in rows[label]))
     csv = ["metric," + ",".join(headers)]
-    for label in ("iterations", "time", "ERR"):
-        csv.append(label + "," + ",".join(rows[label]))
-    return "\n".join(text) + "\n", "\n".join(csv) + "\n"
+    for label, values in zip(("iterations", "time", "ERR"), zip(*cols)):
+        text.append(label.rjust(12) + "".join(v.rjust(width) for v in values))
+        csv.append(label + "," + ",".join(values))
+    _write_lines(os.path.join(output_dir, "compare.txt"), text)
+    _write_lines(os.path.join(output_dir, "compare.csv"), csv)
+    print("\n".join(text))
 
 
-def cmd_compare(manifest_path):
+def cmd_run(manifest_path, compare=False):
+    """gsp run, or gsp compare: parse, execute, write histories, report; the exit code."""
     manifest = RunManifest.from_file(manifest_path)
-    if len(manifest.solvers) < 2:
-        raise UsageError("compare needs at least two solvers")
-    manifest.report_error_vs_oracle = True
-    _, _, reports = execute(manifest)
+    if compare:
+        if len(manifest.solvers) < 2:
+            raise UsageError("compare needs at least two solvers")
+        manifest.report_error_vs_oracle = True
+    setup_time, reports = execute(manifest)
     os.makedirs(manifest.output_dir, exist_ok=True)
     for rep in reports:
         write_history_csv(os.path.join(manifest.output_dir, f"{rep.solver}_history.csv"),
                           rep.result.history)
-    text, csv = render_compare_table(reports)
-    with open(os.path.join(manifest.output_dir, "compare.txt"), "w") as fh:
-        fh.write(text)
-    with open(os.path.join(manifest.output_dir, "compare.csv"), "w") as fh:
-        fh.write(csv)
-    print(text, end="")
+    (write_compare if compare else write_summary)(manifest.output_dir, setup_time, reports)
     return 0 if all(r.result.converged for r in reports) else 2
 
 
 def cmd_gen(args):
     if args.kind == "random":
-        spec = RandomSpec(m=args.m, n=args.n, density=args.density,
-                          spectrum=(args.lo, args.hi), skew_strength=args.skew,
-                          c_rank=args.c_rank if args.c_rank >= 0 else args.n // 2,
-                          seed=args.seed)
-        system = gen_random(spec)
+        fields = dict(m=args.m, n=args.n, density=args.density, spectrum=(args.lo, args.hi),
+                      skew_strength=args.skew,
+                      c_rank=args.c_rank if args.c_rank >= 0 else args.n // 2, seed=args.seed)
     else:
-        spec = StokesSpec(nx=args.nx, ny=args.ny, length=args.length,
-                          viscosity=args.viscosity, gamma=args.gamma,
-                          oseen_wind=args.oseen_wind)
-        system = gen_stokes_channel_detailed(spec).system
+        fields = dict(nx=args.nx, ny=args.ny, length=args.length, viscosity=args.viscosity,
+                      gamma=args.gamma, oseen_wind=args.oseen_wind)
+    system, _ = generate_problem(args.kind, fields)
     path = save_system(args.output, system)
     print(f"wrote {path} (m={system.m}, n={system.n}, symmetric={system.symmetric})")
     return 0
@@ -363,11 +315,9 @@ def main(argv=None):
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            return cmd_run(args.manifest)
-        if args.command == "compare":
-            return cmd_compare(args.manifest)
-        return cmd_gen(args)
+        if args.command == "gen":
+            return cmd_gen(args)
+        return cmd_run(args.manifest, compare=args.command == "compare")
     except GspError as exc:
         print(f"gsp: error: {exc}", file=_sys.stderr)
         return 1

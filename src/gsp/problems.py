@@ -15,13 +15,17 @@ import numpy as np
 
 from .baselines import SchurOperator
 from .errors import NotSpdError, NotSpsdError, RankRepairError
-from .linops import SparseMatrix, SpdPreconditioner, factorize
-from .system import SaddleSystem
+from .linops import DENSE_FACTOR_LIMIT, SparseMatrix, SpdPreconditioner
+from .linops import factorize  # noqa: F401  (unused here; bench/tracing.py wraps this name)
+from .system import SaddleSystem, check_fields
 
 
 @dataclass(frozen=True)
 class RandomSpec:
-    """Parameters for a random generalized saddle point instance."""
+    """Parameters for a random generalized saddle point instance, checked on construction.
+
+    M is stored fully, so m is capped at DENSE_FACTOR_LIMIT before anything is allocated.
+    """
 
     m: int
     n: int
@@ -32,8 +36,13 @@ class RandomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, m=int, n=int, density=float, spectrum=tuple, skew_strength=float,
+                     c_rank=int, seed=int)
         if not 1 <= self.n <= self.m:
             raise ValueError("need 1 <= n <= m")
+        if self.m > DENSE_FACTOR_LIMIT:
+            raise ValueError(f"m must be at most {DENSE_FACTOR_LIMIT} (M is stored dense), "
+                             f"got {self.m}")
         if not 0.0 < self.density <= 1.0:
             raise ValueError("density must be in (0, 1]")
         lo, hi = self.spectrum
@@ -41,6 +50,8 @@ class RandomSpec:
             raise ValueError("spectrum bounds must satisfy 0 < lo <= hi")
         if not 0 <= self.c_rank <= self.n:
             raise ValueError("c_rank must be in [0, n]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def gen_random(spec):
@@ -107,7 +118,7 @@ def validate_system(sys):
 
 @dataclass(frozen=True)
 class StokesSpec:
-    """Staggered-grid channel on [0, L] x [0, 1] with nx x ny pressure cells."""
+    """MAC channel [0, L] x [0, 1] with nx x ny pressure cells, checked on construction."""
 
     nx: int
     ny: int
@@ -117,8 +128,11 @@ class StokesSpec:
     oseen_wind: str | None = None  # None | 'poiseuille' | 'constant'
 
     def __post_init__(self):
+        check_fields(self, nx=int, ny=int, length=float, viscosity=float, gamma=float)
         if self.nx < 2 or self.ny < 2:
             raise ValueError("need nx, ny >= 2")
+        if self.length <= 0.0:
+            raise ValueError("length must be positive")
         if self.viscosity <= 0.0:
             raise ValueError("viscosity must be positive")
         if self.gamma < 0.0:
@@ -232,11 +246,9 @@ def gen_stokes_channel_detailed(spec):
     p_full = np.repeat(-8.0 * nu * (np.arange(nx) + 0.5) * hx, ny)
     p_star = (p_full - p_full[0])[1:]
 
-    M = factorize("cholesky-spd" if spec.oseen_wind is None else "lu-general", Mmat)
-    w0 = M.solve(Mmat.matvec(vel) + A.matvec(p_star))
-    b = A.rmatvec(vel) - C.matvec(p_star) - A.rmatvec(w0)
-
-    system = SaddleSystem(M, A, C, b)
+    system, w0 = compress_rhs(Mmat, A, C, Mmat.matvec(vel) + A.matvec(p_star),
+                              A.rmatvec(vel) - C.matvec(p_star),
+                              symmetric=spec.oseen_wind is None)
     mass = hx * hy * np.ones(n)
     if not system.symmetric:
         mass = mass / nu

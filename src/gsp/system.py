@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from sys import float_info
 
 import numpy as np
 
@@ -12,6 +14,38 @@ from .linops import FactorizedOperator, SparseMatrix, as_sparse, factorize
 CRITERION_RESIDUAL = "relative-residual"
 CRITERION_ERROR = "error-estimate"
 CRITERION_BOTH = "both"
+
+
+_KINDS = {bool: (bool, "true or false"), int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a number")}
+
+
+def _checked(name, value, kind):
+    if kind is tuple:
+        try:
+            lo, hi = value
+        except (TypeError, ValueError):
+            raise TypeError(f"'{name}' must be a pair of numbers, got {value!r}") from None
+        return _checked(name, lo, float), _checked(name, hi, float)
+    base, what = _KINDS[kind]
+    if not isinstance(value, base) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"'{name}' must be {what}, got {value!r}")
+    if kind is float and not abs(value) <= float_info.max:  # inf, NaN, 10**400
+        raise ValueError(f"'{name}' must be finite, got {value!r}")
+    return kind(value)
+
+
+def check_fields(obj, **kinds):
+    """Type-check fields of a dataclass and store them normalized, before any range check.
+
+    kinds maps a field name to int (a count: any Integral but bool, np.int64
+    too, stored as int), float (a finite real: any Real but bool, stored as
+    float), bool (a flag) or tuple (a pair of finite reals, stored as a tuple).
+    A wrong type raises TypeError, a non-finite real ValueError; both messages
+    name the field and the value.
+    """
+    for name, kind in kinds.items():
+        object.__setattr__(obj, name, _checked(name, getattr(obj, name), kind))
 
 
 @dataclass(frozen=True)
@@ -96,6 +130,7 @@ class SolverConfig:
     CGS2, over the final rows). keep_basis retains what a rerun cannot give
     back, the right basis and nsCRAIG's Hessenberg columns; earlier iterates
     come from gsp.nscraig.replay, the same run capped at each step count.
+    Every field is type-checked on construction (check_fields), then range-checked.
     """
 
     tolerance: float = 1e-6
@@ -106,8 +141,10 @@ class SolverConfig:
     keep_basis: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance < float("inf"):
-            raise ValueError("tolerance must be positive and finite")
+        check_fields(self, tolerance=float, max_iterations=int, error_delay=int,
+                     reorthogonalize=bool, keep_basis=bool)
+        if self.tolerance <= 0.0:
+            raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.criterion not in (CRITERION_RESIDUAL, CRITERION_ERROR, CRITERION_BOTH):

@@ -4,9 +4,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from gsp import save_system
+from gsp import RandomSpec, gen_random, load_system, save_system
 from gsp.cli import RunManifest, UsageError, main
 
 
@@ -121,24 +122,24 @@ class TestRun:
         ({"problem": {"source": "load"}, "solvers": ["craig"]}, "string 'path'"),
         # float(True) is 1.0 and int(2.9) is 2: wrong-kind numbers must not run.
         ({"problem": RANDOM, "solvers": ["craig"], "config": {"tolerance": True}},
-         "'tolerance' must be a JSON number, got True"),
+         "'tolerance' must be a number, got True"),
         ({"problem": RANDOM, "solvers": ["craig"], "config": {"max_iterations": 2.9}},
-         "'max_iterations' must be a JSON integer, got 2.9"),
+         "'max_iterations' must be an integer, got 2.9"),
         ({"problem": RANDOM, "solvers": ["craig"], "config": {"max_iterations": False}},
-         "'max_iterations' must be a JSON integer, got False"),
+         "'max_iterations' must be an integer, got False"),
         ({"problem": RANDOM, "solvers": ["craig"],
           "config": {"criterion": {"error-estimate": 2.0}}},
-         "'error_delay' must be a JSON integer"),
+         "'error_delay' must be an integer"),
         ({"problem": dict(RANDOM, m=10.0), "solvers": ["craig"]},
-         "bad random problem spec: 'm' must be a JSON integer, got 10.0"),
+         "bad random problem spec: 'm' must be an integer, got 10.0"),
         ({"problem": dict(RANDOM, density="1"), "solvers": ["craig"]},
-         "'density' must be a JSON number, got '1'"),
+         "'density' must be a number, got '1'"),
         ({"problem": dict(RANDOM, spectrum=[1, True]), "solvers": ["craig"]},
-         "'spectrum' must be a JSON number, got True"),
+         "'spectrum' must be a number, got True"),
         ({"problem": {"source": "generate-stokes", "nx": 4.9, "ny": 4}, "solvers": ["craig"]},
-         "bad stokes problem spec: 'nx' must be a JSON integer, got 4.9"),
+         "bad stokes problem spec: 'nx' must be an integer, got 4.9"),
         ({"problem": {"source": "generate-stokes", "nx": 4, "ny": 4, "viscosity": True},
-          "solvers": ["craig"]}, "'viscosity' must be a JSON number, got True"),
+          "solvers": ["craig"]}, "'viscosity' must be a number, got True"),
         # Python's json reads Infinity and NaN; neither is a usable real.
         ({"problem": RANDOM, "solvers": ["craig"], "config": {"tolerance": math.inf}},
          "bad config: 'tolerance' must be finite, got inf"),
@@ -176,6 +177,30 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("gsp: error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_keep_basis_is_not_a_manifest_key(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"problem": RANDOM, "solvers": ["nscraig"],
+                                    "config": {"keep_basis": True}}))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "gsp: error: unknown config keys: ['keep_basis']\n"
+
+    @pytest.mark.parametrize("m", [10**30, 5001], ids=["huge", "over-cap"])
+    def test_random_m_over_dense_cap_refused_before_generating(self, tmp_path, capsys,
+                                                               monkeypatch, m):
+        def never(spec):
+            raise AssertionError("gen_random must not run")
+
+        monkeypatch.setattr("gsp.cli.gen_random", never)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"problem": dict(RANDOM, m=m), "solvers": ["craig"],
+                                    "output_dir": str(tmp_path / "out")}))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("gsp: error: bad random problem spec: "
+                       f"m must be at most 5000 (M is stored dense), got {m}\n")
         assert not (tmp_path / "out").exists()
 
     def test_boolean_flags_load_as_given(self, tmp_path):
@@ -352,3 +377,32 @@ class TestGen:
     def test_bad_usage_exits_1(self, capsys):
         assert main(["gen", "random", "--m", "10"]) == 1  # missing required flags
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["stokes", "--nx", "4", "--ny", "4", "--viscosity", "-1"],
+         "bad stokes problem spec: viscosity must be positive"),
+        (["random", "--m", "5", "--n", "10"], "bad random problem spec: need 1 <= n <= m"),
+        (["stokes", "--nx", "4", "--ny", "4", "--oseen-wind", "bogus"],
+         "bad stokes problem spec: unknown wind selector 'bogus'"),
+        (["random", "--m", str(10**30), "--n", "5"],
+         "bad random problem spec: m must be at most 5000"),
+    ], ids=["viscosity-negative", "n-above-m", "unknown-wind", "m-huge"])
+    def test_refused_spec_exits_1_without_traceback(self, tmp_path, capsys, argv, fragment):
+        out = tmp_path / "sys"
+        assert main(["gen", *argv, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gsp: error: ") and err.count("\n") == 1 and fragment in err
+        assert not out.exists()
+
+    def test_random_flags_map_to_spec_fields(self, tmp_path):
+        # --lo/--hi are the spectrum, --skew the skew strength, --c-rank -1 means n // 2.
+        out = tmp_path / "sys"
+        assert main(["gen", "random", "--m", "12", "--n", "6", "--density", "0.5", "--lo", "2",
+                     "--hi", "3", "--skew", "0.25", "--seed", "4", "-o", str(out)]) == 0
+        want = gen_random(RandomSpec(m=12, n=6, density=0.5, spectrum=(2.0, 3.0),
+                                     skew_strength=0.25, c_rank=3, seed=4))
+        got = load_system(str(out / "system.json"))
+        for block in ("Mmat", "A", "C"):
+            assert np.array_equal(np.asarray(getattr(got, block)),
+                                  np.asarray(getattr(want, block)))
+        assert np.array_equal(got.b, want.b) and got.symmetric is False

@@ -1,6 +1,7 @@
 """Generators, RHS compression, and problem validators."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,3 +253,63 @@ class TestCompressRhs:
         z_star = np.linalg.solve(K, np.concatenate([b1, b2]))
         got = np.concatenate([w, p])
         assert np.linalg.norm(got - z_star) <= 1e-9 * np.linalg.norm(z_star)
+
+
+class TestFieldChecks:
+    """Each spec and SolverConfig checks its own fields, naming the field and the value."""
+
+    @pytest.mark.parametrize("build, exc, fragment", [
+        (lambda: SolverConfig(max_iterations=2.9), TypeError,
+         "'max_iterations' must be an integer, got 2.9"),
+        (lambda: SolverConfig(max_iterations=True), TypeError,
+         "'max_iterations' must be an integer, got True"),
+        (lambda: SolverConfig(tolerance=True), TypeError, "'tolerance' must be a number, got True"),
+        (lambda: SolverConfig(criterion="error-estimate", error_delay=2.5), TypeError,
+         "'error_delay' must be an integer, got 2.5"),
+        (lambda: SolverConfig(reorthogonalize=1), TypeError,
+         "'reorthogonalize' must be true or false, got 1"),
+        (lambda: StokesSpec(nx=4.5, ny=4), TypeError, "'nx' must be an integer, got 4.5"),
+        (lambda: StokesSpec(nx=4, ny=4, length=-1), ValueError, "length must be positive"),
+        (lambda: StokesSpec(nx=4, ny=4, length=np.inf), ValueError,
+         "'length' must be finite, got inf"),
+        (lambda: StokesSpec(nx=4, ny=4, viscosity=np.nan), ValueError,
+         "'viscosity' must be finite, got nan"),
+        (lambda: RandomSpec(m=10.0, n=5), TypeError, "'m' must be an integer, got 10.0"),
+        (lambda: RandomSpec(m=10, n=5, seed=1.5), TypeError, "'seed' must be an integer, got 1.5"),
+        (lambda: RandomSpec(m=10, n=5, seed=-1), ValueError, "seed must be nonnegative"),
+        (lambda: RandomSpec(m=10, n=5, spectrum=(1, np.inf)), ValueError,
+         "'spectrum' must be finite, got inf"),
+        (lambda: RandomSpec(m=10, n=5, spectrum=5), TypeError,
+         "'spectrum' must be a pair of numbers, got 5"),
+    ], ids=["max-iterations-float", "max-iterations-true", "tolerance-true", "error-delay-float",
+            "reorthogonalize-int", "nx-float", "length-negative", "length-infinity",
+            "viscosity-nan", "m-float", "seed-float", "seed-negative", "spectrum-infinity",
+            "spectrum-number"])
+    def test_refusal_names_field_and_value(self, build, exc, fragment):
+        with pytest.raises(exc) as info:
+            build()
+        assert fragment in str(info.value)
+
+    @pytest.mark.parametrize("m", [10**30, 5001], ids=["huge", "over-cap"])
+    def test_random_m_over_dense_cap_refused_before_allocating(self, m):
+        # M = Qm diag Qm^T is stored fully, so factorize would refuse it only
+        # after several m x m arrays exist.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"m must be at most 5000 .*got {m}$"):
+                RandomSpec(m=m, n=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_numpy_counts_accepted_as_int(self):
+        spec = RandomSpec(m=np.int64(10), n=np.int64(5), density=np.float64(1.0),
+                          c_rank=np.int64(2), seed=np.int64(3))
+        assert all(type(getattr(spec, f)) is int for f in ("m", "n", "c_rank", "seed"))
+        assert type(spec.density) is float
+        assert spec == RandomSpec(m=10, n=5, c_rank=2, seed=3)
+        cfg = SolverConfig(max_iterations=np.int64(7), error_delay=np.int32(2))
+        assert type(cfg.max_iterations) is int and type(cfg.error_delay) is int
+        stokes = StokesSpec(nx=np.int64(4), ny=np.int16(3))
+        assert (type(stokes.nx), type(stokes.ny)) == (int, int)
