@@ -20,10 +20,10 @@ from .system import ConvergenceRecord, SaddleSystem  # noqa: F401
 def craig_solve(sys, N=None, cfg=None):
     """Run CRAIG on a symmetric instance.
 
-    Only the latest q, v, r, s, t vectors are retained unless
-    cfg.reorthogonalize (store Q for one classical Gram-Schmidt pass per
-    step) or cfg.keep_basis (return Q) is set. Earlier iterates come from
-    gsp.nscraig.replay.
+    A step makes one N-solve and no N product (one under cfg.reorthogonalize,
+    which stores Q for one classical Gram-Schmidt pass per step). Only the
+    latest q, v, r, s, t vectors are retained unless that or cfg.keep_basis
+    (return Q) is set. Earlier iterates come from gsp.nscraig.replay.
     """
     if not sys.symmetric:
         raise WrongSolverError("craig requires a symmetric leading block; use nscraig")

@@ -39,7 +39,7 @@ class IncrementalLowerFactor:
     Hessenberg column h_k, so each step costs one banded solve with the
     bidiagonal B^T instead of rebuilding B, H and the whole factor. B^T is
     stored as the LAPACK lower band, column i holding (alpha_i, beta_{i+1}).
-    x holds chi_1..chi_k (nsCRAIG's zetas, by the same recursion), and
+    x holds chi_1..chi_k, which the loop passes in (its zetas), and
     w = L^{-1} x grows by one forward-substitution entry per step: x . w is
     the denominator of the delayed error estimate.
     """
@@ -65,8 +65,8 @@ class IncrementalLowerFactor:
             x[:k], w[:k] = self.x[:k], self.w[:k]
         self.band, self.Lt, self.x, self.w = band, Lt, x, w
 
-    def append(self, alpha, beta, h):
-        """Add alpha_k, beta_k (below alpha_{k-1} in B^T; beta_1 for k = 1) and h_k."""
+    def append(self, alpha, beta, chi, h):
+        """Add alpha_k, beta_k (below alpha_{k-1} in B^T; beta_1 for k = 1), chi_k and h_k."""
         k = self.k + 1
         if k > len(self.x):
             self._grow(2 * len(self.x))
@@ -75,9 +75,6 @@ class IncrementalLowerFactor:
         band[0, k - 1] = alpha
         if k > 1:
             band[1, k - 2] = beta
-            chi = -(beta / alpha) * x[k - 2]
-        else:
-            chi = beta / alpha
         col = self._bidiagonal_solve(h, "N")
         self.Lt[:k, k - 1] = col
         x[k - 1] = chi
@@ -142,9 +139,9 @@ def _with_rows(a, rows):
     return grown
 
 
-def _finite(value, name, k):
+def _finite(value, name, index, k):
     if not math.isfinite(value):
-        raise NonFiniteError(f"{name} is {value} at iteration {k}")
+        raise NonFiniteError(f"{name}_{index} is {value} at iteration {k}")
     return value
 
 
@@ -189,29 +186,28 @@ def assemble_solution(lower):
 def gkb_solve(sys, N, cfg, full_orth):
     """Run the generalized Golub-Kahan loop; full_orth selects nsCRAIG over CRAIG.
 
-    The loop carries mv = M v next to v. M w = A q - beta M v is the
-    right-hand side of the M-solve, so it gives w . M w in
-    alpha = sqrt(w . M w + r . s) and, over alpha, the next M v (Arioli,
-    SIMAX 2013): a step applies A, A^T, the M-solve and C once each and
-    never multiplies by M.
-    Without full_orth (CRAIG) only the latest q, v, r, s, t vectors are
-    retained unless cfg.reorthogonalize or cfg.keep_basis needs the right
-    basis. The basis is one array of rows q_1, q_2, ... that starts at one row
-    and doubles its rows when a step outgrows it. nsCRAIG orthogonalizes by
-    CGS2 with the second pass lagged one step (_lagged_cgs2): step k drives
-    its recurrences with q~_k, the vector after one pass, and finishes q_k in
-    row k-1 of the basis while projecting the new vector, so the rows a step
-    reads are final (the assembly, result.Q). A step of either solver makes
-    one N-solve and two N products. cfg.reorthogonalize adds one
-    explicit classical Gram-Schmidt pass over the final basis, and one N
-    product, per step in both modes (CRAIG's only pass). If the lagged pass
-    finds 1 - a . a <= 0, the run ends with termination "breakdown" and the
-    previous step's iterate.
-    nsCRAIG grows its IncrementalLowerFactor on every step; the error-estimate
+    A step applies A, A^T, C, the M-solve and the N-solve once each. It
+    carries M v and N g as the right-hand sides of those solves (Arioli,
+    SIMAX 2013): M w = A q - beta M v gives w . M w in alpha and, over alpha,
+    the next M v; N g = A^T v + t (minus alpha N q for CRAIG) gives g . N g in
+    beta and, over beta, the next N q, from N q_1 = b / beta_1. So no step
+    multiplies by M and no CRAIG step by N; nsCRAIG's Gram-Schmidt changes g,
+    and its step makes one N product to recompute N g. cfg.reorthogonalize
+    adds one explicit classical Gram-Schmidt pass over the final basis, and
+    one N product, per step in both modes (CRAIG's only pass).
+    The right basis is one array of rows q_1, q_2, ... that starts at one row
+    and doubles when a step outgrows it; CRAIG keeps only its latest vectors
+    unless cfg.reorthogonalize or cfg.keep_basis needs the basis. nsCRAIG
+    orthogonalizes by CGS2 with the second pass lagged one step
+    (_lagged_cgs2): step k drives its recurrences with q~_k, the vector after
+    one pass, and finishes q_k in row k-1 while projecting the new vector, so
+    the rows a step reads are final. If the lagged pass finds 1 - a . a <= 0,
+    the run ends with termination "breakdown" and the previous step's iterate.
+    nsCRAIG grows its IncrementalLowerFactor every step; the error-estimate
     rule reads it each step and assemble_solution once, on termination: the
-    only iterate nsCRAIG forms. cfg.keep_basis keeps the right basis Q and
-    nsCRAIG's Hessenberg columns; earlier iterates come from replay.
-    A NaN or infinite alpha or beta raises NonFiniteError.
+    only iterate nsCRAIG forms. cfg.keep_basis keeps Q (k x n) and nsCRAIG's
+    Hessenberg columns; earlier iterates come from replay. A NaN or infinite
+    alpha or beta raises NonFiniteError.
     """
     cfg = cfg or SolverConfig()
     if not np.any(sys.b):
@@ -220,63 +216,72 @@ def gkb_solve(sys, N, cfg, full_orth):
     A, C, M = sys.A, sys.C, sys.M
     t0 = time.perf_counter()
 
-    q = N.solve(sys.b)
-    beta1 = _finite(float(np.sqrt(max(q @ sys.b, 0.0))), "beta_1", 0)
+    ng = sys.b  # N g for g = N^{-1} b, so q_1 = g / beta_1
+    g = N.solve(ng)
+    beta = beta1 = _finite(float(np.sqrt(max(g @ ng, 0.0))), "beta", 1, 0)
     if beta1 == 0.0:
         raise ZeroRhsError("b has zero N^{-1}-norm")
-    q = q / beta1
-    nq = N.apply(q)
     store_basis = full_orth or cfg.reorthogonalize or cfg.keep_basis
-    Q = np.array([q]) if store_basis else None
-    mw = A.matvec(q)
-    w = M.solve(mw)
-    r = q.copy()
-    s = C.matvec(r)
-    alpha = _finite(float(np.sqrt(max(w @ mw + r @ s, 0.0))), "alpha_1", 1)
-
-    alphas, betas, scalars = [alpha], [beta1], []
+    Q = np.zeros((1, sys.n)) if store_basis else None
     h_columns = [] if full_orth and cfg.keep_basis else None
     lower = IncrementalLowerFactor() if full_orth else None
     history = []
+    # Step 0's state: the first pass through the loop's head is step 1's, with
+    # M v_0 = 0, r_0 = 0 and zeta_0 = -1. u and p stay zero if alpha_1 breaks down.
+    u, p, mv, r = np.zeros(sys.m), np.zeros(sys.n), np.zeros(sys.m), np.zeros(sys.n)
+    alpha, zeta = 1.0, -1.0
+    alpha_floor = BREAKDOWN_TOL * max(beta1, 1.0)  # then BREAKDOWN_TOL * alpha_1
 
-    if alpha <= BREAKDOWN_TOL * max(beta1, 1.0):
-        return SolveResult(np.zeros(sys.m), np.zeros(sys.n), "breakdown", history, beta1=beta1)
-
-    v = w / alpha
-    mv = mw / alpha
-    t = s / alpha
-    zeta = beta1 / alpha
-    scalars.append(zeta)
-    if not full_orth:
-        u = zeta * v
-        p = -(zeta / alpha) * r
-
-    k = 1
-    termination = "max-iterations"
+    k = 0
     fired = None
     while True:
+        q = g / beta
+        nq = ng / beta
+        if store_basis:
+            Q = _with_rows(Q, k + 1)
+            Q[k] = q
+        mw = A.matvec(q) - beta * mv
+        w = M.solve(mw)
+        r = q - (beta / alpha) * r
+        s = C.matvec(r)
+        alpha = _finite(float(np.sqrt(max(w @ mw + r @ s, 0.0))), "alpha", k + 1, k + 1)
+        if alpha <= alpha_floor:
+            termination = "breakdown"
+            break
+        if k == 0:
+            alpha_floor = BREAKDOWN_TOL * alpha
+        k += 1
+        v = w / alpha
+        mv = mw / alpha
+        t = s / alpha
+        zeta = -(beta / alpha) * zeta
+        if not full_orth:
+            u = u + zeta * v
+            p = p - (zeta / alpha) * r
+
+        ng = A.rmatvec(v) + t
+        if not full_orth:
+            ng = ng - alpha * nq
+        g = N.solve(ng)
         if full_orth:
-            g = N.solve(A.rmatvec(v) + t)
-            step = _lagged_cgs2(Q, k, nq, g, N.apply(g))
+            step = _lagged_cgs2(Q, k, nq, g, ng)
             if step is None:
                 termination = "breakdown"
                 k -= 1
                 break
             g, h = step
-        else:
-            g = N.solve(A.rmatvec(v) + t - alphas[-1] * nq)
+            ng = N.apply(g)
         if cfg.reorthogonalize:
-            c = Q[:k] @ N.apply(g)
+            c = Q[:k] @ ng
             g = g - c @ Q[:k]
+            ng = N.apply(g)
             if full_orth:
                 h += c
         if full_orth:
-            lower.append(alphas[-1], betas[-1], h)
+            lower.append(alpha, beta, zeta, h)
             if h_columns is not None:
                 h_columns.append(h)
-        ng = N.apply(g)
-        beta = _finite(float(np.sqrt(max(g @ ng, 0.0))), f"beta_{k + 1}", k)
-        betas.append(beta)
+        beta = _finite(float(np.sqrt(max(g @ ng, 0.0))), "beta", k + 1, k)
 
         res_rel = (beta / beta1) * abs(zeta)
         err_est = None
@@ -284,9 +289,10 @@ def gkb_solve(sys, N, cfg, full_orth):
             if full_orth:
                 ratio = lower.error_ratio(cfg.error_delay)
             else:
-                ratio = craig_error_estimate(scalars, k, cfg.error_delay)
+                zetas = [rec.scalar for rec in history] + [zeta]
+                ratio = craig_error_estimate(zetas, k, cfg.error_delay)
             err_est = float(np.sqrt(abs(ratio)))
-        history.append(ConvergenceRecord(k, res_rel, err_est, alphas[-1], beta, zeta,
+        history.append(ConvergenceRecord(k, res_rel, err_est, alpha, beta, zeta,
                                          time.perf_counter() - t0))
 
         if beta <= BREAKDOWN_TOL * beta1:
@@ -302,36 +308,12 @@ def gkb_solve(sys, N, cfg, full_orth):
             termination = "max-iterations"
             break
 
-        q = g / beta
-        nq = ng / beta if full_orth else N.apply(q)
-        if store_basis:
-            Q = _with_rows(Q, k + 1)
-            Q[k] = q
-        mw = A.matvec(q) - beta * mv
-        w = M.solve(mw)
-        r = q - (beta / alphas[-1]) * r
-        s = C.matvec(r)
-        alpha = _finite(float(np.sqrt(max(w @ mw + r @ s, 0.0))), f"alpha_{k + 1}", k + 1)
-        if alpha <= BREAKDOWN_TOL * alphas[0]:
-            termination = "breakdown"
-            break
-        alphas.append(alpha)
-        v = w / alpha
-        mv = mw / alpha
-        t = s / alpha
-        zeta = -(beta / alpha) * zeta
-        scalars.append(zeta)
-        if not full_orth:
-            u = u + zeta * v
-            p = p - (zeta / alpha) * r
-        k += 1
-
-    if full_orth:
+    if full_orth and k:
         y = assemble_solution(lower)
         p = y @ Q[:k]
         u = -M.solve(A.matvec(p))
     return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1,
-                       h_columns=h_columns, Q=list(Q[:k]) if cfg.keep_basis else None)
+                       h_columns=h_columns, Q=Q[:k].copy() if cfg.keep_basis else None)
 
 
 def nscraig_solve(sys, N=None, cfg=None):

@@ -131,6 +131,10 @@ class StokesSpec:
         check_fields(self, nx=int, ny=int, length=float, viscosity=float, gamma=float)
         if self.nx < 2 or self.ny < 2:
             raise ValueError("need nx, ny >= 2")
+        size = (self.nx - 1) * self.ny + self.nx * (self.ny - 1) + self.nx * self.ny - 1
+        if size > np.iinfo(np.int32).max:
+            raise ValueError(f"grid nx={self.nx}, ny={self.ny} has m + n = {size} unknowns, "
+                             "past the generator's int32 indices")
         if self.length <= 0.0:
             raise ValueError("length must be positive")
         if self.viscosity <= 0.0:

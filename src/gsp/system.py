@@ -185,9 +185,9 @@ class SolveResult:
 
     The bidiagonalization scalars live in the history records only; alphas,
     betas and scalars read them back. beta1 is the N^{-1}-norm of b (baselines
-    store their own initial residual norm there). The right basis Q (rows
-    q_1..q_k) and nsCRAIG's Hessenberg columns h_columns are kept only under
-    keep_basis, so a result without them is O(k + m + n) in size.
+    store their own initial residual norm there). The right basis Q (k x n,
+    rows q_1..q_k) and nsCRAIG's Hessenberg columns h_columns are kept only
+    under keep_basis, so a result without them is O(k + m + n) in size.
     """
 
     u: np.ndarray
@@ -197,7 +197,7 @@ class SolveResult:
     fired_criterion: str | None = None
     beta1: float | None = None
     h_columns: list[np.ndarray] | None = None
-    Q: list[np.ndarray] | None = None
+    Q: np.ndarray | None = None
 
     @property
     def iterations(self):

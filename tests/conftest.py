@@ -18,6 +18,16 @@ def random_preconditioner(n, seed=0, lo=0.5, hi=2.0):
     return SpdPreconditioner.from_diagonal(rng.uniform(lo, hi, n))
 
 
+def cholesky_preconditioner(n, seed=0, lo=0.5, hi=2.0):
+    """A dense SPD N = V diag(lambda) V^T with a random orthogonal V: Cholesky-factored."""
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    K = (V * rng.uniform(lo, hi, n)) @ V.T
+    N = SpdPreconditioner.from_matrix((K + K.T) / 2.0)
+    assert N.operator.kind == "cholesky-spd"
+    return N
+
+
 @pytest.fixture
 def hand_system():
     """m=2, n=1: M=I, A=[1;1], C=[1], b=(1); Schur complement S = 3."""

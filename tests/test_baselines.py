@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_preconditioner, random_system
+from conftest import cholesky_preconditioner, random_preconditioner, random_system
 from gsp import (
     SaddleSystem,
     SolverConfig,
@@ -65,6 +65,17 @@ class TestScrCg:
         for g, c in zip(rg, rc):
             assert np.linalg.norm(g.p - c.p) <= 1e-9 * np.linalg.norm(g.p)
 
+    def test_matches_craig_iterates_with_cholesky_preconditioner(self):
+        # A non-diagonal N: CRAIG carries N q as N g / beta instead of applying
+        # N, and every N the other checks use is diagonal.
+        sys = random_system(40, 16, c_rank=8, seed=62, spectrum=(1.0, 20.0))
+        N = cholesky_preconditioner(16, seed=62)
+        rg = replay(scr_cg_solve, sys, N, SolverConfig(tolerance=1e-10))
+        rc = replay(craig_solve, sys, N, SolverConfig(tolerance=1e-10))
+        assert rg[-1].iterations == rc[-1].iterations >= 10
+        for g, c in zip(rg, rc):
+            assert np.linalg.norm(g.p - c.p) <= 1e-9 * np.linalg.norm(g.p)
+
     def test_zero_c_identity_preconditioner_matches_textbook_cg(self):
         sys = random_system(12, 6, c_rank=0, seed=63)
         runs = replay(scr_cg_solve, sys, None, SolverConfig(tolerance=1e-12))
@@ -102,6 +113,15 @@ class TestScrFom:
         rf = replay(scr_fom_solve, sys, N, cfg)
         rn = replay(nscraig_solve, sys, N, cfg)
         assert rf[-1].iterations == rn[-1].iterations
+        for f, n in zip(rf, rn):
+            assert np.linalg.norm(f.p - n.p) <= 1e-9 * max(np.linalg.norm(n.p), 1e-30)
+
+    def test_matches_nscraig_iterates_with_cholesky_preconditioner(self):
+        sys = random_system(40, 16, skew=0.5, c_rank=8, seed=65, spectrum=(1.0, 20.0))
+        N = cholesky_preconditioner(16, seed=65)
+        rf = replay(scr_fom_solve, sys, N, SolverConfig(tolerance=1e-10))
+        rn = replay(nscraig_solve, sys, N, SolverConfig(tolerance=1e-10))
+        assert rf[-1].iterations == rn[-1].iterations >= 10
         for f, n in zip(rf, rn):
             assert np.linalg.norm(f.p - n.p) <= 1e-9 * max(np.linalg.norm(n.p), 1e-30)
 

@@ -203,6 +203,22 @@ class TestRun:
                        f"m must be at most 5000 (M is stored dense), got {m}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("nx, ny", [(10**21, 4), (40000, 40000)], ids=["nx-huge", "grid-40000"])
+    def test_stokes_grid_past_int32_indices_refused_before_generating(self, tmp_path, capsys,
+                                                                      monkeypatch, nx, ny):
+        def never(spec):
+            raise AssertionError("gen_stokes_channel_detailed must not run")
+
+        monkeypatch.setattr("gsp.cli.gen_stokes_channel_detailed", never)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"problem": {"source": "generate-stokes", "nx": nx, "ny": ny},
+                                    "solvers": ["craig"], "output_dir": str(tmp_path / "out")}))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gsp: error: bad stokes problem spec: grid nx={nx}, ny={ny} ")
+        assert err.endswith("past the generator's int32 indices\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_boolean_flags_load_as_given(self, tmp_path):
         path = tmp_path / "m.json"
         for flag in (True, False):
@@ -386,7 +402,12 @@ class TestGen:
          "bad stokes problem spec: unknown wind selector 'bogus'"),
         (["random", "--m", str(10**30), "--n", "5"],
          "bad random problem spec: m must be at most 5000"),
-    ], ids=["viscosity-negative", "n-above-m", "unknown-wind", "m-huge"])
+        (["stokes", "--nx", str(10**21), "--ny", "4"],
+         f"bad stokes problem spec: grid nx={10**21}, ny=4 has m + n = "),
+        (["stokes", "--nx", "40000", "--ny", "40000"],
+         "bad stokes problem spec: grid nx=40000, ny=40000 has m + n = 4799919999 unknowns"),
+    ], ids=["viscosity-negative", "n-above-m", "unknown-wind", "m-huge", "nx-huge",
+            "grid-40000"])
     def test_refused_spec_exits_1_without_traceback(self, tmp_path, capsys, argv, fragment):
         out = tmp_path / "sys"
         assert main(["gen", *argv, "-o", str(out)]) == 1

@@ -8,7 +8,7 @@ import pytest
 
 import gsp.nscraig
 
-from conftest import random_preconditioner, random_system
+from conftest import cholesky_preconditioner, random_preconditioner, random_system
 from gsp import (
     SaddleSystem,
     SolverConfig,
@@ -45,7 +45,7 @@ def grown_factor(res, k):
     """The solver's incremental factor after k steps, replayed from a kept run."""
     lower = IncrementalLowerFactor()
     for i in range(k):
-        lower.append(res.alphas[i], res.betas[i], res.h_columns[i])
+        lower.append(res.alphas[i], res.betas[i], res.scalars[i], res.h_columns[i])
     return lower
 
 
@@ -188,7 +188,8 @@ class TestErrorEstimate:
                                                     keep_basis=True))
         lower = IncrementalLowerFactor()  # one row, grown four times to 16
         for k in range(1, res.iterations + 1):
-            lower.append(res.alphas[k - 1], res.betas[k - 1], res.h_columns[k - 1])
+            lower.append(res.alphas[k - 1], res.betas[k - 1], res.scalars[k - 1],
+                         res.h_columns[k - 1])
             L = dense_reference(res, k)[2]
             # Only the lower triangle is defined; above it the rebuild holds roundoff.
             assert np.abs(np.tril(lower.lower_factor() - L)).max() <= 1e-12 * np.abs(L).max()
@@ -299,26 +300,50 @@ def test_lagged_cgs2_keeps_long_oseen_basis_orthogonal():
     assert np.abs(Q @ NQ.T - np.eye(len(Q))).max() <= 1e-12
 
 
-class _ScaledProducts:
-    """N's solves, but products scaled by a factor: N.apply is no longer N.solve's inverse."""
+def test_lagged_cgs2_keeps_basis_orthogonal_under_cholesky_preconditioner():
+    # A dense, Cholesky-factored N: the carried N q~ and N g (right-hand
+    # sides of its triangular solves) must stay within rounding of N.apply.
+    sys = gen_stokes_channel(StokesSpec(nx=12, ny=12, viscosity=1e-2, oseen_wind="poiseuille"))
+    N = cholesky_preconditioner(sys.n, seed=5)
+    res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=120,
+                                             keep_basis=True))
+    assert res.iterations == 120
+    NQ = np.array([N.apply(q) for q in res.Q])
+    assert np.abs(res.Q @ NQ.T - np.eye(len(res.Q))).max() <= 1e-12
 
-    def __init__(self, N, factor):
+
+@pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5)])
+def test_kept_basis_holds_exactly_k_rows(solve, skew):
+    # The stored basis doubles to 64 rows at step 33; the result keeps 33.
+    sys = random_system(80, 40, skew=skew, c_rank=20, seed=58, spectrum=(1.0, 100.0))
+    res = solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=33, keep_basis=True))
+    assert res.iterations == 33
+    storage = res.Q if res.Q.base is None else res.Q.base
+    assert res.Q.shape == (33, sys.n) and storage.size == 33 * sys.n
+
+
+class _MismatchedProducts:
+    """N's solves, but products with another SPD matrix P: N.apply is no longer N.solve's inverse."""
+
+    def __init__(self, N, P):
         self._N = N
-        self.factor = factor
+        self._P = P
 
     def solve(self, x):
         return self._N.solve(x)
 
     def apply(self, x):
-        return self.factor * self._N.apply(x)
+        return self._P.apply(x)
 
 
 def test_lost_lagged_pass_ends_in_breakdown(monkeypatch):
-    # With products twice too large, q~_2 appears to lie inside span(q_1) in
-    # the N inner product: 1 - a.a <= 0 at step 2. The run stops there and
-    # returns the step-1 iterate, whose basis row is final.
+    # With products by a P far from N (diagonals in [0.01, 100] against
+    # [0.5, 2]), the carried N q~_2 = P g / beta_2 puts q~_2 inside span(q_1)
+    # in the mixed inner product: a . a = 4.7, so 1 - a.a <= 0 at step 2. The
+    # run stops there and returns the step-1 iterate, whose basis row is final.
     sys = random_system(12, 6, skew=0.5, c_rank=3, seed=57)
-    N = _ScaledProducts(random_preconditioner(6, seed=57), 2.0)
+    N = _MismatchedProducts(random_preconditioner(6, seed=57),
+                            random_preconditioner(6, seed=1057, lo=0.01, hi=100.0))
     steps = []
     lagged = gsp.nscraig._lagged_cgs2
 
@@ -387,7 +412,7 @@ class _System(_Counted):
 
 
 def _kernel_windows(monkeypatch, solve, skew, cfg):
-    """Counters of the logged kernel calls between consecutive iteration records."""
+    """Counters of the logged kernel calls before step 1 and between consecutive records."""
     sys = random_system(40, 20, skew=skew, c_rank=10, seed=54, spectrum=(1.0, 20.0))
     log, marks = [], []
     record = gsp.nscraig.ConvergenceRecord
@@ -401,28 +426,56 @@ def _kernel_windows(monkeypatch, solve, skew, cfg):
     res = solve(_System(sys, log), N, cfg)
     assert res.converged and res.iterations > 5
     assert not [key for key, _, _ in log if key.startswith("Mmat.") or key == "M.apply"]
+    start = next(i for i, (key, _, _) in enumerate(log) if key == "A.rmatvec")  # step 1
     windows = [Counter(key for key, _, _ in log[a:b]) for a, b in zip(marks, marks[1:])]
     assert len(windows) == res.iterations - 1
-    return windows
+    return Counter(key for key, _, _ in log[:start]), windows
+
+
+# Before step 1: N q_1 = b / beta_1 needs no N product.
+SETUP = {"N.solve": 1, "A.matvec": 1, "M.solve": 1, "C.matvec": 1}
+N_PRODUCTS = {craig_solve: 0, nscraig_solve: 1}  # per step, without reorthogonalize
 
 
 @pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5)])
 def test_one_kernel_application_each_per_iteration(monkeypatch, solve, skew):
-    # Both solvers make one N-solve and two N products per step, in every
-    # step: nsCRAIG's lagged second Gram-Schmidt pass needs no third.
-    windows = _kernel_windows(monkeypatch, solve, skew, SolverConfig(tolerance=1e-10))
-    one_each = {"A.matvec": 1, "A.rmatvec": 1, "M.solve": 1, "C.matvec": 1,
-                "N.solve": 1, "N.apply": 2}
+    # Both solvers make one N-solve per step, whose right-hand side is N g.
+    # CRAIG carries it and makes no N product; nsCRAIG's Gram-Schmidt changes
+    # g, so it makes one, and its lagged second pass needs no second.
+    setup, windows = _kernel_windows(monkeypatch, solve, skew, SolverConfig(tolerance=1e-10))
+    one_each = Counter({"A.matvec": 1, "A.rmatvec": 1, "M.solve": 1, "C.matvec": 1,
+                        "N.solve": 1, "N.apply": N_PRODUCTS[solve]})
+    assert setup == SETUP
     assert all(window == one_each for window in windows)
 
 
 @pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5)])
 def test_reorthogonalize_adds_one_n_product_per_iteration(monkeypatch, solve, skew):
-    windows = _kernel_windows(monkeypatch, solve, skew,
-                              SolverConfig(tolerance=1e-10, reorthogonalize=True))
-    one_each = {"A.matvec": 1, "A.rmatvec": 1, "M.solve": 1, "C.matvec": 1,
-                "N.solve": 1, "N.apply": 3}
+    setup, windows = _kernel_windows(monkeypatch, solve, skew,
+                                     SolverConfig(tolerance=1e-10, reorthogonalize=True))
+    one_each = Counter({"A.matvec": 1, "A.rmatvec": 1, "M.solve": 1, "C.matvec": 1,
+                        "N.solve": 1, "N.apply": N_PRODUCTS[solve] + 1})
+    assert setup == SETUP
     assert all(window == one_each for window in windows)
+
+
+def test_carried_n_q_matches_explicit_product():
+    # CRAIG's step k solves N g = A^T v_k + t_k - alpha_k N q_k with N q_k
+    # carried as the previous right-hand side over beta_k (b / beta_1 for
+    # k = 1), never formed by N.apply.
+    sys = random_system(40, 20, c_rank=10, seed=55, spectrum=(1.0, 20.0))
+    log = []
+    N = _Counted(cholesky_preconditioner(20, seed=55), "N", log, "solve", "apply")
+    res = craig_solve(_System(sys, log), N, SolverConfig(tolerance=1e-10, keep_basis=True))
+    assert res.iterations > 5 and not [key for key, _, _ in log if key == "N.apply"]
+    rhs = [args[0] for key, args, _ in log if key == "N.solve"]
+    aty = [out for key, _, out in log if key == "A.rmatvec"]
+    cr = [out for key, _, out in log if key == "C.matvec"]
+    for k in range(1, res.iterations + 1):
+        alpha = res.alphas[k - 1]
+        carried = (aty[k - 1] + cr[k - 1] / alpha - rhs[k]) / alpha
+        expected = N.apply(res.Q[k - 1])
+        assert np.linalg.norm(carried - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_carried_m_v_matches_explicit_product():

@@ -303,6 +303,23 @@ class TestFieldChecks:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("nx, ny", [(10**21, 4), (40000, 40000), (429496731, 2)],
+                             ids=["huge", "square", "one-past"])
+    def test_stokes_grid_past_int32_indices_refused_before_allocating(self, nx, ny):
+        # The index grids are int32: m + n = (nx-1) ny + nx (ny-1) + nx ny - 1
+        # must stay below 2**31. At ny = 2 it is 5 nx - 3.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^grid nx={nx}, ny={ny} has m \\+ n = "):
+                StokesSpec(nx=nx, ny=ny)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_stokes_grid_at_int32_limit_accepted(self):
+        assert StokesSpec(nx=429496730, ny=2).nx == 429496730  # m + n = 2**31 - 1
+
     def test_numpy_counts_accepted_as_int(self):
         spec = RandomSpec(m=np.int64(10), n=np.int64(5), density=np.float64(1.0),
                           c_rank=np.int64(2), seed=np.int64(3))
