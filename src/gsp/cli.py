@@ -192,7 +192,7 @@ def execute(manifest):
     system, precond, setup_time = build_problem(manifest)
     bad = [s for s in manifest.solvers if s in NEEDS_SYMMETRIC and not system.symmetric]
     if bad:
-        raise UsageError(f"solvers {bad} require the symmetric flag")
+        raise UsageError(f"solvers {bad} need a symmetric M")
     oracle = None
     if manifest.report_error_vs_oracle:
         oracle = np.concatenate(direct_solve(system))
@@ -269,7 +269,7 @@ def cmd_gen(args):
                       gamma=args.gamma, oseen_wind=args.oseen_wind)
     system, _ = generate_problem(args.kind, fields)
     path = save_system(args.output, system)
-    print(f"wrote {path} (m={system.m}, n={system.n}, symmetric={system.symmetric})")
+    print(f"wrote {path} (m={system.m}, n={system.n}, M {system.M.kind})")
     return 0
 
 

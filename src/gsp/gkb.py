@@ -63,7 +63,7 @@ def augment(sys, rank_tolerance=1e-12):
     E, F, l = spsd_factor(sys.C, rank_tolerance)
     if l == 0:
         raise DegenerateBlockError("C has numerical rank 0; use the direct solvers instead")
-    Finv = factorize("diagonal", F)
+    Finv = factorize(F)
     return AugmentedSystem(sys.M, F, Finv, sys.A, E, sys.b)
 
 

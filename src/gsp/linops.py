@@ -15,11 +15,12 @@ dense -> CSR conversion at about the cost of one copy. is_symmetric tests a
 fully stored matrix on its dense view and a partly stored one on K - K^T in
 CSR form, by the same rule.
 
-factorize factors a sparsely stored matrix with SuperLU, straight from its
-CSR arrays and with no size cap, and a densely stored one with LAPACK on a
-dense copy (capped at DENSE_FACTOR_LIMIT); see factorize for the choice and
-its known limitation. The SPSD factorization of C stays a full symmetric
-eigendecomposition.
+factorize reads the factor kind off the matrix (diagonal, Cholesky or LU)
+and factors a sparsely stored matrix with SuperLU, straight from its CSR
+arrays and with no size cap, and a densely stored one with LAPACK on a dense
+copy (capped at DENSE_FACTOR_LIMIT); see factorize for the choice and its
+known limitation. The SPSD factorization of C stays a full symmetric
+eigendecomposition (capped at DENSE_EIG_LIMIT).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (DimensionError, NonFiniteError, NotSpdError, NotSpsdError,
 
 DENSE_FACTOR_LIMIT = 5000
 DENSE_FACTOR_DENSITY = 0.2  # stored fraction of the m^2 entries above which LAPACK runs
+DENSE_EIG_LIMIT = 2000  # dimension cap of the dense eigen/singular value checks
 
 
 def _as_float_vector(x, length=None, name="x"):
@@ -200,9 +202,12 @@ class SparseMatrix:
         return bool((gap.max() if gap.nnz else 0.0) <= 1e-12 * max(scale, 1e-300))
 
     def is_diagonal(self):
-        """True when every stored entry off the diagonal is zero."""
-        coo = self.csr.tocoo()
-        return not np.any(coo.data[coo.row != coo.col])
+        """True when every stored entry off the diagonal is zero; computed once."""
+        return self._diagonal
+
+    @cached_property
+    def _diagonal(self):
+        return np.count_nonzero(self.csr.diagonal()) == np.count_nonzero(self.values)
 
     def __array__(self, dtype=None, copy=None):
         d = self.to_dense()
@@ -213,7 +218,8 @@ class SparseMatrix:
 class FactorizedOperator:
     """Square operator K with exact apply (K x) and solve (K^{-1} b).
 
-    kind is one of 'cholesky-spd', 'lu-general', 'diagonal'. matrix is the
+    kind is one of 'cholesky-spd', 'lu-general', 'diagonal', as factorize read
+    it off the matrix; only 'lu-general' is nonsymmetric. matrix is the
     SparseMatrix the factor was built from; apply() multiplies by it, so K is
     stored once, next to its factor. _factor is the diagonal (diagonal kind),
     a SuperLU factor of K^T (sparse path), or LAPACK's (factor, flag/pivots)
@@ -265,8 +271,6 @@ def _refuse_small_pivots(pivots):
 
 def _dense_factor(kind, K):
     """LAPACK factor of a dense copy of K, which the factor overwrites."""
-    if K.rows > DENSE_FACTOR_LIMIT:
-        raise DimensionError(f"dense factorization capped at dimension {DENSE_FACTOR_LIMIT}")
     if kind == "cholesky-spd":
         try:
             return scipy.linalg.cho_factor(K.to_dense(), lower=True, overwrite_a=True,
@@ -308,12 +312,14 @@ def _sparse_factor(kind, K):
     return lu
 
 
-def factorize(kind, K):
-    """Factorize a square matrix for repeated exact solves.
+def factorize(K):
+    """Factorize a square matrix for repeated exact solves, reading the kind off K.
 
-    cholesky-spd requires symmetric input and fails on a nonpositive pivot;
-    lu-general fails on a (numerically) zero pivot; diagonal accepts only
-    diagonal input.
+    A diagonal K gets the diagonal kind, any other symmetric K (is_symmetric)
+    cholesky-spd, and a nonsymmetric K lu-general. The first two require K
+    positive definite and raise NotSpdError on a nonpositive diagonal entry
+    or pivot; lu-general fails on a (numerically) zero pivot with
+    SingularOperatorError.
 
     A K that stores more than DENSE_FACTOR_DENSITY of its entries is
     densified once, and a LAPACK Cholesky/LU overwrites that copy (dimension
@@ -333,19 +339,17 @@ def factorize(kind, K):
     if not np.isfinite(K.values).all():
         raise NonFiniteError("cannot factorize a matrix holding a NaN or an infinity")
 
-    if kind == "diagonal":
-        if not K.is_diagonal():
-            raise DimensionError("diagonal kind requires a diagonal matrix")
-        d = K.csr.diagonal()
-        if np.any(d == 0.0):
-            raise SingularOperatorError("zero entry on the diagonal")
-        return FactorizedOperator(kind, K, d)
+    dense = K.nnz > DENSE_FACTOR_DENSITY * n * n
+    if dense and n > DENSE_FACTOR_LIMIT:  # refused before any O(nnz) symmetry test
+        raise DimensionError(f"dense factorization capped at dimension {DENSE_FACTOR_LIMIT}")
 
-    if kind not in ("cholesky-spd", "lu-general"):
-        raise ValueError(f"unknown factorization kind '{kind}'")
-    if kind == "cholesky-spd" and not K.is_symmetric():
-        raise NotSpdError("cholesky-spd requires symmetric input")
-    factor = _dense_factor if K.nnz > DENSE_FACTOR_DENSITY * n * n else _sparse_factor
+    if K.is_diagonal():  # hence symmetric
+        d = K.csr.diagonal()
+        if np.any(d <= 0.0):
+            raise NotSpdError("diagonal matrix has a nonpositive entry")
+        return FactorizedOperator("diagonal", K, d)
+    kind = "cholesky-spd" if K.is_symmetric() else "lu-general"
+    factor = _dense_factor if dense else _sparse_factor
     return FactorizedOperator(kind, K, factor(kind, K))
 
 
@@ -385,8 +389,8 @@ def spsd_factor(C, rank_tolerance=1e-12):
     if len(shape) != 2 or shape[0] != shape[1]:
         raise DimensionError("spsd_factor requires a square matrix")
     n = shape[0]
-    if n > 2000:
-        raise DimensionError("dense eigendecomposition capped at dimension 2000")
+    if n > DENSE_EIG_LIMIT:
+        raise DimensionError(f"dense eigendecomposition capped at dimension {DENSE_EIG_LIMIT}")
     dense = np.asarray(C, dtype=float)
     norm_c = np.linalg.norm(dense)
     if np.linalg.norm(dense - dense.T) > 1e-12 * max(norm_c, 1e-300):
@@ -409,10 +413,8 @@ class SpdPreconditioner:
     operator: FactorizedOperator
 
     def __post_init__(self):
-        if self.operator.kind not in ("cholesky-spd", "diagonal"):
-            raise NotSpdError("preconditioner must be cholesky-spd or diagonal")
-        if self.operator.kind == "diagonal" and np.any(self.operator._factor <= 0.0):
-            raise NotSpdError("diagonal preconditioner must be positive")
+        if self.operator.kind == "lu-general":
+            raise NotSpdError("preconditioner must be symmetric positive definite")
 
     @property
     def dimension(self):
@@ -420,17 +422,16 @@ class SpdPreconditioner:
 
     @classmethod
     def identity(cls, n):
-        return cls(factorize("diagonal", SparseMatrix.identity(n)))
+        return cls(factorize(SparseMatrix.identity(n)))
 
     @classmethod
     def from_diagonal(cls, d):
         d = np.asarray(d, dtype=float)
-        return cls(factorize("diagonal", SparseMatrix(scipy.sparse.diags_array(d, format="csr"))))
+        return cls(factorize(SparseMatrix(scipy.sparse.diags_array(d, format="csr"))))
 
     @classmethod
     def from_matrix(cls, K):
-        K = as_sparse(K)
-        return cls(factorize("diagonal" if K.is_diagonal() else "cholesky-spd", K))
+        return cls(factorize(K))
 
     def apply(self, x):
         return self.operator.apply(x)

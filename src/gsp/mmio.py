@@ -117,16 +117,15 @@ def save_system(directory, sys, manifest_name=MANIFEST_NAME):
     write_matrix_market(os.path.join(directory, names["a_file"]), sys.A)
     write_matrix_market(os.path.join(directory, names["c_file"]), sys.C)
     write_vector(os.path.join(directory, names["b_file"]), sys.b)
-    manifest = dict(names, symmetric=bool(sys.symmetric))
     path = os.path.join(directory, manifest_name)
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(names, fh, indent=2)
         fh.write("\n")
     return path
 
 
 def load_system(manifest_path):
-    """Rebuild a SaddleSystem from a manifest written by save_system."""
+    """Rebuild a SaddleSystem from a manifest written by save_system; other keys are ignored."""
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
@@ -136,14 +135,10 @@ def load_system(manifest_path):
     try:
         m_file, a_file, c_file, b_file = [os.path.join(base, manifest[key]) for key in
                                           ("m_file", "a_file", "c_file", "b_file")]
-        symmetric = manifest["symmetric"]
     except (KeyError, TypeError) as exc:
         raise LoadError(f"bad manifest {manifest_path}: missing or invalid key {exc}") from exc
-    if not isinstance(symmetric, bool):  # bool("false") is True
-        raise LoadError(f"bad manifest {manifest_path}: 'symmetric' must be true or false, "
-                        f"got {symmetric!r}")
     M = read_matrix_market(m_file)
     A = read_matrix_market(a_file)
     C = read_matrix_market(c_file)
     b = read_vector(b_file)
-    return SaddleSystem.from_matrices(M, A, C, b, symmetric=symmetric)
+    return SaddleSystem.from_matrices(M, A, C, b)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import SchurOperator
-from .errors import NotSpdError, NotSpsdError, RankRepairError
-from .linops import DENSE_FACTOR_LIMIT, SparseMatrix, SpdPreconditioner
+from .errors import DimensionError, NotSpdError, NotSpsdError, RankRepairError
+from .linops import DENSE_EIG_LIMIT, DENSE_FACTOR_LIMIT, SparseMatrix, SpdPreconditioner
 from .linops import factorize  # noqa: F401  (unused here; bench/tracing.py wraps this name)
 from .system import SaddleSystem, check_fields
 
@@ -96,11 +96,13 @@ def gen_random(spec):
         Cd = (Cd + Cd.T) / 2.0
 
     b = rng.standard_normal(n)
-    return SaddleSystem.from_matrices(Md, Ad, Cd, b, symmetric=(spec.skew_strength == 0.0))
+    return SaddleSystem.from_matrices(Md, Ad, Cd, b)
 
 
 def validate_system(sys):
-    """Check the block hypotheses explicitly; returns the measured margins."""
+    """Check the block hypotheses explicitly on dense copies; returns the measured margins."""
+    if sys.m > DENSE_EIG_LIMIT:
+        raise DimensionError(f"validate_system densifies M: m is capped at {DENSE_EIG_LIMIT}")
     md = sys.Mmat.to_dense()
     sym_part = (md + md.T) / 2.0
     min_eig_m = float(np.linalg.eigvalsh(sym_part).min())
@@ -251,8 +253,7 @@ def gen_stokes_channel_detailed(spec):
     p_star = (p_full - p_full[0])[1:]
 
     system, w0 = compress_rhs(Mmat, A, C, Mmat.matvec(vel) + A.matvec(p_star),
-                              A.rmatvec(vel) - C.matvec(p_star),
-                              symmetric=spec.oseen_wind is None)
+                              A.rmatvec(vel) - C.matvec(p_star))
     mass = hx * hy * np.ones(n)
     if not system.symmetric:
         mass = mass / nu
@@ -260,13 +261,13 @@ def gen_stokes_channel_detailed(spec):
     return StokesProblem(system, precond, w0, vel, p_star, hx, hy)
 
 
-def compress_rhs(Mmat, A, C, b1, b2, symmetric=None):
+def compress_rhs(Mmat, A, C, b1, b2):
     """Fold a general right-hand side (b1; b2) into the canonical (0; b) form.
 
     Returns the compressed system and the shift w0 = M^{-1} b1; the original
     upper solution is recovered as recover_w(u, w0).
     """
-    sys = SaddleSystem.from_matrices(Mmat, A, C, np.zeros(np.shape(b2)), symmetric)
+    sys = SaddleSystem.from_matrices(Mmat, A, C, np.zeros(np.shape(b2)))
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     w0 = sys.M.solve(b1)

@@ -8,7 +8,7 @@ from sys import float_info
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, NotSpsdError, WrongSolverError
+from .errors import DimensionError, NonFiniteError, NotSpsdError
 from .linops import FactorizedOperator, SparseMatrix, as_sparse, factorize
 
 CRITERION_RESIDUAL = "relative-residual"
@@ -54,9 +54,10 @@ class SaddleSystem:
 
     M is stored once, as its factorization: Mmat (the sparse matrix, for
     residual checks, the full-system baselines and oracles, and file output)
-    is the matrix the factor was built from, and symmetric says whether that
-    factor is a Cholesky one. Neither can disagree with M. The Golub-Kahan
-    loop only solves with M; matvec forms the full product K z.
+    is the matrix the factor was built from, and symmetric says whether
+    factorize read M as symmetric (any kind but lu-general). Neither can
+    disagree with M. The Golub-Kahan loop only solves with M; matvec forms
+    the full product K z.
     """
 
     M: FactorizedOperator
@@ -96,8 +97,8 @@ class SaddleSystem:
 
     @property
     def symmetric(self):
-        """True when M is Cholesky-factored (factorize refuses a nonsymmetric input)."""
-        return self.M.kind == "cholesky-spd"
+        """True unless M is LU-factored (factorize gives only a nonsymmetric M lu-general)."""
+        return self.M.kind != "lu-general"
 
     def matvec(self, z):
         """K z for z = [x; y]."""
@@ -106,15 +107,9 @@ class SaddleSystem:
                                self.A.rmatvec(x) - self.C.matvec(y)])
 
     @classmethod
-    def from_matrices(cls, Mmat, A, C, b, symmetric=None):
-        """Build a system from raw blocks, factorizing M (Cholesky or LU)."""
-        Mmat, A, C = as_sparse(Mmat), as_sparse(A), as_sparse(C)
-        if symmetric is None:
-            symmetric = Mmat.is_symmetric()
-        elif symmetric and not Mmat.is_symmetric():
-            raise WrongSolverError("symmetric flag set but M is not symmetric")
-        M = factorize("cholesky-spd" if symmetric else "lu-general", Mmat)
-        return cls(M, A, C, b)
+    def from_matrices(cls, Mmat, A, C, b):
+        """Build a system from raw blocks, factorizing M (factorize reads the kind off M)."""
+        return cls(factorize(Mmat), as_sparse(A), as_sparse(C), b)
 
 
 @dataclass(frozen=True)

@@ -40,4 +40,4 @@ def hand_system_nonsym():
     """Same blocks but M = [[1, .5], [-.5, 1]]; S = 2.6."""
     return SaddleSystem.from_matrices(
         np.array([[1.0, 0.5], [-0.5, 1.0]]), np.array([[1.0], [1.0]]),
-        np.array([[1.0]]), np.array([1.0]), symmetric=False)
+        np.array([[1.0]]), np.array([1.0]))

@@ -66,7 +66,7 @@ def well_conditioned_instance(m, n, c_rank, seed, skew=0.0):
         Cd = (qc * rng.uniform(1.0, 1.5, c_rank)) @ qc.T
         Cd = (Cd + Cd.T) / 2
     b = rng.standard_normal(n)
-    return SaddleSystem.from_matrices(Md, Ad, Cd, b, symmetric=(skew == 0.0))
+    return SaddleSystem.from_matrices(Md, Ad, Cd, b)
 
 
 def suite_specs():

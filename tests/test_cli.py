@@ -388,7 +388,7 @@ class TestGen:
         out = tmp_path / "stokes"
         assert main(["gen", "stokes", "--nx", "4", "--ny", "4", "-o", str(out)]) == 0
         doc = json.loads((out / "system.json").read_text())
-        assert doc["symmetric"] is True
+        assert sorted(doc) == ["a_file", "b_file", "c_file", "m_file"]  # no "symmetric" key
 
     def test_bad_usage_exits_1(self, capsys):
         assert main(["gen", "random", "--m", "10"]) == 1  # missing required flags

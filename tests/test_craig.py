@@ -29,6 +29,7 @@ from gsp.baselines import SchurOperator
 from gsp.errors import (
     InsufficientHistoryError,
     NonFiniteError,
+    NotSpdError,
     NotSpsdError,
     WrongSolverError,
     ZeroRhsError,
@@ -41,10 +42,24 @@ class TestContainers:
             SaddleSystem.from_matrices(np.eye(2), np.ones((2, 2)),
                                        np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2))
 
-    def test_symmetric_flag_checked(self):
-        with pytest.raises(WrongSolverError):
-            SaddleSystem.from_matrices(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2),
-                                       np.zeros((2, 2)), np.ones(2), symmetric=True)
+    def test_diagonal_m_or_n_with_nonpositive_entry_refused(self):
+        for d in ([1.0, 0.0], [1.0, -2.0]):
+            with pytest.raises(NotSpdError):
+                SaddleSystem.from_matrices(np.diag(d), np.eye(2), np.zeros((2, 2)), np.ones(2))
+            with pytest.raises(NotSpdError):
+                SpdPreconditioner.from_diagonal(d)
+
+    def test_diagonal_m_gets_the_diagonal_kind_and_craig_matches_scr_cg(self):
+        rng = np.random.default_rng(11)
+        A, C = rng.standard_normal((12, 5)), np.diag([1.0, 0.5, 0.0, 0.0, 0.0])
+        sys = SaddleSystem.from_matrices(np.diag(rng.uniform(1.0, 3.0, 12)), A, C,
+                                         rng.standard_normal(5))
+        assert sys.M.kind == "diagonal" and sys.symmetric
+        cfg = SolverConfig(tolerance=1e-10)
+        runs = replay(craig_solve, sys, None, cfg), replay(scr_cg_solve, sys, None, cfg)
+        assert len(runs[0]) == len(runs[1]) >= 5
+        for rc, rg in zip(*runs):
+            assert np.linalg.norm(rc.p - rg.p) <= 1e-10 * np.linalg.norm(rg.p)
 
     def test_fully_stored_blocks_checked_on_dense_view(self):
         rng = np.random.default_rng(8)
@@ -56,8 +71,6 @@ class TestContainers:
         A = rng.standard_normal((3, 3))
         with pytest.raises(NotSpsdError):
             SaddleSystem.from_matrices(spd, A, bent, np.ones(3))
-        with pytest.raises(WrongSolverError):
-            SaddleSystem.from_matrices(bent, A, spd, np.ones(3), symmetric=True)
         assert SaddleSystem.from_matrices(spd, A, spd, np.ones(3)).symmetric
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -79,17 +92,18 @@ class TestContainers:
         g = rng.standard_normal((6, 6))
         spd, A, C = g @ g.T + 6.0 * np.eye(6), rng.standard_normal((6, 3)), np.eye(3)
         oseen = StokesSpec(nx=4, ny=4, viscosity=0.1, oseen_wind="poiseuille")
-        systems = [SaddleSystem.from_matrices(spd, A, C, np.ones(3), symmetric=flag)
-                   for flag in (True, False, None)]
+        systems = [SaddleSystem.from_matrices(M, A, C, np.ones(3))
+                   for M in (spd, spd + np.triu(g, 1), np.diag(np.diag(spd)))]
         systems += [random_system(12, 5, skew=skew, seed=2) for skew in (0.0, 0.5)]
         systems += [gen_stokes_channel(StokesSpec(nx=4, ny=4)), gen_stokes_channel(oseen)]
         systems.append(load_system(save_system(str(tmp_path), systems[-1])))
         systems.append(compress_rhs(spd, A, C, np.ones(6), np.ones(3))[0])
         for sys in systems:
             assert sys.Mmat is sys.M.matrix
-            assert sys.symmetric == (sys.M.kind == "cholesky-spd")
-        assert [sys.symmetric for sys in systems] == [True, False, True, True, False,
-                                                      True, False, False, True]
+            assert sys.symmetric == (sys.M.kind != "lu-general")
+        assert [sys.M.kind for sys in systems] == (
+            ["cholesky-spd", "lu-general", "diagonal", "cholesky-spd", "lu-general",
+             "cholesky-spd", "lu-general", "lu-general", "cholesky-spd"])
         assert [f.name for f in dataclasses.fields(SaddleSystem)] == ["M", "A", "C", "b"]
 
     @pytest.mark.parametrize("skew", [0.0, 0.5])

@@ -206,6 +206,13 @@ class TestSparseMatrix:
         assert not SparseMatrix.from_dense(a).is_symmetric()
         assert not SparseMatrix.from_dense(padded).is_symmetric()
 
+    def test_is_diagonal_ignores_stored_zeros_off_the_diagonal(self):
+        K = SparseMatrix.from_coo(3, 3, [0, 0, 1, 2, 2], [0, 2, 1, 0, 2],
+                                  [2.0, 0.0, 3.0, -0.0, 4.0])
+        assert K.nnz == 5 and K.is_diagonal()
+        assert factorize(K).kind == "diagonal"
+        assert not SparseMatrix.from_coo(3, 3, [0, 2], [0, 1], [1.0, 1e-300]).is_diagonal()
+
     def test_round_trip_dense(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 3)) * (rng.random((5, 3)) < 0.5)
@@ -262,24 +269,37 @@ class TestWeightedInner:
 
 class TestFactorize:
     def test_diagonal(self):
-        op = factorize("diagonal", np.diag([2.0, 4.0]))
+        op = factorize(np.diag([2.0, 4.0]))
+        assert op.kind == "diagonal"
         assert op.solve([2.0, 4.0]).tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("d", [[2.0, 0.0], [2.0, -1.0], [0.0]])
+    @pytest.mark.parametrize("stored", ["dense", "sparse"])
+    def test_diagonal_refuses_nonpositive_entry(self, d, stored):
+        K = np.diag(d) if stored == "dense" else SparseMatrix(scipy.sparse.diags_array(
+            np.asarray(d), format="csr"))
+        with pytest.raises(NotSpdError):
+            factorize(K)
+
     def test_cholesky_solve(self):
-        op = factorize("cholesky-spd", np.array([[4.0, 2.0], [2.0, 3.0]]))
+        op = factorize(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        assert op.kind == "cholesky-spd"
         assert np.allclose(op.solve([4.0, 2.0]), [1.0, 0.0], atol=1e-14)
 
     def test_cholesky_rejects_indefinite(self):
         with pytest.raises(NotSpdError):
-            factorize("cholesky-spd", np.array([[1.0, 2.0], [2.0, 1.0]]))
+            factorize(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_cholesky_rejects_asymmetric(self):
-        with pytest.raises(NotSpdError):
-            factorize("cholesky-spd", np.array([[1.0, 0.5], [0.0, 1.0]]))
+        # a nonsymmetric K is not refused: it gets an LU factor
+        a = np.array([[1.0, 0.5], [0.0, 1.0]])
+        op = factorize(a)
+        assert op.kind == "lu-general"
+        assert np.allclose(a @ op.solve([1.0, 2.0]), [1.0, 2.0], rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("kind, a", [
-        ("cholesky-spd", [[4.0]]),
-        ("lu-general", [[-2.0]]),
+        ("cholesky-spd", [[4.0, 1.0], [1.0, 2.0]]),
+        ("lu-general", [[-2.0, 1.0], [0.5, 3.0]]),
         ("cholesky-spd", [[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]]),
         ("lu-general", [[1.0, 2.0, 3.0], [0.5, 4.0, 1.0], [2.0, 1.0, 5.0]]),
     ])
@@ -287,7 +307,8 @@ class TestFactorize:
         """The dense factor overwrites a copy, never the csr.data it densified."""
         K = SparseMatrix.from_dense(a)
         stored = K.csr.data.copy()
-        op = factorize(kind, K)
+        op = factorize(K)
+        assert op.kind == kind
         assert np.array_equal(K.csr.data, stored)
         b = np.arange(1.0, K.rows + 1)
         assert np.allclose(np.asarray(a) @ op.solve(b), b, rtol=1e-14, atol=1e-14)
@@ -298,7 +319,8 @@ class TestFactorize:
         g = rng.standard_normal((30, 30))
         a = g @ g.T + 30.0 * np.eye(30) if kind == "cholesky-spd" else g
         b = rng.standard_normal(30)
-        op = factorize(kind, a)
+        op = factorize(a)
+        assert op.kind == kind
         if kind == "cholesky-spd":
             expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
         else:
@@ -307,11 +329,7 @@ class TestFactorize:
 
     def test_lu_singular(self):
         with pytest.raises(SingularOperatorError):
-            factorize("lu-general", np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_diagonal_rejects_offdiagonal(self):
-        with pytest.raises(DimensionError):
-            factorize("diagonal", np.array([[1.0, 0.5], [0.5, 1.0]]))
+            factorize(np.array([[1.0, 2.0], [1.0, 2.0]]))
 
     def test_solve_residual_on_random_rhs(self):
         rng = np.random.default_rng(3)
@@ -321,7 +339,8 @@ class TestFactorize:
         spd = (spd + spd.T) / 2
         general = spd + 0.3 * rng.standard_normal((n, n))
         for kind, mat in [("cholesky-spd", spd), ("lu-general", general)]:
-            op = factorize(kind, mat)
+            op = factorize(mat)
+            assert op.kind == kind
             for _ in range(100):
                 b = rng.standard_normal(n)
                 x = op.solve(b)
@@ -331,19 +350,19 @@ class TestFactorize:
         # [[0, 1], [1, 0]] blocks: the only pivots available lie off the diagonal
         K = SparseMatrix.from_dense(scipy.linalg.block_diag(*[[[0.0, 1.0], [1.0, 0.0]]] * 10))
         with pytest.raises(NotSpdError):
-            factorize("cholesky-spd", K)
+            factorize(K)
 
     def test_sparse_cholesky_refuses_indefinite_with_positive_diagonal(self):
         K = SparseMatrix.from_dense(scipy.linalg.block_diag(*[[[1.0, 2.0], [2.0, 1.0]]] * 10))
         with pytest.raises(NotSpdError):
-            factorize("cholesky-spd", K)
+            factorize(K)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-15])
     def test_sparse_lu_refuses_nearly_singular(self, eps):
         blocks = [[[2.0, 1.0], [0.5, 3.0]]] * 9 + [[[1.0, 1.0], [1.0, 1.0 + eps]]]
         K = SparseMatrix.from_dense(scipy.linalg.block_diag(*blocks))
         with pytest.raises(SingularOperatorError):
-            factorize("lu-general", K)
+            factorize(K)
 
     def test_sparse_paths_solve_exactly(self):
         rng = np.random.default_rng(7)
@@ -352,7 +371,8 @@ class TestFactorize:
         general = np.diag(4.0 + rng.random(n)) + np.diag(lower, -1) + np.diag(upper, 1)
         spd = np.diag(4.0 + rng.random(n)) + np.diag(lower, -1) + np.diag(lower, 1)
         for kind, mat in [("lu-general", general), ("cholesky-spd", spd)]:
-            op = factorize(kind, SparseMatrix.from_dense(mat))
+            op = factorize(SparseMatrix.from_dense(mat))
+            assert op.kind == kind
             assert isinstance(op._factor, scipy.sparse.linalg.SuperLU)
             b = rng.standard_normal(n)
             want = np.linalg.solve(mat, b)
@@ -364,7 +384,8 @@ class TestFactorize:
         # minimum degree on M^T + M to 44,566.
         M = gen_stokes_channel(StokesSpec(nx=32, ny=32, viscosity=1e-3,
                                           oseen_wind="poiseuille")).Mmat
-        op = factorize("lu-general", M)
+        op = factorize(M)
+        assert op.kind == "lu-general"
         assert op._factor.L.nnz + op._factor.U.nnz <= 45_000
         b = np.random.default_rng(8).standard_normal(M.rows)
         assert np.linalg.norm(M.matvec(op.solve(b)) - b) <= 1e-12 * np.linalg.norm(b)
@@ -375,7 +396,7 @@ class TestFactorize:
 
         monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
         n = DENSE_FACTOR_LIMIT + 1
-        op = factorize("cholesky-spd", SparseMatrix(scipy.sparse.diags_array(
+        op = factorize(SparseMatrix(scipy.sparse.diags_array(
             [-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], offsets=[-1, 0, 1],
             format="csr")))
         x = np.linspace(-1.0, 1.0, n)
@@ -384,10 +405,14 @@ class TestFactorize:
     @pytest.mark.parametrize("kind", ["cholesky-spd", "lu-general", "diagonal"])
     @pytest.mark.parametrize("n", [2, 30])  # dense and sparse storage
     def test_non_finite_refused(self, kind, n):
+        """A NaN is refused whichever kind the rest of the matrix would get."""
         mat = np.eye(n)
+        if kind != "diagonal":
+            mat[0, 1] = 0.5
+            mat[1, 0] = 0.5 if kind == "cholesky-spd" else 0.0
         mat[1, 1] = np.nan
         with pytest.raises(NonFiniteError):
-            factorize(kind, mat)
+            factorize(mat)
 
     def test_dense_stored_matrix_above_cap_refused(self):
         n = DENSE_FACTOR_LIMIT + 1
@@ -396,13 +421,13 @@ class TestFactorize:
         indices = np.tile(np.arange(per_row, dtype=np.int32), n)
         K = SparseMatrix.from_csr(n, n, indptr, indices, np.ones(n * per_row))
         with pytest.raises(DimensionError):
-            factorize("lu-general", K)
+            factorize(K)
 
     def test_solve_apply_round_trip(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((8, 8))
         spd = a @ a.T + 8 * np.eye(8)
-        op = factorize("cholesky-spd", spd)
+        op = factorize(spd)
         x = rng.standard_normal(8)
         assert np.linalg.norm(op.solve(op.apply(x)) - x) <= 1e-12 * np.linalg.norm(x)
 
@@ -471,7 +496,7 @@ class TestSpdPreconditioner:
             assert N.inner(x, x) > 0.0
 
     def test_rejects_lu_kind(self):
-        op = factorize("lu-general", np.array([[1.0, 2.0], [0.0, 1.0]]))
+        op = factorize(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(NotSpdError):
             SpdPreconditioner(op)
 

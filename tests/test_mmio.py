@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from gsp import (SparseMatrix, StokesSpec, gen_stokes_channel, load_system, read_matrix_market,
-                 save_system, write_matrix_market)
-from gsp.errors import LoadError, ParseError
+from gsp import (SolverConfig, SparseMatrix, StokesSpec, craig_solve, gen_stokes_channel,
+                 load_system, read_matrix_market, save_system, write_matrix_market)
+from gsp.errors import LoadError, NotSpdError, ParseError
 from gsp.mmio import read_vector, write_vector
 
 from conftest import random_system
@@ -194,20 +194,38 @@ def test_manifest_naming_a_directory_is_a_load_error(tmp_path):
         load_system(manifest)
 
 
-@pytest.mark.parametrize("flag", ["false", "no", 1, None])
-def test_manifest_symmetric_flag_must_be_a_boolean(tmp_path, flag):
-    # bool("false") is True: a string flag would load an Oseen M as symmetric.
-    manifest = save_system(tmp_path, random_system(8, 4, skew=0.3, seed=83))
+@pytest.mark.parametrize("flag, wind, kind", [(True, "poiseuille", "lu-general"),
+                                               (False, None, "cholesky-spd")])
+def test_older_manifest_symmetric_key_is_ignored(tmp_path, flag, wind, kind):
+    # Older manifests carried a "symmetric" key; the kind is read off M alone.
+    sys = gen_stokes_channel(StokesSpec(nx=6, ny=6, viscosity=0.1, oseen_wind=wind))
+    manifest = save_system(tmp_path, sys)
     doc = json.loads((tmp_path / "system.json").read_text())
+    assert "symmetric" not in doc
     doc["symmetric"] = flag
     (tmp_path / "system.json").write_text(json.dumps(doc))
-    with pytest.raises(LoadError, match="'symmetric' must be true or false"):
-        load_system(manifest)
+    loaded = load_system(manifest)
+    assert loaded.M.kind == kind and loaded.symmetric is not flag
+    if loaded.symmetric:
+        assert craig_solve(loaded, None, SolverConfig(tolerance=1e-10)).converged
+
+
+def test_symmetric_indefinite_m_refused_whatever_an_older_manifest_says(tmp_path):
+    # "symmetric": false used to send any M to LU; a symmetric M now gets Cholesky.
+    write_matrix_market(tmp_path / "M.mtx", SparseMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]))
+    write_matrix_market(tmp_path / "A.mtx", SparseMatrix.identity(2))
+    write_matrix_market(tmp_path / "C.mtx", SparseMatrix.zeros(2, 2))
+    write_vector(tmp_path / "b.mtx", np.ones(2))
+    doc = {"m_file": "M.mtx", "a_file": "A.mtx", "c_file": "C.mtx", "b_file": "b.mtx",
+           "symmetric": False}
+    (tmp_path / "system.json").write_text(json.dumps(doc))
+    with pytest.raises(NotSpdError):
+        load_system(tmp_path / "system.json")
 
 
 def test_load_tests_each_block_symmetry_once(tmp_path, monkeypatch):
-    # from_matrices and factorize("cholesky-spd") both ask whether M is
-    # symmetric; the immutable SparseMatrix answers the second time from cache.
+    # factorize asks whether M is symmetric and SaddleSystem whether C is;
+    # the immutable SparseMatrix would answer any second question from cache.
     sys = gen_stokes_channel(StokesSpec(nx=8, ny=8))
     path = save_system(tmp_path / "stokes", sys)
     shapes = []

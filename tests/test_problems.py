@@ -23,6 +23,7 @@ from gsp import (
     schur_condition_number,
     validate_system,
 )
+from gsp.errors import DimensionError
 from gsp.linops import DENSE_FACTOR_DENSITY
 
 
@@ -101,6 +102,16 @@ class TestGenStokes:
         validate_system(gen_stokes_channel(StokesSpec(nx=5, ny=3)))
         validate_system(gen_stokes_channel(StokesSpec(nx=5, ny=3, viscosity=0.1,
                                                       oseen_wind="poiseuille")))
+
+    def test_validation_capped_before_densifying(self, monkeypatch):
+        sys = gen_stokes_channel(StokesSpec(nx=33, ny=32))  # m = 2047
+
+        def refuse(self):
+            raise AssertionError("densified a system the cap refuses")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
+        with pytest.raises(DimensionError, match="capped at 2000"):
+            validate_system(sys)
 
     def test_oseen_wind_makes_nonsymmetric(self):
         sys = gen_stokes_channel(StokesSpec(nx=4, ny=4, viscosity=0.2,
