@@ -16,7 +16,6 @@ from .baselines import (
 )
 from .craig import craig_solve
 from .gkb import (
-    AugmentedSystem,
     BidiagFactors,
     GkbBasis,
     augment,

@@ -23,9 +23,24 @@ from .errors import (
     ZeroRhsError,
 )
 from .linops import FactorizedOperator, SpdPreconditioner
-from .system import ConvergenceRecord, SolveResult, SolverConfig
+from .system import CRITERION_RESIDUAL, ConvergenceRecord, SolveResult, SolverConfig
 
 EXACT_TOL = 1e-14
+
+
+def _residual_config(cfg, name):
+    """cfg or the default; a baseline has no error estimate, so 'error-estimate' is refused."""
+    cfg = cfg or SolverConfig()
+    if not cfg.wants_residual:
+        raise WrongSolverError(f"{name} has no error estimate; use criterion "
+                               f"'{CRITERION_RESIDUAL}' or 'both'")
+    return cfg
+
+
+def _result(u, p, termination, history, beta1):
+    """A baseline's SolveResult: a converged baseline stopped on its relative residual."""
+    fired = CRITERION_RESIDUAL if termination == "converged" else None
+    return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1)
 
 
 @dataclass(frozen=True)
@@ -61,7 +76,7 @@ def scr_cg_solve(sys, N=None, cfg=None):
 
     u is recovered once at termination by a single M-solve.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _residual_config(cfg, "scr-cg")
     if not sys.symmetric:
         raise WrongSolverError("scr-cg requires a symmetric leading block")
     if not np.any(sys.b):
@@ -105,7 +120,7 @@ def scr_cg_solve(sys, N=None, cfg=None):
         rho = rho_next
 
     u = -sys.M.solve(sys.A.matvec(p))
-    return SolveResult(u, p, termination, history, beta1=beta1)
+    return _result(u, p, termination, history, beta1)
 
 
 def scr_fom_solve(sys, N=None, cfg=None):
@@ -116,7 +131,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
     solves the small Hessenberg system, whose last coefficient gives the
     residual estimate, and the Galerkin iterate is formed once, on termination.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _residual_config(cfg, "scr-fom")
     if not np.any(sys.b):
         raise ZeroRhsError("b must be nonzero")
     N = N or SpdPreconditioner.identity(sys.n)
@@ -161,7 +176,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
 
     p = np.column_stack(Q[:k]) @ y
     u = -sys.M.solve(sys.A.matvec(p))
-    return SolveResult(u, p, termination, history, beta1=beta1)
+    return _result(u, p, termination, history, beta1)
 
 
 def pminres_solve(sys, N=None, cfg=None):
@@ -171,7 +186,7 @@ def pminres_solve(sys, N=None, cfg=None):
     system; the recurrence monitors the preconditioner-weighted residual norm,
     which is monotone nonincreasing by construction.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _residual_config(cfg, "pminres")
     if not sys.symmetric:
         raise WrongSolverError("pminres requires a symmetric leading block")
     if not np.any(sys.b):
@@ -243,7 +258,7 @@ def pminres_solve(sys, N=None, cfg=None):
             termination = "converged"
             break
 
-    return SolveResult(x[:sys.m], x[sys.m:], termination, history, beta1=beta1)
+    return _result(x[:sys.m], x[sys.m:], termination, history, beta1)
 
 
 def pgmres_solve(sys, N=None, cfg=None):
@@ -252,7 +267,7 @@ def pgmres_solve(sys, N=None, cfg=None):
     Minimizes the unpreconditioned 2-norm residual over the right-
     preconditioned Krylov space; the final iterate needs one blockwise solve.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _residual_config(cfg, "pgmres")
     if not np.any(sys.b):
         raise ZeroRhsError("b must be nonzero")
     N = N or SpdPreconditioner.identity(sys.n)
@@ -270,10 +285,6 @@ def pgmres_solve(sys, N=None, cfg=None):
     rotations = []
     history = []
     termination = "max-iterations"
-
-    def extract(j):
-        y = scipy.linalg.solve_triangular(R[:j, :j], g[:j], lower=False)
-        return D0.solve(np.column_stack(V[:j]) @ y)
 
     k = 0
     for j in range(maxit):
@@ -304,8 +315,9 @@ def pgmres_solve(sys, N=None, cfg=None):
             break
         V.append(w / hnext)
 
-    x = extract(k)
-    return SolveResult(x[:sys.m], x[sys.m:], termination, history, beta1=beta)
+    y = scipy.linalg.solve_triangular(R[:k, :k], g[:k], lower=False)
+    x = D0.solve(np.column_stack(V[:k]) @ y)
+    return _result(x[:sys.m], x[sys.m:], termination, history, beta)
 
 
 def direct_solve(sys):

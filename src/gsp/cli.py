@@ -210,19 +210,20 @@ def execute(manifest):
 
 def write_summary(output_dir, setup_time, reports):
     """gsp run's report: summary.csv plus one printed line per solver."""
-    summary_lines = ["solver,iterations,termination,solve_time_s,setup_time_s,"
+    summary_lines = ["solver,iterations,termination,fired_criterion,solve_time_s,setup_time_s,"
                      "final_res_rel,final_res_two_norm,err_vs_oracle"]
     for rep in reports:
         res = rep.result
         final_res = res.history[-1].res_rel if res.history else float("nan")
         summary_lines.append(",".join([
-            rep.solver, str(res.iterations), res.termination, _fmt(rep.solve_time_s),
-            _fmt(setup_time), _fmt(final_res), _fmt(rep.res_two_norm), _fmt(rep.err),
+            rep.solver, str(res.iterations), res.termination, res.fired_criterion or "",
+            *map(_fmt, (rep.solve_time_s, setup_time, final_res, rep.res_two_norm, rep.err)),
         ]))
         err_txt = f"  ERR={rep.err:.4e}" if rep.err is not None else ""
         print(f"{rep.solver}: iterations={res.iterations} termination={res.termination} "
-              f"time={rep.solve_time_s:.4f}s setup={setup_time:.4f}s "
-              f"res_rel={final_res:.4e} res_2norm={rep.res_two_norm:.4e}{err_txt}")
+              f"rule={res.fired_criterion or '-'} time={rep.solve_time_s:.4f}s "
+              f"setup={setup_time:.4f}s res_rel={final_res:.4e} "
+              f"res_2norm={rep.res_two_norm:.4e}{err_txt}")
     _write_lines(os.path.join(output_dir, "summary.csv"), summary_lines)
 
 

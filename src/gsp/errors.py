@@ -45,10 +45,6 @@ class RankRepairError(GspError):
     """Random generation could not produce a full-column-rank constraint block."""
 
 
-class DegenerateBlockError(GspError):
-    """The stabilization block has rank zero, so the augmented form collapses."""
-
-
 class LoadError(GspError):
     """A system manifest or one of its files is missing or unreadable."""
 

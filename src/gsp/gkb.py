@@ -1,10 +1,10 @@
-"""Golub-Kahan bidiagonalization of the augmented off-diagonal block.
+"""Golub-Kahan bidiagonalization oracles for saddle point systems with C = 0.
 
-Oracle implementations that work on the explicitly augmented system (leading
-block blkdiag(M, F^{-1}), off-diagonal block [A; E] with C = E^T F E). They
-store full bases so the factorization identities can be verified directly;
-the production solvers reproduce the same scalar sequences without ever
-forming E or F.
+Arioli's generalized Golub-Kahan bidiagonalization of A in the M and N inner
+products, storing full bases so the factorization identities can be verified
+directly. augment() turns a system with C = E^T diag(w) E into the equivalent
+C = 0 system (blkdiag(M, diag(w)^{-1}), [A; E], 0, b); the production solvers
+reproduce the same scalar sequences without ever forming E.
 """
 
 from __future__ import annotations
@@ -12,77 +12,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .errors import BreakdownError, DegenerateBlockError, DimensionError, ZeroRhsError
-from .linops import FactorizedOperator, SparseMatrix, SpdPreconditioner, factorize, spsd_factor
-
-BREAKDOWN_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class AugmentedSystem:
-    """Explicit augmented form of a generalized saddle point instance."""
-
-    M: FactorizedOperator
-    F: np.ndarray
-    Finv: FactorizedOperator
-    A: SparseMatrix
-    E: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        m, n = self.A.shape
-        l = self.l
-        if l < 1:
-            raise DegenerateBlockError("augmented form needs rank(C) >= 1")
-        if self.E.shape[1] != n:
-            raise DimensionError("E must be l x n")
-        if self.F.shape != (l, l) or self.Finv.dimension != l:
-            raise DimensionError("F must be l x l")
-        if self.M.dimension != m:
-            raise DimensionError("M must be m x m")
-        if self.b.shape != (n,):
-            raise DimensionError("b must have length n")
-
-    @property
-    def m(self):
-        return self.A.rows
-
-    @property
-    def n(self):
-        return self.A.cols
-
-    @property
-    def l(self):
-        return self.E.shape[0]
+from .errors import BreakdownError, DimensionError, WrongSolverError, ZeroRhsError
+from .linops import SparseMatrix, spsd_factor
+from .nscraig import BREAKDOWN_TOL
+from .system import SaddleSystem
 
 
 def augment(sys, rank_tolerance=1e-12):
-    """Build the augmented form of a SaddleSystem via the SPSD factorization of C."""
-    E, F, l = spsd_factor(sys.C, rank_tolerance)
-    if l == 0:
-        raise DegenerateBlockError("C has numerical rank 0; use the direct solvers instead")
-    Finv = factorize(F)
-    return AugmentedSystem(sys.M, F, Finv, sys.A, E, sys.b)
+    """The C = 0 system (blkdiag(M, diag(w)^{-1}), [A; E], 0, b), C = E^T diag(w) E.
+
+    E and w come from spsd_factor, so a C of numerical rank 0 adds no rows and
+    gives (M, A, 0, b). factorize reads the kind of the augmented leading block.
+    """
+    E, w = spsd_factor(sys.C, rank_tolerance)
+    lead = scipy.sparse.block_diag((sys.Mmat.csr, scipy.sparse.diags_array(1.0 / w)),
+                                   format="csr")
+    coupling = scipy.sparse.vstack((sys.A.csr, E), format="csr")
+    return SaddleSystem.from_matrices(SparseMatrix(lead), SparseMatrix(coupling),
+                                      SparseMatrix.zeros(sys.n, sys.n), sys.b)
 
 
 @dataclass
 class GkbBasis:
-    """Right basis Q (length-n vectors) and split left basis (Vx, Vc)."""
+    """Right basis Q (length-n vectors) and left basis V (length-m vectors)."""
 
     Q: list[np.ndarray]
-    Vx: list[np.ndarray]
-    Vc: list[np.ndarray]
+    V: list[np.ndarray]
 
     def q_matrix(self, k=None):
         return np.column_stack(self.Q[: k or len(self.Q)])
 
-    def vx_matrix(self, k=None):
-        return np.column_stack(self.Vx[: k or len(self.Vx)])
-
-    def vc_matrix(self, k=None):
-        return np.column_stack(self.Vc[: k or len(self.Vc)])
+    def v_matrix(self, k=None):
+        return np.column_stack(self.V[: k or len(self.V)])
 
 
 @dataclass
@@ -136,8 +99,8 @@ def assemble_hessenberg(h_columns, betas, k=None):
     return H
 
 
-def _init_step(aug, N):
-    b = aug.b
+def _init_step(sys, N):
+    b = sys.b
     if not np.any(b):
         raise ZeroRhsError("b must be nonzero")
     q = N.solve(b)
@@ -145,35 +108,35 @@ def _init_step(aug, N):
     if beta1 == 0.0:
         raise ZeroRhsError("b has zero N^{-1}-norm")
     q = q / beta1
-    wx = aug.M.solve(aug.A.matvec(q))
-    wc = aug.F @ (aug.E @ q)
-    alpha1 = float(np.sqrt(max(wx @ aug.M.apply(wx) + wc @ aug.Finv.solve(wc), 0.0)))
+    w = sys.M.solve(sys.A.matvec(q))
+    alpha1 = float(np.sqrt(max(w @ sys.M.apply(w), 0.0)))
     if alpha1 <= BREAKDOWN_TOL * max(beta1, 1.0):
-        raise BreakdownError("alpha_1 vanished: b is outside Range([A^T C])")
-    return q, beta1, wx / alpha1, wc / alpha1, alpha1
+        raise BreakdownError("alpha_1 vanished: b is outside Range(A^T)")
+    return q, beta1, w / alpha1, alpha1
 
 
-def _bidiagonalize(aug, N, steps, full_mgs, reorthogonalize):
+def _bidiagonalize(sys, N, steps, full_mgs, reorthogonalize):
     """Shared oracle loop: three-term orthogonalization, or full MGS when full_mgs.
 
     reorthogonalize adds one more MGS pass over the stored right basis. Returns
     the basis, alphas, betas and the MGS coefficient columns, which are the
-    Hessenberg columns under full_mgs.
+    Hessenberg columns under full_mgs. Stored C entries raise WrongSolverError.
     """
-    n = aug.n
+    if sys.C.nnz:
+        raise WrongSolverError("the oracle needs C = 0: pass augment(sys)")
+    n = sys.n
     if not 1 <= steps <= n:
         raise DimensionError(f"steps must be in [1, {n}]")
-    Ad, Ed, Fd = aug.A, aug.E, aug.F
+    A, M = sys.A, sys.M
 
-    q, beta1, vx, vc, alpha = _init_step(aug, N)
-    Q, NQ = [q], [N.apply(q)]
-    Vx, Vc = [vx], [vc]
+    q, beta1, v, alpha = _init_step(sys, N)
+    Q, NQ, V = [q], [N.apply(q)], [v]
     alphas, betas = [alpha], [beta1]
     h_columns = []
     passes = int(full_mgs) + int(reorthogonalize)
 
     for k in range(1, steps + 1):
-        g = Ad.rmatvec(vx) + Ed.T @ vc
+        g = A.rmatvec(v)
         g = N.solve(g if full_mgs else g - alphas[-1] * NQ[-1])
         h = np.zeros(k)
         for _ in range(passes):
@@ -191,52 +154,48 @@ def _bidiagonalize(aug, N, steps, full_mgs, reorthogonalize):
         NQ.append(N.apply(q))
         if k == steps:
             break
-        wx = aug.M.solve(Ad.matvec(q) - beta * aug.M.apply(vx))
-        wc = Fd @ (Ed @ q - beta * aug.Finv.solve(vc))
-        alpha = float(np.sqrt(max(wx @ aug.M.apply(wx) + wc @ aug.Finv.solve(wc), 0.0)))
+        w = M.solve(A.matvec(q) - beta * M.apply(v))
+        alpha = float(np.sqrt(max(w @ M.apply(w), 0.0)))
         if alpha <= BREAKDOWN_TOL * alphas[0]:
             raise BreakdownError(f"alpha_{k + 1} = {alpha} below breakdown tolerance")
         alphas.append(alpha)
-        vx, vc = wx / alpha, wc / alpha
-        Vx.append(vx)
-        Vc.append(vc)
+        v = w / alpha
+        V.append(v)
 
-    return GkbBasis(Q, Vx, Vc), alphas, betas, h_columns
+    return GkbBasis(Q, V), alphas, betas, h_columns
 
 
-def gkb_symmetric(aug, N, steps, reorthogonalize=False):
-    """Bidiagonalize the augmented block with a symmetric leading block.
+def gkb_symmetric(sys, N, steps, reorthogonalize=False):
+    """Bidiagonalize A of a C = 0 system with a symmetric leading block.
 
     Returns (GkbBasis, BidiagFactors) satisfying the two-sided factorization
     identities. Stops early (fewer than `steps` factors) once beta_{k+1}
     falls below BREAKDOWN_TOL * beta_1; a vanishing alpha raises
     BreakdownError instead, since it signals an inconsistent right-hand side.
     """
-    basis, alphas, betas, _ = _bidiagonalize(aug, N, steps, False, reorthogonalize)
+    basis, alphas, betas, _ = _bidiagonalize(sys, N, steps, False, reorthogonalize)
     return basis, BidiagFactors(alphas, betas)
 
 
-def gkb_nonsymmetric(aug, N, steps, reorthogonalize=False):
-    """Decompose the augmented block with a (possibly) nonsymmetric leading block.
+def gkb_nonsymmetric(sys, N, steps, reorthogonalize=False):
+    """Decompose A of a C = 0 system with a (possibly) nonsymmetric leading block.
 
     The new right vector is orthogonalized against all previous ones with
     modified Gram-Schmidt in the N inner product (twice under
     reorthogonalize); the projection coefficients form the Hessenberg
-    columns. The left Gram matrix (unit lower triangular in exact arithmetic)
-    is returned as the lower factor.
+    columns. The left Gram matrix V^T M V (unit lower triangular in exact
+    arithmetic) is returned as the lower factor.
     """
-    basis, alphas, betas, h_columns = _bidiagonalize(aug, N, steps, True, reorthogonalize)
+    basis, alphas, betas, h_columns = _bidiagonalize(sys, N, steps, True, reorthogonalize)
     k = len(alphas)
-    gram = _left_gram(aug, basis.Vx, basis.Vc, k)
+    Vk = basis.v_matrix(k)
+    gram = Vk.T @ _apply_columns(sys.M, Vk)
     return basis, BidiagFactors(alphas, betas, h_columns[:k], np.tril(gram))
 
 
-def _left_gram(aug, Vx, Vc, k):
-    VX = np.column_stack(Vx[:k])
-    VC = np.column_stack(Vc[:k])
-    MX = np.column_stack([aug.M.apply(VX[:, j]) for j in range(k)])
-    FC = np.column_stack([aug.Finv.solve(VC[:, j]) for j in range(k)])
-    return VX.T @ MX + VC.T @ FC
+def _apply_columns(K, X):
+    """K X, one K.apply per column of X."""
+    return np.column_stack([K.apply(x) for x in X.T])
 
 
 @dataclass
@@ -251,55 +210,38 @@ class DecompositionReport:
     scale: float
 
 
-def verify_decomposition(aug, N, basis, factors, symmetric):
-    """Evaluate the factorization identities for a computed basis.
+def verify_decomposition(sys, N, basis, factors):
+    """Evaluate the factorization identities for a computed basis of a C = 0 system.
 
-    Returns the Frobenius residuals of both block identities and the
+    Returns the Frobenius residuals of A Q = M V B and A^T V = N Q B^T (N Q H
+    for a nonsymmetric run, one that recorded Hessenberg columns) and the
     orthogonality defects; when the decomposition ran to full length the
     reduced matrix is also compared against the preconditioned Schur
-    complement expressed in the right basis (formed densely).
+    complement A^T M^{-1} A expressed in the right basis (formed densely).
     """
     k = factors.k
-    n = aug.n
-    Qk = basis.q_matrix(k)
-    VX = basis.vx_matrix(k)
-    VC = basis.vc_matrix(k)
+    Qk, Vk = basis.q_matrix(k), basis.v_matrix(k)
     B = factors.bidiagonal()
-    Ad = aug.A.to_dense()
-    Ed, Fd = aug.E, aug.F
-    NQ = np.column_stack([N.apply(Qk[:, j]) for j in range(k)])
-    MVX = np.column_stack([aug.M.apply(VX[:, j]) for j in range(k)])
-    FiVC = np.column_stack([aug.Finv.solve(VC[:, j]) for j in range(k)])
+    Ad = sys.A.to_dense()
+    NQ, MV = _apply_columns(N, Qk), _apply_columns(sys.M, Vk)
 
-    res_x = Ad @ Qk - MVX @ B
-    res_c = Ed @ Qk - FiVC @ B
-    factor_residual = float(np.sqrt(np.linalg.norm(res_x) ** 2 + np.linalg.norm(res_c) ** 2))
+    factor_residual = float(np.linalg.norm(Ad @ Qk - MV @ B))
 
-    reduced = B.T if symmetric else factors.hessenberg()
+    reduced = B.T if factors.hessenberg_columns is None else factors.hessenberg()
     rhs = NQ @ reduced
     beta_next = factors.betas[k] if len(factors.betas) > k else 0.0
     if len(basis.Q) > k and beta_next:
-        rhs = rhs + beta_next * np.outer(N.apply(basis.Q[k]), _unit(k))
-    transpose_residual = float(np.linalg.norm(Ad.T @ VX + Ed.T @ VC - rhs))
+        rhs = rhs + beta_next * np.outer(N.apply(basis.Q[k]), np.eye(k)[k - 1])
+    transpose_residual = float(np.linalg.norm(Ad.T @ Vk - rhs))
 
     q_orth = float(np.linalg.norm(Qk.T @ NQ - np.eye(k)))
-    gram = VX.T @ MVX + VC.T @ FiVC
     target = factors.lower_factor if factors.lower_factor is not None else np.eye(k)
-    v_orth = float(np.linalg.norm(gram - target))
+    v_orth = float(np.linalg.norm(Vk.T @ MV - target))
 
     schur_residual = None
-    if k == n:
-        S = Ad.T @ np.column_stack([aug.M.solve(Ad[:, j]) for j in range(n)]) + Ed.T @ Fd @ Ed
-        reduced_full = B.T @ B if symmetric else factors.hessenberg() @ B
-        schur_residual = float(np.linalg.norm(reduced_full - Qk.T @ S @ Qk))
+    if k == sys.n:
+        S = Ad.T @ np.column_stack([sys.M.solve(a) for a in Ad.T])
+        schur_residual = float(np.linalg.norm(reduced @ B - Qk.T @ S @ Qk))
 
-    scale = float(np.linalg.norm(Ad) + np.linalg.norm(Ed))
-    return DecompositionReport(
-        factor_residual, transpose_residual, q_orth, v_orth, schur_residual, scale
-    )
-
-
-def _unit(k):
-    e = np.zeros(k)
-    e[k - 1] = 1.0
-    return e
+    return DecompositionReport(factor_residual, transpose_residual, q_orth, v_orth,
+                               schur_residual, float(np.linalg.norm(Ad)))

@@ -379,11 +379,12 @@ def weighted_norm(W, x):
 
 
 def spsd_factor(C, rank_tolerance=1e-12):
-    """Factor an SPSD matrix as C = E^T F E with F = diag of positive eigenvalues.
+    """Factor an SPSD matrix as C = E^T diag(w) E; returns (E, w).
 
-    E holds the corresponding eigenvectors as rows (l x n). Eigenvalues at or
-    below rank_tolerance * lambda_max are truncated; an eigenvalue below
-    -rank_tolerance * lambda_max raises NotSpsdError.
+    w holds the eigenvalues above rank_tolerance * lambda_max and E the
+    corresponding eigenvectors as rows (len(w) x n), so a zero C gives a
+    0 x n E. An eigenvalue below -rank_tolerance * lambda_max raises
+    NotSpsdError.
     """
     shape = np.shape(C)  # before densifying: a SparseMatrix has a shape
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -395,15 +396,12 @@ def spsd_factor(C, rank_tolerance=1e-12):
     norm_c = np.linalg.norm(dense)
     if np.linalg.norm(dense - dense.T) > 1e-12 * max(norm_c, 1e-300):
         raise NotSpsdError("matrix is not symmetric")
-    if norm_c == 0.0:
-        return np.zeros((0, n)), np.zeros((0, 0)), 0
     w, v = np.linalg.eigh(dense)
-    lam_max = float(w.max())
-    cutoff = rank_tolerance * max(lam_max, 0.0)
+    cutoff = rank_tolerance * max(float(w.max()), 0.0)
     if float(w.min()) < -cutoff:
         raise NotSpsdError(f"negative eigenvalue {w.min()} below -{cutoff}")
     keep = w > cutoff
-    return v[:, keep].T, np.diag(w[keep]), int(keep.sum())
+    return v[:, keep].T, w[keep]
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InsufficientHistoryError, NonFiniteError, ZeroRhsError
-from .gkb import BREAKDOWN_TOL
 from .linops import SpdPreconditioner
 from .system import ConvergenceRecord, SolveResult, SolverConfig
+
+BREAKDOWN_TOL = 1e-14  # relative threshold at or below which an alpha or a beta ends a run
 
 _dtbtrs = scipy.linalg.lapack.dtbtrs
 _dtrtrs = scipy.linalg.lapack.dtrtrs

@@ -16,7 +16,6 @@ import scipy.linalg
 
 from conftest import random_preconditioner, random_system
 from gsp import (
-    RandomSpec,
     SaddleSystem,
     SolverConfig,
     SparseMatrix,
@@ -27,7 +26,6 @@ from gsp import (
     craig_residual_check,
     craig_solve,
     direct_solve,
-    gen_random,
     gen_stokes_channel_detailed,
     gkb_nonsymmetric,
     gkb_symmetric,
@@ -249,7 +247,7 @@ def test_criterion_06_decomposition_identities():
             basis, factors = gkb_symmetric(aug, N, steps=n, reorthogonalize=True)
         else:
             basis, factors = gkb_nonsymmetric(aug, N, steps=n)
-        rep = verify_decomposition(aug, N, basis, factors, symmetric=symmetric)
+        rep = verify_decomposition(aug, N, basis, factors)
         assert rep.factor_residual <= 1e-9 * rep.scale
         assert rep.transpose_residual <= 1e-9 * rep.scale
         assert rep.q_orthogonality <= 1e-8

@@ -7,8 +7,6 @@ from conftest import cholesky_preconditioner, random_preconditioner, random_syst
 from gsp import (
     SaddleSystem,
     SolverConfig,
-    SparseMatrix,
-    SpdPreconditioner,
     StokesSpec,
     craig_solve,
     direct_solve,
@@ -245,3 +243,31 @@ def test_block_diag_preconditioner_blockwise():
     got = D0.solve(z)
     assert np.allclose(got[:10], sys.M.solve(z[:10]))
     assert np.allclose(got[10:], N.solve(z[10:]))
+
+
+BASELINES = [scr_cg_solve, scr_fom_solve, pminres_solve, pgmres_solve]
+
+
+class TestStoppingRule:
+    """The baselines stop on the relative residual only, and say so."""
+
+    @pytest.mark.parametrize("solve", BASELINES)
+    def test_error_estimate_criterion_refused(self, solve):
+        sys = random_system(12, 6, c_rank=3, seed=72)
+        with pytest.raises(WrongSolverError, match="no error estimate"):
+            solve(sys, None, SolverConfig(criterion="error-estimate"))
+
+    @pytest.mark.parametrize("criterion", ["relative-residual", "both"])
+    @pytest.mark.parametrize("solve", BASELINES)
+    def test_fired_criterion_is_the_residual(self, solve, criterion):
+        sys = random_system(40, 20, c_rank=10, seed=71)
+        res = solve(sys, None, SolverConfig(tolerance=1e-4, criterion=criterion))
+        assert res.termination == "converged"
+        assert res.fired_criterion == "relative-residual"
+
+    @pytest.mark.parametrize("solve", BASELINES)
+    def test_no_rule_fires_at_the_iteration_cap(self, solve):
+        sys = random_system(40, 20, c_rank=10, seed=71)
+        res = solve(sys, None, SolverConfig(tolerance=1e-4, max_iterations=2))
+        assert res.termination == "max-iterations"
+        assert res.fired_criterion is None

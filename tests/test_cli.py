@@ -82,6 +82,7 @@ class TestRun:
         with open(tmp_path / "out" / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["termination"] == "max-iterations"
+        assert rows[0]["fired_criterion"] == ""  # no stopping rule fired
 
     @pytest.mark.parametrize("failure", ["missing-file", "missing-key", "bad-json"])
     def test_load_failure_is_reported_without_traceback(self, tmp_path, hand_dir, capsys,
@@ -351,6 +352,35 @@ def test_error_estimate_criterion_in_manifest(tmp_path):
     assert main(["run", manifest]) == 0
     rows = read_history(tmp_path / "out", "craig")
     assert any(r["err_est"] for r in rows)
+
+
+def test_summary_names_the_fired_rule(tmp_path, capsys):
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        problem={"source": "generate-random", "m": 60, "n": 30, "c_rank": 15, "seed": 71,
+                 "skew_strength": 0.5},
+        solvers=["nscraig", "scr-fom", "pgmres"],
+        config={"tolerance": 1e-4},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main(["run", manifest]) == 0
+    with open(tmp_path / "out" / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[2:4] == ["termination", "fired_criterion"]
+    assert [r["fired_criterion"] for r in rows] == ["relative-residual"] * 3
+    assert capsys.readouterr().out.count("rule=relative-residual") == 3
+
+
+def test_error_estimate_criterion_refused_for_baselines(tmp_path, capsys):
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        problem={"source": "generate-random", "m": 40, "n": 20, "c_rank": 10, "seed": 71},
+        solvers=["nscraig", "scr-fom"],
+        config={"tolerance": 1e-6, "criterion": {"error-estimate": 3}},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main(["run", manifest]) == 1
+    assert "scr-fom has no error estimate" in capsys.readouterr().err
 
 
 def test_outputs_deterministic_across_runs(tmp_path):

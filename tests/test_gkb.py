@@ -1,4 +1,4 @@
-"""Bidiagonalization oracles on the explicitly augmented system."""
+"""Bidiagonalization oracles on C = 0 systems and on the augmented form of the others."""
 
 import math
 
@@ -14,7 +14,7 @@ from gsp import (
     verify_decomposition,
 )
 from gsp.craig import craig_solve
-from gsp.errors import DegenerateBlockError, ZeroRhsError
+from gsp.errors import WrongSolverError, ZeroRhsError
 from gsp.nscraig import nscraig_solve
 from gsp.system import SaddleSystem, SolverConfig
 
@@ -33,11 +33,11 @@ class TestSymmetric:
         assert abs(factors.alphas[0] - math.sqrt(3.0)) <= 1e-14
         assert factors.betas[1] <= 1e-14  # early termination
 
-    def test_zero_c_rejected(self, hand_system):
-        sys0 = SaddleSystem(hand_system.M, hand_system.A, type(hand_system.C).zeros(1, 1),
-                            hand_system.b)
-        with pytest.raises(DegenerateBlockError):
-            augment(sys0)
+    def test_stored_c_refused(self, hand_system):
+        with pytest.raises(WrongSolverError, match="augment"):
+            gkb_symmetric(hand_system, SpdPreconditioner.identity(1), steps=1)
+        with pytest.raises(WrongSolverError, match="augment"):
+            gkb_nonsymmetric(hand_system, SpdPreconditioner.identity(1), steps=1)
 
     def test_zero_rhs_rejected(self, hand_system):
         sys0 = SaddleSystem(hand_system.M, hand_system.A, hand_system.C, np.zeros(1))
@@ -50,7 +50,7 @@ class TestSymmetric:
         aug = augment(sys)
         basis, factors = gkb_symmetric(aug, N, steps=4)
         assert factors.betas[-1] <= 1e-9 * factors.betas[0]
-        rep = verify_decomposition(aug, N, basis, factors, symmetric=True)
+        rep = verify_decomposition(aug, N, basis, factors)
         assert rep.factor_residual <= 1e-9 * rep.scale
         assert rep.transpose_residual <= 1e-9 * rep.scale
         assert rep.q_orthogonality <= 1e-8
@@ -61,7 +61,7 @@ class TestSymmetric:
         N = random_preconditioner(3, seed=8)
         aug = augment(sys)
         basis, factors = gkb_symmetric(aug, N, steps=3)
-        rep = verify_decomposition(aug, N, basis, factors, symmetric=True)
+        rep = verify_decomposition(aug, N, basis, factors)
         B = factors.bidiagonal()
         assert rep.schur_residual is not None
         assert rep.schur_residual <= 1e-9 * np.linalg.norm(B.T @ B)
@@ -72,7 +72,7 @@ class TestSymmetric:
         aug = augment(sys)
         basis, factors = gkb_symmetric(aug, N, steps=3)
         basis.Q[1] = 1.01 * basis.Q[1]
-        rep = verify_decomposition(aug, N, basis, factors, symmetric=True)
+        rep = verify_decomposition(aug, N, basis, factors)
         assert 1.5e-2 <= rep.q_orthogonality <= 3e-2
 
     def test_scalars_match_craig(self):
@@ -113,7 +113,7 @@ class TestNonsymmetric:
         N = random_preconditioner(4, seed=12)
         aug = augment(sys)
         basis, factors = gkb_nonsymmetric(aug, N, steps=4)
-        rep = verify_decomposition(aug, N, basis, factors, symmetric=False)
+        rep = verify_decomposition(aug, N, basis, factors)
         assert rep.factor_residual <= 1e-9 * rep.scale
         assert rep.transpose_residual <= 1e-9 * rep.scale
         assert rep.q_orthogonality <= 1e-8
@@ -144,3 +144,51 @@ class TestNonsymmetric:
             assert abs(a - b) <= 1e-10 * abs(b)
         for a, b in zip(factors.betas[:-1], result.betas[:-1]):
             assert abs(a - b) <= 1e-10 * max(abs(b), 1e-300)
+
+
+ZERO_C = [(12, 0.0, 600), (24, 0.0, 601), (12, 0.5, 602), (24, 0.5, 603)]
+
+
+class TestZeroC:
+    """C = 0 (rank 0) systems: augment adds no rows and the oracle runs on them."""
+
+    @pytest.mark.parametrize("m,skew,seed", ZERO_C)
+    def test_augment_adds_no_rows(self, m, skew, seed):
+        sys = random_system(m, m // 2, skew=skew, c_rank=0, seed=seed)
+        aug = augment(sys)
+        assert (aug.m, aug.n, aug.C.nnz) == (m, m // 2, 0)
+        assert aug.M.kind == sys.M.kind
+        assert np.array_equal(aug.A.to_dense(), sys.A.to_dense())
+
+    @pytest.mark.parametrize("m,skew,seed", ZERO_C)
+    def test_scalars_match_production_solvers(self, m, skew, seed):
+        n = m // 2
+        sys = random_system(m, n, skew=skew, c_rank=0, seed=seed)
+        N = random_preconditioner(n, seed=seed)
+        oracle, solve = (gkb_symmetric, craig_solve) if skew == 0.0 else (
+            gkb_nonsymmetric, nscraig_solve)
+        # both sides reorthogonalize, so no loss of orthogonality separates them
+        _, factors = oracle(augment(sys), N, steps=n, reorthogonalize=True)
+        result = solve(sys, N, full_length_config(n))
+        assert len(factors.alphas) == len(result.alphas) == n
+        for a, b in zip(factors.alphas, result.alphas):
+            assert abs(a - b) <= 1e-10 * abs(b)
+        for a, b in zip(factors.betas[:n], result.betas[:n]):  # beta_{n+1} is roundoff
+            assert abs(a - b) <= 1e-10 * abs(b)
+
+    @pytest.mark.parametrize("m,skew,seed", ZERO_C)
+    def test_full_length_identities(self, m, skew, seed):
+        n = m // 2
+        sys = random_system(m, n, skew=skew, c_rank=0, seed=seed)
+        N = random_preconditioner(n, seed=seed)
+        oracle = gkb_symmetric if skew == 0.0 else gkb_nonsymmetric
+        aug = augment(sys)
+        basis, factors = oracle(aug, N, steps=n, reorthogonalize=True)
+        assert factors.k == n
+        rep = verify_decomposition(aug, N, basis, factors)
+        assert rep.factor_residual <= 1e-9 * rep.scale
+        assert rep.transpose_residual <= 1e-9 * rep.scale
+        assert rep.q_orthogonality <= 1e-8
+        assert rep.v_orthogonality <= 1e-8
+        reduced = factors.bidiagonal().T if skew == 0.0 else factors.hessenberg()
+        assert rep.schur_residual <= 1e-8 * np.linalg.norm(reduced @ factors.bidiagonal())

@@ -434,21 +434,21 @@ class TestFactorize:
 
 class TestSpsdFactor:
     def test_diagonal_rank_one(self):
-        E, F, l = spsd_factor(SparseMatrix.from_dense(np.diag([2.0, 0.0])))
-        assert l == 1
-        assert np.allclose(F, [[2.0]])
+        E, w = spsd_factor(SparseMatrix.from_dense(np.diag([2.0, 0.0])))
+        assert len(w) == 1
+        assert np.allclose(w, [2.0])
         assert np.allclose(np.abs(E), [[1.0, 0.0]])
-        assert np.allclose(E.T @ F @ E, np.diag([2.0, 0.0]))
+        assert np.allclose((E.T * w) @ E, np.diag([2.0, 0.0]))
 
     def test_identity_full_rank(self):
-        E, F, l = spsd_factor(SparseMatrix.identity(2))
-        assert l == 2
-        assert np.allclose(E.T @ F @ E, np.eye(2), atol=1e-14)
+        E, w = spsd_factor(SparseMatrix.identity(2))
+        assert len(w) == 2
+        assert np.allclose((E.T * w) @ E, np.eye(2), atol=1e-14)
 
     def test_rank_one_ones(self):
-        E, F, l = spsd_factor(SparseMatrix.from_dense([[1.0, 1.0], [1.0, 1.0]]))
-        assert l == 1
-        assert np.allclose(F, [[2.0]])
+        E, w = spsd_factor(SparseMatrix.from_dense([[1.0, 1.0], [1.0, 1.0]]))
+        assert len(w) == 1
+        assert np.allclose(w, [2.0])
         assert np.allclose(np.abs(E), [[2**-0.5, 2**-0.5]])
 
     def test_rejects_asymmetric(self):
@@ -466,14 +466,19 @@ class TestSpsdFactor:
             q, _ = np.linalg.qr(rng.standard_normal((n, l)))
             c = (q * rng.uniform(0.5, 3.0, l)) @ q.T
             c = (c + c.T) / 2
-            E, F, got = spsd_factor(SparseMatrix.from_dense(c))
-            assert got == l
-            recon = E.T @ F @ E
+            E, w = spsd_factor(SparseMatrix.from_dense(c))
+            assert len(w) == l
+            recon = (E.T * w) @ E
             assert np.linalg.norm(recon - c) <= 1e-10 * np.linalg.norm(c)
 
     def test_zero_matrix(self):
-        E, F, l = spsd_factor(SparseMatrix.zeros(3, 3))
-        assert l == 0 and E.shape == (0, 3)
+        E, w = spsd_factor(SparseMatrix.zeros(3, 3))
+        assert E.shape == (0, 3) and w.shape == (0,)
+
+    def test_zero_matrix_with_stored_zeros(self):
+        # eigh of an exactly zero C returns exact zeros, which the cutoff drops
+        E, w = spsd_factor(SparseMatrix.from_coo(3, 3, [0, 1, 2], [0, 1, 2], [0.0, 0.0, 0.0]))
+        assert E.shape == (0, 3) and w.shape == (0,)
 
     def test_cap_checked_before_densifying(self, monkeypatch):
         def refuse(self):

@@ -12,7 +12,6 @@ from conftest import cholesky_preconditioner, random_preconditioner, random_syst
 from gsp import (
     SaddleSystem,
     SolverConfig,
-    SpdPreconditioner,
     StokesSpec,
     craig_solve,
     direct_solve,
