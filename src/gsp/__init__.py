@@ -29,8 +29,6 @@ from .linops import (
     SpdPreconditioner,
     factorize,
     spsd_factor,
-    weighted_inner,
-    weighted_norm,
 )
 from .mmio import load_system, read_matrix_market, save_system, write_matrix_market
 from .nscraig import (

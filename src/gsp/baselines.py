@@ -14,27 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    BreakdownError,
-    GspError,
-    NotSpdError,
-    SingularOperatorError,
-    WrongSolverError,
-    ZeroRhsError,
-)
+from .errors import BreakdownError, GspError, NotSpdError, SingularOperatorError
 from .linops import FactorizedOperator, SpdPreconditioner
-from .system import CRITERION_RESIDUAL, ConvergenceRecord, SolveResult, SolverConfig
-
-EXACT_TOL = 1e-14
-
-
-def _residual_config(cfg, name):
-    """cfg or the default; a baseline has no error estimate, so 'error-estimate' is refused."""
-    cfg = cfg or SolverConfig()
-    if not cfg.wants_residual:
-        raise WrongSolverError(f"{name} has no error estimate; use criterion "
-                               f"'{CRITERION_RESIDUAL}' or 'both'")
-    return cfg
+from .system import (
+    BREAKDOWN_TOL,
+    CRITERION_RESIDUAL,
+    ConvergenceRecord,
+    SolveResult,
+    solver_inputs,
+)
 
 
 def _result(u, p, termination, history, beta1):
@@ -76,12 +64,7 @@ def scr_cg_solve(sys, N=None, cfg=None):
 
     u is recovered once at termination by a single M-solve.
     """
-    cfg = _residual_config(cfg, "scr-cg")
-    if not sys.symmetric:
-        raise WrongSolverError("scr-cg requires a symmetric leading block")
-    if not np.any(sys.b):
-        raise ZeroRhsError("b must be nonzero")
-    N = N or SpdPreconditioner.identity(sys.n)
+    N, cfg = solver_inputs("scr-cg", sys, N, cfg)
     S = SchurOperator(sys)
     t0 = time.perf_counter()
 
@@ -110,7 +93,7 @@ def scr_cg_solve(sys, N=None, cfg=None):
         rho_next = max(float(r @ z), 0.0)
         res_rel = float(np.sqrt(rho_next)) / beta1
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
-        if rho_next <= (EXACT_TOL * beta1) ** 2:
+        if rho_next <= (BREAKDOWN_TOL * beta1) ** 2:
             termination = "exact-termination"
             break
         if res_rel < cfg.tolerance:
@@ -131,10 +114,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
     solves the small Hessenberg system, whose last coefficient gives the
     residual estimate, and the Galerkin iterate is formed once, on termination.
     """
-    cfg = _residual_config(cfg, "scr-fom")
-    if not np.any(sys.b):
-        raise ZeroRhsError("b must be nonzero")
-    N = N or SpdPreconditioner.identity(sys.n)
+    N, cfg = solver_inputs("scr-fom", sys, N, cfg)
     S = SchurOperator(sys)
     t0 = time.perf_counter()
 
@@ -165,7 +145,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
             raise BreakdownError(f"singular Hessenberg block in FOM: {exc}") from exc
         res_rel = hnext * abs(y[-1]) / beta1
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
-        if hnext <= EXACT_TOL * beta1:
+        if hnext <= BREAKDOWN_TOL * beta1:
             termination = "exact-termination"
             break
         if res_rel < cfg.tolerance:
@@ -186,12 +166,7 @@ def pminres_solve(sys, N=None, cfg=None):
     system; the recurrence monitors the preconditioner-weighted residual norm,
     which is monotone nonincreasing by construction.
     """
-    cfg = _residual_config(cfg, "pminres")
-    if not sys.symmetric:
-        raise WrongSolverError("pminres requires a symmetric leading block")
-    if not np.any(sys.b):
-        raise ZeroRhsError("b must be nonzero")
-    N = N or SpdPreconditioner.identity(sys.n)
+    N, cfg = solver_inputs("pminres", sys, N, cfg)
     D0 = BlockDiagPreconditioner(sys.M, N)
     t0 = time.perf_counter()
 
@@ -251,7 +226,7 @@ def pminres_solve(sys, N=None, cfg=None):
 
         res_rel = phibar / beta1
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
-        if beta <= EXACT_TOL * beta1:
+        if beta <= BREAKDOWN_TOL * beta1:
             termination = "exact-termination"
             break
         if res_rel < cfg.tolerance:
@@ -267,10 +242,7 @@ def pgmres_solve(sys, N=None, cfg=None):
     Minimizes the unpreconditioned 2-norm residual over the right-
     preconditioned Krylov space; the final iterate needs one blockwise solve.
     """
-    cfg = _residual_config(cfg, "pgmres")
-    if not np.any(sys.b):
-        raise ZeroRhsError("b must be nonzero")
-    N = N or SpdPreconditioner.identity(sys.n)
+    N, cfg = solver_inputs("pgmres", sys, N, cfg)
     D0 = BlockDiagPreconditioner(sys.M, N)
     t0 = time.perf_counter()
 
@@ -307,7 +279,7 @@ def pgmres_solve(sys, N=None, cfg=None):
 
         res_rel = abs(g[j + 1]) / beta
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
-        if hnext <= EXACT_TOL * beta:
+        if hnext <= BREAKDOWN_TOL * beta:
             termination = "exact-termination"
             break
         if res_rel < cfg.tolerance:

@@ -26,7 +26,7 @@ from .linops import SpdPreconditioner
 from .mmio import load_system, save_system
 from .nscraig import nscraig_solve
 from .problems import RandomSpec, StokesSpec, gen_random, gen_stokes_channel_detailed
-from .system import SolverConfig, check_fields
+from .system import SolverConfig, check_fields, solver_inputs
 
 SOLVERS = {
     "craig": craig_solve,
@@ -36,7 +36,6 @@ SOLVERS = {
     "pminres": pminres_solve,
     "pgmres": pgmres_solve,
 }
-NEEDS_SYMMETRIC = {"craig", "scr-cg", "pminres"}
 SPECS = {"random": RandomSpec, "stokes": StokesSpec}
 CONFIG_KEYS = ("tolerance", "max_iterations", "criterion", "error_delay", "reorthogonalize")
 JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string"}
@@ -190,9 +189,8 @@ class RunReport:
 def execute(manifest):
     """Run every solver in the manifest; returns (setup_time, reports)."""
     system, precond, setup_time = build_problem(manifest)
-    bad = [s for s in manifest.solvers if s in NEEDS_SYMMETRIC and not system.symmetric]
-    if bad:
-        raise UsageError(f"solvers {bad} need a symmetric M")
+    for name in manifest.solvers:  # each solver's refusal, before the oracle and any solve
+        solver_inputs(name, system, precond, manifest.config)
     oracle = None
     if manifest.report_error_vs_oracle:
         oracle = np.concatenate(direct_solve(system))

@@ -9,8 +9,8 @@ available as stopping rules.
 
 from __future__ import annotations
 
-from .errors import WrongSolverError
 from .nscraig import gkb_solve
+from .system import solver_inputs
 
 # Re-exported containers: this module owns their contracts, and the
 # benchmark's tracer (bench/tracing.py) patches ConvergenceRecord here.
@@ -25,6 +25,5 @@ def craig_solve(sys, N=None, cfg=None):
     latest q, v, r, s, t vectors are retained unless that or cfg.keep_basis
     (return Q) is set. Earlier iterates come from gsp.nscraig.replay.
     """
-    if not sys.symmetric:
-        raise WrongSolverError("craig requires a symmetric leading block; use nscraig")
+    N, cfg = solver_inputs("craig", sys, N, cfg)
     return gkb_solve(sys, N, cfg, full_orth=False)

@@ -16,8 +16,7 @@ import scipy.sparse
 
 from .errors import BreakdownError, DimensionError, WrongSolverError, ZeroRhsError
 from .linops import SparseMatrix, spsd_factor
-from .nscraig import BREAKDOWN_TOL
-from .system import SaddleSystem
+from .system import BREAKDOWN_TOL, SaddleSystem
 
 
 def augment(sys, rank_tolerance=1e-12):

@@ -1,4 +1,4 @@
-"""Sparse matrices, weighted inner products, and exact factorizations.
+"""Sparse matrices, exact factorizations, and the SPD preconditioner N.
 
 SparseMatrix stores one canonical scipy.sparse CSR array: rows in order,
 strictly increasing columns within a row, no duplicates. A partly stored
@@ -353,31 +353,6 @@ def factorize(K):
     return FactorizedOperator(kind, K, factor(kind, K))
 
 
-def weighted_inner(W, x, y):
-    """Return x^T W y for a FactorizedOperator, SparseMatrix, or dense W."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionError("weighted_inner needs two vectors of equal length")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("NaN or infinity in weighted_inner input")
-    wy = W.apply(y) if isinstance(W, FactorizedOperator) else as_sparse(W).matvec(y)
-    if wy.shape != x.shape:
-        raise DimensionError("weight dimension does not match the vectors")
-    return float(x @ wy)
-
-
-def weighted_norm(W, x):
-    """Return sqrt(x^T W x), clamping roundoff-level negative radicands to 0."""
-    val = weighted_inner(W, x, x)
-    if val < 0.0:
-        floor = -1e-12 * float(np.dot(x, x))
-        if val < floor:
-            raise NotSpdError(f"negative radicand {val} in weighted norm")
-        return 0.0
-    return float(np.sqrt(val))
-
-
 def spsd_factor(C, rank_tolerance=1e-12):
     """Factor an SPSD matrix as C = E^T diag(w) E; returns (E, w).
 
@@ -406,7 +381,7 @@ def spsd_factor(C, rank_tolerance=1e-12):
 
 @dataclass(frozen=True)
 class SpdPreconditioner:
-    """SPD operator N defining the weighted inner products used by the solvers."""
+    """SPD operator N whose inner product the solvers orthogonalize in."""
 
     operator: FactorizedOperator
 
@@ -437,14 +412,8 @@ class SpdPreconditioner:
     def solve(self, b):
         return self.operator.solve(b)
 
-    def inner(self, x, y):
-        return weighted_inner(self.operator, x, y)
-
-    def norm(self, x):
-        return weighted_norm(self.operator, x)
-
     def inv_norm(self, y):
-        """sqrt(y^T N^{-1} y), clamped like weighted_norm."""
+        """sqrt(y^T N^{-1} y); a negative radicand at roundoff level (>= -1e-12 y^T y) gives 0."""
         y = _as_float_vector(y, self.dimension, "y")
         val = float(y @ self.operator.solve(y))
         if val < 0.0:

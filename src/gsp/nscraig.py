@@ -25,9 +25,7 @@ import scipy.linalg
 
 from .errors import InsufficientHistoryError, NonFiniteError, ZeroRhsError
 from .linops import SpdPreconditioner
-from .system import ConvergenceRecord, SolveResult, SolverConfig
-
-BREAKDOWN_TOL = 1e-14  # relative threshold at or below which an alpha or a beta ends a run
+from .system import BREAKDOWN_TOL, ConvergenceRecord, SolveResult, SolverConfig, solver_inputs
 
 _dtbtrs = scipy.linalg.lapack.dtbtrs
 _dtrtrs = scipy.linalg.lapack.dtrtrs
@@ -187,7 +185,8 @@ def assemble_solution(lower):
 def gkb_solve(sys, N, cfg, full_orth):
     """Run the generalized Golub-Kahan loop; full_orth selects nsCRAIG over CRAIG.
 
-    A step applies A, A^T, C, the M-solve and the N-solve once each. It
+    N and cfg are as solver_inputs returns them; every entry point calls it
+    first. A step applies A, A^T, C, the M-solve and the N-solve once each. It
     carries M v and N g as the right-hand sides of those solves (Arioli,
     SIMAX 2013): M w = A q - beta M v gives w . M w in alpha and, over alpha,
     the next M v; N g = A^T v + t (minus alpha N q for CRAIG) gives g . N g in
@@ -210,10 +209,6 @@ def gkb_solve(sys, N, cfg, full_orth):
     Hessenberg columns; earlier iterates come from replay. A NaN or infinite
     alpha or beta raises NonFiniteError.
     """
-    cfg = cfg or SolverConfig()
-    if not np.any(sys.b):
-        raise ZeroRhsError("b must be nonzero")
-    N = N or SpdPreconditioner.identity(sys.n)
     A, C, M = sys.A, sys.C, sys.M
     t0 = time.perf_counter()
 
@@ -322,6 +317,7 @@ def nscraig_solve(sys, N=None, cfg=None):
 
     The iterate is assembled only on termination.
     """
+    N, cfg = solver_inputs("nscraig", sys, N, cfg)
     return gkb_solve(sys, N, cfg, full_orth=True)
 
 

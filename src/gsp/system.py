@@ -8,12 +8,14 @@ from sys import float_info
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, NotSpsdError
-from .linops import FactorizedOperator, SparseMatrix, as_sparse, factorize
+from .errors import DimensionError, NonFiniteError, NotSpsdError, WrongSolverError, ZeroRhsError
+from .linops import FactorizedOperator, SparseMatrix, SpdPreconditioner, as_sparse, factorize
 
 CRITERION_RESIDUAL = "relative-residual"
 CRITERION_ERROR = "error-estimate"
 CRITERION_BOTH = "both"
+
+BREAKDOWN_TOL = 1e-14  # relative threshold at or below which an alpha or a beta ends a run
 
 
 _KINDS = {bool: (bool, "true or false"), int: (numbers.Integral, "an integer"),
@@ -154,6 +156,45 @@ class SolverConfig:
     @property
     def wants_residual(self):
         return self.criterion in (CRITERION_RESIDUAL, CRITERION_BOTH)
+
+
+@dataclass(frozen=True)
+class SolverRule:
+    """A solver's domain: whether it needs a symmetric M, whether it has an error estimate."""
+
+    needs_symmetric: bool
+    error_estimate: bool
+
+
+# One entry per solver name gsp run accepts; solver_inputs enforces it.
+SOLVER_RULES = {
+    "craig": SolverRule(needs_symmetric=True, error_estimate=True),
+    "nscraig": SolverRule(needs_symmetric=False, error_estimate=True),
+    "scr-cg": SolverRule(needs_symmetric=True, error_estimate=False),
+    "scr-fom": SolverRule(needs_symmetric=False, error_estimate=False),
+    "pminres": SolverRule(needs_symmetric=True, error_estimate=False),
+    "pgmres": SolverRule(needs_symmetric=False, error_estimate=False),
+}
+
+
+def solver_inputs(name, sys, N, cfg):
+    """(N, cfg) for solver name on sys, defaulted, or the refusal SOLVER_RULES names.
+
+    N defaults to the identity and cfg to SolverConfig(). WrongSolverError if
+    the solver needs a symmetric M and sys's is not, or if cfg's criterion is
+    'error-estimate' and the solver has no estimate (under 'both' it stops on
+    the relative residual); ZeroRhsError if b is zero.
+    """
+    rule = SOLVER_RULES[name]
+    cfg = SolverConfig() if cfg is None else cfg
+    if rule.needs_symmetric and not sys.symmetric:
+        raise WrongSolverError(f"{name} needs a symmetric M; use nscraig")
+    if not (rule.error_estimate or cfg.wants_residual):
+        raise WrongSolverError(f"{name} has no error estimate; use criterion "
+                               f"'{CRITERION_RESIDUAL}' or '{CRITERION_BOTH}'")
+    if not np.any(sys.b):
+        raise ZeroRhsError("b must be nonzero")
+    return (SpdPreconditioner.identity(sys.n) if N is None else N), cfg
 
 
 @dataclass(slots=True)

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from gsp import RandomSpec, gen_random, load_system, save_system
-from gsp.cli import RunManifest, UsageError, main
+from gsp import RandomSpec, SaddleSystem, SolverConfig, gen_random, load_system, save_system
+from gsp.cli import SOLVERS, RunManifest, UsageError, main
+from gsp.errors import WrongSolverError, ZeroRhsError
+from gsp.system import SOLVER_RULES
 
 
 RANDOM = {"source": "generate-random", "m": 10, "n": 5, "c_rank": 2, "seed": 1}
@@ -371,7 +373,12 @@ def test_summary_names_the_fired_rule(tmp_path, capsys):
     assert capsys.readouterr().out.count("rule=relative-residual") == 3
 
 
-def test_error_estimate_criterion_refused_for_baselines(tmp_path, capsys):
+def test_error_estimate_criterion_refused_for_baselines(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a solver ran before every refusal was checked")
+
+    for name in SOLVERS:
+        monkeypatch.setitem(SOLVERS, name, never)
     manifest = write_manifest(
         tmp_path / "m.json",
         problem={"source": "generate-random", "m": 40, "n": 20, "c_rank": 10, "seed": 71},
@@ -380,7 +387,57 @@ def test_error_estimate_criterion_refused_for_baselines(tmp_path, capsys):
         output_dir=str(tmp_path / "out"),
     )
     assert main(["run", manifest]) == 1
-    assert "scr-fom has no error estimate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("gsp: error: scr-fom has no error estimate") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_rules_table_holds_the_solver_domains():
+    # CRAIG, SCR-CG and MINRES need an SPD leading block; only the two CRAIGs estimate the error.
+    symmetric = {name for name, rule in SOLVER_RULES.items() if rule.needs_symmetric}
+    estimate = {name for name, rule in SOLVER_RULES.items() if rule.error_estimate}
+    assert symmetric == {"craig", "scr-cg", "pminres"} and estimate == {"craig", "nscraig"}
+
+
+def _refusal(name, case):
+    """The error SOLVER_RULES says solver name raises in case, or None if it runs."""
+    rule = SOLVER_RULES[name]
+    if case == "nonsymmetric":
+        return WrongSolverError if rule.needs_symmetric else None
+    if case == "error-estimate":
+        return None if rule.error_estimate else WrongSolverError
+    return ZeroRhsError
+
+
+@pytest.mark.parametrize("case", ["nonsymmetric", "error-estimate", "zero-b"])
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_library_and_cli_refuse_what_the_rules_table_says(tmp_path, capsys, name, case):
+    assert SOLVER_RULES.keys() == SOLVERS.keys()
+    system = gen_random(RandomSpec(m=10, n=5, c_rank=2, seed=1,
+                                   skew_strength=0.5 if case == "nonsymmetric" else 0.0))
+    if case == "zero-b":
+        system = SaddleSystem(system.M, system.A, system.C, np.zeros(system.n))
+    config, cfg = {}, SolverConfig()
+    if case == "error-estimate":
+        config = {"criterion": {"error-estimate": 3}}
+        cfg = SolverConfig(criterion="error-estimate", error_delay=3)
+    save_system(tmp_path / "sys", system)
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        problem={"source": "load", "path": str(tmp_path / "sys" / "system.json")},
+        solvers=[name], config=config, output_dir=str(tmp_path / "out"),
+    )
+    refusal = _refusal(name, case)
+    code = main(["run", manifest])
+    err = capsys.readouterr().err
+    if refusal is None:
+        assert SOLVERS[name](system, None, cfg).iterations >= 1
+        assert code in (0, 2) and err == ""
+    else:
+        with pytest.raises(refusal) as exc:
+            SOLVERS[name](system, None, cfg)
+        assert code == 1 and err == f"gsp: error: {exc.value}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_outputs_deterministic_across_runs(tmp_path):

@@ -1,4 +1,4 @@
-"""Kernels, factorizations, and weighted products."""
+"""Kernels, factorizations, and the SPD preconditioner."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from gsp import (
     factorize,
     gen_stokes_channel,
     spsd_factor,
-    weighted_inner,
-    weighted_norm,
 )
 from gsp.errors import (
     DimensionError,
@@ -23,7 +21,7 @@ from gsp.errors import (
     NotSpsdError,
     SingularOperatorError,
 )
-from gsp.linops import DENSE_FACTOR_DENSITY, DENSE_FACTOR_LIMIT
+from gsp.linops import DENSE_FACTOR_DENSITY, DENSE_FACTOR_LIMIT, FactorizedOperator
 
 
 def _dense_inputs():
@@ -220,51 +218,37 @@ class TestSparseMatrix:
 
 
 class TestWeightedInner:
+    """The N-weighted product x^T N y (as x @ N.apply(y)) and the N^-1-weighted norm inv_norm."""
+
     def test_identity(self):
-        assert weighted_inner(SparseMatrix.identity(2), [1.0, 1.0], [1.0, 1.0]) == 2.0
+        N = SpdPreconditioner.identity(2)
+        assert np.array([1.0, 1.0]) @ N.apply([1.0, 1.0]) == 2.0
+        assert N.inv_norm([3.0, 4.0]) == 5.0
 
     def test_diagonal(self):
-        W = SparseMatrix.from_dense(np.diag([2.0, 3.0]))
-        assert weighted_inner(W, [1.0, 1.0], [1.0, 1.0]) == 5.0
+        N = SpdPreconditioner.from_diagonal([2.0, 3.0])
+        assert np.array([1.0, 1.0]) @ N.apply([1.0, 1.0]) == 5.0
+        assert N.inv_norm([2.0, 3.0]) == 5.0 ** 0.5
 
     def test_scalar_norm(self):
-        W = SparseMatrix.from_dense([[4.0]])
-        assert weighted_inner(W, [1.0], [1.0]) == 4.0
-        assert weighted_norm(W, [1.0]) == 2.0
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_inner(SparseMatrix.identity(2), [np.nan, 0.0], [1.0, 1.0])
-        for bad in (np.inf, -np.inf):
-            with pytest.raises(ValueError):
-                weighted_inner(SparseMatrix.identity(2), [1.0, 0.0], [bad, 1.0])
-            with pytest.raises(ValueError):
-                weighted_norm(SparseMatrix.identity(2), [bad, 1.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            weighted_inner(SparseMatrix.identity(2), [1.0, 2.0], [1.0])
+        N = SpdPreconditioner.from_diagonal([4.0])
+        assert np.array([1.0]) @ N.apply([1.0]) == 4.0
+        assert N.inv_norm([4.0]) == 2.0
 
     def test_bilinear_and_symmetric(self):
         rng = np.random.default_rng(2)
         for trial in range(10):
             n = int(rng.integers(1, 9))
-            W = rng.standard_normal((n, n))
-            W = SparseMatrix.from_dense(W + W.T)
+            g = rng.standard_normal((n, n))
+            N = SpdPreconditioner.from_matrix(SparseMatrix.from_dense(g @ g.T + n * np.eye(n)))
             x, y, z = rng.standard_normal((3, n))
             a, b = rng.standard_normal(2)
-            lhs = weighted_inner(W, a * x + b * z, y)
-            rhs = a * weighted_inner(W, x, y) + b * weighted_inner(W, z, y)
+            lhs = (a * x + b * z) @ N.apply(y)
+            rhs = a * (x @ N.apply(y)) + b * (z @ N.apply(y))
             scale = abs(lhs) + abs(rhs) + 1.0
             assert abs(lhs - rhs) <= 1e-13 * scale
-            sym_gap = abs(weighted_inner(W, x, y) - weighted_inner(W, y, x))
+            sym_gap = abs(x @ N.apply(y) - y @ N.apply(x))
             assert sym_gap <= 1e-13 * scale
-
-    def test_tiny_negative_radicand_clamped(self):
-        W = SparseMatrix.from_dense([[-1e-14]])
-        assert weighted_norm(W, [1.0]) == 0.0
-        with pytest.raises(NotSpdError):
-            weighted_norm(SparseMatrix.from_dense([[-1.0]]), [1.0])
 
 
 class TestFactorize:
@@ -496,9 +480,9 @@ class TestSpdPreconditioner:
         N = SpdPreconditioner.from_matrix(a @ a.T + 6 * np.eye(6))
         for _ in range(20):
             x, y = rng.standard_normal((2, 6))
-            gap = abs(N.inner(x, N.apply(y)) - N.inner(y, N.apply(x)))
+            gap = abs(x @ N.apply(y) - y @ N.apply(x))
             assert gap <= 1e-10 * (np.linalg.norm(x) * np.linalg.norm(y) + 1.0)
-            assert N.inner(x, x) > 0.0
+            assert x @ N.apply(x) > 0.0
 
     def test_rejects_lu_kind(self):
         op = factorize(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -508,4 +492,18 @@ class TestSpdPreconditioner:
     def test_inv_norm(self):
         N = SpdPreconditioner.from_diagonal([4.0])
         assert N.inv_norm([2.0]) == 1.0
+
+    def test_inv_norm_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            SpdPreconditioner.identity(2).inv_norm([1.0])
+
+    def test_inv_norm_tiny_negative_radicand_clamped(self):
+        # factorize refuses a nonpositive diagonal, so build the operator directly.
+        def diagonal(d):
+            return SpdPreconditioner(FactorizedOperator("diagonal", SparseMatrix.from_dense([[d]]),
+                                                        np.array([d])))
+
+        assert diagonal(-1e14).inv_norm([1.0]) == 0.0
+        with pytest.raises(NotSpdError):
+            diagonal(-1.0).inv_norm([1.0])
 
