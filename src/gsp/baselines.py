@@ -9,26 +9,14 @@ containers as the production solvers so iterate histories line up.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from .errors import BreakdownError, GspError, NotSpdError, SingularOperatorError
 from .linops import FactorizedOperator, SpdPreconditioner
-from .system import (
-    BREAKDOWN_TOL,
-    CRITERION_RESIDUAL,
-    ConvergenceRecord,
-    SolveResult,
-    solver_inputs,
-)
-
-
-def _result(u, p, termination, history, beta1):
-    """A baseline's SolveResult: a converged baseline stopped on its relative residual."""
-    fired = CRITERION_RESIDUAL if termination == "converged" else None
-    return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1)
+from .system import BREAKDOWN_TOL, ConvergenceRecord, SolveResult, rhs_norm, solver_inputs
 
 
 @dataclass(frozen=True)
@@ -72,19 +60,17 @@ def scr_cg_solve(sys, N=None, cfg=None):
     r = -sys.b
     z = N.solve(r)
     rho = float(r @ z)
-    beta1 = float(np.sqrt(max(rho, 0.0)))
+    beta1 = rhs_norm(r, z)
     d = z.copy()
     history = []
-    termination = "max-iterations"
 
     k = 0
-    while k < cfg.max_iterations:
+    while True:
         k += 1
         w = S.apply(d)
         dw = float(d @ w)
         if dw <= 0.0:
-            termination = "breakdown"
-            k -= 1
+            stop = "breakdown", None
             break
         eta = rho / dw
         p = p + eta * d
@@ -93,17 +79,14 @@ def scr_cg_solve(sys, N=None, cfg=None):
         rho_next = max(float(r @ z), 0.0)
         res_rel = float(np.sqrt(rho_next)) / beta1
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
-        if rho_next <= (BREAKDOWN_TOL * beta1) ** 2:
-            termination = "exact-termination"
-            break
-        if res_rel < cfg.tolerance:
-            termination = "converged"
+        if stop := cfg.stop(k, res_rel, rho_next <= (BREAKDOWN_TOL * beta1) ** 2):
             break
         d = z + (rho_next / rho) * d
         rho = rho_next
 
     u = -sys.M.solve(sys.A.matvec(p))
-    return _result(u, p, termination, history, beta1)
+    termination, fired = stop
+    return SolveResult(u, p, termination, history, fired, beta1)
 
 
 def scr_fom_solve(sys, N=None, cfg=None):
@@ -115,20 +98,19 @@ def scr_fom_solve(sys, N=None, cfg=None):
     residual estimate, and the Galerkin iterate is formed once, on termination.
     """
     N, cfg = solver_inputs("scr-fom", sys, N, cfg)
+    cfg = replace(cfg, max_iterations=min(cfg.max_iterations, sys.n))
     S = SchurOperator(sys)
     t0 = time.perf_counter()
 
     r0 = -sys.b
     z0 = N.solve(r0)
-    beta1 = float(np.sqrt(max(r0 @ z0, 0.0)))
+    beta1 = rhs_norm(r0, z0)
     Q = [z0 / beta1]
     NQ = [N.apply(Q[0])]
-    maxit = min(cfg.max_iterations, sys.n)
-    Hbar = np.zeros((maxit + 1, maxit))
+    Hbar = np.zeros((cfg.max_iterations + 1, cfg.max_iterations))
     history = []
-    termination = "max-iterations"
 
-    for j in range(maxit):  # maxit >= 1, so k and y are set
+    for j in range(cfg.max_iterations):  # cfg.stop ends the last step at the latest
         k = j + 1
         w = N.solve(S.apply(Q[j]))
         for i in range(k):
@@ -145,18 +127,15 @@ def scr_fom_solve(sys, N=None, cfg=None):
             raise BreakdownError(f"singular Hessenberg block in FOM: {exc}") from exc
         res_rel = hnext * abs(y[-1]) / beta1
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
-        if hnext <= BREAKDOWN_TOL * beta1:
-            termination = "exact-termination"
-            break
-        if res_rel < cfg.tolerance:
-            termination = "converged"
+        if stop := cfg.stop(k, res_rel, hnext <= BREAKDOWN_TOL * beta1):
             break
         Q.append(w / hnext)
         NQ.append(N.apply(Q[-1]))
 
     p = np.column_stack(Q[:k]) @ y
     u = -sys.M.solve(sys.A.matvec(p))
-    return _result(u, p, termination, history, beta1)
+    termination, fired = stop
+    return SolveResult(u, p, termination, history, fired, beta1)
 
 
 def pminres_solve(sys, N=None, cfg=None):
@@ -175,10 +154,9 @@ def pminres_solve(sys, N=None, cfg=None):
     x = np.zeros(mn)
     r1 = f.copy()
     y = D0.solve(r1)
-    beta1_sq = float(f @ y)
-    if beta1_sq <= 0.0:
+    if f @ y < 0.0:
         raise NotSpdError("block preconditioner is not positive definite")
-    beta1 = float(np.sqrt(beta1_sq))
+    beta1 = rhs_norm(f, y)
 
     oldb, beta = 0.0, beta1
     dbar = epsln = 0.0
@@ -188,10 +166,9 @@ def pminres_solve(sys, N=None, cfg=None):
     w2 = np.zeros(mn)
     r2 = r1
     history = []
-    termination = "max-iterations"
 
     k = 0
-    while k < cfg.max_iterations:
+    while True:
         k += 1
         v = y / beta
         y = sys.matvec(v)
@@ -226,14 +203,11 @@ def pminres_solve(sys, N=None, cfg=None):
 
         res_rel = phibar / beta1
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
-        if beta <= BREAKDOWN_TOL * beta1:
-            termination = "exact-termination"
-            break
-        if res_rel < cfg.tolerance:
-            termination = "converged"
+        if stop := cfg.stop(k, res_rel, beta <= BREAKDOWN_TOL * beta1):
             break
 
-    return _result(x[:sys.m], x[sys.m:], termination, history, beta1)
+    termination, fired = stop
+    return SolveResult(x[:sys.m], x[sys.m:], termination, history, fired, beta1)
 
 
 def pgmres_solve(sys, N=None, cfg=None):
@@ -243,23 +217,20 @@ def pgmres_solve(sys, N=None, cfg=None):
     preconditioned Krylov space; the final iterate needs one blockwise solve.
     """
     N, cfg = solver_inputs("pgmres", sys, N, cfg)
+    cfg = replace(cfg, max_iterations=min(cfg.max_iterations, sys.m + sys.n))
     D0 = BlockDiagPreconditioner(sys.M, N)
     t0 = time.perf_counter()
 
-    mn = sys.m + sys.n
     f = np.concatenate([np.zeros(sys.m), sys.b])
-    beta = float(np.linalg.norm(f))
-    maxit = min(cfg.max_iterations, mn)
+    beta = rhs_norm(f, f)
     V = [f / beta]
-    R = np.zeros((maxit + 1, maxit))
-    g = np.zeros(maxit + 1)
+    R = np.zeros((cfg.max_iterations + 1, cfg.max_iterations))
+    g = np.zeros(cfg.max_iterations + 1)
     g[0] = beta
     rotations = []
     history = []
-    termination = "max-iterations"
 
-    k = 0
-    for j in range(maxit):
+    for j in range(cfg.max_iterations):  # cfg.stop ends the last step at the latest
         k = j + 1
         w = sys.matvec(D0.solve(V[j]))
         for i in range(k):
@@ -279,17 +250,14 @@ def pgmres_solve(sys, N=None, cfg=None):
 
         res_rel = abs(g[j + 1]) / beta
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
-        if hnext <= BREAKDOWN_TOL * beta:
-            termination = "exact-termination"
-            break
-        if res_rel < cfg.tolerance:
-            termination = "converged"
+        if stop := cfg.stop(k, res_rel, hnext <= BREAKDOWN_TOL * beta):
             break
         V.append(w / hnext)
 
     y = scipy.linalg.solve_triangular(R[:k, :k], g[:k], lower=False)
     x = D0.solve(np.column_stack(V[:k]) @ y)
-    return _result(x[:sys.m], x[sys.m:], termination, history, beta)
+    termination, fired = stop
+    return SolveResult(x[:sys.m], x[sys.m:], termination, history, fired, beta)
 
 
 def direct_solve(sys):

@@ -26,7 +26,7 @@ from .linops import SpdPreconditioner
 from .mmio import load_system, save_system
 from .nscraig import nscraig_solve
 from .problems import RandomSpec, StokesSpec, gen_random, gen_stokes_channel_detailed
-from .system import SolverConfig, check_fields, solver_inputs
+from .system import ConvergenceRecord, SolverConfig, check_fields, solver_inputs
 
 SOLVERS = {
     "craig": craig_solve,
@@ -39,7 +39,7 @@ SOLVERS = {
 SPECS = {"random": RandomSpec, "stokes": StokesSpec}
 CONFIG_KEYS = ("tolerance", "max_iterations", "criterion", "error_delay", "reorthogonalize")
 JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string"}
-HISTORY_COLUMNS = ("k", "res_rel", "err_est", "alpha", "beta_next", "scalar", "wall_time_s")
+HISTORY_COLUMNS = tuple(f.name for f in dataclasses.fields(ConvergenceRecord))
 
 
 class UsageError(GspError):

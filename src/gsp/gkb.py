@@ -16,7 +16,7 @@ import scipy.sparse
 
 from .errors import BreakdownError, DimensionError, WrongSolverError, ZeroRhsError
 from .linops import SparseMatrix, spsd_factor
-from .system import BREAKDOWN_TOL, SaddleSystem
+from .system import BREAKDOWN_TOL, SaddleSystem, rhs_norm
 
 
 def augment(sys, rank_tolerance=1e-12):
@@ -103,9 +103,7 @@ def _init_step(sys, N):
     if not np.any(b):
         raise ZeroRhsError("b must be nonzero")
     q = N.solve(b)
-    beta1 = float(np.sqrt(max(q @ b, 0.0)))
-    if beta1 == 0.0:
-        raise ZeroRhsError("b has zero N^{-1}-norm")
+    beta1 = rhs_norm(q, b)
     q = q / beta1
     w = sys.M.solve(sys.A.matvec(q))
     alpha1 = float(np.sqrt(max(w @ sys.M.apply(w), 0.0)))

@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import InsufficientHistoryError, NonFiniteError, ZeroRhsError
+from .errors import InsufficientHistoryError, NonFiniteError
 from .linops import SpdPreconditioner
-from .system import BREAKDOWN_TOL, ConvergenceRecord, SolveResult, SolverConfig, solver_inputs
+from .system import (BREAKDOWN_TOL, ConvergenceRecord, SolveResult, SolverConfig, rhs_norm,
+                     solver_inputs)
 
 _dtbtrs = scipy.linalg.lapack.dtbtrs
 _dtrtrs = scipy.linalg.lapack.dtrtrs
@@ -207,16 +208,14 @@ def gkb_solve(sys, N, cfg, full_orth):
     rule reads it each step and assemble_solution once, on termination: the
     only iterate nsCRAIG forms. cfg.keep_basis keeps Q (k x n) and nsCRAIG's
     Hessenberg columns; earlier iterates come from replay. A NaN or infinite
-    alpha or beta raises NonFiniteError.
+    alpha or beta raises NonFiniteError; cfg.stop decides every other end.
     """
     A, C, M = sys.A, sys.C, sys.M
     t0 = time.perf_counter()
 
     ng = sys.b  # N g for g = N^{-1} b, so q_1 = g / beta_1
     g = N.solve(ng)
-    beta = beta1 = _finite(float(np.sqrt(max(g @ ng, 0.0))), "beta", 1, 0)
-    if beta1 == 0.0:
-        raise ZeroRhsError("b has zero N^{-1}-norm")
+    beta = beta1 = _finite(rhs_norm(g, ng), "beta", 1, 0)
     store_basis = full_orth or cfg.reorthogonalize or cfg.keep_basis
     Q = np.zeros((1, sys.n)) if store_basis else None
     h_columns = [] if full_orth and cfg.keep_basis else None
@@ -229,7 +228,6 @@ def gkb_solve(sys, N, cfg, full_orth):
     alpha_floor = BREAKDOWN_TOL * max(beta1, 1.0)  # then BREAKDOWN_TOL * alpha_1
 
     k = 0
-    fired = None
     while True:
         q = g / beta
         nq = ng / beta
@@ -242,7 +240,7 @@ def gkb_solve(sys, N, cfg, full_orth):
         s = C.matvec(r)
         alpha = _finite(float(np.sqrt(max(w @ mw + r @ s, 0.0))), "alpha", k + 1, k + 1)
         if alpha <= alpha_floor:
-            termination = "breakdown"
+            stop = "breakdown", None
             break
         if k == 0:
             alpha_floor = BREAKDOWN_TOL * alpha
@@ -262,7 +260,7 @@ def gkb_solve(sys, N, cfg, full_orth):
         if full_orth:
             step = _lagged_cgs2(Q, k, nq, g, ng)
             if step is None:
-                termination = "breakdown"
+                stop = "breakdown", None
                 k -= 1
                 break
             g, h = step
@@ -290,20 +288,10 @@ def gkb_solve(sys, N, cfg, full_orth):
             err_est = float(np.sqrt(abs(ratio)))
         history.append(ConvergenceRecord(k, res_rel, err_est, alpha, beta, zeta,
                                          time.perf_counter() - t0))
-
-        if beta <= BREAKDOWN_TOL * beta1:
-            termination = "exact-termination"
-            break
-        if cfg.wants_residual and res_rel < cfg.tolerance:
-            termination, fired = "converged", "relative-residual"
-            break
-        if cfg.wants_error_estimate and err_est is not None and err_est < cfg.tolerance:
-            termination, fired = "converged", "error-estimate"
-            break
-        if k >= cfg.max_iterations:
-            termination = "max-iterations"
+        if stop := cfg.stop(k, res_rel, beta <= BREAKDOWN_TOL * beta1, err_est):
             break
 
+    termination, fired = stop
     if full_orth and k:
         y = assemble_solution(lower)
         p = y @ Q[:k]

@@ -156,8 +156,6 @@ class StokesProblem:
     w0: np.ndarray            # velocity shift absorbed by the RHS compression
     velocity: np.ndarray      # manufactured interior velocity (original problem)
     pressure: np.ndarray      # manufactured pressure, pinned dof removed
-    hx: float
-    hy: float
 
 
 def gen_stokes_channel(spec):
@@ -258,7 +256,7 @@ def gen_stokes_channel_detailed(spec):
     if not system.symmetric:
         mass = mass / nu
     precond = SpdPreconditioner.from_diagonal(mass)
-    return StokesProblem(system, precond, w0, vel, p_star, hx, hy)
+    return StokesProblem(system, precond, w0, vel, p_star)
 
 
 def compress_rhs(Mmat, A, C, b1, b2):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from sys import float_info
@@ -153,9 +154,26 @@ class SolverConfig:
     def wants_error_estimate(self):
         return self.criterion in (CRITERION_ERROR, CRITERION_BOTH)
 
-    @property
-    def wants_residual(self):
-        return self.criterion in (CRITERION_RESIDUAL, CRITERION_BOTH)
+    def stop(self, k, res_rel, exact, err_est=None):
+        """(termination, fired rule) if step k ends the run, else None: every solver's ladder.
+
+        In order: a non-finite res_rel raises NonFiniteError; exact (the
+        loop's own exact-termination test) ends the run with no rule; the
+        relative residual (unless the criterion is 'error-estimate'), then
+        err_est, when the loop computed one, converge below the tolerance;
+        step max_iterations ends the run with no rule.
+        """
+        if not math.isfinite(res_rel):
+            raise NonFiniteError(f"res_rel is {res_rel} at iteration {k}")
+        if exact:
+            return "exact-termination", None
+        if self.criterion != CRITERION_ERROR and res_rel < self.tolerance:
+            return "converged", CRITERION_RESIDUAL
+        if err_est is not None and err_est < self.tolerance:
+            return "converged", CRITERION_ERROR
+        if k >= self.max_iterations:
+            return "max-iterations", None
+        return None
 
 
 @dataclass(frozen=True)
@@ -189,12 +207,25 @@ def solver_inputs(name, sys, N, cfg):
     cfg = SolverConfig() if cfg is None else cfg
     if rule.needs_symmetric and not sys.symmetric:
         raise WrongSolverError(f"{name} needs a symmetric M; use nscraig")
-    if not (rule.error_estimate or cfg.wants_residual):
+    if cfg.criterion == CRITERION_ERROR and not rule.error_estimate:
         raise WrongSolverError(f"{name} has no error estimate; use criterion "
                                f"'{CRITERION_RESIDUAL}' or '{CRITERION_BOTH}'")
     if not np.any(sys.b):
         raise ZeroRhsError("b must be nonzero")
     return (SpdPreconditioner.identity(sys.n) if N is None else N), cfg
+
+
+def rhs_norm(r, z):
+    """sqrt(r . z), z the preconditioned r: a solver's initial residual norm.
+
+    A negative r . z (roundoff only, for an SPD preconditioner) counts as 0.
+    ZeroRhsError if the norm is 0, as for a nonzero b whose norm underflows;
+    a NaN passes through.
+    """
+    norm = float(np.sqrt(max(float(r @ z), 0.0)))
+    if norm == 0.0:
+        raise ZeroRhsError("the norm of b underflows to 0")
+    return norm
 
 
 @dataclass(slots=True)

@@ -20,6 +20,7 @@ from gsp import (
     scr_fom_solve,
 )
 from gsp.baselines import BlockDiagPreconditioner, SchurOperator
+from gsp.cli import SOLVERS
 from gsp.errors import SingularOperatorError, WrongSolverError
 
 
@@ -246,10 +247,18 @@ def test_block_diag_preconditioner_blockwise():
 
 
 BASELINES = [scr_cg_solve, scr_fom_solve, pminres_solve, pgmres_solve]
+# Each solver at max_iterations = 2; scr-fom also at its own cap, the dimension
+# n = 5 (tolerance 1e-300: its step-5 residual is 3.4e-16).
+CAPPED = random_system(40, 20, c_rank=10, seed=71)
+CAPS = [pytest.param(solve, CAPPED, SolverConfig(tolerance=1e-4, max_iterations=2), 2,
+                     id=solve.__name__) for solve in SOLVERS.values()]
+CAPS.append(pytest.param(scr_fom_solve, random_system(10, 5, c_rank=2, seed=1),
+                         SolverConfig(tolerance=1e-300, max_iterations=50), 5,
+                         id="scr_fom_solve-dimension-cap"))
 
 
 class TestStoppingRule:
-    """The baselines stop on the relative residual only, and say so."""
+    """Every solver stops by SolverConfig.stop; the baselines on the relative residual only."""
 
     @pytest.mark.parametrize("solve", BASELINES)
     def test_error_estimate_criterion_refused(self, solve):
@@ -258,16 +267,16 @@ class TestStoppingRule:
             solve(sys, None, SolverConfig(criterion="error-estimate"))
 
     @pytest.mark.parametrize("criterion", ["relative-residual", "both"])
-    @pytest.mark.parametrize("solve", BASELINES)
+    @pytest.mark.parametrize("solve", SOLVERS.values())
     def test_fired_criterion_is_the_residual(self, solve, criterion):
         sys = random_system(40, 20, c_rank=10, seed=71)
         res = solve(sys, None, SolverConfig(tolerance=1e-4, criterion=criterion))
         assert res.termination == "converged"
         assert res.fired_criterion == "relative-residual"
 
-    @pytest.mark.parametrize("solve", BASELINES)
-    def test_no_rule_fires_at_the_iteration_cap(self, solve):
-        sys = random_system(40, 20, c_rank=10, seed=71)
-        res = solve(sys, None, SolverConfig(tolerance=1e-4, max_iterations=2))
+    @pytest.mark.parametrize("solve, sys, cfg, steps", CAPS)
+    def test_no_rule_fires_at_the_iteration_cap(self, solve, sys, cfg, steps):
+        res = solve(sys, None, cfg)
+        assert res.iterations == steps
         assert res.termination == "max-iterations"
         assert res.fired_criterion is None

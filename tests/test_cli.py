@@ -400,7 +400,7 @@ def test_rules_table_holds_the_solver_domains():
 
 
 def _refusal(name, case):
-    """The error SOLVER_RULES says solver name raises in case, or None if it runs."""
+    """The error solver name raises in case, or None if it runs: SOLVER_RULES's, or ZeroRhsError."""
     rule = SOLVER_RULES[name]
     if case == "nonsymmetric":
         return WrongSolverError if rule.needs_symmetric else None
@@ -409,14 +409,15 @@ def _refusal(name, case):
     return ZeroRhsError
 
 
-@pytest.mark.parametrize("case", ["nonsymmetric", "error-estimate", "zero-b"])
+@pytest.mark.parametrize("case", ["nonsymmetric", "error-estimate", "zero-b", "underflow-b"])
 @pytest.mark.parametrize("name", list(SOLVERS))
 def test_library_and_cli_refuse_what_the_rules_table_says(tmp_path, capsys, name, case):
     assert SOLVER_RULES.keys() == SOLVERS.keys()
     system = gen_random(RandomSpec(m=10, n=5, c_rank=2, seed=1,
                                    skew_strength=0.5 if case == "nonsymmetric" else 0.0))
-    if case == "zero-b":
-        system = SaddleSystem(system.M, system.A, system.C, np.zeros(system.n))
+    if case in ("zero-b", "underflow-b"):  # underflow-b: nonzero, but its norm underflows to 0
+        b = np.zeros(system.n) if case == "zero-b" else np.full(system.n, 1e-170)
+        system = SaddleSystem(system.M, system.A, system.C, b)
     config, cfg = {}, SolverConfig()
     if case == "error-estimate":
         config = {"criterion": {"error-estimate": 3}}

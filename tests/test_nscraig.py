@@ -19,7 +19,11 @@ from gsp import (
     nscraig_error_estimate,
     nscraig_residual_check,
     nscraig_solve,
+    pgmres_solve,
+    pminres_solve,
     replay,
+    scr_cg_solve,
+    scr_fom_solve,
 )
 from gsp.errors import InsufficientHistoryError, NonFiniteError, ZeroRhsError
 from gsp.gkb import assemble_bidiagonal, assemble_hessenberg
@@ -375,11 +379,26 @@ class _NanFromFourthSolve:
         return getattr(self._N, name)
 
 
-@pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5)])
+# The error each solver raises when the fourth N-solve returns NaN: the CRAIGs
+# check beta_4, the baselines the first residual the NaN reaches (pgmres
+# makes its first N-solve inside step 1, the others one before it).
+NAN_REFUSALS = {
+    craig_solve: "beta_4 is nan at iteration 3",
+    nscraig_solve: "beta_4 is nan at iteration 3",
+    scr_cg_solve: "res_rel is nan at iteration 3",
+    scr_fom_solve: "res_rel is nan at iteration 3",
+    pminres_solve: "res_rel is nan at iteration 3",
+    pgmres_solve: "res_rel is nan at iteration 4",
+}
+
+
+@pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5),
+                                         (scr_cg_solve, 0.0), (scr_fom_solve, 0.5),
+                                         (pminres_solve, 0.0), (pgmres_solve, 0.5)])
 def test_non_finite_beta_is_refused(solve, skew):
     sys = random_system(12, 6, skew=skew, c_rank=3, seed=52)
     N = _NanFromFourthSolve(random_preconditioner(6, seed=52))
-    with pytest.raises(NonFiniteError, match="beta_4 is nan at iteration 3"):
+    with pytest.raises(NonFiniteError, match=NAN_REFUSALS[solve]):
         solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=500))
 
 
