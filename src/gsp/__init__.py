@@ -6,7 +6,6 @@ Schur-complement-reduction and preconditioned MINRES/GMRES baselines.
 """
 
 from .baselines import (
-    BlockDiagPreconditioner,
     SchurOperator,
     direct_solve,
     pgmres_solve,
@@ -26,7 +25,6 @@ from .gkb import (
 from .linops import (
     FactorizedOperator,
     SparseMatrix,
-    SpdPreconditioner,
     factorize,
     spsd_factor,
 )

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BreakdownError, GspError, NotSpdError, SingularOperatorError
-from .linops import FactorizedOperator, SpdPreconditioner
 from .system import BREAKDOWN_TOL, ConvergenceRecord, SolveResult, rhs_norm, solver_inputs
 
 
@@ -33,18 +32,6 @@ class SchurOperator:
         s = self.sys
         Ad = s.A.to_dense()
         return Ad.T @ np.column_stack([s.M.solve(Ad[:, j]) for j in range(s.n)]) + s.C.to_dense()
-
-
-@dataclass(frozen=True)
-class BlockDiagPreconditioner:
-    """blkdiag(M, N) applied inverse-blockwise."""
-
-    Msolve: FactorizedOperator
-    Nsolve: SpdPreconditioner
-
-    def solve(self, z):
-        m = self.Msolve.dimension
-        return np.concatenate([self.Msolve.solve(z[:m]), self.Nsolve.solve(z[m:])])
 
 
 def scr_cg_solve(sys, N=None, cfg=None):
@@ -146,14 +133,16 @@ def pminres_solve(sys, N=None, cfg=None):
     which is monotone nonincreasing by construction.
     """
     N, cfg = solver_inputs("pminres", sys, N, cfg)
-    D0 = BlockDiagPreconditioner(sys.M, N)
     t0 = time.perf_counter()
+
+    def precondition(z):  # blkdiag(M, N)^{-1} z
+        return np.concatenate([sys.M.solve(z[:sys.m]), N.solve(z[sys.m:])])
 
     mn = sys.m + sys.n
     f = np.concatenate([np.zeros(sys.m), sys.b])
     x = np.zeros(mn)
     r1 = f.copy()
-    y = D0.solve(r1)
+    y = precondition(r1)
     if f @ y < 0.0:
         raise NotSpdError("block preconditioner is not positive definite")
     beta1 = rhs_norm(f, y)
@@ -178,7 +167,7 @@ def pminres_solve(sys, N=None, cfg=None):
         y = y - (alfa / beta) * r2
         r1 = r2
         r2 = y
-        y = D0.solve(r2)
+        y = precondition(r2)
         oldb = beta
         beta_sq = float(r2 @ y)
         if beta_sq < 0.0:
@@ -218,8 +207,10 @@ def pgmres_solve(sys, N=None, cfg=None):
     """
     N, cfg = solver_inputs("pgmres", sys, N, cfg)
     cfg = replace(cfg, max_iterations=min(cfg.max_iterations, sys.m + sys.n))
-    D0 = BlockDiagPreconditioner(sys.M, N)
     t0 = time.perf_counter()
+
+    def precondition(z):  # blkdiag(M, N)^{-1} z
+        return np.concatenate([sys.M.solve(z[:sys.m]), N.solve(z[sys.m:])])
 
     f = np.concatenate([np.zeros(sys.m), sys.b])
     beta = rhs_norm(f, f)
@@ -232,7 +223,7 @@ def pgmres_solve(sys, N=None, cfg=None):
 
     for j in range(cfg.max_iterations):  # cfg.stop ends the last step at the latest
         k = j + 1
-        w = sys.matvec(D0.solve(V[j]))
+        w = sys.matvec(precondition(V[j]))
         for i in range(k):
             R[i, j] = float(V[i] @ w)
             w = w - R[i, j] * V[i]
@@ -255,7 +246,7 @@ def pgmres_solve(sys, N=None, cfg=None):
         V.append(w / hnext)
 
     y = scipy.linalg.solve_triangular(R[:k, :k], g[:k], lower=False)
-    x = D0.solve(np.column_stack(V[:k]) @ y)
+    x = precondition(np.column_stack(V[:k]) @ y)
     termination, fired = stop
     return SolveResult(x[:sys.m], x[sys.m:], termination, history, fired, beta)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import direct_solve, pgmres_solve, pminres_solve, scr_cg_solve, scr_fom_solve
 from .craig import craig_solve
 from .errors import GspError
-from .linops import SpdPreconditioner
+from .linops import FactorizedOperator
 from .mmio import load_system, save_system
 from .nscraig import nscraig_solve
 from .problems import RandomSpec, StokesSpec, gen_random, gen_stokes_channel_detailed
@@ -152,7 +152,7 @@ def build_problem(manifest):
     if choice == "pressure-mass" and precond is None:
         raise UsageError("pressure-mass preconditioner needs a generated stokes problem")
     if choice == "identity" or precond is None:
-        precond = SpdPreconditioner.identity(system.n)
+        precond = FactorizedOperator.identity(system.n)
     return system, precond, setup_time
 
 
@@ -186,11 +186,28 @@ class RunReport:
     res_two_norm: float = 0.0
 
 
+def check_output_dir(path):
+    """UsageError unless path is a directory or os.makedirs can make it one.
+
+    Nothing is created: a run that a solver refuses leaves no directory behind.
+    """
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise UsageError(f"output directory {path} cannot be created: {head} is not a directory")
+
+
 def execute(manifest):
-    """Run every solver in the manifest; returns (setup_time, reports)."""
+    """Run every solver in the manifest; returns (setup_time, reports).
+
+    Every solver's refusal and the output directory are checked before the
+    oracle and the first solve.
+    """
     system, precond, setup_time = build_problem(manifest)
-    for name in manifest.solvers:  # each solver's refusal, before the oracle and any solve
+    for name in manifest.solvers:
         solver_inputs(name, system, precond, manifest.config)
+    check_output_dir(manifest.output_dir)
     oracle = None
     if manifest.report_error_vs_oracle:
         oracle = np.concatenate(direct_solve(system))
@@ -266,6 +283,7 @@ def cmd_gen(args):
     else:
         fields = dict(nx=args.nx, ny=args.ny, length=args.length, viscosity=args.viscosity,
                       gamma=args.gamma, oseen_wind=args.oseen_wind)
+    check_output_dir(args.output)
     system, _ = generate_problem(args.kind, fields)
     path = save_system(args.output, system)
     print(f"wrote {path} (m={system.m}, n={system.n}, M {system.M.kind})")

@@ -1,4 +1,4 @@
-"""Sparse matrices, exact factorizations, and the SPD preconditioner N.
+"""Sparse matrices and the exact factorizations behind M and N.
 
 SparseMatrix stores one canonical scipy.sparse CSR array: rows in order,
 strictly increasing columns within a row, no duplicates. A partly stored
@@ -21,6 +21,11 @@ arrays and with no size cap, and a densely stored one with LAPACK on a dense
 copy (capped at DENSE_FACTOR_LIMIT); see factorize for the choice and its
 known limitation. The SPSD factorization of C stays a full symmetric
 eigendecomposition (capped at DENSE_EIG_LIMIT).
+
+M and N are both FactorizedOperators, and the solvers rely on one protocol
+for them: kind, dimension, apply (K x) and solve (K^{-1} b), plus inv_norm
+(sqrt(y^T K^{-1} y)) for an SPD kind. N must be SPD (any kind but
+lu-general) and n x n; gsp.system.solver_inputs refuses any other N.
 """
 
 from __future__ import annotations
@@ -216,7 +221,7 @@ class SparseMatrix:
 
 @dataclass(frozen=True)
 class FactorizedOperator:
-    """Square operator K with exact apply (K x) and solve (K^{-1} b).
+    """Square operator K with exact apply (K x) and solve (K^{-1} b): the type of M and N.
 
     kind is one of 'cholesky-spd', 'lu-general', 'diagonal', as factorize read
     it off the matrix; only 'lu-general' is nonsymmetric. matrix is the
@@ -229,6 +234,10 @@ class FactorizedOperator:
     kind: str
     matrix: SparseMatrix
     _factor: object = field(repr=False)
+
+    @classmethod
+    def identity(cls, n):
+        return factorize(SparseMatrix.identity(n))
 
     @property
     def dimension(self):
@@ -255,6 +264,16 @@ class FactorizedOperator:
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of the LAPACK solve")
         return x
+
+    def inv_norm(self, y):
+        """sqrt(y^T K^{-1} y); a negative radicand at roundoff level (>= -1e-12 y^T y) gives 0."""
+        y = _as_float_vector(y, self.dimension, "y")
+        val = float(y @ self.solve(y))
+        if val < 0.0:
+            if val < -1e-12 * float(y @ y):
+                raise NotSpdError(f"negative radicand {val} in inverse-weighted norm")
+            return 0.0
+        return float(np.sqrt(val))
 
 
 def as_sparse(K):
@@ -379,45 +398,5 @@ def spsd_factor(C, rank_tolerance=1e-12):
     return v[:, keep].T, w[keep]
 
 
-@dataclass(frozen=True)
-class SpdPreconditioner:
-    """SPD operator N whose inner product the solvers orthogonalize in."""
-
-    operator: FactorizedOperator
-
-    def __post_init__(self):
-        if self.operator.kind == "lu-general":
-            raise NotSpdError("preconditioner must be symmetric positive definite")
-
-    @property
-    def dimension(self):
-        return self.operator.dimension
-
-    @classmethod
-    def identity(cls, n):
-        return cls(factorize(SparseMatrix.identity(n)))
-
-    @classmethod
-    def from_diagonal(cls, d):
-        d = np.asarray(d, dtype=float)
-        return cls(factorize(SparseMatrix(scipy.sparse.diags_array(d, format="csr"))))
-
-    @classmethod
-    def from_matrix(cls, K):
-        return cls(factorize(K))
-
-    def apply(self, x):
-        return self.operator.apply(x)
-
-    def solve(self, b):
-        return self.operator.solve(b)
-
-    def inv_norm(self, y):
-        """sqrt(y^T N^{-1} y); a negative radicand at roundoff level (>= -1e-12 y^T y) gives 0."""
-        y = _as_float_vector(y, self.dimension, "y")
-        val = float(y @ self.operator.solve(y))
-        if val < 0.0:
-            if val < -1e-12 * float(y @ y):
-                raise NotSpdError(f"negative radicand {val} in inverse-weighted norm")
-            return 0.0
-        return float(np.sqrt(val))
+# bench/workloads.py builds its N as gsp.linops.SpdPreconditioner.identity(n).
+SpdPreconditioner = FactorizedOperator

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InsufficientHistoryError, NonFiniteError
-from .linops import SpdPreconditioner
+from .linops import FactorizedOperator
 from .system import (BREAKDOWN_TOL, ConvergenceRecord, SolveResult, SolverConfig, rhs_norm,
                      solver_inputs)
 
@@ -386,7 +386,7 @@ def residual_check(sys, N, solve, cfg=None):
     runs = replay(solve, sys, N, cfg)
     if not runs[-1].history:
         raise InsufficientHistoryError("the solve recorded no iteration")
-    N = N or SpdPreconditioner.identity(sys.n)
+    N = N or FactorizedOperator.identity(sys.n)
     a_norm = float(np.linalg.norm(sys.A.values))
     Q = runs[-1].Q
     dual, upper, orth = [], [], [] if Q is not None else None

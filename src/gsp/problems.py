@@ -15,8 +15,7 @@ import numpy as np
 
 from .baselines import SchurOperator
 from .errors import DimensionError, NotSpdError, NotSpsdError, RankRepairError
-from .linops import DENSE_EIG_LIMIT, DENSE_FACTOR_LIMIT, SparseMatrix, SpdPreconditioner
-from .linops import factorize  # noqa: F401  (unused here; bench/tracing.py wraps this name)
+from .linops import DENSE_EIG_LIMIT, DENSE_FACTOR_LIMIT, FactorizedOperator, SparseMatrix, factorize
 from .system import SaddleSystem, check_fields
 
 
@@ -152,7 +151,7 @@ class StokesProblem:
     """Generated system plus its oracle data."""
 
     system: SaddleSystem
-    preconditioner: SpdPreconditioner
+    preconditioner: FactorizedOperator
     w0: np.ndarray            # velocity shift absorbed by the RHS compression
     velocity: np.ndarray      # manufactured interior velocity (original problem)
     pressure: np.ndarray      # manufactured pressure, pinned dof removed
@@ -255,7 +254,7 @@ def gen_stokes_channel_detailed(spec):
     mass = hx * hy * np.ones(n)
     if not system.symmetric:
         mass = mass / nu
-    precond = SpdPreconditioner.from_diagonal(mass)
+    precond = factorize(SparseMatrix.from_coo(n, n, np.arange(n), np.arange(n), mass))
     return StokesProblem(system, precond, w0, vel, p_star)
 
 

@@ -9,8 +9,9 @@ from sys import float_info
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, NotSpsdError, WrongSolverError, ZeroRhsError
-from .linops import FactorizedOperator, SparseMatrix, SpdPreconditioner, as_sparse, factorize
+from .errors import (DimensionError, NonFiniteError, NotSpdError, NotSpsdError, WrongSolverError,
+                     ZeroRhsError)
+from .linops import FactorizedOperator, SparseMatrix, as_sparse, factorize
 
 CRITERION_RESIDUAL = "relative-residual"
 CRITERION_ERROR = "error-estimate"
@@ -201,18 +202,25 @@ def solver_inputs(name, sys, N, cfg):
     N defaults to the identity and cfg to SolverConfig(). WrongSolverError if
     the solver needs a symmetric M and sys's is not, or if cfg's criterion is
     'error-estimate' and the solver has no estimate (under 'both' it stops on
-    the relative residual); ZeroRhsError if b is zero.
+    the relative residual); NotSpdError if N is LU-factored (factorize gives
+    only a nonsymmetric N lu-general), DimensionError if N is not n x n;
+    ZeroRhsError if b is zero.
     """
     rule = SOLVER_RULES[name]
     cfg = SolverConfig() if cfg is None else cfg
+    N = FactorizedOperator.identity(sys.n) if N is None else N
     if rule.needs_symmetric and not sys.symmetric:
         raise WrongSolverError(f"{name} needs a symmetric M; use nscraig")
     if cfg.criterion == CRITERION_ERROR and not rule.error_estimate:
         raise WrongSolverError(f"{name} has no error estimate; use criterion "
                                f"'{CRITERION_RESIDUAL}' or '{CRITERION_BOTH}'")
+    if N.kind == "lu-general":
+        raise NotSpdError("N must be symmetric positive definite")
+    if N.dimension != sys.n:
+        raise DimensionError(f"N is {N.dimension} x {N.dimension}, expected n = {sys.n}")
     if not np.any(sys.b):
         raise ZeroRhsError("b must be nonzero")
-    return (SpdPreconditioner.identity(sys.n) if N is None else N), cfg
+    return N, cfg
 
 
 def rhs_norm(r, z):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gsp import RandomSpec, SaddleSystem, SpdPreconditioner, gen_random
+from gsp import RandomSpec, SaddleSystem, factorize, gen_random
 
 
 def random_system(m, n, *, skew=0.0, c_rank=None, seed=0, spectrum=(1.0, 2.0), density=1.0):
@@ -15,7 +15,7 @@ def random_system(m, n, *, skew=0.0, c_rank=None, seed=0, spectrum=(1.0, 2.0), d
 
 def random_preconditioner(n, seed=0, lo=0.5, hi=2.0):
     rng = np.random.default_rng(seed)
-    return SpdPreconditioner.from_diagonal(rng.uniform(lo, hi, n))
+    return factorize(np.diag(rng.uniform(lo, hi, n)))
 
 
 def cholesky_preconditioner(n, seed=0, lo=0.5, hi=2.0):
@@ -23,9 +23,23 @@ def cholesky_preconditioner(n, seed=0, lo=0.5, hi=2.0):
     rng = np.random.default_rng(seed)
     V, _ = np.linalg.qr(rng.standard_normal((n, n)))
     K = (V * rng.uniform(lo, hi, n)) @ V.T
-    N = SpdPreconditioner.from_matrix((K + K.T) / 2.0)
-    assert N.operator.kind == "cholesky-spd"
+    N = factorize((K + K.T) / 2.0)
+    assert N.kind == "cholesky-spd"
     return N
+
+
+class LoggedSolves:
+    """Forwards to target, logging the length of every vector its solve is given."""
+
+    def __init__(self, target, lengths):
+        self._target, self._lengths = target, lengths
+
+    def solve(self, b):
+        self._lengths.append(len(b))
+        return self._target.solve(b)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
 
 
 @pytest.fixture

@@ -19,13 +19,13 @@ from gsp import (
     SaddleSystem,
     SolverConfig,
     SparseMatrix,
-    SpdPreconditioner,
     StokesSpec,
     augment,
     compress_rhs,
     craig_residual_check,
     craig_solve,
     direct_solve,
+    factorize,
     gen_stokes_channel_detailed,
     gkb_nonsymmetric,
     gkb_symmetric,
@@ -268,7 +268,7 @@ def test_criterion_07_early_termination_on_eigenvector_rhs():
     # symmetric
     sys = random_system(12, 5, c_rank=3, seed=600)
     nd = np.random.default_rng(600).uniform(0.5, 2.0, 5)
-    N = SpdPreconditioner.from_diagonal(nd)
+    N = factorize(np.diag(nd))
     S = SchurOperator(sys).dense()
     lam, V = scipy.linalg.eigh(S / np.outer(np.sqrt(nd), np.sqrt(nd)))
     b = np.sqrt(nd) * V[:, 1]

@@ -1,9 +1,11 @@
 """SCR, MINRES/GMRES baselines, and the sparse direct oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import cholesky_preconditioner, random_preconditioner, random_system
+from conftest import LoggedSolves, cholesky_preconditioner, random_preconditioner, random_system
 from gsp import (
     SaddleSystem,
     SolverConfig,
@@ -19,7 +21,7 @@ from gsp import (
     scr_cg_solve,
     scr_fom_solve,
 )
-from gsp.baselines import BlockDiagPreconditioner, SchurOperator
+from gsp.baselines import SchurOperator
 from gsp.cli import SOLVERS
 from gsp.errors import SingularOperatorError, WrongSolverError
 
@@ -236,14 +238,18 @@ class TestDirectSolve:
 
 
 def test_block_diag_preconditioner_blockwise():
+    # pminres and pgmres precondition with blkdiag(M, N): each application is one
+    # M-solve of the first m entries and one N-solve of the last n, never a mix.
     sys = random_system(10, 5, c_rank=2, seed=71)
     N = random_preconditioner(5, seed=71)
-    D0 = BlockDiagPreconditioner(sys.M, N)
-    rng = np.random.default_rng(71)
-    z = rng.standard_normal(15)
-    got = D0.solve(z)
-    assert np.allclose(got[:10], sys.M.solve(z[:10]))
-    assert np.allclose(got[10:], N.solve(z[10:]))
+    for solve in (pminres_solve, pgmres_solve):
+        m_lengths, n_lengths = [], []
+        logged = dataclasses.replace(sys, M=LoggedSolves(sys.M, m_lengths))
+        res = solve(logged, LoggedSolves(N, n_lengths), SolverConfig(tolerance=1e-10))
+        assert res.converged
+        assert m_lengths == [10] * len(n_lengths) and n_lengths == [5] * (res.iterations + 1)
+        plain = solve(sys, N, SolverConfig(tolerance=1e-10))
+        assert np.array_equal(plain.u, res.u) and np.array_equal(plain.p, res.p)
 
 
 BASELINES = [scr_cg_solve, scr_fom_solve, pminres_solve, pgmres_solve]

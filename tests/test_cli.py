@@ -7,9 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from gsp import RandomSpec, SaddleSystem, SolverConfig, gen_random, load_system, save_system
+import gsp.cli
+from conftest import LoggedSolves
+from gsp import (RandomSpec, SaddleSystem, SolverConfig, factorize, gen_random, load_system,
+                 save_system)
 from gsp.cli import SOLVERS, RunManifest, UsageError, main
-from gsp.errors import WrongSolverError, ZeroRhsError
+from gsp.errors import DimensionError, NotSpdError, WrongSolverError, ZeroRhsError
 from gsp.system import SOLVER_RULES
 
 
@@ -439,6 +442,55 @@ def test_library_and_cli_refuse_what_the_rules_table_says(tmp_path, capsys, name
             SOLVERS[name](system, None, cfg)
         assert code == 1 and err == f"gsp: error: {exc.value}\n"
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case, refusal", [("nonsymmetric", NotSpdError),
+                                           ("dimension-n-plus-1", DimensionError)])
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_non_spd_or_mis_sized_n_refused_before_any_solve(tmp_path, capsys, monkeypatch, name,
+                                                         case, refusal):
+    system = gen_random(RandomSpec(m=40, n=20, c_rank=5, seed=3))
+    K = 2.0 * np.eye(20) + np.eye(20, k=1) if case == "nonsymmetric" else np.eye(21)
+    solves = []
+    N = LoggedSolves(factorize(K), solves)
+    with pytest.raises(refusal) as exc:
+        SOLVERS[name](system, N, None)
+    assert solves == []
+
+    def never(*args):
+        raise AssertionError("a solver ran before every refusal was checked")
+
+    monkeypatch.setattr(gsp.cli, "build_problem", lambda manifest: (system, N, 0.0))
+    monkeypatch.setitem(SOLVERS, name, never)
+    manifest = write_manifest(tmp_path / "m.json", problem=RANDOM, solvers=[name])
+    assert main(["run", manifest]) == 1
+    assert capsys.readouterr().err == f"gsp: error: {exc.value}\n"
+    assert solves == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+@pytest.mark.parametrize("verb", ["run", "compare", "gen"])
+def test_output_path_that_cannot_be_a_directory_is_one_error_line(tmp_path, capsys,
+                                                                   monkeypatch, verb, where):
+    def never(*args):
+        raise AssertionError("ran before the output path was checked")
+
+    for name in SOLVERS:
+        monkeypatch.setitem(SOLVERS, name, never)
+    monkeypatch.setattr(gsp.cli, "gen_stokes_channel_detailed", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker if where == "existing-file" else blocker / "out"
+    if verb == "gen":
+        argv = ["gen", "stokes", "--nx", "4", "--ny", "4", "-o", str(out)]
+    else:
+        argv = [verb, write_manifest(tmp_path / "m.json", problem=RANDOM,
+                                     solvers=["craig", "scr-cg"], output_dir=str(out))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"gsp: error: output directory {out} cannot be created: "
+                   f"{blocker} is not a directory\n")
+    assert blocker.read_text() == ""
 
 
 def test_outputs_deterministic_across_runs(tmp_path):

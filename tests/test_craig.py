@@ -9,16 +9,17 @@ import scipy.linalg
 
 from conftest import random_preconditioner, random_system
 from gsp import (
+    FactorizedOperator,
     SaddleSystem,
     SolverConfig,
     SparseMatrix,
-    SpdPreconditioner,
     StokesSpec,
     compress_rhs,
     craig_error_estimate,
     craig_residual_check,
     craig_solve,
     direct_solve,
+    factorize,
     gen_stokes_channel,
     load_system,
     replay,
@@ -47,7 +48,7 @@ class TestContainers:
             with pytest.raises(NotSpdError):
                 SaddleSystem.from_matrices(np.diag(d), np.eye(2), np.zeros((2, 2)), np.ones(2))
             with pytest.raises(NotSpdError):
-                SpdPreconditioner.from_diagonal(d)
+                factorize(np.diag(d))
 
     def test_diagonal_m_gets_the_diagonal_kind_and_craig_matches_scr_cg(self):
         rng = np.random.default_rng(11)
@@ -118,7 +119,7 @@ class TestContainers:
 
         monkeypatch.setattr(SparseMatrix, "to_dense", counting)
         SaddleSystem(sys.M, sys.A, sys.C, sys.b)
-        SpdPreconditioner.from_matrix(SparseMatrix.from_dense(np.diag(np.arange(1.0, 13.0))))
+        factorize(SparseMatrix.from_dense(np.diag(np.arange(1.0, 13.0))))
         assert calls == []
         built = SaddleSystem.from_matrices(sys.Mmat, sys.A, sys.C, sys.b)
         assert calls == [(30, 30)]  # the dense factor's input only
@@ -141,7 +142,7 @@ class TestContainers:
 
 class TestHandInstance:
     def test_exact_termination_and_solution(self, hand_system):
-        res = craig_solve(hand_system, SpdPreconditioner.identity(1))
+        res = craig_solve(hand_system, FactorizedOperator.identity(1))
         assert res.iterations == 1
         assert res.termination == "exact-termination"
         assert np.allclose(res.u, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
@@ -164,7 +165,7 @@ class TestHandInstance:
 def test_eigenvector_rhs_terminates_in_one_step():
     sys = random_system(8, 4, c_rank=2, seed=21)
     nd = np.random.default_rng(21).uniform(0.5, 2.0, 4)
-    N = SpdPreconditioner.from_diagonal(nd)
+    N = factorize(np.diag(nd))
     S = SchurOperator(sys).dense()
     lam, V = scipy.linalg.eigh(S / np.outer(np.sqrt(nd), np.sqrt(nd)))
     b = np.sqrt(nd) * V[:, 2]  # any eigenvector of S N^{-1}

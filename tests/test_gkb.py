@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_preconditioner, random_system
 from gsp import (
-    SpdPreconditioner,
+    FactorizedOperator,
     augment,
     gkb_nonsymmetric,
     gkb_symmetric,
@@ -26,7 +26,7 @@ def full_length_config(n):
 class TestSymmetric:
     def test_hand_instance_terminates_after_one_step(self, hand_system):
         aug = augment(hand_system)
-        N = SpdPreconditioner.identity(1)
+        N = FactorizedOperator.identity(1)
         basis, factors = gkb_symmetric(aug, N, steps=1)
         assert factors.betas[0] == 1.0
         assert np.allclose(basis.Q[0], [1.0])
@@ -35,14 +35,14 @@ class TestSymmetric:
 
     def test_stored_c_refused(self, hand_system):
         with pytest.raises(WrongSolverError, match="augment"):
-            gkb_symmetric(hand_system, SpdPreconditioner.identity(1), steps=1)
+            gkb_symmetric(hand_system, FactorizedOperator.identity(1), steps=1)
         with pytest.raises(WrongSolverError, match="augment"):
-            gkb_nonsymmetric(hand_system, SpdPreconditioner.identity(1), steps=1)
+            gkb_nonsymmetric(hand_system, FactorizedOperator.identity(1), steps=1)
 
     def test_zero_rhs_rejected(self, hand_system):
         sys0 = SaddleSystem(hand_system.M, hand_system.A, hand_system.C, np.zeros(1))
         with pytest.raises(ZeroRhsError):
-            gkb_symmetric(augment(sys0), SpdPreconditioner.identity(1), steps=1)
+            gkb_symmetric(augment(sys0), FactorizedOperator.identity(1), steps=1)
 
     def test_full_length_identities(self):
         sys = random_system(8, 4, c_rank=2, seed=7)
@@ -89,7 +89,7 @@ class TestSymmetric:
 class TestNonsymmetric:
     def test_hand_instance_alpha(self, hand_system_nonsym):
         aug = augment(hand_system_nonsym)
-        N = SpdPreconditioner.identity(1)
+        N = FactorizedOperator.identity(1)
         basis, factors = gkb_nonsymmetric(aug, N, steps=1)
         assert factors.betas[0] == 1.0
         assert abs(factors.alphas[0] - math.sqrt(2.6)) <= 1e-14
@@ -129,7 +129,7 @@ class TestNonsymmetric:
         HB = factors.hessenberg() @ factors.bidiagonal()
         Ad = sys.A.to_dense()
         S = Ad.T @ np.column_stack([sys.M.solve(Ad[:, j]) for j in range(4)]) + sys.C.to_dense()
-        d = np.sqrt(N.operator.matrix.csr.diagonal())
+        d = np.sqrt(N.matrix.csr.diagonal())
         centered = S / np.outer(d, d)
         got = np.sort_complex(np.linalg.eigvals(HB))
         want = np.sort_complex(np.linalg.eigvals(centered))

@@ -7,8 +7,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from gsp import (
+    SaddleSystem,
     SparseMatrix,
-    SpdPreconditioner,
     StokesSpec,
     factorize,
     gen_stokes_channel,
@@ -22,6 +22,7 @@ from gsp.errors import (
     SingularOperatorError,
 )
 from gsp.linops import DENSE_FACTOR_DENSITY, DENSE_FACTOR_LIMIT, FactorizedOperator
+from gsp.system import SOLVER_RULES, solver_inputs
 
 
 def _dense_inputs():
@@ -221,17 +222,17 @@ class TestWeightedInner:
     """The N-weighted product x^T N y (as x @ N.apply(y)) and the N^-1-weighted norm inv_norm."""
 
     def test_identity(self):
-        N = SpdPreconditioner.identity(2)
+        N = FactorizedOperator.identity(2)
         assert np.array([1.0, 1.0]) @ N.apply([1.0, 1.0]) == 2.0
         assert N.inv_norm([3.0, 4.0]) == 5.0
 
     def test_diagonal(self):
-        N = SpdPreconditioner.from_diagonal([2.0, 3.0])
+        N = factorize(np.diag([2.0, 3.0]))
         assert np.array([1.0, 1.0]) @ N.apply([1.0, 1.0]) == 5.0
         assert N.inv_norm([2.0, 3.0]) == 5.0 ** 0.5
 
     def test_scalar_norm(self):
-        N = SpdPreconditioner.from_diagonal([4.0])
+        N = factorize(np.diag([4.0]))
         assert np.array([1.0]) @ N.apply([1.0]) == 4.0
         assert N.inv_norm([4.0]) == 2.0
 
@@ -240,7 +241,7 @@ class TestWeightedInner:
         for trial in range(10):
             n = int(rng.integers(1, 9))
             g = rng.standard_normal((n, n))
-            N = SpdPreconditioner.from_matrix(SparseMatrix.from_dense(g @ g.T + n * np.eye(n)))
+            N = factorize(SparseMatrix.from_dense(g @ g.T + n * np.eye(n)))
             x, y, z = rng.standard_normal((3, n))
             a, b = rng.standard_normal(2)
             lhs = (a * x + b * z) @ N.apply(y)
@@ -474,10 +475,12 @@ class TestSpsdFactor:
 
 
 class TestSpdPreconditioner:
+    """N is an SPD FactorizedOperator; solver_inputs refuses any other kind."""
+
     def test_symmetry_and_positivity_probes(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((6, 6))
-        N = SpdPreconditioner.from_matrix(a @ a.T + 6 * np.eye(6))
+        N = factorize(a @ a.T + 6 * np.eye(6))
         for _ in range(20):
             x, y = rng.standard_normal((2, 6))
             gap = abs(x @ N.apply(y) - y @ N.apply(x))
@@ -486,22 +489,23 @@ class TestSpdPreconditioner:
 
     def test_rejects_lu_kind(self):
         op = factorize(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(NotSpdError):
-            SpdPreconditioner(op)
+        sys = SaddleSystem.from_matrices(np.eye(2), np.eye(2), np.zeros((2, 2)), np.ones(2))
+        for name in SOLVER_RULES:
+            with pytest.raises(NotSpdError):
+                solver_inputs(name, sys, op, None)
 
     def test_inv_norm(self):
-        N = SpdPreconditioner.from_diagonal([4.0])
+        N = factorize(np.diag([4.0]))
         assert N.inv_norm([2.0]) == 1.0
 
     def test_inv_norm_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            SpdPreconditioner.identity(2).inv_norm([1.0])
+            FactorizedOperator.identity(2).inv_norm([1.0])
 
     def test_inv_norm_tiny_negative_radicand_clamped(self):
         # factorize refuses a nonpositive diagonal, so build the operator directly.
         def diagonal(d):
-            return SpdPreconditioner(FactorizedOperator("diagonal", SparseMatrix.from_dense([[d]]),
-                                                        np.array([d])))
+            return FactorizedOperator("diagonal", SparseMatrix.from_dense([[d]]), np.array([d]))
 
         assert diagonal(-1e14).inv_norm([1.0]) == 0.0
         with pytest.raises(NotSpdError):

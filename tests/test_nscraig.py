@@ -338,6 +338,9 @@ class _MismatchedProducts:
     def apply(self, x):
         return self._P.apply(x)
 
+    def __getattr__(self, name):
+        return getattr(self._N, name)
+
 
 def test_lost_lagged_pass_ends_in_breakdown(monkeypatch):
     # With products by a P far from N (diagonals in [0.01, 100] against
