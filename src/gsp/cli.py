@@ -11,6 +11,7 @@ Exit codes: 0 all runs converged, 2 any non-convergence, 1 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -259,6 +260,16 @@ def write_compare(output_dir, setup_time, reports):
     print("\n".join(text))
 
 
+@contextlib.contextmanager
+def _reported_write_errors():
+    """Turn an OSError from writing the outputs (say, a directory where a file goes)
+    into a UsageError naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+
+
 def cmd_run(manifest_path, compare=False):
     """gsp run, or gsp compare: parse, execute, write histories, report; the exit code."""
     manifest = RunManifest.from_file(manifest_path)
@@ -267,11 +278,12 @@ def cmd_run(manifest_path, compare=False):
             raise UsageError("compare needs at least two solvers")
         manifest.report_error_vs_oracle = True
     setup_time, reports = execute(manifest)
-    os.makedirs(manifest.output_dir, exist_ok=True)
-    for rep in reports:
-        write_history_csv(os.path.join(manifest.output_dir, f"{rep.solver}_history.csv"),
-                          rep.result.history)
-    (write_compare if compare else write_summary)(manifest.output_dir, setup_time, reports)
+    with _reported_write_errors():
+        os.makedirs(manifest.output_dir, exist_ok=True)
+        for rep in reports:
+            write_history_csv(os.path.join(manifest.output_dir, f"{rep.solver}_history.csv"),
+                              rep.result.history)
+        (write_compare if compare else write_summary)(manifest.output_dir, setup_time, reports)
     return 0 if all(r.result.converged for r in reports) else 2
 
 
@@ -285,7 +297,8 @@ def cmd_gen(args):
                       gamma=args.gamma, oseen_wind=args.oseen_wind)
     check_output_dir(args.output)
     system, _ = generate_problem(args.kind, fields)
-    path = save_system(args.output, system)
+    with _reported_write_errors():
+        path = save_system(args.output, system)
     print(f"wrote {path} (m={system.m}, n={system.n}, M {system.M.kind})")
     return 0
 

@@ -16,7 +16,7 @@ import scipy.sparse
 
 from .errors import BreakdownError, DimensionError, WrongSolverError, ZeroRhsError
 from .linops import SparseMatrix, spsd_factor
-from .system import BREAKDOWN_TOL, SaddleSystem, rhs_norm
+from .system import BREAKDOWN_TOL, SaddleSystem, check_n, rhs_norm
 
 
 def augment(sys, rank_tolerance=1e-12):
@@ -99,6 +99,7 @@ def assemble_hessenberg(h_columns, betas, k=None):
 
 
 def _init_step(sys, N):
+    check_n(N, sys.n)
     b = sys.b
     if not np.any(b):
         raise ZeroRhsError("b must be nonzero")
@@ -117,7 +118,8 @@ def _bidiagonalize(sys, N, steps, full_mgs, reorthogonalize):
 
     reorthogonalize adds one more MGS pass over the stored right basis. Returns
     the basis, alphas, betas and the MGS coefficient columns, which are the
-    Hessenberg columns under full_mgs. Stored C entries raise WrongSolverError.
+    Hessenberg columns under full_mgs. Stored C entries raise WrongSolverError,
+    and an N that check_n refuses raises its error before any solve.
     """
     if sys.C.nnz:
         raise WrongSolverError("the oracle needs C = 0: pass augment(sys)")

@@ -12,8 +12,8 @@ BLAS build and thread count. from_dense copies dense input into that CSR
 storage by index arithmetic (a fully nonzero array is its own row-major data
 with column indices 0..cols-1 in every row), byte-identical to scipy's
 dense -> CSR conversion at about the cost of one copy. is_symmetric tests a
-fully stored matrix on its dense view and a partly stored one on K - K^T in
-CSR form, by the same rule.
+fully stored matrix on its dense view, one block of rows of K - K^T at a
+time, and a partly stored one on K - K^T in CSR form, by the same rule.
 
 factorize reads the factor kind off the matrix (diagonal, Cholesky or LU)
 and factors a sparsely stored matrix with SuperLU, straight from its CSR
@@ -25,7 +25,8 @@ eigendecomposition (capped at DENSE_EIG_LIMIT).
 M and N are both FactorizedOperators, and the solvers rely on one protocol
 for them: kind, dimension, apply (K x) and solve (K^{-1} b), plus inv_norm
 (sqrt(y^T K^{-1} y)) for an SPD kind. N must be SPD (any kind but
-lu-general) and n x n; gsp.system.solver_inputs refuses any other N.
+lu-general) and n x n; gsp.system.check_n refuses any other N, for every
+solver and for the gsp.gkb oracles.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (DimensionError, NonFiniteError, NotSpdError, NotSpsdError,
 DENSE_FACTOR_LIMIT = 5000
 DENSE_FACTOR_DENSITY = 0.2  # stored fraction of the m^2 entries above which LAPACK runs
 DENSE_EIG_LIMIT = 2000  # dimension cap of the dense eigen/singular value checks
+SYMMETRY_BLOCK = 2**15  # entries of K - K^T that is_symmetric holds at once (256 KB)
 
 
 def _as_float_vector(x, length=None, name="x"):
@@ -187,9 +189,10 @@ class SparseMatrix:
     def is_symmetric(self):
         """max|K - K^T| <= 1e-12 max|K|, computed from the stored entries only.
 
-        A fully stored K is tested on its dense view; a partly stored one
-        on the sparse difference of its CSR arrays. The matrix is immutable,
-        so the verdict is computed once and kept.
+        A fully stored K is tested on its dense view, SYMMETRY_BLOCK entries
+        of K - K^T at a time, stopping at the first block over the bound; a
+        partly stored one on the sparse difference of its CSR arrays. The
+        matrix is immutable, so the verdict is computed once and kept.
         """
         return self._symmetric
 
@@ -199,9 +202,16 @@ class SparseMatrix:
             return False
         if self._full is not None:
             full = self._full
-            gap = full - full.T
             scale = max(full.max(), -full.min())  # max|K| without a temporary
-            return bool(np.abs(gap, out=gap).max() <= 1e-12 * max(scale, 1e-300))
+            bound = 1e-12 * max(scale, 1e-300)
+            step = min(self.rows, max(1, SYMMETRY_BLOCK // self.cols))
+            buf = np.empty((step, self.cols))  # one row block of K - K^T, reused
+            for r in range(0, self.rows, step):
+                gap = np.subtract(full[r:r + step], full[:, r:r + step].T,
+                                  out=buf[:min(step, self.rows - r)])
+                if not np.abs(gap, out=gap).max() <= bound:  # a NaN fails too
+                    return False
+            return True
         gap = abs(self.csr - self._transposed)
         scale = np.abs(self.values).max() if self.nnz else 0.0
         return bool((gap.max() if gap.nnz else 0.0) <= 1e-12 * max(scale, 1e-300))

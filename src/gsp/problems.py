@@ -54,19 +54,38 @@ class RandomSpec:
 
 
 def gen_random(spec):
-    """Deterministic random instance: same seed, bit-identical system."""
+    """Deterministic random instance: same seed, bit-identical system.
+
+    M and C (and a rank-repaired A) go through LAPACK and BLAS, so their bits
+    hold for a fixed BLAS build and thread count: one thread and two give
+    different M at m = 600.
+
+    Every m x m temporary is dropped as soon as it is used and each
+    elementwise step runs in place, with the bits of the out-of-place
+    expression; M and A go to CSR storage once final, so no dense copy of
+    either outlives its construction.
+    """
     rng = np.random.default_rng(spec.seed)
     m, n = spec.m, spec.n
     lo, hi = spec.spectrum
 
-    Qm, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    Qm = np.linalg.qr(rng.standard_normal((m, m)))[0]
     lam = rng.uniform(lo, hi, m)
     Md = (Qm * lam) @ Qm.T
-    Md = (Md + Md.T) / 2.0
+    del Qm
+    Md = Md + Md.T  # (Md + Md^T) / 2 with one m x m temporary
+    Md /= 2.0
     if spec.skew_strength != 0.0:
         mask = rng.random((m, m)) < spec.density
-        K = rng.standard_normal((m, m)) * mask
-        Md = Md + spec.skew_strength * (K - K.T)
+        K = rng.standard_normal((m, m))
+        K *= mask
+        del mask
+        K = K - K.T
+        K *= spec.skew_strength
+        Md += K
+        del K
+    Mmat = SparseMatrix.from_dense(Md)
+    del Md
 
     per_col = int(np.ceil(spec.density * m))
     if per_col < 1:
@@ -85,6 +104,8 @@ def gen_random(spec):
         Ad = (U * sv) @ Vt
         if np.linalg.matrix_rank(Ad) < n:
             raise RankRepairError("rank repair failed at this sparsity")
+    A = SparseMatrix.from_dense(Ad)
+    del Ad
 
     if spec.c_rank == 0:
         Cd = np.zeros((n, n))
@@ -95,7 +116,7 @@ def gen_random(spec):
         Cd = (Cd + Cd.T) / 2.0
 
     b = rng.standard_normal(n)
-    return SaddleSystem.from_matrices(Md, Ad, Cd, b)
+    return SaddleSystem.from_matrices(Mmat, A, Cd, b)
 
 
 def validate_system(sys):

@@ -196,15 +196,25 @@ SOLVER_RULES = {
 }
 
 
+def check_n(N, n):
+    """The rule on N shared by the solvers and the gsp.gkb oracles.
+
+    NotSpdError if N is LU-factored (factorize gives only a nonsymmetric N
+    lu-general), DimensionError if N is not n x n.
+    """
+    if N.kind == "lu-general":
+        raise NotSpdError("N must be symmetric positive definite")
+    if N.dimension != n:
+        raise DimensionError(f"N is {N.dimension} x {N.dimension}, expected n = {n}")
+
+
 def solver_inputs(name, sys, N, cfg):
     """(N, cfg) for solver name on sys, defaulted, or the refusal SOLVER_RULES names.
 
     N defaults to the identity and cfg to SolverConfig(). WrongSolverError if
     the solver needs a symmetric M and sys's is not, or if cfg's criterion is
     'error-estimate' and the solver has no estimate (under 'both' it stops on
-    the relative residual); NotSpdError if N is LU-factored (factorize gives
-    only a nonsymmetric N lu-general), DimensionError if N is not n x n;
-    ZeroRhsError if b is zero.
+    the relative residual); check_n's refusal of N; ZeroRhsError if b is zero.
     """
     rule = SOLVER_RULES[name]
     cfg = SolverConfig() if cfg is None else cfg
@@ -214,10 +224,7 @@ def solver_inputs(name, sys, N, cfg):
     if cfg.criterion == CRITERION_ERROR and not rule.error_estimate:
         raise WrongSolverError(f"{name} has no error estimate; use criterion "
                                f"'{CRITERION_RESIDUAL}' or '{CRITERION_BOTH}'")
-    if N.kind == "lu-general":
-        raise NotSpdError("N must be symmetric positive definite")
-    if N.dimension != sys.n:
-        raise DimensionError(f"N is {N.dimension} x {N.dimension}, expected n = {sys.n}")
+    check_n(N, sys.n)
     if not np.any(sys.b):
         raise ZeroRhsError("b must be nonzero")
     return N, cfg

@@ -468,29 +468,37 @@ def test_non_spd_or_mis_sized_n_refused_before_any_solve(tmp_path, capsys, monke
     assert solves == [] and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+@pytest.mark.parametrize("where", ["existing-file", "under-a-file", "output-file-is-a-directory"])
 @pytest.mark.parametrize("verb", ["run", "compare", "gen"])
 def test_output_path_that_cannot_be_a_directory_is_one_error_line(tmp_path, capsys,
                                                                    monkeypatch, verb, where):
     def never(*args):
         raise AssertionError("ran before the output path was checked")
 
-    for name in SOLVERS:
-        monkeypatch.setitem(SOLVERS, name, never)
-    monkeypatch.setattr(gsp.cli, "gen_stokes_channel_detailed", never)
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    out = blocker if where == "existing-file" else blocker / "out"
+    if where == "output-file-is-a-directory":  # seen only once every solve has run
+        out = tmp_path / "out"
+        blocker = out / ("system.json" if verb == "gen" else "craig_history.csv")
+        blocker.mkdir(parents=True)
+        expected = f"cannot write {blocker}: Is a directory"
+    else:
+        for name in SOLVERS:
+            monkeypatch.setitem(SOLVERS, name, never)
+        monkeypatch.setattr(gsp.cli, "gen_stokes_channel_detailed", never)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker if where == "existing-file" else blocker / "out"
+        expected = f"output directory {out} cannot be created: {blocker} is not a directory"
     if verb == "gen":
         argv = ["gen", "stokes", "--nx", "4", "--ny", "4", "-o", str(out)]
     else:
         argv = [verb, write_manifest(tmp_path / "m.json", problem=RANDOM,
                                      solvers=["craig", "scr-cg"], output_dir=str(out))]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err == (f"gsp: error: output directory {out} cannot be created: "
-                   f"{blocker} is not a directory\n")
-    assert blocker.read_text() == ""
+    assert capsys.readouterr().err == f"gsp: error: {expected}\n"
+    if where == "output-file-is-a-directory":
+        assert not any(blocker.iterdir())
+    else:
+        assert blocker.read_text() == ""
 
 
 def test_outputs_deterministic_across_runs(tmp_path):

@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_preconditioner, random_system
+from conftest import LoggedSolves, random_preconditioner, random_system
 from gsp import (
     FactorizedOperator,
     augment,
+    factorize,
     gkb_nonsymmetric,
     gkb_symmetric,
     verify_decomposition,
 )
 from gsp.craig import craig_solve
-from gsp.errors import WrongSolverError, ZeroRhsError
+from gsp.errors import DimensionError, NotSpdError, WrongSolverError, ZeroRhsError
 from gsp.nscraig import nscraig_solve
 from gsp.system import SaddleSystem, SolverConfig
 
@@ -43,6 +44,17 @@ class TestSymmetric:
         sys0 = SaddleSystem(hand_system.M, hand_system.A, hand_system.C, np.zeros(1))
         with pytest.raises(ZeroRhsError):
             gkb_symmetric(augment(sys0), FactorizedOperator.identity(1), steps=1)
+
+    @pytest.mark.parametrize("case, refusal", [("nonsymmetric", NotSpdError),
+                                               ("dimension-n-plus-1", DimensionError)])
+    @pytest.mark.parametrize("oracle", [gkb_symmetric, gkb_nonsymmetric])
+    def test_n_refused_before_any_solve(self, oracle, case, refusal):
+        sys = random_system(40, 20, c_rank=0, seed=3)
+        K = 2.0 * np.eye(20) + np.eye(20, k=1) if case == "nonsymmetric" else np.eye(21)
+        solves = []
+        with pytest.raises(refusal):
+            oracle(sys, LoggedSolves(factorize(K), solves), steps=5)
+        assert solves == []
 
     def test_full_length_identities(self):
         sys = random_system(8, 4, c_rank=2, seed=7)

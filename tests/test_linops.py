@@ -1,5 +1,7 @@
 """Kernels, factorizations, and the SPD preconditioner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -178,24 +180,43 @@ class TestSparseMatrix:
         with pytest.raises(DimensionError, match="1-D or 2-D"):
             SparseMatrix.from_dense(np.ones((2, 3, 4)))
 
-    @pytest.mark.parametrize("n", [2, 9])
-    @pytest.mark.parametrize("factor, symmetric", [(0.0, True), (0.9, True), (1.1, False)])
+    @pytest.mark.parametrize("n", [2, 9, 400])  # 400: five row blocks of the dense scan
+    @pytest.mark.parametrize("factor, symmetric",
+                             [(0.0, True), (0.9, True), (1.0, True), (1.1, False)])
     def test_dense_view_symmetry_agrees_with_csr_path(self, n, factor, symmetric):
         """A fully stored K is tested on its dense view by the CSR path's rule.
 
         K padded with a zero row and column has the same max|K| and max|K - K^T|
-        but is partly stored, so it runs the CSR path.
+        but is partly stored, so it runs the CSR path. The gap x = factor times
+        the bound 1e-12 max|K| is exact (2x - x = x) and sits in the last two
+        rows, so the dense scan finds it only in its last row block.
         """
         rng = np.random.default_rng(n)
         g = rng.standard_normal((n, n))
         k = g + g.T
-        k[0, 1] += factor * 1e-12 * np.abs(k).max()
+        if factor:
+            k[-2, -1] = k[-1, -2] = 0.0
+            x = factor * (1e-12 * np.abs(k).max())
+            k[-2, -1], k[-1, -2] = x, 2.0 * x
         padded = np.zeros((n + 1, n + 1))
         padded[:n, :n] = k
         K, P = SparseMatrix.from_dense(k), SparseMatrix.from_dense(padded)
         assert K._full is not None and P._full is None
         assert K.is_symmetric() is symmetric
         assert P.is_symmetric() is symmetric
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_dense_view_symmetry_holds_no_m_by_m_temporary(self, symmetric):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((500, 500))
+        K = SparseMatrix.from_dense(g + g.T if symmetric else g)
+        tracemalloc.start()
+        try:
+            assert K.is_symmetric() is symmetric
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500**2 * 8 / 4
 
     def test_dense_view_symmetry_refuses_non_square(self):
         a = np.ones((3, 4))

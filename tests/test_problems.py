@@ -1,11 +1,17 @@
 """Generators, RHS compression, and problem validators."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys as _sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsp
 from gsp import (
     RandomSpec,
     SolverConfig,
@@ -25,6 +31,8 @@ from gsp import (
 )
 from gsp.errors import DimensionError
 from gsp.linops import DENSE_FACTOR_DENSITY
+
+SRC = str(Path(gsp.__file__).resolve().parents[1])  # the directory that holds gsp
 
 
 class TestGenRandom:
@@ -79,6 +87,84 @@ class TestGenRandom:
         sys = gen_random(RandomSpec(m=6, n=4, density=0.1, seed=1))
         assert sys.A.nnz > sys.n  # repaired: no longer one entry per column
         assert np.linalg.matrix_rank(sys.A.to_dense()) == sys.n
+
+    # Each pin: RandomSpec fields, then the sha256 of M, A and C (CSR data,
+    # indices and indptr, each dtype string before its bytes) and of b. M and
+    # C go through LAPACK's QR and BLAS gemm, whose bits depend on the BLAS
+    # build, its kernels and its thread count: these were taken with one
+    # OpenBLAS 0.3.31 thread on an AVX-512 x86-64 CPU, the thread count
+    # bench/run.py generates random600-nscraig with. A and b come from the
+    # generator alone.
+    RANDOM_PINS = {
+        "random600-seed1": (
+            dict(m=600, n=300, skew_strength=0.5, c_rank=150, seed=1),
+            ("1ad0c8a85869c916fd219cc137b325798ea47f8cbdb77076f360efd74660a184",
+             "6a7bd773e50589876e1d5dd5ab86550f29259e90af817ad6a3c11b00c18cc3bd",
+             "20575e64438e127518618f43596a0d31922fe96be1c875ef61593667ddb52a70",
+             "0ac34e631573367fca6d0626dbed84abc4c0ba3f564123a9f030fa18e42792b7")),
+        "random600-seed7": (
+            dict(m=600, n=300, skew_strength=0.5, c_rank=150, seed=7),
+            ("fae0ac9a4b6b75d186c309fd2e5b8dfa31c0f095d49e6563d89ff25d362732d9",
+             "1e5bc7a845cd4d146e1f5ac8579e8a2df85b61752a19ab4f3202f43356cef5a3",
+             "ae97ebdeec98f5ed5d5b71254a041b17cd5c6d201ed65f7cafa011f440d33ca5",
+             "11010df4b6709418c65cfd25ea70913f54848b4149b1f38e917d919a30d600d1")),
+        "rank-repair": (
+            dict(m=6, n=4, density=0.1, seed=1),
+            ("12f622448718ea544232156cca42445b97481e6910c42a89a57651ad4a7c4a85",
+             "da947d8b5dbd888da0c4293fbba396d8db49492706b1dd097098e0e211490fb5",
+             "cee5afc848d43d58a33def75f91f3b1b9662a08d431d13dd55cf7f184f1f61f2",
+             "8f793c4e2001c61e2925d71ee2f56a8828f59ea29373077d2ac03c55a9576784")),
+    }
+
+    @pytest.fixture(scope="class")
+    def one_thread_digests(self):
+        """Digests of the RANDOM_PINS instances, generated in a child process
+        whose BLAS runs on one thread (the count is fixed when numpy loads)."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        specs = json.dumps({name: fields for name, (fields, _) in self.RANDOM_PINS.items()})
+        child = subprocess.run([_sys.executable, "-c", DIGEST_SCRIPT, specs], env=env,
+                               check=True, capture_output=True, text=True)
+        return json.loads(child.stdout)
+
+    @pytest.mark.parametrize("name", list(RANDOM_PINS))
+    def test_blocks_are_pinned_bitwise(self, one_thread_digests, name):
+        assert tuple(one_thread_digests[name]) == self.RANDOM_PINS[name][1]
+
+    def test_generation_peak_memory(self):
+        # The bound sits between this generator's 4.4 m^2 doubles and the
+        # 8.0 of one that keeps QR's factors, the skew temporaries and the
+        # dense M alive until the system is built.
+        spec = RandomSpec(m=400, n=200, skew_strength=0.5, c_rank=100, seed=1)
+        tracemalloc.start()
+        try:
+            gen_random(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * spec.m**2 * 8
+
+
+# Prints {name: [sha256 of M, A, C, b]} for the {name: RandomSpec fields} in argv[1].
+DIGEST_SCRIPT = """
+import hashlib, json, sys
+from gsp import RandomSpec, gen_random
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(arr.dtype.str.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+out = {}
+for name, fields in json.loads(sys.argv[1]).items():
+    s = gen_random(RandomSpec(**fields))
+    out[name] = [digest(S.csr.data, S.csr.indices, S.csr.indptr)
+                 for S in (s.Mmat, s.A, s.C)] + [digest(s.b)]
+print(json.dumps(out))
+"""
 
 
 class TestGenStokes:
