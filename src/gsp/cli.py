@@ -261,13 +261,14 @@ def write_compare(output_dir, setup_time, reports):
 
 
 @contextlib.contextmanager
-def _reported_write_errors():
-    """Turn an OSError from writing the outputs (say, a directory where a file goes)
-    into a UsageError naming the file."""
+def _reported_write_errors(output_dir):
+    """Turn an OSError from writing the outputs (say, a directory where a file goes,
+    or a full disk) into a UsageError naming the file, or output_dir if none."""
     try:
         yield
     except OSError as exc:
-        raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+        raise UsageError(f"cannot write {exc.filename or output_dir}: "
+                         f"{exc.strerror or exc}") from exc
 
 
 def cmd_run(manifest_path, compare=False):
@@ -278,7 +279,7 @@ def cmd_run(manifest_path, compare=False):
             raise UsageError("compare needs at least two solvers")
         manifest.report_error_vs_oracle = True
     setup_time, reports = execute(manifest)
-    with _reported_write_errors():
+    with _reported_write_errors(manifest.output_dir):
         os.makedirs(manifest.output_dir, exist_ok=True)
         for rep in reports:
             write_history_csv(os.path.join(manifest.output_dir, f"{rep.solver}_history.csv"),
@@ -297,7 +298,7 @@ def cmd_gen(args):
                       gamma=args.gamma, oseen_wind=args.oseen_wind)
     check_output_dir(args.output)
     system, _ = generate_problem(args.kind, fields)
-    with _reported_write_errors():
+    with _reported_write_errors(args.output):
         path = save_system(args.output, system)
     print(f"wrote {path} (m={system.m}, n={system.n}, M {system.M.kind})")
     return 0

@@ -1,8 +1,10 @@
 """CLI harness: manifests, histories, summaries, comparison tables."""
 
 import csv
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -468,7 +470,8 @@ def test_non_spd_or_mis_sized_n_refused_before_any_solve(tmp_path, capsys, monke
     assert solves == [] and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("where", ["existing-file", "under-a-file", "output-file-is-a-directory"])
+@pytest.mark.parametrize("where", ["existing-file", "under-a-file", "output-file-is-a-directory",
+                                   "disk-full"])
 @pytest.mark.parametrize("verb", ["run", "compare", "gen"])
 def test_output_path_that_cannot_be_a_directory_is_one_error_line(tmp_path, capsys,
                                                                    monkeypatch, verb, where):
@@ -480,6 +483,13 @@ def test_output_path_that_cannot_be_a_directory_is_one_error_line(tmp_path, caps
         blocker = out / ("system.json" if verb == "gen" else "craig_history.csv")
         blocker.mkdir(parents=True)
         expected = f"cannot write {blocker}: Is a directory"
+    elif where == "disk-full":  # an OSError that names no file
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(gsp.cli, "save_system" if verb == "gen" else "write_history_csv", full)
+        out = tmp_path / "out"
+        expected = f"cannot write {out}: {os.strerror(errno.ENOSPC)}"
     else:
         for name in SOLVERS:
             monkeypatch.setitem(SOLVERS, name, never)
@@ -497,6 +507,8 @@ def test_output_path_that_cannot_be_a_directory_is_one_error_line(tmp_path, caps
     assert capsys.readouterr().err == f"gsp: error: {expected}\n"
     if where == "output-file-is-a-directory":
         assert not any(blocker.iterdir())
+    elif where == "disk-full":
+        assert not (out / "summary.csv").exists() and not (out / "compare.csv").exists()
     else:
         assert blocker.read_text() == ""
 

@@ -1,19 +1,14 @@
 """Generators, RHS compression, and problem validators."""
 
 import hashlib
-import json
-import os
-import subprocess
-import sys as _sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import gsp
 from gsp import (
     RandomSpec,
+    SaddleSystem,
     SolverConfig,
     SparseMatrix,
     StokesSpec,
@@ -31,8 +26,6 @@ from gsp import (
 )
 from gsp.errors import DimensionError
 from gsp.linops import DENSE_FACTOR_DENSITY
-
-SRC = str(Path(gsp.__file__).resolve().parents[1])  # the directory that holds gsp
 
 
 class TestGenRandom:
@@ -88,49 +81,55 @@ class TestGenRandom:
         assert sys.A.nnz > sys.n  # repaired: no longer one entry per column
         assert np.linalg.matrix_rank(sys.A.to_dense()) == sys.n
 
-    # Each pin: RandomSpec fields, then the sha256 of M, A and C (CSR data,
-    # indices and indptr, each dtype string before its bytes) and of b. M and
-    # C go through LAPACK's QR and BLAS gemm, whose bits depend on the BLAS
-    # build, its kernels and its thread count: these were taken with one
-    # OpenBLAS 0.3.31 thread on an AVX-512 x86-64 CPU, the thread count
-    # bench/run.py generates random600-nscraig with. A and b come from the
-    # generator alone.
+    # RandomSpec fields, then sha256 digests of what no LAPACK or BLAS call
+    # touches, so they hold on every host: the CSR pattern (indices, indptr)
+    # of M, A and C, A's values outside the rank-repair branch, and b. Each
+    # array adds its dtype string, then its bytes. Taken from the generator
+    # as it was before it ran in place.
     RANDOM_PINS = {
         "random600-seed1": (
             dict(m=600, n=300, skew_strength=0.5, c_rank=150, seed=1),
-            ("1ad0c8a85869c916fd219cc137b325798ea47f8cbdb77076f360efd74660a184",
+            ("d104dbf2f6f79e10084c840ffe3fbbcbaa39065308219986b0c1722d5e1ec8e3",
              "6a7bd773e50589876e1d5dd5ab86550f29259e90af817ad6a3c11b00c18cc3bd",
-             "20575e64438e127518618f43596a0d31922fe96be1c875ef61593667ddb52a70",
+             "c709e675c02f1fa5468757ac319b1c56e6efcf2aaafd0301314095a80c5ac00e",
              "0ac34e631573367fca6d0626dbed84abc4c0ba3f564123a9f030fa18e42792b7")),
         "random600-seed7": (
             dict(m=600, n=300, skew_strength=0.5, c_rank=150, seed=7),
-            ("fae0ac9a4b6b75d186c309fd2e5b8dfa31c0f095d49e6563d89ff25d362732d9",
+            ("d104dbf2f6f79e10084c840ffe3fbbcbaa39065308219986b0c1722d5e1ec8e3",
              "1e5bc7a845cd4d146e1f5ac8579e8a2df85b61752a19ab4f3202f43356cef5a3",
-             "ae97ebdeec98f5ed5d5b71254a041b17cd5c6d201ed65f7cafa011f440d33ca5",
+             "c709e675c02f1fa5468757ac319b1c56e6efcf2aaafd0301314095a80c5ac00e",
              "11010df4b6709418c65cfd25ea70913f54848b4149b1f38e917d919a30d600d1")),
         "rank-repair": (
             dict(m=6, n=4, density=0.1, seed=1),
-            ("12f622448718ea544232156cca42445b97481e6910c42a89a57651ad4a7c4a85",
-             "da947d8b5dbd888da0c4293fbba396d8db49492706b1dd097098e0e211490fb5",
-             "cee5afc848d43d58a33def75f91f3b1b9662a08d431d13dd55cf7f184f1f61f2",
+            ("d68558317348510a2a0ea571e386ea9c8613ef45b9101dcca41cfebf41e42641",
+             "e6b54d811426ec98e19cf806c8664eea2bf2c4a2c0cc5eff21cfd22ad893ba43",
+             "6f9f77974b91b7a7639193cd9a3e11c9ed8ce5a0724d87e9f330e238481ec724",
              "8f793c4e2001c61e2925d71ee2f56a8828f59ea29373077d2ac03c55a9576784")),
     }
 
-    @pytest.fixture(scope="class")
-    def one_thread_digests(self):
-        """Digests of the RANDOM_PINS instances, generated in a child process
-        whose BLAS runs on one thread (the count is fixed when numpy loads)."""
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-        specs = json.dumps({name: fields for name, (fields, _) in self.RANDOM_PINS.items()})
-        child = subprocess.run([_sys.executable, "-c", DIGEST_SCRIPT, specs], env=env,
-                               check=True, capture_output=True, text=True)
-        return json.loads(child.stdout)
+    @pytest.mark.parametrize("name", list(RANDOM_PINS))
+    def test_blas_free_outputs_are_pinned(self, name):
+        fields, pins = self.RANDOM_PINS[name]
+        sys = gen_random(RandomSpec(**fields))
+        repaired = name == "rank-repair"
+        digests = (_digest(sys.Mmat.csr.indices, sys.Mmat.csr.indptr),
+                   _digest(*([] if repaired else [sys.A.csr.data]),
+                           sys.A.csr.indices, sys.A.csr.indptr),
+                   _digest(sys.C.csr.indices, sys.C.csr.indptr),
+                   _digest(sys.b))
+        assert digests == pins
 
     @pytest.mark.parametrize("name", list(RANDOM_PINS))
-    def test_blocks_are_pinned_bitwise(self, one_thread_digests, name):
-        assert tuple(one_thread_digests[name]) == self.RANDOM_PINS[name][1]
+    def test_blocks_match_the_out_of_place_generator(self, name):
+        # Both run in this process, so the BLAS build and thread count act
+        # on both sides alike and the comparison holds on any host.
+        spec = RandomSpec(**self.RANDOM_PINS[name][0])
+        sys, ref = gen_random(spec), _out_of_place_random(spec)
+        for S, R in ((sys.Mmat, ref.Mmat), (sys.A, ref.A), (sys.C, ref.C)):
+            for got, want in ((S.csr.data, R.csr.data), (S.csr.indices, R.csr.indices),
+                              (S.csr.indptr, R.csr.indptr)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(sys.b, ref.b)
 
     def test_generation_peak_memory(self):
         # The bound sits between this generator's 4.4 m^2 doubles and the
@@ -146,25 +145,45 @@ class TestGenRandom:
         assert peak < 6 * spec.m**2 * 8
 
 
-# Prints {name: [sha256 of M, A, C, b]} for the {name: RandomSpec fields} in argv[1].
-DIGEST_SCRIPT = """
-import hashlib, json, sys
-from gsp import RandomSpec, gen_random
-
-def digest(*arrays):
+def _digest(*arrays):
     h = hashlib.sha256()
     for arr in arrays:
         h.update(arr.dtype.str.encode())
         h.update(arr.tobytes())
     return h.hexdigest()
 
-out = {}
-for name, fields in json.loads(sys.argv[1]).items():
-    s = gen_random(RandomSpec(**fields))
-    out[name] = [digest(S.csr.data, S.csr.indices, S.csr.indptr)
-                 for S in (s.Mmat, s.A, s.C)] + [digest(s.b)]
-print(json.dumps(out))
-"""
+
+def _out_of_place_random(spec):
+    """gen_random as it read before its steps ran in place: the same RNG calls
+    in the same order, each step a new array, every block dense until built."""
+    rng = np.random.default_rng(spec.seed)
+    m, n = spec.m, spec.n
+    Qm, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    lam = rng.uniform(*spec.spectrum, m)
+    Md = (Qm * lam) @ Qm.T
+    Md = (Md + Md.T) / 2.0
+    if spec.skew_strength != 0.0:
+        mask = rng.random((m, m)) < spec.density
+        K = rng.standard_normal((m, m)) * mask
+        Md = Md + spec.skew_strength * (K - K.T)
+    per_col = int(np.ceil(spec.density * m))
+    Ad = np.zeros((m, n))
+    for j in range(n):
+        rows = rng.choice(m, size=per_col, replace=False)
+        Ad[rows, j] = rng.standard_normal(per_col)
+    sv = np.linalg.svd(Ad, compute_uv=False)
+    if np.any(sv < 1e-10 * sv[0]):
+        U, sv, Vt = np.linalg.svd(Ad, full_matrices=False)
+        Ad = (U * np.where(sv < 1e-10 * sv[0], 1e-2 * sv[0], sv)) @ Vt
+    if spec.c_rank == 0:
+        Cd = np.zeros((n, n))
+    else:
+        Qc, _ = np.linalg.qr(rng.standard_normal((n, spec.c_rank)))
+        lam_c = rng.uniform(1.0, 2.0, spec.c_rank)
+        Cd = (Qc * lam_c) @ Qc.T
+        Cd = (Cd + Cd.T) / 2.0
+    b = rng.standard_normal(n)
+    return SaddleSystem.from_matrices(Md, Ad, Cd, b)
 
 
 class TestGenStokes:
