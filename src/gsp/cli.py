@@ -38,8 +38,7 @@ SOLVERS = {
     "pgmres": pgmres_solve,
 }
 SPECS = {"random": RandomSpec, "stokes": StokesSpec}
-CONFIG_KEYS = ("tolerance", "max_iterations", "criterion", "error_delay", "reorthogonalize")
-JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string"}
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig) if f.name != "keep_basis")
 HISTORY_COLUMNS = tuple(f.name for f in dataclasses.fields(ConvergenceRecord))
 
 
@@ -47,19 +46,48 @@ class UsageError(GspError):
     """Bad manifest or incompatible solver selection (exit code 1)."""
 
 
+def _refuse_unknown(what, keys, known):
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise UsageError(f"unknown {what} keys: {unknown}")
+
+
 @dataclasses.dataclass
 class RunManifest:
-    """Parsed run description."""
+    """Parsed run description: each top-level key is a field, checked before build_problem.
+
+    config is given as the manifest's JSON object and stored as the SolverConfig it describes.
+    """
 
     problem: dict
     solvers: list[str]
-    config: SolverConfig
-    output_dir: str
+    config: SolverConfig = dataclasses.field(default_factory=dict)
+    output_dir: str = "."
     report_error_vs_oracle: bool = False
     preconditioner: str | None = None
 
     def __post_init__(self):
-        check_fields(self, report_error_vs_oracle=bool)
+        check_fields(self, problem=dict, solvers=list, config=dict, output_dir=str,
+                     report_error_vs_oracle=bool)
+        unknown = [s for s in self.solvers if not isinstance(s, str) or s not in SOLVERS]
+        if unknown:
+            raise UsageError(f"unknown solvers: {unknown}")
+        if self.preconditioner not in (None, "identity", "pressure-mass"):
+            raise UsageError(f"unknown preconditioner {self.preconditioner!r}")
+        if (self.preconditioner == "pressure-mass"
+                and self.problem.get("source") != "generate-stokes"):
+            raise UsageError("pressure-mass preconditioner needs a generated stokes problem")
+        cfg = self.config
+        criterion = cfg.get("criterion")
+        if isinstance(criterion, dict):  # {"error-estimate": d}
+            if len(criterion) != 1:
+                raise UsageError(f"criterion object must have exactly one entry, got {criterion}")
+            (cfg["criterion"], cfg["error_delay"]), = criterion.items()
+        _refuse_unknown("config", cfg, CONFIG_KEYS)
+        try:
+            self.config = SolverConfig(**cfg)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad config: {exc}") from exc
 
     @classmethod
     def from_file(cls, path):
@@ -70,36 +98,13 @@ class RunManifest:
             raise UsageError(f"cannot read manifest {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError(f"manifest {path} must hold a JSON object")
+        _refuse_unknown("manifest", doc, (f.name for f in dataclasses.fields(cls)))
+        missing = [f.name for f in dataclasses.fields(cls) if f.name not in doc
+                   and f.default is f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise UsageError(f"manifest missing keys: {missing}")
         try:
-            problem, solvers = doc["problem"], doc["solvers"]
-        except KeyError as exc:
-            raise UsageError(f"manifest missing key {exc}") from exc
-        cfg_doc = doc.get("config", {})
-        output_dir = doc.get("output_dir", ".")
-        for key, value, kind in (("problem", problem, dict), ("solvers", solvers, list),
-                                 ("config", cfg_doc, dict), ("output_dir", output_dir, str)):
-            if not isinstance(value, kind):
-                raise UsageError(f"manifest '{key}' must be a JSON {JSON_TYPE_NAMES[kind]}, "
-                                 f"got {value!r}")
-        cfg_doc = dict(cfg_doc)
-        criterion = cfg_doc.get("criterion")
-        if isinstance(criterion, dict):  # {"error-estimate": d}
-            if len(criterion) != 1:
-                raise UsageError(f"criterion object must have exactly one entry, got {criterion}")
-            (cfg_doc["criterion"], cfg_doc["error_delay"]), = criterion.items()
-        unknown = sorted(set(cfg_doc) - set(CONFIG_KEYS))
-        if unknown:
-            raise UsageError(f"unknown config keys: {unknown}")
-        try:
-            cfg = SolverConfig(**cfg_doc)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad config: {exc}") from exc
-        unknown = [s for s in solvers if not isinstance(s, str) or s not in SOLVERS]
-        if unknown:
-            raise UsageError(f"unknown solvers: {unknown}")
-        try:
-            return cls(problem, solvers, cfg, output_dir,
-                       doc.get("report_error_vs_oracle", False), doc.get("preconditioner"))
+            return cls(**doc)
         except TypeError as exc:
             raise UsageError(f"manifest {exc}") from exc
 
@@ -111,9 +116,7 @@ def generate_problem(kind, fields):
     pressure-mass diagonal, None for a random instance.
     """
     spec_type = SPECS[kind]
-    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(spec_type)})
-    if unknown:
-        raise UsageError(f"unknown problem keys: {unknown}")
+    _refuse_unknown("problem", fields, (f.name for f in dataclasses.fields(spec_type)))
     try:
         spec = spec_type(**fields)
     except (TypeError, ValueError) as exc:
@@ -140,19 +143,12 @@ def build_problem(manifest):
         path = fields.pop("path", None)
         if not isinstance(path, str):  # open(0) would read stdin
             raise UsageError(f"load source needs a string 'path', got {path!r}")
-        if fields:
-            raise UsageError(f"unknown problem keys: {sorted(fields)}")
+        _refuse_unknown("problem", fields, ())
         system = load_system(path)
     else:
         raise UsageError(f"unknown problem source '{source}'")
     setup_time = time.perf_counter() - t0
-
-    choice = manifest.preconditioner
-    if choice not in (None, "identity", "pressure-mass"):
-        raise UsageError(f"unknown preconditioner '{choice}'")
-    if choice == "pressure-mass" and precond is None:
-        raise UsageError("pressure-mass preconditioner needs a generated stokes problem")
-    if choice == "identity" or precond is None:
+    if manifest.preconditioner == "identity" or precond is None:
         precond = FactorizedOperator.identity(system.n)
     return system, precond, setup_time
 

@@ -387,20 +387,17 @@ def spsd_factor(C, rank_tolerance=1e-12):
 
     w holds the eigenvalues above rank_tolerance * lambda_max and E the
     corresponding eigenvectors as rows (len(w) x n), so a zero C gives a
-    0 x n E. An eigenvalue below -rank_tolerance * lambda_max raises
-    NotSpsdError.
+    0 x n E. A C that fails is_symmetric, the rule SaddleSystem applies to
+    C, or an eigenvalue below -rank_tolerance * lambda_max raises NotSpsdError.
     """
-    shape = np.shape(C)  # before densifying: a SparseMatrix has a shape
-    if len(shape) != 2 or shape[0] != shape[1]:
+    C = as_sparse(C)
+    if C.rows != C.cols:
         raise DimensionError("spsd_factor requires a square matrix")
-    n = shape[0]
-    if n > DENSE_EIG_LIMIT:
+    if C.rows > DENSE_EIG_LIMIT:  # before densifying
         raise DimensionError(f"dense eigendecomposition capped at dimension {DENSE_EIG_LIMIT}")
-    dense = np.asarray(C, dtype=float)
-    norm_c = np.linalg.norm(dense)
-    if np.linalg.norm(dense - dense.T) > 1e-12 * max(norm_c, 1e-300):
+    if not C.is_symmetric():
         raise NotSpsdError("matrix is not symmetric")
-    w, v = np.linalg.eigh(dense)
+    w, v = np.linalg.eigh(C.to_dense())
     cutoff = rank_tolerance * max(float(w.max()), 0.0)
     if float(w.min()) < -cutoff:
         raise NotSpsdError(f"negative eigenvalue {w.min()} below -{cutoff}")

@@ -27,10 +27,11 @@ _SCIPY_LINE = re.compile(r"Line (\d+): (.*)", re.DOTALL)
 
 
 def write_matrix_market(path, A):
-    """Write a SparseMatrix in coordinate real general format."""
+    """Write a SparseMatrix in coordinate real general format to exactly path."""
     import scipy.io
 
-    scipy.io.mmwrite(path, A.csr, symmetry="general")
+    with open(path, "wb") as fh:  # given a name, mmwrite appends .mtx and skips a directory
+        scipy.io.mmwrite(fh, A.csr, symmetry="general")
 
 
 def write_vector(path, v):

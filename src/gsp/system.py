@@ -21,7 +21,8 @@ BREAKDOWN_TOL = 1e-14  # relative threshold at or below which an alpha or a beta
 
 
 _KINDS = {bool: (bool, "true or false"), int: (numbers.Integral, "an integer"),
-          float: (numbers.Real, "a number")}
+          float: (numbers.Real, "a number"), str: (str, "a string"),
+          dict: (dict, "a JSON object"), list: (list, "a JSON array")}
 
 
 def _checked(name, value, kind):
@@ -44,9 +45,10 @@ def check_fields(obj, **kinds):
 
     kinds maps a field name to int (a count: any Integral but bool, np.int64
     too, stored as int), float (a finite real: any Real but bool, stored as
-    float), bool (a flag) or tuple (a pair of finite reals, stored as a tuple).
-    A wrong type raises TypeError, a non-finite real ValueError; both messages
-    name the field and the value.
+    float), bool (a flag), tuple (a pair of finite reals, stored as a tuple),
+    or str, dict or list (a JSON string, object or array). A wrong type
+    raises TypeError, a non-finite real ValueError; both messages name the
+    field and the value.
     """
     for name, kind in kinds.items():
         object.__setattr__(obj, name, _checked(name, getattr(obj, name), kind))

@@ -155,19 +155,31 @@ class TestRun:
          "bad config: 'tolerance' must be finite, got nan"),
         ({"problem": {"source": "generate-stokes", "nx": 4, "ny": 4, "length": math.inf},
           "solvers": ["craig"]}, "bad stokes problem spec: 'length' must be finite, got inf"),
+        # A key outside config, or a misspelled one, would otherwise run with the defaults.
+        ({"problem": RANDOM, "solvers": ["nscraig"], "tolerance": 1e-12},
+         "unknown manifest keys: ['tolerance']"),
+        ({"problem": RANDOM, "solvers": ["nscraig"], "precondtioner": "identity"},
+         "unknown manifest keys: ['precondtioner']"),
+        ({"problem": RANDOM, "solvers": ["craig"], "preconditioner": 5},
+         "unknown preconditioner 5"),
+        ({"problem": RANDOM}, "manifest missing keys: ['solvers']"),
     ], ids=["top-level-array", "problem-string", "config-array", "criterion-two-entries",
             "spectrum-number", "solvers-string", "solver-array", "tolerance-null",
             "load-path-number", "load-path-missing", "tolerance-true", "max-iterations-float",
             "max-iterations-false", "error-delay-float", "m-float", "density-string",
             "spectrum-entry-true", "nx-float", "viscosity-true", "tolerance-infinity",
-            "tolerance-nan", "length-infinity"])
+            "tolerance-nan", "length-infinity", "top-level-tolerance",
+            "misspelled-preconditioner", "preconditioner-number", "solvers-missing"])
     def test_malformed_manifest_is_refused_without_traceback(self, tmp_path, capsys, doc,
                                                              fragment):
+        if isinstance(doc, dict):
+            doc = dict(doc, output_dir=str(tmp_path / "out"))
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("gsp: error: ") and err.count("\n") == 1 and fragment in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["false", 0, None], ids=["string-false", "zero", "null"])
     @pytest.mark.parametrize("key", ["reorthogonalize", "report_error_vs_oracle"])
@@ -209,6 +221,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == ("gsp: error: bad random problem spec: "
                        f"m must be at most 5000 (M is stored dense), got {m}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("problem, preconditioner, skipped, message", [
+        (dict(RANDOM, m=3000, n=1500), "jacobi", "gen_random", "unknown preconditioner 'jacobi'"),
+        ({"source": "load", "path": "system.json"}, "pressure-mass", "load_system",
+         "pressure-mass preconditioner needs a generated stokes problem"),
+    ], ids=["jacobi", "pressure-mass-on-load"])
+    def test_preconditioner_refused_before_generating_or_loading(
+            self, tmp_path, capsys, monkeypatch, problem, preconditioner, skipped, message):
+        def never(*args):
+            raise AssertionError(f"{skipped} must not run")
+
+        monkeypatch.setattr(f"gsp.cli.{skipped}", never)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"problem": problem, "solvers": ["nscraig"],
+                                    "preconditioner": preconditioner,
+                                    "output_dir": str(tmp_path / "out")}))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"gsp: error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("nx, ny", [(10**21, 4), (40000, 40000)], ids=["nx-huge", "grid-40000"])
@@ -470,17 +501,19 @@ def test_non_spd_or_mis_sized_n_refused_before_any_solve(tmp_path, capsys, monke
     assert solves == [] and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("where", ["existing-file", "under-a-file", "output-file-is-a-directory",
-                                   "disk-full"])
-@pytest.mark.parametrize("verb", ["run", "compare", "gen"])
+@pytest.mark.parametrize("verb, where", [
+    (verb, where) for verb in ("run", "compare", "gen")
+    for where in ("existing-file", "under-a-file", "output-file-is-a-directory", "disk-full")
+] + [("gen", "block-file-is-a-directory")])
 def test_output_path_that_cannot_be_a_directory_is_one_error_line(tmp_path, capsys,
                                                                    monkeypatch, verb, where):
     def never(*args):
         raise AssertionError("ran before the output path was checked")
 
-    if where == "output-file-is-a-directory":  # seen only once every solve has run
+    if where.endswith("-is-a-directory"):  # seen only once every solve has run
         out = tmp_path / "out"
-        blocker = out / ("system.json" if verb == "gen" else "craig_history.csv")
+        name = "system.json" if verb == "gen" else "craig_history.csv"
+        blocker = out / ("A.mtx" if where == "block-file-is-a-directory" else name)
         blocker.mkdir(parents=True)
         expected = f"cannot write {blocker}: Is a directory"
     elif where == "disk-full":  # an OSError that names no file
@@ -505,7 +538,7 @@ def test_output_path_that_cannot_be_a_directory_is_one_error_line(tmp_path, caps
                                      solvers=["craig", "scr-cg"], output_dir=str(out))]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"gsp: error: {expected}\n"
-    if where == "output-file-is-a-directory":
+    if where.endswith("-is-a-directory"):
         assert not any(blocker.iterdir())
     elif where == "disk-full":
         assert not (out / "summary.csv").exists() and not (out / "compare.csv").exists()

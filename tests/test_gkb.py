@@ -8,6 +8,7 @@ import pytest
 from conftest import LoggedSolves, random_preconditioner, random_system
 from gsp import (
     FactorizedOperator,
+    SparseMatrix,
     augment,
     factorize,
     gkb_nonsymmetric,
@@ -39,6 +40,15 @@ class TestSymmetric:
             gkb_symmetric(hand_system, FactorizedOperator.identity(1), steps=1)
         with pytest.raises(WrongSolverError, match="augment"):
             gkb_nonsymmetric(hand_system, FactorizedOperator.identity(1), steps=1)
+
+    def test_augment_takes_every_c_saddle_system_takes(self):
+        # C = e0 e0^T plus 0.9e-12 at (1, 2): inside is_symmetric's bound 1e-12 max|C|,
+        # outside a Frobenius-norm bound sqrt(2) 0.9e-12 > 1e-12 ||C||_F.
+        base = random_system(10, 5, c_rank=0, seed=15)
+        C = SparseMatrix.from_coo(5, 5, [0, 1], [0, 2], [1.0, 0.9e-12])
+        aug = augment(SaddleSystem(base.M, base.A, C, base.b))
+        assert (aug.m, aug.n, aug.C.nnz) == (11, 5, 0)
+        assert np.array_equal(np.abs(aug.A.to_dense()[10]), [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_zero_rhs_rejected(self, hand_system):
         sys0 = SaddleSystem(hand_system.M, hand_system.A, hand_system.C, np.zeros(1))
