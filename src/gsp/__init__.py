@@ -48,7 +48,7 @@ from .problems import (
     schur_condition_number,
     validate_system,
 )
-from .system import ConvergenceRecord, SaddleSystem, SolveResult, SolverConfig
+from .system import ConvergenceRecord, History, SaddleSystem, SolveResult, SolverConfig
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -15,7 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BreakdownError, GspError, NotSpdError, SingularOperatorError
-from .system import BREAKDOWN_TOL, ConvergenceRecord, SolveResult, rhs_norm, solver_inputs
+from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, rhs_norm,
+                     solver_inputs)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ def scr_cg_solve(sys, N=None, cfg=None):
     rho = float(r @ z)
     beta1 = rhs_norm(r, z)
     d = z.copy()
-    history = []
+    history = History()
 
     k = 0
     while True:
@@ -95,7 +96,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
     Q = [z0 / beta1]
     NQ = [N.apply(Q[0])]
     Hbar = np.zeros((cfg.max_iterations + 1, cfg.max_iterations))
-    history = []
+    history = History()
 
     for j in range(cfg.max_iterations):  # cfg.stop ends the last step at the latest
         k = j + 1
@@ -154,7 +155,7 @@ def pminres_solve(sys, N=None, cfg=None):
     w = np.zeros(mn)
     w2 = np.zeros(mn)
     r2 = r1
-    history = []
+    history = History()
 
     k = 0
     while True:
@@ -219,7 +220,7 @@ def pgmres_solve(sys, N=None, cfg=None):
     g = np.zeros(cfg.max_iterations + 1)
     g[0] = beta
     rotations = []
-    history = []
+    history = History()
 
     for j in range(cfg.max_iterations):  # cfg.stop ends the last step at the latest
         k = j + 1

@@ -24,10 +24,10 @@ from .baselines import direct_solve, pgmres_solve, pminres_solve, scr_cg_solve, 
 from .craig import craig_solve
 from .errors import GspError
 from .linops import FactorizedOperator
-from .mmio import load_system, save_system
+from .mmio import load_system, save_system, staged_files
 from .nscraig import nscraig_solve
 from .problems import RandomSpec, StokesSpec, gen_random, gen_stokes_channel_detailed
-from .system import ConvergenceRecord, SolverConfig, check_fields, solver_inputs
+from .system import HISTORY_FIELDS, SolverConfig, check_fields, solver_inputs
 
 SOLVERS = {
     "craig": craig_solve,
@@ -39,7 +39,7 @@ SOLVERS = {
 }
 SPECS = {"random": RandomSpec, "stokes": StokesSpec}
 CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig) if f.name != "keep_basis")
-HISTORY_COLUMNS = tuple(f.name for f in dataclasses.fields(ConvergenceRecord))
+HISTORY_COLUMNS = ("k",) + HISTORY_FIELDS
 
 
 class UsageError(GspError):
@@ -268,19 +268,22 @@ def _reported_write_errors(output_dir):
 
 
 def cmd_run(manifest_path, compare=False):
-    """gsp run, or gsp compare: parse, execute, write histories, report; the exit code."""
+    """gsp run, or gsp compare: parse, execute, write histories, report; the exit code.
+
+    The histories and the report are written all or nothing (staged_files):
+    a failed write leaves the output directory as it was.
+    """
     manifest = RunManifest.from_file(manifest_path)
     if compare:
         if len(manifest.solvers) < 2:
             raise UsageError("compare needs at least two solvers")
         manifest.report_error_vs_oracle = True
     setup_time, reports = execute(manifest)
-    with _reported_write_errors(manifest.output_dir):
-        os.makedirs(manifest.output_dir, exist_ok=True)
+    with _reported_write_errors(manifest.output_dir), staged_files(manifest.output_dir) as stage:
         for rep in reports:
-            write_history_csv(os.path.join(manifest.output_dir, f"{rep.solver}_history.csv"),
+            write_history_csv(os.path.join(stage, f"{rep.solver}_history.csv"),
                               rep.result.history)
-        (write_compare if compare else write_summary)(manifest.output_dir, setup_time, reports)
+        (write_compare if compare else write_summary)(stage, setup_time, reports)
     return 0 if all(r.result.converged for r in reports) else 2
 
 

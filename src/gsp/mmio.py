@@ -13,9 +13,13 @@ ParseError, with the 1-based line wherever scipy names one.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import os
 import re
+import shutil
+import tempfile
 
 import numpy as np
 
@@ -110,19 +114,51 @@ def read_vector(path):
 MANIFEST_NAME = "system.json"
 
 
-def save_system(directory, sys, manifest_name=MANIFEST_NAME):
-    """Write the four blocks plus the JSON manifest; returns the manifest path."""
+@contextlib.contextmanager
+def staged_files(directory):
+    """Write a set of files into directory all or nothing.
+
+    Yields a staging directory inside directory (made if missing) to write
+    the files into. When the block ends, each staged file replaces its
+    namesake in directory, in name order; if the block raises, or a final
+    name is taken by a directory (IsADirectoryError naming it), no file in
+    directory changes, and an OSError that names a staged file names its
+    final path instead. The staging directory is removed either way.
+    """
     os.makedirs(directory, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".staging-", dir=directory)
+    try:
+        yield stage
+        names = sorted(os.listdir(stage))
+        for name in names:
+            final = os.path.join(directory, name)
+            if os.path.isdir(final):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), final)
+        for name in names:
+            os.replace(os.path.join(stage, name), os.path.join(directory, name))
+    except OSError as exc:  # name the file the caller asked for, not its staged copy
+        if isinstance(exc.filename, str) and os.path.dirname(exc.filename) == stage:
+            exc.filename = os.path.join(directory, os.path.basename(exc.filename))
+        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def save_system(directory, sys, manifest_name=MANIFEST_NAME):
+    """Write the four blocks plus the JSON manifest, all or nothing; returns the manifest path.
+
+    A write that fails leaves directory as it was, an earlier system included.
+    """
     names = {"m_file": "M.mtx", "a_file": "A.mtx", "c_file": "C.mtx", "b_file": "b.mtx"}
-    write_matrix_market(os.path.join(directory, names["m_file"]), sys.Mmat)
-    write_matrix_market(os.path.join(directory, names["a_file"]), sys.A)
-    write_matrix_market(os.path.join(directory, names["c_file"]), sys.C)
-    write_vector(os.path.join(directory, names["b_file"]), sys.b)
-    path = os.path.join(directory, manifest_name)
-    with open(path, "w") as fh:
-        json.dump(names, fh, indent=2)
-        fh.write("\n")
-    return path
+    with staged_files(directory) as stage:
+        write_matrix_market(os.path.join(stage, names["m_file"]), sys.Mmat)
+        write_matrix_market(os.path.join(stage, names["a_file"]), sys.A)
+        write_matrix_market(os.path.join(stage, names["c_file"]), sys.C)
+        write_vector(os.path.join(stage, names["b_file"]), sys.b)
+        with open(os.path.join(stage, manifest_name), "w") as fh:
+            json.dump(names, fh, indent=2)
+            fh.write("\n")
+    return os.path.join(directory, manifest_name)
 
 
 def load_system(manifest_path):

@@ -25,8 +25,8 @@ import scipy.linalg
 
 from .errors import InsufficientHistoryError, NonFiniteError
 from .linops import FactorizedOperator
-from .system import (BREAKDOWN_TOL, ConvergenceRecord, SolveResult, SolverConfig, rhs_norm,
-                     solver_inputs)
+from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, SolverConfig,
+                     rhs_norm, solver_inputs)
 
 _dtbtrs = scipy.linalg.lapack.dtbtrs
 _dtrtrs = scipy.linalg.lapack.dtrtrs
@@ -220,7 +220,7 @@ def gkb_solve(sys, N, cfg, full_orth):
     Q = np.zeros((1, sys.n)) if store_basis else None
     h_columns = [] if full_orth and cfg.keep_basis else None
     lower = IncrementalLowerFactor() if full_orth else None
-    history = []
+    history = History()
     # Step 0's state: the first pass through the loop's head is step 1's, with
     # M v_0 = 0, r_0 = 0 and zeta_0 = -1. u and p stay zero if alpha_1 breaks down.
     u, p, mv, r = np.zeros(sys.m), np.zeros(sys.n), np.zeros(sys.m), np.zeros(sys.n)
@@ -283,7 +283,7 @@ def gkb_solve(sys, N, cfg, full_orth):
             if full_orth:
                 ratio = lower.error_ratio(cfg.error_delay)
             else:
-                zetas = [rec.scalar for rec in history] + [zeta]
+                zetas = np.append(history.column("scalar"), zeta)
                 ratio = craig_error_estimate(zetas, k, cfg.error_delay)
             err_est = float(np.sqrt(abs(ratio)))
         history.append(ConvergenceRecord(k, res_rel, err_est, alpha, beta, zeta,

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+import operator
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from sys import float_info
 
 import numpy as np
@@ -160,14 +163,16 @@ class SolverConfig:
     def stop(self, k, res_rel, exact, err_est=None):
         """(termination, fired rule) if step k ends the run, else None: every solver's ladder.
 
-        In order: a non-finite res_rel raises NonFiniteError; exact (the
-        loop's own exact-termination test) ends the run with no rule; the
+        In order: a non-finite res_rel or err_est raises NonFiniteError; exact
+        (the loop's own exact-termination test) ends the run with no rule; the
         relative residual (unless the criterion is 'error-estimate'), then
         err_est, when the loop computed one, converge below the tolerance;
         step max_iterations ends the run with no rule.
         """
         if not math.isfinite(res_rel):
             raise NonFiniteError(f"res_rel is {res_rel} at iteration {k}")
+        if err_est is not None and not math.isfinite(err_est):
+            raise NonFiniteError(f"err_est is {err_est} at iteration {k}")
         if exact:
             return "exact-termination", None
         if self.criterion != CRITERION_ERROR and res_rel < self.tolerance:
@@ -263,12 +268,80 @@ class ConvergenceRecord:
     wall_time_s: float = 0.0
 
 
+HISTORY_FIELDS = tuple(f.name for f in fields(ConvergenceRecord))[1:]  # all but k
+
+
+class History(Sequence):
+    """The ConvergenceRecords of one solve, stored as one float64 row per step.
+
+    Row i holds the HISTORY_FIELDS of step k = i + 1 in one array('d'), 48 B
+    a step where a ConvergenceRecord object costs about 220 B. A field the
+    solver left None is stored as NaN and reads back as None; a returned
+    solve holds no other NaN (cfg.stop refuses a NaN res_rel or err_est, and
+    the Golub-Kahan loop a NaN alpha or beta). An index, a slice or iteration
+    builds the records on read, so changing one changes nothing stored;
+    as_array is the stored rows themselves.
+    """
+
+    __slots__ = ("_data",)
+    _WIDTH = len(HISTORY_FIELDS)
+
+    def __init__(self, records=()):
+        self._data = array("d")
+        for rec in records:
+            self.append(rec)
+
+    def append(self, rec):
+        """Store rec, which must be step len(self) + 1."""
+        if rec.k != len(self) + 1:
+            raise ValueError(f"step {rec.k} recorded after step {len(self)}")
+        self._data.extend([math.nan if (x := getattr(rec, name)) is None else x
+                           for name in HISTORY_FIELDS])
+
+    def __len__(self):
+        return len(self._data) // self._WIDTH
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        size = len(self)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError(f"step index {index} out of range for {size} steps")
+        row = self._data[self._WIDTH * i: self._WIDTH * (i + 1)]
+        return ConvergenceRecord(i + 1, *(None if math.isnan(x) else x for x in row))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __repr__(self):
+        return f"History({len(self)} steps)"
+
+    def as_array(self):
+        """The stored rows as a (steps, 6) float64 view: writing to it changes the history.
+
+        The history cannot grow while such a view is alive.
+        """
+        return np.frombuffer(self._data).reshape(-1, self._WIDTH)
+
+    def column(self, name):
+        """One HISTORY_FIELDS field of every step, as a new contiguous float64 array."""
+        j = HISTORY_FIELDS.index(name)
+        return np.frombuffer(self._data[j::self._WIDTH])
+
+    def values(self, name):
+        """column(name) as a list of Python floats, None where the solver recorded none."""
+        return [None if math.isnan(x) else x for x in self.column(name).tolist()]
+
+
 @dataclass
 class SolveResult:
     """Final iterates and per-iteration history of one solver run.
 
-    The bidiagonalization scalars live in the history records only; alphas,
-    betas and scalars read them back. beta1 is the N^{-1}-norm of b (baselines
+    The bidiagonalization scalars live in the history only; alphas, betas and
+    scalars read its columns back. beta1 is the N^{-1}-norm of b (baselines
     store their own initial residual norm there). The right basis Q (k x n,
     rows q_1..q_k) and nsCRAIG's Hessenberg columns h_columns are kept only
     under keep_basis, so a result without them is O(k + m + n) in size.
@@ -277,7 +350,7 @@ class SolveResult:
     u: np.ndarray
     p: np.ndarray
     termination: str  # converged | max-iterations | breakdown | exact-termination
-    history: list[ConvergenceRecord] = field(default_factory=list)
+    history: History = field(default_factory=History)
     fired_criterion: str | None = None
     beta1: float | None = None
     h_columns: list[np.ndarray] | None = None
@@ -290,17 +363,17 @@ class SolveResult:
     @property
     def alphas(self):
         """alpha_1 .. alpha_k."""
-        return [rec.alpha for rec in self.history]
+        return self.history.values("alpha")
 
     @property
     def betas(self):
         """beta_1 .. beta_{k+1}."""
-        return [self.beta1] + [rec.beta_next for rec in self.history]
+        return [self.beta1] + self.history.values("beta_next")
 
     @property
     def scalars(self):
         """zeta_1 .. zeta_k for CRAIG, chi_1 .. chi_k for nsCRAIG."""
-        return [rec.scalar for rec in self.history]
+        return self.history.values("scalar")
 
     @property
     def converged(self):

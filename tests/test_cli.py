@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gsp.cli
+import gsp.mmio
 from conftest import LoggedSolves
 from gsp import (RandomSpec, SaddleSystem, SolverConfig, factorize, gen_random, load_system,
                  save_system)
@@ -620,3 +621,43 @@ class TestGen:
             assert np.array_equal(np.asarray(getattr(got, block)),
                                   np.asarray(getattr(want, block)))
         assert np.array_equal(got.b, want.b) and got.symmetric is False
+
+
+def test_run_that_fails_to_write_keeps_the_older_outputs_intact(tmp_path, capsys):
+    out = tmp_path / "out"
+    first = write_manifest(tmp_path / "m1.json", problem=RANDOM, solvers=["craig", "scr-cg"],
+                           output_dir=str(out))
+    assert main(["run", first]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["craig_history.csv", "scr-cg_history.csv", "summary.csv"]
+    (out / "nscraig_history.csv").mkdir()  # the second run's last history cannot land
+    second = write_manifest(tmp_path / "m2.json", problem=RANDOM,
+                            solvers=["craig", "scr-cg", "nscraig"], output_dir=str(out),
+                            config={"max_iterations": 2})
+    assert main(["run", second]) == 1
+    blocker = out / "nscraig_history.csv"
+    assert capsys.readouterr().err == f"gsp: error: cannot write {blocker}: Is a directory\n"
+    after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert after == before and sorted(p.name for p in out.iterdir()) == sorted(
+        [*before, "nscraig_history.csv"])
+
+
+@pytest.mark.parametrize("verb", ["run", "gen"])
+def test_failed_write_names_the_output_file_not_its_staged_copy(tmp_path, capsys, monkeypatch,
+                                                                 verb):
+    def full(path, *args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    out = tmp_path / "out"
+    if verb == "gen":
+        monkeypatch.setattr(gsp.mmio, "write_vector", full)
+        argv, name = ["gen", "random", "--m", "10", "--n", "5", "-o", str(out)], "b.mtx"
+    else:
+        monkeypatch.setattr(gsp.cli, "_write_lines", full)
+        argv = ["run", write_manifest(tmp_path / "m.json", problem=RANDOM, solvers=["craig"],
+                                      output_dir=str(out))]
+        name = "craig_history.csv"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"gsp: error: cannot write {out / name}: {os.strerror(errno.ENOSPC)}\n"
+    assert list(out.iterdir()) == []

@@ -27,6 +27,7 @@ from gsp import (
     scr_cg_solve,
 )
 from gsp.baselines import SchurOperator
+from gsp.system import HISTORY_FIELDS
 from gsp.errors import (
     InsufficientHistoryError,
     NonFiniteError,
@@ -264,10 +265,10 @@ class TestResidualCheck:
         k = res.iterations // 2
         expected = res.history[k - 1].beta_next * abs(res.history[k - 1].scalar) / res.betas[0]
 
-        def corrupted(s, N, cfg):  # doubles the scalar of record k in every run that reaches it
+        def corrupted(s, N, cfg):  # doubles step k's stored scalar in every run that reaches it
             run = craig_solve(s, N, cfg)
             if run.iterations >= k:
-                run.history[k - 1].scalar *= 2.0
+                run.history.as_array()[k - 1, HISTORY_FIELDS.index("scalar")] *= 2.0
             return run
 
         rep = craig_residual_check(sys, None, corrupted, SolverConfig())

@@ -1,9 +1,13 @@
 """Matrix Market serialization and the system manifest."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
+
+import gsp.mmio
 
 from gsp import (SolverConfig, SparseMatrix, StokesSpec, craig_solve, gen_stokes_channel,
                  load_system, read_matrix_market, save_system, write_matrix_market)
@@ -240,3 +244,35 @@ def test_load_tests_each_block_symmetry_once(tmp_path, monkeypatch):
     loaded = load_system(path)
     assert loaded.symmetric
     assert shapes == [(sys.m, sys.m), (sys.n, sys.n)]  # M once, then C
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+def test_save_that_fails_leaves_no_block_behind(tmp_path):
+    # A.mtx is a directory, so A cannot be written: M.mtx must not be left without system.json.
+    out = tmp_path / "out"
+    (out / "A.mtx").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError) as exc:
+        save_system(out, random_system(8, 4, seed=86))
+    assert exc.value.filename == str(out / "A.mtx")
+    assert snapshot(out) == {"A.mtx": None} and not any((out / "A.mtx").iterdir())
+
+
+def test_save_that_fails_keeps_an_older_system_intact(tmp_path, monkeypatch):
+    old = random_system(8, 4, seed=87)
+    save_system(tmp_path, old)
+    before = snapshot(tmp_path)
+    (tmp_path / "blocked.json").mkdir()  # the manifest, written last, cannot land
+    with pytest.raises(IsADirectoryError):
+        save_system(tmp_path, random_system(10, 5, seed=88), manifest_name="blocked.json")
+
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(gsp.mmio, "write_vector", full)  # b, written after M, A and C
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        save_system(tmp_path, random_system(10, 5, seed=88))
+    assert snapshot(tmp_path) == {**before, "blocked.json": None}
+    assert np.array_equal(load_system(tmp_path / "system.json").b, old.b)
