@@ -126,6 +126,11 @@ def scr_fom_solve(sys, N=None, cfg=None):
     return SolveResult(u, p, termination, history, fired, beta1)
 
 
+def _blockdiag_solve(sys, N, z):
+    """blkdiag(M, N)^{-1} z, the preconditioner of pminres and pgmres."""
+    return np.concatenate([sys.M.solve(z[:sys.m]), N.solve(z[sys.m:])])
+
+
 def pminres_solve(sys, N=None, cfg=None):
     """MINRES on the full system with the SPD preconditioner blkdiag(M, N).
 
@@ -136,14 +141,11 @@ def pminres_solve(sys, N=None, cfg=None):
     N, cfg = solver_inputs("pminres", sys, N, cfg)
     t0 = time.perf_counter()
 
-    def precondition(z):  # blkdiag(M, N)^{-1} z
-        return np.concatenate([sys.M.solve(z[:sys.m]), N.solve(z[sys.m:])])
-
     mn = sys.m + sys.n
     f = np.concatenate([np.zeros(sys.m), sys.b])
     x = np.zeros(mn)
     r1 = f.copy()
-    y = precondition(r1)
+    y = _blockdiag_solve(sys, N, r1)
     if f @ y < 0.0:
         raise NotSpdError("block preconditioner is not positive definite")
     beta1 = rhs_norm(f, y)
@@ -168,7 +170,7 @@ def pminres_solve(sys, N=None, cfg=None):
         y = y - (alfa / beta) * r2
         r1 = r2
         r2 = y
-        y = precondition(r2)
+        y = _blockdiag_solve(sys, N, r2)
         oldb = beta
         beta_sq = float(r2 @ y)
         if beta_sq < 0.0:
@@ -210,9 +212,6 @@ def pgmres_solve(sys, N=None, cfg=None):
     cfg = replace(cfg, max_iterations=min(cfg.max_iterations, sys.m + sys.n))
     t0 = time.perf_counter()
 
-    def precondition(z):  # blkdiag(M, N)^{-1} z
-        return np.concatenate([sys.M.solve(z[:sys.m]), N.solve(z[sys.m:])])
-
     f = np.concatenate([np.zeros(sys.m), sys.b])
     beta = rhs_norm(f, f)
     V = [f / beta]
@@ -224,7 +223,7 @@ def pgmres_solve(sys, N=None, cfg=None):
 
     for j in range(cfg.max_iterations):  # cfg.stop ends the last step at the latest
         k = j + 1
-        w = sys.matvec(precondition(V[j]))
+        w = sys.matvec(_blockdiag_solve(sys, N, V[j]))
         for i in range(k):
             R[i, j] = float(V[i] @ w)
             w = w - R[i, j] * V[i]
@@ -247,7 +246,7 @@ def pgmres_solve(sys, N=None, cfg=None):
         V.append(w / hnext)
 
     y = scipy.linalg.solve_triangular(R[:k, :k], g[:k], lower=False)
-    x = precondition(np.column_stack(V[:k]) @ y)
+    x = _blockdiag_solve(sys, N, np.column_stack(V[:k]) @ y)
     termination, fired = stop
     return SolveResult(x[:sys.m], x[sys.m:], termination, history, fired, beta)
 

@@ -72,6 +72,11 @@ class RunManifest:
         unknown = [s for s in self.solvers if not isinstance(s, str) or s not in SOLVERS]
         if unknown:
             raise UsageError(f"unknown solvers: {unknown}")
+        if not self.solvers:
+            raise UsageError("solvers must name at least one solver")
+        repeated = sorted({s for s in self.solvers if self.solvers.count(s) > 1})
+        if repeated:  # each solver writes one history file, named after it
+            raise UsageError(f"repeated solvers: {repeated}")
         if self.preconditioner not in (None, "identity", "pressure-mass"):
             raise UsageError(f"unknown preconditioner {self.preconditioner!r}")
         if (self.preconditioner == "pressure-mass"
@@ -291,7 +296,7 @@ def cmd_gen(args):
     if args.kind == "random":
         fields = dict(m=args.m, n=args.n, density=args.density, spectrum=(args.lo, args.hi),
                       skew_strength=args.skew,
-                      c_rank=args.c_rank if args.c_rank >= 0 else args.n // 2, seed=args.seed)
+                      c_rank=args.n // 2 if args.c_rank == -1 else args.c_rank, seed=args.seed)
     else:
         fields = dict(nx=args.nx, ny=args.ny, length=args.length, viscosity=args.viscosity,
                       gamma=args.gamma, oseen_wind=args.oseen_wind)

@@ -19,13 +19,13 @@ from .linops import SparseMatrix, spsd_factor
 from .system import BREAKDOWN_TOL, SaddleSystem, check_n, rhs_norm
 
 
-def augment(sys, rank_tolerance=1e-12):
+def augment(sys):
     """The C = 0 system (blkdiag(M, diag(w)^{-1}), [A; E], 0, b), C = E^T diag(w) E.
 
     E and w come from spsd_factor, so a C of numerical rank 0 adds no rows and
     gives (M, A, 0, b). factorize reads the kind of the augmented leading block.
     """
-    E, w = spsd_factor(sys.C, rank_tolerance)
+    E, w = spsd_factor(sys.C)
     lead = scipy.sparse.block_diag((sys.Mmat.csr, scipy.sparse.diags_array(1.0 / w)),
                                    format="csr")
     coupling = scipy.sparse.vstack((sys.A.csr, E), format="csr")

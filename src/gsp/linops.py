@@ -382,13 +382,17 @@ def factorize(K):
     return FactorizedOperator(kind, K, factor(kind, K))
 
 
-def spsd_factor(C, rank_tolerance=1e-12):
+# Relative eigenvalue cutoff of spsd_factor: C's numerical rank.
+_RANK_TOLERANCE = 1e-12
+
+
+def spsd_factor(C):
     """Factor an SPSD matrix as C = E^T diag(w) E; returns (E, w).
 
-    w holds the eigenvalues above rank_tolerance * lambda_max and E the
+    w holds the eigenvalues above _RANK_TOLERANCE * lambda_max and E the
     corresponding eigenvectors as rows (len(w) x n), so a zero C gives a
     0 x n E. A C that fails is_symmetric, the rule SaddleSystem applies to
-    C, or an eigenvalue below -rank_tolerance * lambda_max raises NotSpsdError.
+    C, or an eigenvalue below -_RANK_TOLERANCE * lambda_max raises NotSpsdError.
     """
     C = as_sparse(C)
     if C.rows != C.cols:
@@ -398,7 +402,7 @@ def spsd_factor(C, rank_tolerance=1e-12):
     if not C.is_symmetric():
         raise NotSpsdError("matrix is not symmetric")
     w, v = np.linalg.eigh(C.to_dense())
-    cutoff = rank_tolerance * max(float(w.max()), 0.0)
+    cutoff = _RANK_TOLERANCE * max(float(w.max()), 0.0)
     if float(w.min()) < -cutoff:
         raise NotSpsdError(f"negative eigenvalue {w.min()} below -{cutoff}")
     keep = w > cutoff

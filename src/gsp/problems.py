@@ -138,6 +138,12 @@ def validate_system(sys):
             "min_eig_c": float(eig_c.min())}
 
 
+# The channel's wind profiles, functions of y; the manufactured velocity is
+# the Poiseuille one.
+_WIND_PROFILES = {None: np.zeros_like, "poiseuille": lambda y: 4.0 * y * (1.0 - y),
+                  "constant": np.ones_like}
+
+
 @dataclass(frozen=True)
 class StokesSpec:
     """MAC channel [0, L] x [0, 1] with nx x ny pressure cells, checked on construction."""
@@ -147,7 +153,7 @@ class StokesSpec:
     length: float = 1.0
     viscosity: float = 1.0
     gamma: float = 0.25
-    oseen_wind: str | None = None  # None | 'poiseuille' | 'constant'
+    oseen_wind: str | None = None  # a key of _WIND_PROFILES
 
     def __post_init__(self):
         check_fields(self, nx=int, ny=int, length=float, viscosity=float, gamma=float)
@@ -163,7 +169,7 @@ class StokesSpec:
             raise ValueError("viscosity must be positive")
         if self.gamma < 0.0:
             raise ValueError("gamma must be nonnegative")
-        if self.oseen_wind not in (None, "poiseuille", "constant"):
+        if self.oseen_wind not in tuple(_WIND_PROFILES):
             raise ValueError(f"unknown wind selector '{self.oseen_wind}'")
 
 
@@ -183,99 +189,80 @@ def gen_stokes_channel(spec):
     return gen_stokes_channel_detailed(spec).system
 
 
-def _five_point(ids, diag, west, east, south, north):
-    """COO triplets of a 5-point stencil on the 2-D index grid ids[i, j].
+def _halves(a, axis):
+    """Views of a without its first and without its last slice along axis."""
+    lead = (slice(None),) * axis
+    return a[lead + (slice(1, None),)], a[lead + (slice(None, -1),)]
 
-    Row ids[i, j] holds diag and couples to ids[i-1, j] (west), ids[i+1, j]
-    (east), ids[i, j-1] (south) and ids[i, j+1] (north); neighbours outside
-    the grid are skipped. Each coefficient is a scalar or an array over the
-    rows that have that neighbour.
+
+def _stencil(ids, diag, links):
+    """COO triplets of a (2d+1)-point stencil on the d-dimensional index grid ids.
+
+    Row ids[k] holds diag and couples to its lower and upper neighbours along
+    axis a with links[a] = (lower, upper), each a scalar or an array over the
+    rows that have that neighbour; neighbours outside the grid are skipped.
     """
-    pairs = ((ids, ids, diag), (ids[1:], ids[:-1], west), (ids[:-1], ids[1:], east),
-             (ids[:, 1:], ids[:, :-1], south), (ids[:, :-1], ids[:, 1:], north))
-    rows, cols, vals = zip(*[(r.ravel(), c.ravel(), np.broadcast_to(v, r.shape).ravel())
-                             for r, c, v in pairs])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    pairs = [(ids, ids, diag)]
+    for (head, tail), (lower, upper) in zip((_halves(ids, a) for a in range(ids.ndim)), links):
+        pairs += [(head, tail, lower), (tail, head, upper)]
+    return tuple(np.concatenate(t) for t in zip(*[
+        (r.ravel(), c.ravel(), np.broadcast_to(v, r.shape).ravel()) for r, c, v in pairs]))
 
 
 def gen_stokes_channel_detailed(spec):
     """Assemble the MAC discretization and the manufactured Poiseuille data.
 
-    m = (nx-1) ny + nx (ny-1) interior velocity faces; one pressure cell is
-    pinned, n = nx ny - 1. With oseen_wind set the momentum block gains a
-    first-order upwind convection term and becomes NSPD. Both winds blow in +x
-    and are nonnegative on every face (4y(1-y) with 0 < y < 1, or 1), so the
-    upwind neighbour is always the one at i-1.
+    m = (nx-1) ny + nx (ny-1) interior faces and n = nx ny - 1 cells, cell 0
+    pinned. An oseen_wind adds first-order upwind convection, making M NSPD;
+    every wind blows in +x and is nonnegative, so the upwind neighbour is i-1.
     """
     nx, ny, nu = spec.nx, spec.ny, spec.viscosity
-    hx = spec.length / nx
-    hy = 1.0 / ny
-    n_u = (nx - 1) * ny
-    n_v = nx * (ny - 1)
-    m = n_u + n_v
-    n = nx * ny - 1
+    h = hx, hy = spec.length / nx, 1.0 / ny
+    link = [nu / s**2 for s in h]
+    n_u, n_v = (nx - 1) * ny, nx * (ny - 1)
+    m, n = n_u + n_v, nx * ny - 1
 
     # Index grids: u face (i, j) sits at x = i hx (i >= 1), v face (i, j) at
-    # y = j hy (j >= 1); cell (i, j) has pressure index p_ids[i, j], -1 for the
-    # pinned cell. int32 is the CSR index type scipy picks for these sizes.
+    # y = j hy (j >= 1), cell (i, j) is pressure p_ids[i, j]. int32 is the CSR
+    # index type scipy picks for these sizes.
     u_ids = np.arange(n_u, dtype=np.int32).reshape(nx - 1, ny)
-    v_ids = n_u + np.arange(n_v, dtype=np.int32).reshape(nx, ny - 1)
-    p_ids = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny) - 1
+    v_ids = np.arange(n_u, m, dtype=np.int32).reshape(nx, ny - 1)
+    p_ids = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny)
     y_u = (np.arange(ny) + 0.5) * hy
-    profile = 4.0 * y_u * (1.0 - y_u)
 
-    def momentum(ids, y, wall_x, wall_y):
-        """Viscous rows of one face family plus the upwind wind; wall_* add ghost terms."""
-        if spec.oseen_wind is None:
-            wind = np.zeros(ids.shape)
-        elif spec.oseen_wind == "constant":
-            wind = np.full(ids.shape, 1.0 / hx)
-        else:
-            wind = np.broadcast_to(4.0 * y * (1.0 - y) / hx, ids.shape)
-        diag = np.full(ids.shape, 2.0 * nu / hx**2 + 2.0 * nu / hy**2)
-        if wall_x:
-            diag[0] += nu / hx**2
-            diag[-1] += nu / hx**2
-        if wall_y:
-            diag[:, 0] += nu / hy**2
-            diag[:, -1] += nu / hy**2
-        return _five_point(ids, diag + wind, -(nu / hx**2) - wind[1:], -(nu / hx**2),
-                           -(nu / hy**2), -(nu / hy**2))
+    def momentum(ids, normal, y):
+        """Viscous rows of the face family normal to axis `normal`, plus the upwind wind."""
+        wind = np.broadcast_to(_WIND_PROFILES[spec.oseen_wind](y) / hx, ids.shape)
+        diag = np.full(ids.shape, sum(2.0 * nu / s**2 for s in h))
+        for axis in [a for a in range(ids.ndim) if a != normal]:  # walls parallel to the normal
+            np.moveaxis(diag, axis, 0)[[0, -1]] += link[axis]  # ghost terms, half a cell away
+        links = [(-link[0] - wind[1:], -link[0])] + [(-k, -k) for k in link[1:]]  # upwind: i-1
+        return _stencil(ids, diag + wind, links)
 
-    u_rows = momentum(u_ids, y_u, False, True)
-    v_rows = momentum(v_ids, np.arange(1, ny) * hy, True, False)
-    Mmat = SparseMatrix.from_coo(m, m, *(np.concatenate(t) for t in zip(u_rows, v_rows)))
-
-    rows = np.concatenate([u_ids, u_ids, v_ids, v_ids], axis=None)
-    cols = np.concatenate([p_ids[1:], p_ids[:-1], p_ids[:, 1:], p_ids[:, :-1]], axis=None)
-    vals = np.repeat([1.0 / hx, -(1.0 / hx), 1.0 / hy, -(1.0 / hy)], [n_u, n_u, n_v, n_v])
-    keep = cols >= 0
-    A = SparseMatrix.from_coo(m, n, rows[keep], cols[keep], vals[keep])
-
+    triplets = (momentum(u_ids, 0, y_u), momentum(v_ids, 1, np.arange(1, ny) * hy))
+    Mmat = SparseMatrix.from_coo(m, m, *map(np.concatenate, zip(*triplets)))
+    A = SparseMatrix.from_coo(
+        m, n + 1, np.concatenate([u_ids, u_ids, v_ids, v_ids], axis=None),
+        np.concatenate([*_halves(p_ids, 0), *_halves(p_ids, 1)], axis=None),
+        np.repeat([1.0 / hx, -(1.0 / hx), 1.0 / hy, -(1.0 / hy)], [n_u, n_u, n_v, n_v]))
+    C = SparseMatrix.zeros(n + 1, n + 1)
     if spec.gamma > 0.0:
-        tx = spec.gamma * hx * hy * (1.0 / hx**2)
-        ty = spec.gamma * hx * hy * (1.0 / hy**2)
+        t = [spec.gamma * hx * hy * (1.0 / s**2) for s in h]
         diag = np.zeros((nx, ny))
-        diag[:-1] += tx
-        diag[1:] += tx
-        diag[:, :-1] += ty
-        diag[:, 1:] += ty
-        rows, cols, vals = _five_point(p_ids, diag, -tx, -tx, -ty, -ty)
-        keep = (rows >= 0) & (cols >= 0)
-        C = SparseMatrix.from_coo(n, n, rows[keep], cols[keep], vals[keep])
-    else:
-        C = SparseMatrix.zeros(n, n)
+        for axis, ta in enumerate(t):
+            for half in _halves(diag, axis):
+                half += ta
+        C = SparseMatrix.from_coo(n + 1, n + 1, *_stencil(p_ids, diag, [(-ta, -ta) for ta in t]))
 
-    vel = np.concatenate([np.tile(profile, nx - 1), np.zeros(n_v)])
+    # Pin pressure cell 0: drop its column of A, its row and column of C and its value.
+    A, C = SparseMatrix(A.csr[:, 1:]), SparseMatrix(C.csr[1:, 1:])
     p_full = np.repeat(-8.0 * nu * (np.arange(nx) + 0.5) * hx, ny)
-    p_star = (p_full - p_full[0])[1:]
-
+    p_star = p_full[1:] - p_full[0]
+    vel = np.concatenate([np.tile(_WIND_PROFILES["poiseuille"](y_u), nx - 1), np.zeros(n_v)])
     system, w0 = compress_rhs(Mmat, A, C, Mmat.matvec(vel) + A.matvec(p_star),
                               A.rmatvec(vel) - C.matvec(p_star))
-    mass = hx * hy * np.ones(n)
-    if not system.symmetric:
-        mass = mass / nu
-    precond = factorize(SparseMatrix.from_coo(n, n, np.arange(n), np.arange(n), mass))
+    precond = factorize(SparseMatrix.from_coo(  # the pressure mass, over nu when M is NSPD
+        n, n, np.arange(n), np.arange(n), np.full(n, hx * hy / (1.0 if system.symmetric else nu))))
     return StokesProblem(system, precond, w0, vel, p_star)
 
 

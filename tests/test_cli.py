@@ -164,13 +164,18 @@ class TestRun:
         ({"problem": RANDOM, "solvers": ["craig"], "preconditioner": 5},
          "unknown preconditioner 5"),
         ({"problem": RANDOM}, "manifest missing keys: ['solvers']"),
+        # An empty list would run nothing; a repeated solver would write two rows, one history.
+        ({"problem": RANDOM, "solvers": []}, "solvers must name at least one solver"),
+        ({"problem": RANDOM, "solvers": ["nscraig", "craig", "nscraig"]},
+         "repeated solvers: ['nscraig']"),
     ], ids=["top-level-array", "problem-string", "config-array", "criterion-two-entries",
             "spectrum-number", "solvers-string", "solver-array", "tolerance-null",
             "load-path-number", "load-path-missing", "tolerance-true", "max-iterations-float",
             "max-iterations-false", "error-delay-float", "m-float", "density-string",
             "spectrum-entry-true", "nx-float", "viscosity-true", "tolerance-infinity",
             "tolerance-nan", "length-infinity", "top-level-tolerance",
-            "misspelled-preconditioner", "preconditioner-number", "solvers-missing"])
+            "misspelled-preconditioner", "preconditioner-number", "solvers-missing",
+            "solvers-empty", "solvers-repeated"])
     def test_malformed_manifest_is_refused_without_traceback(self, tmp_path, capsys, doc,
                                                              fragment):
         if isinstance(doc, dict):
@@ -600,8 +605,11 @@ class TestGen:
          f"bad stokes problem spec: grid nx={10**21}, ny=4 has m + n = "),
         (["stokes", "--nx", "40000", "--ny", "40000"],
          "bad stokes problem spec: grid nx=40000, ny=40000 has m + n = 4799919999 unknowns"),
+        # Only -1 means n // 2; the spec refuses any other negative c_rank.
+        (["random", "--m", "10", "--n", "5", "--c-rank", "-5"],
+         "bad random problem spec: c_rank must be in [0, n]"),
     ], ids=["viscosity-negative", "n-above-m", "unknown-wind", "m-huge", "nx-huge",
-            "grid-40000"])
+            "grid-40000", "c-rank-negative"])
     def test_refused_spec_exits_1_without_traceback(self, tmp_path, capsys, argv, fragment):
         out = tmp_path / "sys"
         assert main(["gen", *argv, "-o", str(out)]) == 1

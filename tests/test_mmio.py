@@ -189,6 +189,24 @@ def test_system_manifest_round_trip(tmp_path):
     assert np.array_equal(back.b, sys.b)
 
 
+def test_array_layout_b_loads(tmp_path):
+    sys = random_system(8, 4, c_rank=2, seed=83)
+    manifest = save_system(tmp_path, sys)
+    (tmp_path / "b.mtx").write_text("%%MatrixMarket matrix array real general\n4 1\n"
+                                    + "".join(f"{float(x)!r}\n" for x in sys.b))
+    assert load_system(manifest).b.tobytes() == sys.b.tobytes()
+
+
+@pytest.mark.parametrize("body", ["array real general\n2 2\n1.0\n2.0\n3.0\n4.0\n",
+                                  "coordinate real general\n2 2 1\n1 2 1.0\n"],
+                         ids=["array", "coordinate"])
+def test_two_column_b_refused(tmp_path, body):
+    path = tmp_path / "b.mtx"
+    path.write_text("%%MatrixMarket matrix " + body)
+    with pytest.raises(ParseError, match="single-column vector, got 2 columns"):
+        read_vector(path)
+
+
 def test_manifest_naming_a_directory_is_a_load_error(tmp_path):
     manifest = save_system(tmp_path, random_system(8, 4, seed=82))
     (tmp_path / "blocks").mkdir()

@@ -15,6 +15,7 @@ from gsp import (
     compress_rhs,
     craig_solve,
     direct_solve,
+    factorize,
     gen_random,
     gen_stokes_channel,
     gen_stokes_channel_detailed,
@@ -300,6 +301,50 @@ class TestGenStokes:
         sys = gen_stokes_channel(spec)
         assert (digest(sys.Mmat), digest(sys.A), digest(sys.C)) == (m_digest, a_digest, c_digest)
 
+    # _digest of the manufactured velocity and pressure and of N's diagonal on
+    # the BLOCK_DIGESTS specs, plus a windless one at viscosity 0.1, where N is
+    # hx hy, not hx hy / viscosity. b and w0 go through SuperLU, so the test
+    # checks them in-process against compress_rhs rather than pinning them.
+    ORACLE_DIGESTS = [
+        (StokesSpec(nx=4, ny=3),
+         "2d8088bdaaff278f2d6c64990659bc7a5dba21b95242f10dfd201168160ac4bb",
+         "714a505886935601461a7c3f18a60b1a2aad18447a979237d2a341f8803a96a4",
+         "0f46e840f6dc72652c8a91b8a58794c41be88dc8109e86b11fdde20cd315f729"),
+        (StokesSpec(nx=4, ny=3, gamma=0.0),
+         "2d8088bdaaff278f2d6c64990659bc7a5dba21b95242f10dfd201168160ac4bb",
+         "714a505886935601461a7c3f18a60b1a2aad18447a979237d2a341f8803a96a4",
+         "0f46e840f6dc72652c8a91b8a58794c41be88dc8109e86b11fdde20cd315f729"),
+        (StokesSpec(nx=4, ny=3, viscosity=0.1, oseen_wind="poiseuille"),
+         "2d8088bdaaff278f2d6c64990659bc7a5dba21b95242f10dfd201168160ac4bb",
+         "a614c6057094463e263fc803163445502202a87eb15eddd650d1aa9df8ddd689",
+         "596b3e62444d25d7ab773872725738c77c4eee6bbdf79ad9afe61a0179600e61"),
+        (StokesSpec(nx=4, ny=3, length=3.0, oseen_wind="constant"),
+         "2d8088bdaaff278f2d6c64990659bc7a5dba21b95242f10dfd201168160ac4bb",
+         "fa0a251c3b430a0f4e9834ca073a4d42496afaeb405ac30fddf06e0924a0a57e",
+         "e96aedbb9e7606b87910103ecc0f6340dec93a47dd87e22e1bd960908d4469cf"),
+        (StokesSpec(nx=32, ny=32, viscosity=1e-3, oseen_wind="poiseuille"),
+         "15729d3c198ea45b887697f645c17b35c56ec5f9dd03caac1f88207593f6a39e",
+         "b6a555c5eef438509313caf49a6fb48db2e1cbf3741662d6dd47f63a4cc359cd",
+         "bdbc92500d6fbf3045d0bcc3ec6778331df19fa68ebba752dc53daa0aee54631"),
+        (StokesSpec(nx=5, ny=4, viscosity=0.1),
+         "2cb189671664b818d73809db152f650a9011a3885e2f834dec7b02cfc90626b6",
+         "b506478d04efed848f298f0561124c5052fb61dbadd5c350d1080490949e5423",
+         "6f7e2a0aefa59d8d40c5c370048f4d323dc45a527ef9981f368c40649db425fc"),
+    ]
+
+    @pytest.mark.parametrize("spec, vel_digest, p_digest, n_digest", ORACLE_DIGESTS)
+    def test_oracle_data_is_pinned_bitwise(self, spec, vel_digest, p_digest, n_digest):
+        prob = gen_stokes_channel_detailed(spec)
+        N = prob.preconditioner
+        assert N.kind == "diagonal"
+        assert (_digest(prob.velocity), _digest(prob.pressure),
+                _digest(N.matrix.csr.diagonal())) == (vel_digest, p_digest, n_digest)
+        sys = prob.system
+        want, w0 = compress_rhs(sys.Mmat, sys.A, sys.C,
+                                sys.Mmat.matvec(prob.velocity) + sys.A.matvec(prob.pressure),
+                                sys.A.rmatvec(prob.velocity) - sys.C.matvec(prob.pressure))
+        assert _digest(sys.b, prob.w0) == _digest(want.b, w0)
+
     @pytest.mark.parametrize("spec", [
         StokesSpec(nx=48, ny=48),
         StokesSpec(nx=32, ny=32, viscosity=1e-3, oseen_wind="poiseuille"),
@@ -435,6 +480,18 @@ class TestFieldChecks:
 
     def test_stokes_grid_at_int32_limit_accepted(self):
         assert StokesSpec(nx=429496730, ny=2).nx == 429496730  # m + n = 2**31 - 1
+
+    @pytest.mark.parametrize("shape, m_dim, c_dim, b_len, fragment", [
+        ((2, 3), 2, 3, 3, "need 1 <= n <= m, got m=2, n=3"),
+        ((4, 2), 3, 2, 2, "M must be m x m"),
+        ((4, 2), 4, 3, 2, "C must be n x n"),
+        ((4, 2), 4, 2, 3, "b must have length n"),
+    ], ids=["n-above-m", "m-mis-sized", "c-mis-sized", "b-mis-sized"])
+    def test_system_refuses_mismatched_blocks(self, shape, m_dim, c_dim, b_len, fragment):
+        with pytest.raises(DimensionError, match=f"^{fragment}$"):
+            SaddleSystem(factorize(SparseMatrix.identity(m_dim)),
+                         SparseMatrix.from_dense(np.ones(shape)), SparseMatrix.zeros(c_dim, c_dim),
+                         np.ones(b_len))
 
     def test_numpy_counts_accepted_as_int(self):
         spec = RandomSpec(m=np.int64(10), n=np.int64(5), density=np.float64(1.0),
