@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BreakdownError, GspError, NotSpdError, SingularOperatorError
-from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, rhs_norm,
+from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, grown, rhs_norm,
                      solver_inputs)
 
 
@@ -95,11 +95,12 @@ def scr_fom_solve(sys, N=None, cfg=None):
     beta1 = rhs_norm(r0, z0)
     Q = [z0 / beta1]
     NQ = [N.apply(Q[0])]
-    Hbar = np.zeros((cfg.max_iterations + 1, cfg.max_iterations))
+    Hbar = np.zeros((2, 1))
     history = History()
 
     for j in range(cfg.max_iterations):  # cfg.stop ends the last step at the latest
         k = j + 1
+        Hbar = grown(Hbar, (k + 1, k))
         w = N.solve(S.apply(Q[j]))
         for i in range(k):
             c = float(NQ[i] @ w)
@@ -215,14 +216,14 @@ def pgmres_solve(sys, N=None, cfg=None):
     f = np.concatenate([np.zeros(sys.m), sys.b])
     beta = rhs_norm(f, f)
     V = [f / beta]
-    R = np.zeros((cfg.max_iterations + 1, cfg.max_iterations))
-    g = np.zeros(cfg.max_iterations + 1)
-    g[0] = beta
+    R = np.zeros((2, 1))
+    g = np.array([beta, 0.0])
     rotations = []
     history = History()
 
     for j in range(cfg.max_iterations):  # cfg.stop ends the last step at the latest
         k = j + 1
+        R, g = grown(R, (k + 1, k)), grown(g, (k + 1,))
         w = sys.matvec(_blockdiag_solve(sys, N, V[j]))
         for i in range(k):
             R[i, j] = float(V[i] @ w)

@@ -151,7 +151,8 @@ def build_problem(manifest):
         _refuse_unknown("problem", fields, ())
         system = load_system(path)
     else:
-        raise UsageError(f"unknown problem source '{source}'")
+        raise UsageError('problem has no "source"' if source is None
+                         else f"unknown problem source '{source}'")
     setup_time = time.perf_counter() - t0
     if manifest.preconditioner == "identity" or precond is None:
         precond = FactorizedOperator.identity(system.n)
@@ -192,7 +193,11 @@ def check_output_dir(path):
     """UsageError unless path is a directory or os.makedirs can make it one.
 
     Nothing is created: a run that a solver refuses leaves no directory behind.
+    An empty path is refused, since abspath reads it as the working directory
+    while makedirs cannot make it.
     """
+    if not path:
+        raise UsageError("output directory is an empty path")
     head = os.path.abspath(path)
     while not os.path.exists(head):
         head = os.path.dirname(head)
@@ -203,13 +208,13 @@ def check_output_dir(path):
 def execute(manifest):
     """Run every solver in the manifest; returns (setup_time, reports).
 
-    Every solver's refusal and the output directory are checked before the
-    oracle and the first solve.
+    The output directory is checked before the problem is built, and every
+    solver's refusal before the oracle and the first solve.
     """
+    check_output_dir(manifest.output_dir)
     system, precond, setup_time = build_problem(manifest)
     for name in manifest.solvers:
         solver_inputs(name, system, precond, manifest.config)
-    check_output_dir(manifest.output_dir)
     oracle = None
     if manifest.report_error_vs_oracle:
         oracle = np.concatenate(direct_solve(system))

@@ -144,7 +144,7 @@ def staged_files(directory):
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def save_system(directory, sys, manifest_name=MANIFEST_NAME):
+def save_system(directory, sys):
     """Write the four blocks plus the JSON manifest, all or nothing; returns the manifest path.
 
     A write that fails leaves directory as it was, an earlier system included.
@@ -155,10 +155,10 @@ def save_system(directory, sys, manifest_name=MANIFEST_NAME):
         write_matrix_market(os.path.join(stage, names["a_file"]), sys.A)
         write_matrix_market(os.path.join(stage, names["c_file"]), sys.C)
         write_vector(os.path.join(stage, names["b_file"]), sys.b)
-        with open(os.path.join(stage, manifest_name), "w") as fh:
+        with open(os.path.join(stage, MANIFEST_NAME), "w") as fh:
             json.dump(names, fh, indent=2)
             fh.write("\n")
-    return os.path.join(directory, manifest_name)
+    return os.path.join(directory, MANIFEST_NAME)
 
 
 def load_system(manifest_path):

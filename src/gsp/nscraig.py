@@ -26,7 +26,7 @@ import scipy.linalg
 from .errors import InsufficientHistoryError, NonFiniteError
 from .linops import FactorizedOperator
 from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, SolverConfig,
-                     rhs_norm, solver_inputs)
+                     grown, rhs_norm, solver_inputs)
 
 _dtbtrs = scipy.linalg.lapack.dtbtrs
 _dtrtrs = scipy.linalg.lapack.dtrtrs
@@ -45,31 +45,19 @@ class IncrementalLowerFactor:
     """
 
     def __init__(self):
+        # The four arrays share one capacity, len(x). Band and L^T are Fortran-
+        # ordered: the band's leading k columns are the (2, k) LAPACK band that
+        # dtbtrs reads in place, and each new column of L^T is one contiguous write.
         self.k = 0
-        self._grow(1)
-
-    def _grow(self, size):
-        """Move band, L^T, x and w into zeroed arrays of size rows (and columns).
-
-        Both 2-D arrays are Fortran-ordered: the band's leading k columns are
-        the (2, k) LAPACK band that dtbtrs reads in place, and each new
-        column of L^T is one contiguous write.
-        """
-        k = self.k
-        band = np.zeros((2, size), order="F")
-        Lt = np.zeros((size, size), order="F")
-        x, w = np.zeros(size), np.zeros(size)
-        if k:
-            band[:, :k] = self.band[:, :k]
-            Lt[:k, :k] = self.Lt[:k, :k]
-            x[:k], w[:k] = self.x[:k], self.w[:k]
-        self.band, self.Lt, self.x, self.w = band, Lt, x, w
+        self.band, self.Lt = np.zeros((2, 0), order="F"), np.zeros((0, 0), order="F")
+        self.x, self.w = np.zeros(0), np.zeros(0)
 
     def append(self, alpha, beta, chi, h):
         """Add alpha_k, beta_k (below alpha_{k-1} in B^T; beta_1 for k = 1), chi_k and h_k."""
         k = self.k + 1
         if k > len(self.x):
-            self._grow(2 * len(self.x))
+            self.band, self.Lt = grown(self.band, (2, k), "F"), grown(self.Lt, (k, k), "F")
+            self.x, self.w = grown(self.x, (k,)), grown(self.w, (k,))
         self.k = k
         band, x, w = self.band, self.x, self.w
         band[0, k - 1] = alpha
@@ -124,19 +112,6 @@ def _upper_solve(Lt, rhs):
     if info > 0:
         raise scipy.linalg.LinAlgError(f"singular matrix: zero diagonal entry {info - 1}")
     return z
-
-
-def _with_rows(a, rows):
-    """a itself if it has at least rows rows; else a copy with twice its rows.
-
-    The stored basis starts at one row and grows by this doubling as a run
-    goes on (IncrementalLowerFactor doubles its arrays the same way).
-    """
-    if rows <= len(a):
-        return a
-    grown = np.zeros((2 * len(a),) + a.shape[1:])
-    grown[: len(a)] = a
-    return grown
 
 
 def _finite(value, name, index, k):
@@ -232,7 +207,7 @@ def gkb_solve(sys, N, cfg, full_orth):
         q = g / beta
         nq = ng / beta
         if store_basis:
-            Q = _with_rows(Q, k + 1)
+            Q = grown(Q, (k + 1, sys.n))
             Q[k] = q
         mw = A.matvec(q) - beta * mv
         w = M.solve(mw)

@@ -87,9 +87,7 @@ def gen_random(spec):
     Mmat = SparseMatrix.from_dense(Md)
     del Md
 
-    per_col = int(np.ceil(spec.density * m))
-    if per_col < 1:
-        raise RankRepairError("density too low to give every column an entry")
+    per_col = int(np.ceil(spec.density * m))  # >= 1: density is in (0, 1] and m >= 1
     Ad = np.zeros((m, n))
     for j in range(n):
         rows = rng.choice(m, size=per_col, replace=False)

@@ -250,6 +250,21 @@ def rhs_norm(r, z):
     return norm
 
 
+def grown(a, shape, order="C"):
+    """a itself if it spans shape; else a in the leading corner of a zero array of that order.
+
+    Every axis of a shorter than shape's grows to twice its length, or to
+    shape's if that is more, so an array that a solver loop grows by one step
+    at a time is copied O(log k) times and is sized by the steps taken.
+    """
+    if all(map(operator.ge, a.shape, shape)):  # one call a step: kept cheap
+        return a
+    new = np.zeros([max(2 * have, want) if have < want else have
+                    for have, want in zip(a.shape, shape)], order=order)
+    new[tuple(map(slice, a.shape))] = a
+    return new
+
+
 @dataclass(slots=True)
 class ConvergenceRecord:
     """One iteration of a solve.

@@ -1,6 +1,8 @@
 """SCR, MINRES/GMRES baselines, and the sparse direct oracle."""
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from gsp import (
 from gsp.baselines import SchurOperator
 from gsp.cli import SOLVERS
 from gsp.errors import SingularOperatorError, WrongSolverError
+from gsp.system import HISTORY_FIELDS, grown
 
 
 class TestSchurOperator:
@@ -197,6 +200,66 @@ class TestPgmres:
             sys.A.rmatvec(res.u) - sys.C.matvec(res.p) - sys.b,
         ])
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(sys.b)
+
+
+def test_grown_doubles_each_short_axis_and_keeps_contents_and_order():
+    a = np.arange(6.0).reshape(2, 3)
+    assert grown(a, (2, 3)) is a and grown(a, (1, 2)) is a
+    rows = grown(a, (3, 3))
+    assert rows.shape == (4, 3) and np.array_equal(rows[:2], a) and not rows[2:].any()
+    both = grown(a, (5, 4))  # axis 0 past twice its length: to 5; axis 1 doubles to 6
+    assert both.shape == (5, 6) and np.array_equal(both[:2, :3], a)
+    assert np.count_nonzero(both) == np.count_nonzero(a) and both.flags.c_contiguous
+    f = grown(np.asfortranarray(a), (2, 4), "F")
+    assert f.shape == (2, 6) and f.flags.f_contiguous and np.array_equal(f[:, :3], a)
+    assert grown(np.zeros((2, 0), order="F"), (2, 1), "F").shape == (2, 1)
+
+
+class TestPerStepArrays:
+    """SCR(FOM)'s and GMRES's Hessenbergs grow with the steps taken, not with max_iterations."""
+
+    @staticmethod
+    def oseen(nx):
+        return gen_stokes_channel_detailed(StokesSpec(nx=nx, ny=nx, viscosity=1e-2,
+                                                      oseen_wind="poiseuille"))
+
+    @staticmethod
+    def traced_peak(solve, prob, cfg):
+        solve(prob.system, prob.preconditioner, cfg)  # first-call imports stay out of the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            solve(prob.system, prob.preconditioner, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("solve, nx, bound_mb", [
+        # A (cap+1) x cap Hessenberg at cap = m + n = 735 (pgmres) or n = 575 (scr-fom) peaks
+        # at 6.1 and 3.8 MB; grown by the 140 and 80 steps taken, at 2.3 and 1.3 MB.
+        (pgmres_solve, 16, 3.0),
+        (scr_fom_solve, 24, 2.0),
+    ], ids=["pgmres-oseen16", "scr-fom-oseen24"])
+    def test_peak_memory_does_not_follow_max_iterations(self, solve, nx, bound_mb):
+        cfg = SolverConfig(tolerance=1e-6, max_iterations=10**6)
+        peak = self.traced_peak(solve, self.oseen(nx), cfg)
+        assert peak <= bound_mb * 1e6, f"{peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("solve", [scr_fom_solve, pgmres_solve])
+    def test_results_do_not_depend_on_max_iterations(self, solve):
+        prob = self.oseen(16)
+        runs = [solve(prob.system, prob.preconditioner,
+                      SolverConfig(tolerance=1e-8, max_iterations=cap)) for cap in (3000, 10**6)]
+        steps = runs[0].iterations
+        runs.append(solve(prob.system, prob.preconditioner,
+                          SolverConfig(tolerance=1e-8, max_iterations=steps)))
+        columns = [name for name in HISTORY_FIELDS if name != "wall_time_s"]
+        for run in runs:
+            assert run.termination == "converged" and run.iterations == steps
+            assert run.u.tobytes() == runs[0].u.tobytes()
+            assert run.p.tobytes() == runs[0].p.tobytes()
+            for name in columns:
+                assert run.history.column(name).tobytes() == runs[0].history.column(name).tobytes()
 
 
 class TestDirectSolve:

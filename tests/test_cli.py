@@ -168,6 +168,13 @@ class TestRun:
         ({"problem": RANDOM, "solvers": []}, "solvers must name at least one solver"),
         ({"problem": RANDOM, "solvers": ["nscraig", "craig", "nscraig"]},
          "repeated solvers: ['nscraig']"),
+        ({"problem": dict(RANDOM, source="generate-lattice"), "solvers": ["craig"]},
+         "unknown problem source 'generate-lattice'"),
+        ({"problem": {"m": 10, "n": 5}, "solvers": ["craig"]}, 'problem has no "source"'),
+        ({"problem": RANDOM, "solvers": ["craig"], "config": {"max_iterations": 0}},
+         "bad config: max_iterations must be at least 1"),
+        ({"problem": {"source": "generate-stokes", "nx": 4, "ny": 4, "gamma": -1.0},
+          "solvers": ["craig"]}, "bad stokes problem spec: gamma must be nonnegative"),
     ], ids=["top-level-array", "problem-string", "config-array", "criterion-two-entries",
             "spectrum-number", "solvers-string", "solver-array", "tolerance-null",
             "load-path-number", "load-path-missing", "tolerance-true", "max-iterations-float",
@@ -175,7 +182,8 @@ class TestRun:
             "spectrum-entry-true", "nx-float", "viscosity-true", "tolerance-infinity",
             "tolerance-nan", "length-infinity", "top-level-tolerance",
             "misspelled-preconditioner", "preconditioner-number", "solvers-missing",
-            "solvers-empty", "solvers-repeated"])
+            "solvers-empty", "solvers-repeated", "source-unknown", "source-missing",
+            "max-iterations-zero", "gamma-negative"])
     def test_malformed_manifest_is_refused_without_traceback(self, tmp_path, capsys, doc,
                                                              fragment):
         if isinstance(doc, dict):
@@ -186,6 +194,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("gsp: error: ") and err.count("\n") == 1 and fragment in err
         assert not (tmp_path / "out").exists()
+
+    def test_missing_manifest_is_refused_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gsp: error: cannot read manifest {path}: ")
+        assert "No such file or directory" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["false", 0, None], ids=["string-false", "zero", "null"])
     @pytest.mark.parametrize("key", ["reorthogonalize", "report_error_vs_oracle"])
@@ -509,7 +524,8 @@ def test_non_spd_or_mis_sized_n_refused_before_any_solve(tmp_path, capsys, monke
 
 @pytest.mark.parametrize("verb, where", [
     (verb, where) for verb in ("run", "compare", "gen")
-    for where in ("existing-file", "under-a-file", "output-file-is-a-directory", "disk-full")
+    for where in ("existing-file", "under-a-file", "empty", "output-file-is-a-directory",
+                  "disk-full")
 ] + [("gen", "block-file-is-a-directory")])
 def test_output_path_that_cannot_be_a_directory_is_one_error_line(tmp_path, capsys,
                                                                    monkeypatch, verb, where):
@@ -533,12 +549,20 @@ def test_output_path_that_cannot_be_a_directory_is_one_error_line(tmp_path, caps
         for name in SOLVERS:
             monkeypatch.setitem(SOLVERS, name, never)
         monkeypatch.setattr(gsp.cli, "gen_stokes_channel_detailed", never)
+        monkeypatch.setattr(gsp.cli, "gen_random", never)
         blocker = tmp_path / "file"
         blocker.write_text("")
-        out = blocker if where == "existing-file" else blocker / "out"
-        expected = f"output directory {out} cannot be created: {blocker} is not a directory"
+        if where == "empty":  # abspath reads "" as the working directory; makedirs cannot make it
+            monkeypatch.chdir(tmp_path)
+            out = ""
+            expected = "output directory is an empty path"
+        else:
+            out = blocker if where == "existing-file" else blocker / "out"
+            expected = f"output directory {out} cannot be created: {blocker} is not a directory"
     if verb == "gen":
-        argv = ["gen", "stokes", "--nx", "4", "--ny", "4", "-o", str(out)]
+        kind = ["random", "--m", "10", "--n", "5"] if where == "empty" else [
+            "stokes", "--nx", "4", "--ny", "4"]
+        argv = ["gen", *kind, "-o", str(out)]
     else:
         argv = [verb, write_manifest(tmp_path / "m.json", problem=RANDOM,
                                      solvers=["craig", "scr-cg"], output_dir=str(out))]
@@ -550,6 +574,8 @@ def test_output_path_that_cannot_be_a_directory_is_one_error_line(tmp_path, caps
         assert not (out / "summary.csv").exists() and not (out / "compare.csv").exists()
     else:
         assert blocker.read_text() == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["file"] + (["m.json"] if verb != "gen" else []))
 
 
 def test_outputs_deterministic_across_runs(tmp_path):

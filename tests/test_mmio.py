@@ -283,8 +283,9 @@ def test_save_that_fails_keeps_an_older_system_intact(tmp_path, monkeypatch):
     save_system(tmp_path, old)
     before = snapshot(tmp_path)
     (tmp_path / "blocked.json").mkdir()  # the manifest, written last, cannot land
-    with pytest.raises(IsADirectoryError):
-        save_system(tmp_path, random_system(10, 5, seed=88), manifest_name="blocked.json")
+    with monkeypatch.context() as patch, pytest.raises(IsADirectoryError):
+        patch.setattr(gsp.mmio, "MANIFEST_NAME", "blocked.json")
+        save_system(tmp_path, random_system(10, 5, seed=88))
 
     def full(*args):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

@@ -189,10 +189,14 @@ class TestErrorEstimate:
         sys = random_system(30, 15, skew=0.5, c_rank=7, seed=53, spectrum=(1.0, 50.0))
         res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=12,
                                                     keep_basis=True))
-        lower = IncrementalLowerFactor()  # one row, grown four times to 16
+        lower = IncrementalLowerFactor()  # no rows, grown five times to 16
         for k in range(1, res.iterations + 1):
             lower.append(res.alphas[k - 1], res.betas[k - 1], res.scalars[k - 1],
                          res.h_columns[k - 1])
+            cap = 1 << (k - 1).bit_length()  # 1, 2, 4, 8, 16: the capacities _upper_solve names
+            assert lower.Lt.shape == (cap, cap) and lower.band.shape == (2, cap)
+            assert lower.Lt.flags.f_contiguous and lower.band.flags.f_contiguous
+            assert len(lower.x) == len(lower.w) == cap
             L = dense_reference(res, k)[2]
             # Only the lower triangle is defined; above it the rebuild holds roundoff.
             assert np.abs(np.tril(lower.lower_factor() - L)).max() <= 1e-12 * np.abs(L).max()

@@ -25,7 +25,7 @@ from gsp import (
     schur_condition_number,
     validate_system,
 )
-from gsp.errors import DimensionError
+from gsp.errors import DimensionError, NotSpdError, NotSpsdError, RankRepairError
 from gsp.linops import DENSE_FACTOR_DENSITY
 
 
@@ -217,6 +217,19 @@ class TestGenStokes:
 
         monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
         with pytest.raises(DimensionError, match="capped at 2000"):
+            validate_system(sys)
+
+    @pytest.mark.parametrize("M, A, C, exc, fragment", [
+        # Nonsymmetric, so factorize takes it by LU; its symmetric part has eigenvalues -0.5 and 1.
+        ([[1.0, 2.0], [0.0, -0.5]], [[1.0], [1.0]], [[1.0]], NotSpdError,
+         "symmetric part of M has min eigenvalue"),
+        (np.eye(3), np.ones((3, 2)), np.eye(2), RankRepairError, "A is numerically rank deficient"),
+        (np.eye(2), [[1.0], [1.0]], [[-1.0]], NotSpsdError, "C has negative eigenvalue -1.0"),
+    ], ids=["m-indefinite", "a-rank-deficient", "c-negative"])
+    def test_validation_refuses_each_broken_hypothesis(self, M, A, C, exc, fragment):
+        sys = SaddleSystem.from_matrices(np.array(M), np.array(A), np.array(C),
+                                         np.ones(len(C)))
+        with pytest.raises(exc, match=f"^{fragment}"):
             validate_system(sys)
 
     def test_oseen_wind_makes_nonsymmetric(self):
@@ -442,10 +455,12 @@ class TestFieldChecks:
          "'spectrum' must be finite, got inf"),
         (lambda: RandomSpec(m=10, n=5, spectrum=5), TypeError,
          "'spectrum' must be a pair of numbers, got 5"),
+        (lambda: SolverConfig(max_iterations=0), ValueError, "max_iterations must be at least 1"),
+        (lambda: StokesSpec(nx=4, ny=4, gamma=-1.0), ValueError, "gamma must be nonnegative"),
     ], ids=["max-iterations-float", "max-iterations-true", "tolerance-true", "error-delay-float",
             "reorthogonalize-int", "nx-float", "length-negative", "length-infinity",
             "viscosity-nan", "m-float", "seed-float", "seed-negative", "spectrum-infinity",
-            "spectrum-number"])
+            "spectrum-number", "max-iterations-zero", "gamma-negative"])
     def test_refusal_names_field_and_value(self, build, exc, fragment):
         with pytest.raises(exc) as info:
             build()
