@@ -15,8 +15,7 @@ from .baselines import (
 )
 from .craig import craig_solve
 from .gkb import (
-    BidiagFactors,
-    GkbBasis,
+    Bidiagonalization,
     augment,
     gkb_nonsymmetric,
     gkb_symmetric,

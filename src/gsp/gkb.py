@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from .baselines import SchurOperator
 from .errors import BreakdownError, DimensionError, WrongSolverError, ZeroRhsError
 from .linops import SparseMatrix, spsd_factor
-from .system import BREAKDOWN_TOL, SaddleSystem, check_n, rhs_norm
+from .system import BREAKDOWN_TOL, SaddleSystem, check_n, grown, rhs_norm
 
 
 def augment(sys):
@@ -34,43 +35,29 @@ def augment(sys):
 
 
 @dataclass
-class GkbBasis:
-    """Right basis Q (length-n vectors) and left basis V (length-m vectors)."""
+class Bidiagonalization:
+    """k steps of the generalized Golub-Kahan bidiagonalization of A, as arrays.
 
-    Q: list[np.ndarray]
-    V: list[np.ndarray]
-
-    def q_matrix(self, k=None):
-        return np.column_stack(self.Q[: k or len(self.Q)])
-
-    def v_matrix(self, k=None):
-        return np.column_stack(self.V[: k or len(self.V)])
-
-
-@dataclass
-class BidiagFactors:
-    """Scalars of the (bi)diagonalization plus the nonsymmetric extras.
-
-    betas holds beta_1 .. beta_{k+1}; alphas holds alpha_1 .. alpha_k.
-    hessenberg_columns / lower_factor are populated by the nonsymmetric run.
+    Q holds rows q_1..q_{k+1} (q_{k+1} is missing when beta_{k+1} broke
+    down) and V rows v_1..v_k; alphas holds alpha_1..alpha_k and betas
+    beta_1..beta_{k+1}. B is the upper bidiagonal B_k and H the upper
+    Hessenberg H_k, with A Q_k = M V_k B_k and
+    A^T V_k = N Q_k H_k + beta_{k+1} N q_{k+1} e_k^T; L is the lower
+    triangle of V_k^T M V_k, and H_k = B_k^T L^T. A symmetric run has
+    H = B^T and L = I.
     """
 
+    Q: np.ndarray
+    V: np.ndarray
     alphas: list[float]
     betas: list[float]
-    hessenberg_columns: list[np.ndarray] | None = None
-    lower_factor: np.ndarray | None = None
+    B: np.ndarray
+    H: np.ndarray
+    L: np.ndarray
 
     @property
     def k(self):
         return len(self.alphas)
-
-    def bidiagonal(self, k=None):
-        return assemble_bidiagonal(self.alphas, self.betas, k)
-
-    def hessenberg(self, k=None):
-        if self.hessenberg_columns is None:
-            raise ValueError("no Hessenberg columns recorded (symmetric run)")
-        return assemble_hessenberg(self.hessenberg_columns, self.betas, k)
 
 
 def assemble_bidiagonal(alphas, betas, k=None):
@@ -80,22 +67,6 @@ def assemble_bidiagonal(alphas, betas, k=None):
     if k > 1:
         B += np.diag(np.asarray(betas[1:k], dtype=float), 1)
     return B
-
-
-def assemble_hessenberg(h_columns, betas, k=None):
-    """Upper Hessenberg H_k from orthogonalization columns and subdiagonal betas.
-
-    H is stored column-major: each column is written contiguously, and
-    LAPACK's solves read it without a copy.
-    """
-    k = k or len(h_columns)
-    H = np.zeros((k, k), order="F")
-    for j in range(k):
-        col = np.asarray(h_columns[j], dtype=float)
-        H[: j + 1, j] = col[: j + 1]
-    for j in range(1, k):
-        H[j, j - 1] = betas[j]
-    return H
 
 
 def _init_step(sys, N):
@@ -117,9 +88,11 @@ def _bidiagonalize(sys, N, steps, full_mgs, reorthogonalize):
     """Shared oracle loop: three-term orthogonalization, or full MGS when full_mgs.
 
     reorthogonalize adds one more MGS pass over the stored right basis. Returns
-    the basis, alphas, betas and the MGS coefficient columns, which are the
-    Hessenberg columns under full_mgs. Stored C entries raise WrongSolverError,
-    and an N that check_n refuses raises its error before any solve.
+    the bases Q and V as arrays of rows, alphas, betas and H_k under full_mgs:
+    a (k+1) x k array takes each step's MGS coefficients and beta_{k+1} below
+    them, and its leading k x k block is returned. Stored C entries raise
+    WrongSolverError, and an N that check_n refuses raises its error before
+    any solve.
     """
     if sys.C.nnz:
         raise WrongSolverError("the oracle needs C = 0: pass augment(sys)")
@@ -131,21 +104,21 @@ def _bidiagonalize(sys, N, steps, full_mgs, reorthogonalize):
     q, beta1, v, alpha = _init_step(sys, N)
     Q, NQ, V = [q], [N.apply(q)], [v]
     alphas, betas = [alpha], [beta1]
-    h_columns = []
+    H = np.zeros((1, 0))
     passes = int(full_mgs) + int(reorthogonalize)
 
     for k in range(1, steps + 1):
         g = A.rmatvec(v)
         g = N.solve(g if full_mgs else g - alphas[-1] * NQ[-1])
-        h = np.zeros(k)
+        H = grown(H, (k + 1, k))
         for _ in range(passes):
             for j in range(k):
                 c = NQ[j] @ g
                 g = g - c * Q[j]
-                h[j] += c
-        h_columns.append(h)
+                H[j, k - 1] += c
         beta = float(np.sqrt(max(g @ N.apply(g), 0.0)))
         betas.append(beta)
+        H[k, k - 1] = beta
         if beta <= BREAKDOWN_TOL * beta1:
             break
         q = g / beta
@@ -161,19 +134,20 @@ def _bidiagonalize(sys, N, steps, full_mgs, reorthogonalize):
         v = w / alpha
         V.append(v)
 
-    return GkbBasis(Q, V), alphas, betas, h_columns
+    return np.array(Q), np.array(V), alphas, betas, H[:k, :k]
 
 
 def gkb_symmetric(sys, N, steps, reorthogonalize=False):
     """Bidiagonalize A of a C = 0 system with a symmetric leading block.
 
-    Returns (GkbBasis, BidiagFactors) satisfying the two-sided factorization
-    identities. Stops early (fewer than `steps` factors) once beta_{k+1}
-    falls below BREAKDOWN_TOL * beta_1; a vanishing alpha raises
+    Returns the Bidiagonalization, with H = B^T and L = I: the three-term
+    recurrence assumes both. Stops early (fewer than `steps` factors) once
+    beta_{k+1} falls below BREAKDOWN_TOL * beta_1; a vanishing alpha raises
     BreakdownError instead, since it signals an inconsistent right-hand side.
     """
-    basis, alphas, betas, _ = _bidiagonalize(sys, N, steps, False, reorthogonalize)
-    return basis, BidiagFactors(alphas, betas)
+    Q, V, alphas, betas, _ = _bidiagonalize(sys, N, steps, False, reorthogonalize)
+    B = assemble_bidiagonal(alphas, betas)
+    return Bidiagonalization(Q, V, alphas, betas, B, B.T, np.eye(len(alphas)))
 
 
 def gkb_nonsymmetric(sys, N, steps, reorthogonalize=False):
@@ -181,15 +155,14 @@ def gkb_nonsymmetric(sys, N, steps, reorthogonalize=False):
 
     The new right vector is orthogonalized against all previous ones with
     modified Gram-Schmidt in the N inner product (twice under
-    reorthogonalize); the projection coefficients form the Hessenberg
-    columns. The left Gram matrix V^T M V (unit lower triangular in exact
-    arithmetic) is returned as the lower factor.
+    reorthogonalize); the projection coefficients form H. L is the lower
+    triangle of the left Gram matrix V^T M V (unit lower triangular in exact
+    arithmetic).
     """
-    basis, alphas, betas, h_columns = _bidiagonalize(sys, N, steps, True, reorthogonalize)
-    k = len(alphas)
-    Vk = basis.v_matrix(k)
-    gram = Vk.T @ _apply_columns(sys.M, Vk)
-    return basis, BidiagFactors(alphas, betas, h_columns[:k], np.tril(gram))
+    Q, V, alphas, betas, H = _bidiagonalize(sys, N, steps, True, reorthogonalize)
+    Vk = np.ascontiguousarray(V.T)  # m x k, the layout the Gram product has always read
+    L = np.tril(Vk.T @ _apply_columns(sys.M, Vk))
+    return Bidiagonalization(Q, V, alphas, betas, assemble_bidiagonal(alphas, betas), H, L)
 
 
 def _apply_columns(K, X):
@@ -209,38 +182,34 @@ class DecompositionReport:
     scale: float
 
 
-def verify_decomposition(sys, N, basis, factors):
-    """Evaluate the factorization identities for a computed basis of a C = 0 system.
+def verify_decomposition(sys, N, gkb):
+    """Evaluate the factorization identities of a Bidiagonalization of a C = 0 system.
 
-    Returns the Frobenius residuals of A Q = M V B and A^T V = N Q B^T (N Q H
-    for a nonsymmetric run, one that recorded Hessenberg columns) and the
-    orthogonality defects; when the decomposition ran to full length the
-    reduced matrix is also compared against the preconditioned Schur
-    complement A^T M^{-1} A expressed in the right basis (formed densely).
+    Returns the Frobenius residuals of A Q = M V B and
+    A^T V = N Q H + beta_{k+1} N q_{k+1} e_k^T, of Q^T N Q = I and of
+    V^T M V = L; when the decomposition ran to full
+    length, H B is also compared against the preconditioned Schur complement
+    A^T M^{-1} A expressed in the right basis (formed densely).
     """
-    k = factors.k
-    Qk, Vk = basis.q_matrix(k), basis.v_matrix(k)
-    B = factors.bidiagonal()
+    k = gkb.k
+    Qk, Vk = gkb.Q[:k].T, gkb.V.T
     Ad = sys.A.to_dense()
     NQ, MV = _apply_columns(N, Qk), _apply_columns(sys.M, Vk)
 
-    factor_residual = float(np.linalg.norm(Ad @ Qk - MV @ B))
+    factor_residual = float(np.linalg.norm(Ad @ Qk - MV @ gkb.B))
 
-    reduced = B.T if factors.hessenberg_columns is None else factors.hessenberg()
-    rhs = NQ @ reduced
-    beta_next = factors.betas[k] if len(factors.betas) > k else 0.0
-    if len(basis.Q) > k and beta_next:
-        rhs = rhs + beta_next * np.outer(N.apply(basis.Q[k]), np.eye(k)[k - 1])
+    rhs = NQ @ gkb.H
+    if len(gkb.Q) > k:
+        rhs = rhs + gkb.betas[k] * np.outer(N.apply(gkb.Q[k]), np.eye(k)[k - 1])
     transpose_residual = float(np.linalg.norm(Ad.T @ Vk - rhs))
 
     q_orth = float(np.linalg.norm(Qk.T @ NQ - np.eye(k)))
-    target = factors.lower_factor if factors.lower_factor is not None else np.eye(k)
-    v_orth = float(np.linalg.norm(Vk.T @ MV - target))
+    v_orth = float(np.linalg.norm(Vk.T @ MV - gkb.L))
 
     schur_residual = None
     if k == sys.n:
-        S = Ad.T @ np.column_stack([sys.M.solve(a) for a in Ad.T])
-        schur_residual = float(np.linalg.norm(reduced @ B - Qk.T @ S @ Qk))
+        S = SchurOperator(sys).dense()
+        schur_residual = float(np.linalg.norm(gkb.H @ gkb.B - Qk.T @ S @ Qk))
 
     return DecompositionReport(factor_residual, transpose_residual, q_orth, v_orth,
                                schur_residual, float(np.linalg.norm(Ad)))

@@ -182,7 +182,8 @@ def gkb_solve(sys, N, cfg, full_orth):
     nsCRAIG grows its IncrementalLowerFactor every step; the error-estimate
     rule reads it each step and assemble_solution once, on termination: the
     only iterate nsCRAIG forms. cfg.keep_basis keeps Q (k x n) and nsCRAIG's
-    Hessenberg columns; earlier iterates come from replay. A NaN or infinite
+    Hessenberg H_k (k x k), grown as a (k+1) x k array that takes column k and
+    beta_{k+1} each step; earlier iterates come from replay. A NaN or infinite
     alpha or beta raises NonFiniteError; cfg.stop decides every other end.
     """
     A, C, M = sys.A, sys.C, sys.M
@@ -193,7 +194,7 @@ def gkb_solve(sys, N, cfg, full_orth):
     beta = beta1 = _finite(rhs_norm(g, ng), "beta", 1, 0)
     store_basis = full_orth or cfg.reorthogonalize or cfg.keep_basis
     Q = np.zeros((1, sys.n)) if store_basis else None
-    h_columns = [] if full_orth and cfg.keep_basis else None
+    H = np.zeros((1, 0), order="F") if full_orth and cfg.keep_basis else None
     lower = IncrementalLowerFactor() if full_orth else None
     history = History()
     # Step 0's state: the first pass through the loop's head is step 1's, with
@@ -248,9 +249,11 @@ def gkb_solve(sys, N, cfg, full_orth):
                 h += c
         if full_orth:
             lower.append(alpha, beta, zeta, h)
-            if h_columns is not None:
-                h_columns.append(h)
         beta = _finite(float(np.sqrt(max(g @ ng, 0.0))), "beta", k + 1, k)
+        if H is not None:
+            H = grown(H, (k + 1, k), "F")
+            H[:k, k - 1] = h
+            H[k, k - 1] = beta
 
         res_rel = (beta / beta1) * abs(zeta)
         err_est = None
@@ -272,7 +275,8 @@ def gkb_solve(sys, N, cfg, full_orth):
         p = y @ Q[:k]
         u = -M.solve(A.matvec(p))
     return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1,
-                       h_columns=h_columns, Q=Q[:k].copy() if cfg.keep_basis else None)
+                       H=None if H is None else H[:k, :k].copy(order="F"),
+                       Q=Q[:k].copy() if cfg.keep_basis else None)
 
 
 def nscraig_solve(sys, N=None, cfg=None):

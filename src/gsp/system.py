@@ -132,7 +132,7 @@ class SolverConfig:
     Gram-Schmidt pass per step over the stored right basis, at the cost of one
     more N product (CRAIG: its only pass; nsCRAIG: one more after its lagged
     CGS2, over the final rows). keep_basis retains what a rerun cannot give
-    back, the right basis and nsCRAIG's Hessenberg columns; earlier iterates
+    back, the right basis and nsCRAIG's Hessenberg matrix; earlier iterates
     come from gsp.nscraig.replay, the same run capped at each step count.
     Every field is type-checked on construction (check_fields), then range-checked.
     """
@@ -358,7 +358,7 @@ class SolveResult:
     The bidiagonalization scalars live in the history only; alphas, betas and
     scalars read its columns back. beta1 is the N^{-1}-norm of b (baselines
     store their own initial residual norm there). The right basis Q (k x n,
-    rows q_1..q_k) and nsCRAIG's Hessenberg columns h_columns are kept only
+    rows q_1..q_k) and nsCRAIG's Hessenberg H (k x k, H_k) are kept only
     under keep_basis, so a result without them is O(k + m + n) in size.
     """
 
@@ -368,7 +368,7 @@ class SolveResult:
     history: History = field(default_factory=History)
     fired_criterion: str | None = None
     beta1: float | None = None
-    h_columns: list[np.ndarray] | None = None
+    H: np.ndarray | None = None
     Q: np.ndarray | None = None
 
     @property

@@ -42,7 +42,7 @@ from gsp import (
     write_matrix_market,
 )
 from gsp.baselines import SchurOperator
-from gsp.gkb import assemble_bidiagonal, assemble_hessenberg
+from gsp.gkb import assemble_bidiagonal
 
 
 def well_conditioned_instance(m, n, c_rank, seed, skew=0.0):
@@ -180,7 +180,7 @@ def test_criterion_04_energy_error_identity():
     u_star, p_star = direct_solve(sys_n)
     k_full = len(res_n.alphas)
     B = assemble_bidiagonal(res_n.alphas, res_n.betas, k_full)
-    H = assemble_hessenberg(res_n.h_columns, res_n.betas, k_full)
+    H = res_n.H
     Lt = scipy.linalg.solve_triangular(B.T, H, lower=True)
     zeta = scipy.linalg.solve_triangular(Lt, np.array(res_n.scalars), lower=False)
     terms = np.array(res_n.scalars) * zeta
@@ -203,23 +203,23 @@ def test_criterion_05_scalar_sequence_equivalence():
         c_rank = max(1, (1, n // 2, n)[i % 3])
         sys = random_system(m, n, c_rank=c_rank, seed=300 + i)
         N = random_preconditioner(n, seed=300 + i)
-        _, factors = gkb_symmetric(augment(sys), N, steps=n)
+        gkb = gkb_symmetric(augment(sys), N, steps=n)
         res = craig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=n))
-        worst = max(worst, _scalar_gap(factors, res))
+        worst = max(worst, _scalar_gap(gkb, res))
     for i in range(10):
         m = (12, 24)[i % 2]
         n = m // 2
         c_rank = max(1, (1, n // 2, n)[i % 3])
         sys = random_system(m, n, skew=0.5, c_rank=c_rank, seed=400 + i)
         N = random_preconditioner(n, seed=400 + i)
-        _, factors = gkb_nonsymmetric(augment(sys), N, steps=n)
+        gkb = gkb_nonsymmetric(augment(sys), N, steps=n)
         res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=n))
-        worst = max(worst, _scalar_gap(factors, res))
+        worst = max(worst, _scalar_gap(gkb, res))
     assert worst <= 1e-10
     print(f"\ncriterion 05 scalar-sequence equivalence: PASS (max gap {worst:.2e})")
 
 
-def _scalar_gap(factors, res):
+def _scalar_gap(gkb, res):
     """Largest relative difference over alpha_1..alpha_k, beta_1..beta_k.
 
     beta_{k+1} (the entry that triggers termination) is excluded: both routes
@@ -227,10 +227,10 @@ def _scalar_gap(factors, res):
     comparison is meaningless.
     """
     gap = 0.0
-    k = min(len(factors.alphas), len(res.alphas))
-    for a, b in zip(factors.alphas[:k], res.alphas[:k]):
+    k = min(len(gkb.alphas), len(res.alphas))
+    for a, b in zip(gkb.alphas[:k], res.alphas[:k]):
         gap = max(gap, abs(a - b) / abs(b))
-    for a, b in zip(factors.betas[:k], res.betas[:k]):
+    for a, b in zip(gkb.betas[:k], res.betas[:k]):
         gap = max(gap, abs(a - b) / max(abs(b), 1e-300))
     return gap
 
@@ -244,17 +244,17 @@ def test_criterion_06_decomposition_identities():
         aug = augment(sys)
         symmetric = skew == 0.0
         if symmetric:
-            basis, factors = gkb_symmetric(aug, N, steps=n, reorthogonalize=True)
+            gkb = gkb_symmetric(aug, N, steps=n, reorthogonalize=True)
         else:
-            basis, factors = gkb_nonsymmetric(aug, N, steps=n)
-        rep = verify_decomposition(aug, N, basis, factors)
+            gkb = gkb_nonsymmetric(aug, N, steps=n)
+        rep = verify_decomposition(aug, N, gkb)
         assert rep.factor_residual <= 1e-9 * rep.scale
         assert rep.transpose_residual <= 1e-9 * rep.scale
         assert rep.q_orthogonality <= 1e-8
-        k = len(factors.alphas)
-        B = factors.bidiagonal()
+        k = len(gkb.alphas)
+        B = gkb.B
         if not symmetric:
-            H, L = factors.hessenberg(), factors.lower_factor
+            H, L = gkb.H, gkb.L
             assert np.abs(H - B.T @ L.T).max() <= 1e-10 * max(np.abs(H).max(), 1.0)
             reduced = H @ B
         else:

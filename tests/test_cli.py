@@ -139,6 +139,13 @@ class TestRun:
         ({"problem": RANDOM, "solvers": ["craig"],
           "config": {"criterion": {"error-estimate": 2.0}}},
          "'error_delay' must be an integer"),
+        # The shorthand gives the window; it must not silently override a stated one.
+        ({"problem": RANDOM, "solvers": ["craig"],
+          "config": {"criterion": {"error-estimate": 5}, "error_delay": 3}},
+         "give error_delay in the criterion object or as a key, not both"),
+        ({"problem": RANDOM, "solvers": ["craig"],
+          "config": {"criterion": {"relative-residual": 5}}},
+         "criterion 'relative-residual' has no error_delay window"),
         ({"problem": dict(RANDOM, m=10.0), "solvers": ["craig"]},
          "bad random problem spec: 'm' must be an integer, got 10.0"),
         ({"problem": dict(RANDOM, density="1"), "solvers": ["craig"]},
@@ -178,7 +185,8 @@ class TestRun:
     ], ids=["top-level-array", "problem-string", "config-array", "criterion-two-entries",
             "spectrum-number", "solvers-string", "solver-array", "tolerance-null",
             "load-path-number", "load-path-missing", "tolerance-true", "max-iterations-float",
-            "max-iterations-false", "error-delay-float", "m-float", "density-string",
+            "max-iterations-false", "error-delay-float", "criterion-object-and-error-delay",
+            "criterion-object-without-window", "m-float", "density-string",
             "spectrum-entry-true", "nx-float", "viscosity-true", "tolerance-infinity",
             "tolerance-nan", "length-infinity", "top-level-tolerance",
             "misspelled-preconditioner", "preconditioner-number", "solvers-missing",
@@ -288,6 +296,16 @@ class TestRun:
             manifest = RunManifest.from_file(str(path))
             assert manifest.config.reorthogonalize is flag
             assert manifest.report_error_vs_oracle is flag
+
+    def test_criterion_object_leaves_the_config_dict_unchanged(self):
+        accepted = {"criterion": {"both": 4}}
+        cfg = RunManifest(problem=RANDOM, solvers=["craig"], config=accepted).config
+        assert (cfg.criterion, cfg.error_delay) == ("both", 4)
+        assert accepted == {"criterion": {"both": 4}}
+        refused = {"criterion": {"error-estimate": 4}, "error_delay": 4}
+        with pytest.raises(UsageError, match="not both"):
+            RunManifest(problem=RANDOM, solvers=["craig"], config=refused)
+        assert refused == {"criterion": {"error-estimate": 4}, "error_delay": 4}
 
     def test_integer_reals_load_as_floats(self, tmp_path):
         path = tmp_path / "m.json"

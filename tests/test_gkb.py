@@ -29,11 +29,11 @@ class TestSymmetric:
     def test_hand_instance_terminates_after_one_step(self, hand_system):
         aug = augment(hand_system)
         N = FactorizedOperator.identity(1)
-        basis, factors = gkb_symmetric(aug, N, steps=1)
-        assert factors.betas[0] == 1.0
-        assert np.allclose(basis.Q[0], [1.0])
-        assert abs(factors.alphas[0] - math.sqrt(3.0)) <= 1e-14
-        assert factors.betas[1] <= 1e-14  # early termination
+        gkb = gkb_symmetric(aug, N, steps=1)
+        assert gkb.betas[0] == 1.0
+        assert np.allclose(gkb.Q[0], [1.0])
+        assert abs(gkb.alphas[0] - math.sqrt(3.0)) <= 1e-14
+        assert gkb.betas[1] <= 1e-14  # early termination
 
     def test_stored_c_refused(self, hand_system):
         with pytest.raises(WrongSolverError, match="augment"):
@@ -66,13 +66,20 @@ class TestSymmetric:
             oracle(sys, LoggedSolves(factorize(K), solves), steps=5)
         assert solves == []
 
+    @pytest.mark.parametrize("steps", [0, 6])
+    @pytest.mark.parametrize("oracle", [gkb_symmetric, gkb_nonsymmetric])
+    def test_steps_outside_one_to_n_refused(self, oracle, steps):
+        aug = augment(random_system(10, 5, c_rank=0, seed=3))
+        with pytest.raises(DimensionError, match=r"steps must be in \[1, 5\]"):
+            oracle(aug, FactorizedOperator.identity(5), steps=steps)
+
     def test_full_length_identities(self):
         sys = random_system(8, 4, c_rank=2, seed=7)
         N = random_preconditioner(4, seed=7)
         aug = augment(sys)
-        basis, factors = gkb_symmetric(aug, N, steps=4)
-        assert factors.betas[-1] <= 1e-9 * factors.betas[0]
-        rep = verify_decomposition(aug, N, basis, factors)
+        gkb = gkb_symmetric(aug, N, steps=4)
+        assert gkb.betas[-1] <= 1e-9 * gkb.betas[0]
+        rep = verify_decomposition(aug, N, gkb)
         assert rep.factor_residual <= 1e-9 * rep.scale
         assert rep.transpose_residual <= 1e-9 * rep.scale
         assert rep.q_orthogonality <= 1e-8
@@ -82,9 +89,9 @@ class TestSymmetric:
         sys = random_system(6, 3, c_rank=3, seed=8)
         N = random_preconditioner(3, seed=8)
         aug = augment(sys)
-        basis, factors = gkb_symmetric(aug, N, steps=3)
-        rep = verify_decomposition(aug, N, basis, factors)
-        B = factors.bidiagonal()
+        gkb = gkb_symmetric(aug, N, steps=3)
+        rep = verify_decomposition(aug, N, gkb)
+        B = gkb.B
         assert rep.schur_residual is not None
         assert rep.schur_residual <= 1e-9 * np.linalg.norm(B.T @ B)
 
@@ -92,19 +99,19 @@ class TestSymmetric:
         sys = random_system(6, 3, c_rank=2, seed=9)
         N = random_preconditioner(3, seed=9)
         aug = augment(sys)
-        basis, factors = gkb_symmetric(aug, N, steps=3)
-        basis.Q[1] = 1.01 * basis.Q[1]
-        rep = verify_decomposition(aug, N, basis, factors)
+        gkb = gkb_symmetric(aug, N, steps=3)
+        gkb.Q[1] = 1.01 * gkb.Q[1]
+        rep = verify_decomposition(aug, N, gkb)
         assert 1.5e-2 <= rep.q_orthogonality <= 3e-2
 
     def test_scalars_match_craig(self):
         sys = random_system(10, 5, c_rank=3, seed=10)
         N = random_preconditioner(5, seed=10)
-        _, factors = gkb_symmetric(augment(sys), N, steps=5)
+        gkb = gkb_symmetric(augment(sys), N, steps=5)
         result = craig_solve(sys, N, full_length_config(5))
-        for a, b in zip(factors.alphas, result.alphas):
+        for a, b in zip(gkb.alphas, result.alphas):
             assert abs(a - b) <= 1e-10 * abs(b)
-        for a, b in zip(factors.betas[:-1], result.betas[:-1]):
+        for a, b in zip(gkb.betas[:-1], result.betas[:-1]):
             assert abs(a - b) <= 1e-10 * max(abs(b), 1e-300)
 
 
@@ -112,43 +119,43 @@ class TestNonsymmetric:
     def test_hand_instance_alpha(self, hand_system_nonsym):
         aug = augment(hand_system_nonsym)
         N = FactorizedOperator.identity(1)
-        basis, factors = gkb_nonsymmetric(aug, N, steps=1)
-        assert factors.betas[0] == 1.0
-        assert abs(factors.alphas[0] - math.sqrt(2.6)) <= 1e-14
+        gkb = gkb_nonsymmetric(aug, N, steps=1)
+        assert gkb.betas[0] == 1.0
+        assert abs(gkb.alphas[0] - math.sqrt(2.6)) <= 1e-14
 
     def test_symmetric_input_reduces_to_symmetric_factors(self):
         sys = random_system(8, 4, c_rank=2, seed=11)
         N = random_preconditioner(4, seed=11)
         aug = augment(sys)
-        basis_n, factors_n = gkb_nonsymmetric(aug, N, steps=4)
-        basis_s, factors_s = gkb_symmetric(aug, N, steps=4)
-        L = factors_n.lower_factor
-        assert np.abs(L - np.eye(len(factors_n.alphas))).max() <= 1e-10
-        H = factors_n.hessenberg()
-        B = factors_n.bidiagonal()
+        gkb_n = gkb_nonsymmetric(aug, N, steps=4)
+        gkb_s = gkb_symmetric(aug, N, steps=4)
+        L = gkb_n.L
+        assert np.abs(L - np.eye(len(gkb_n.alphas))).max() <= 1e-10
+        H = gkb_n.H
+        B = gkb_n.B
         assert np.abs(H - B.T).max() <= 1e-10 * np.abs(B).max()
-        for a, b in zip(factors_n.alphas, factors_s.alphas):
+        for a, b in zip(gkb_n.alphas, gkb_s.alphas):
             assert abs(a - b) <= 1e-10 * abs(b)
 
     def test_full_length_identities_and_hessenberg_product(self):
         sys = random_system(8, 4, skew=0.5, c_rank=2, seed=12)
         N = random_preconditioner(4, seed=12)
         aug = augment(sys)
-        basis, factors = gkb_nonsymmetric(aug, N, steps=4)
-        rep = verify_decomposition(aug, N, basis, factors)
+        gkb = gkb_nonsymmetric(aug, N, steps=4)
+        rep = verify_decomposition(aug, N, gkb)
         assert rep.factor_residual <= 1e-9 * rep.scale
         assert rep.transpose_residual <= 1e-9 * rep.scale
         assert rep.q_orthogonality <= 1e-8
         assert rep.v_orthogonality <= 1e-8
-        H, B, L = factors.hessenberg(), factors.bidiagonal(), factors.lower_factor
+        H, B, L = gkb.H, gkb.B, gkb.L
         assert np.abs(H - B.T @ L.T).max() <= 1e-10 * max(np.abs(H).max(), 1.0)
 
     def test_preconditioned_schur_eigenvalues(self):
         sys = random_system(8, 4, skew=0.5, c_rank=2, seed=13)
         N = random_preconditioner(4, seed=13)
         aug = augment(sys)
-        _, factors = gkb_nonsymmetric(aug, N, steps=4)
-        HB = factors.hessenberg() @ factors.bidiagonal()
+        gkb = gkb_nonsymmetric(aug, N, steps=4)
+        HB = gkb.H @ gkb.B
         Ad = sys.A.to_dense()
         S = Ad.T @ np.column_stack([sys.M.solve(Ad[:, j]) for j in range(4)]) + sys.C.to_dense()
         d = np.sqrt(N.matrix.csr.diagonal())
@@ -160,11 +167,11 @@ class TestNonsymmetric:
     def test_scalars_match_nscraig(self):
         sys = random_system(10, 5, skew=0.5, c_rank=3, seed=14)
         N = random_preconditioner(5, seed=14)
-        _, factors = gkb_nonsymmetric(augment(sys), N, steps=5)
+        gkb = gkb_nonsymmetric(augment(sys), N, steps=5)
         result = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=5))
-        for a, b in zip(factors.alphas, result.alphas):
+        for a, b in zip(gkb.alphas, result.alphas):
             assert abs(a - b) <= 1e-10 * abs(b)
-        for a, b in zip(factors.betas[:-1], result.betas[:-1]):
+        for a, b in zip(gkb.betas[:-1], result.betas[:-1]):
             assert abs(a - b) <= 1e-10 * max(abs(b), 1e-300)
 
 
@@ -190,12 +197,12 @@ class TestZeroC:
         oracle, solve = (gkb_symmetric, craig_solve) if skew == 0.0 else (
             gkb_nonsymmetric, nscraig_solve)
         # both sides reorthogonalize, so no loss of orthogonality separates them
-        _, factors = oracle(augment(sys), N, steps=n, reorthogonalize=True)
+        gkb = oracle(augment(sys), N, steps=n, reorthogonalize=True)
         result = solve(sys, N, full_length_config(n))
-        assert len(factors.alphas) == len(result.alphas) == n
-        for a, b in zip(factors.alphas, result.alphas):
+        assert len(gkb.alphas) == len(result.alphas) == n
+        for a, b in zip(gkb.alphas, result.alphas):
             assert abs(a - b) <= 1e-10 * abs(b)
-        for a, b in zip(factors.betas[:n], result.betas[:n]):  # beta_{n+1} is roundoff
+        for a, b in zip(gkb.betas[:n], result.betas[:n]):  # beta_{n+1} is roundoff
             assert abs(a - b) <= 1e-10 * abs(b)
 
     @pytest.mark.parametrize("m,skew,seed", ZERO_C)
@@ -205,12 +212,11 @@ class TestZeroC:
         N = random_preconditioner(n, seed=seed)
         oracle = gkb_symmetric if skew == 0.0 else gkb_nonsymmetric
         aug = augment(sys)
-        basis, factors = oracle(aug, N, steps=n, reorthogonalize=True)
-        assert factors.k == n
-        rep = verify_decomposition(aug, N, basis, factors)
+        gkb = oracle(aug, N, steps=n, reorthogonalize=True)
+        assert gkb.k == n
+        rep = verify_decomposition(aug, N, gkb)
         assert rep.factor_residual <= 1e-9 * rep.scale
         assert rep.transpose_residual <= 1e-9 * rep.scale
         assert rep.q_orthogonality <= 1e-8
         assert rep.v_orthogonality <= 1e-8
-        reduced = factors.bidiagonal().T if skew == 0.0 else factors.hessenberg()
-        assert rep.schur_residual <= 1e-8 * np.linalg.norm(reduced @ factors.bidiagonal())
+        assert rep.schur_residual <= 1e-8 * np.linalg.norm(gkb.H @ gkb.B)

@@ -44,6 +44,10 @@ class TestSequence:
         assert math.copysign(1.0, h[1].beta_next) == -1.0  # -0.0 keeps its sign
         assert h[3].wall_time_s == 0.0
 
+    def test_repr_counts_steps(self):
+        assert repr(History()) == "History(0 steps)"
+        assert repr(History(RECORDS)) == "History(4 steps)"
+
     def test_none_is_stored_as_nan(self):
         rows = History(RECORDS).as_array()
         assert rows.shape == (4, 6) and rows.dtype == np.float64

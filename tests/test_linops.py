@@ -239,6 +239,22 @@ class TestSparseMatrix:
         assert np.array_equal(SparseMatrix.from_dense(a).to_dense(), a)
 
 
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: SparseMatrix.from_csr(1, 1, [0, 2], [0], [1.0]),
+     "row offsets must end at the number of values"),
+    (lambda: SparseMatrix.from_coo(2, 2, [0, 2], [0, 1], [1.0, 2.0]), "invalid coordinates"),
+    (lambda: factorize(np.ones((2, 3))), "factorize requires a square matrix"),
+    (lambda: spsd_factor(np.ones((2, 3))), "spsd_factor requires a square matrix"),
+    (lambda: FactorizedOperator.identity(2).solve(np.ones((2, 1))),
+     "x must be a vector, got shape (2, 1)"),
+], ids=["csr-offsets-past-values", "coo-index-out-of-range", "factorize-non-square",
+        "spsd-factor-non-square", "solve-of-a-matrix"])
+def test_malformed_input_is_refused_with_dimension_error(call, fragment):
+    with pytest.raises(DimensionError) as info:
+        call()
+    assert fragment in str(info.value)
+
+
 class TestWeightedInner:
     """The N-weighted product x^T N y (as x @ N.apply(y)) and the N^-1-weighted norm inv_norm."""
 

@@ -13,6 +13,7 @@ from gsp import (
     SaddleSystem,
     SolverConfig,
     StokesSpec,
+    craig_error_estimate,
     craig_solve,
     direct_solve,
     gen_stokes_channel,
@@ -26,18 +27,18 @@ from gsp import (
     scr_fom_solve,
 )
 from gsp.errors import InsufficientHistoryError, NonFiniteError, ZeroRhsError
-from gsp.gkb import assemble_bidiagonal, assemble_hessenberg
+from gsp.gkb import assemble_bidiagonal
 from gsp.nscraig import IncrementalLowerFactor, assemble_solution
 
 
 def dense_reference(res, k):
     """B, H, L with H = B^T L^T and the coefficients y of a run's first k steps.
 
-    Built by dense solves from the kept Hessenberg columns: H z = beta_1 e1,
+    Built by dense solves from the kept Hessenberg matrix: H z = beta_1 e1,
     B y = -z and L^T = B^{-T} H.
     """
     B = assemble_bidiagonal(res.alphas, res.betas, k)
-    H = assemble_hessenberg(res.h_columns, res.betas, k)
+    H = res.H[:k, :k]
     e1 = np.zeros(k)
     e1[0] = res.beta1
     y = np.linalg.solve(B, -np.linalg.solve(H, e1))
@@ -48,7 +49,7 @@ def grown_factor(res, k):
     """The solver's incremental factor after k steps, replayed from a kept run."""
     lower = IncrementalLowerFactor()
     for i in range(k):
-        lower.append(res.alphas[i], res.betas[i], res.scalars[i], res.h_columns[i])
+        lower.append(res.alphas[i], res.betas[i], res.scalars[i], res.H[:i + 1, i])
     return lower
 
 
@@ -109,7 +110,7 @@ def test_deferred_and_eager_assembly_agree():
         # Both runs grow one factor and assemble from it, so keep_basis
         # changes nothing in the returned iterate.
         assert np.array_equal(lazy.p, eager.p) and np.array_equal(lazy.u, eager.u)
-        assert lazy.h_columns is None and len(eager.h_columns) == eager.iterations
+        assert lazy.H is None and eager.H.shape == (eager.iterations,) * 2
         assert len(runs) == eager.iterations
         assert np.allclose(runs[-1].u, lazy.u, rtol=1e-12, atol=0.0)
         assert np.allclose(runs[-1].p, lazy.p, rtol=1e-12, atol=0.0)
@@ -151,8 +152,6 @@ class TestErrorEstimate:
         assert nscraig_error_estimate([1.0], np.eye(1), 1, 1) == 1.0
 
     def test_symmetric_reduction_matches_craig(self):
-        from gsp import craig_error_estimate
-
         zetas = [0.9, -0.4, 0.2, -0.05]
         for k, d in [(2, 1), (3, 2), (4, 1), (4, 4)]:
             got = nscraig_error_estimate(zetas, np.eye(k), k, d)
@@ -167,6 +166,19 @@ class TestErrorEstimate:
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError):
             nscraig_error_estimate([1.0], np.eye(1), 1, 2)
+
+    @pytest.mark.parametrize("call, refusal, fragment", [
+        (lambda: craig_error_estimate([1.0], 1, 0), ValueError, "delay d must be >= 1"),
+        (lambda: craig_error_estimate([0.0, 0.0], 2, 1), ValueError, "all-zero zeta history"),
+        (lambda: nscraig_error_estimate([1.0, 1.0], np.eye(3), 2, 1),
+         InsufficientHistoryError, "lower factor must be 2 x 2"),
+        (lambda: nscraig_error_estimate([0.0], np.eye(1), 1, 1), ValueError,
+         "zero denominator in error estimate"),
+    ], ids=["craig-delay-zero", "craig-all-zero-zetas", "nscraig-factor-wrong-shape",
+            "nscraig-zero-denominator"])
+    def test_refusals(self, call, refusal, fragment):
+        with pytest.raises(refusal, match=fragment):
+            call()
 
     def test_estimate_mode_runs(self):
         sys = random_system(16, 8, skew=0.5, c_rank=4, seed=45)
@@ -192,7 +204,7 @@ class TestErrorEstimate:
         lower = IncrementalLowerFactor()  # no rows, grown five times to 16
         for k in range(1, res.iterations + 1):
             lower.append(res.alphas[k - 1], res.betas[k - 1], res.scalars[k - 1],
-                         res.h_columns[k - 1])
+                         res.H[:k, k - 1])
             cap = 1 << (k - 1).bit_length()  # 1, 2, 4, 8, 16: the capacities _upper_solve names
             assert lower.Lt.shape == (cap, cap) and lower.band.shape == (2, cap)
             assert lower.Lt.flags.f_contiguous and lower.band.flags.f_contiguous
@@ -230,7 +242,7 @@ class TestResidualCheck:
         sys = random_system(14, 7, skew=0.5, c_rank=3, seed=47)
         res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-8))
         assert all(rec.res_rel >= 0.0 for rec in res.history)
-        assert res.Q is None and res.h_columns is None  # nothing kept per step
+        assert res.Q is None and res.H is None  # nothing kept per step
 
     def test_symmetric_input_matches_craig_defects(self):
         sys = random_system(12, 6, c_rank=3, seed=48)
@@ -265,8 +277,7 @@ def test_arnoldi_identity_at_partial_length():
     from gsp.baselines import SchurOperator
 
     k = len(res.alphas)
-    HB = assemble_hessenberg(res.h_columns, res.betas, k) @ \
-        assemble_bidiagonal(res.alphas, res.betas, k)
+    HB = res.H[:k, :k] @ assemble_bidiagonal(res.alphas, res.betas, k)
     Q = np.column_stack(res.Q[:k])
     Sd = SchurOperator(sys).dense()
     assert np.linalg.norm(HB - Q.T @ Sd @ Q) <= 1e-8 * np.linalg.norm(HB)
@@ -365,7 +376,7 @@ def test_lost_lagged_pass_ends_in_breakdown(monkeypatch):
     res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-12, keep_basis=True))
     assert res.termination == "breakdown" and not res.converged
     assert len(steps) == 2 and steps[-1] is None
-    assert res.iterations == 1 and len(res.Q) == 1 and len(res.h_columns) == 1
+    assert res.iterations == 1 and len(res.Q) == 1 and res.H.shape == (1, 1)
     first = nscraig_solve(sys, N, SolverConfig(max_iterations=1))
     assert np.array_equal(res.u, first.u) and np.array_equal(res.p, first.p)
 
