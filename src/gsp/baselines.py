@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import BreakdownError, GspError, NotSpdError, SingularOperatorError
+from .errors import GspError, NotSpdError, SingularOperatorError
 from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, grown, rhs_norm,
                      solver_inputs)
 
@@ -112,8 +112,9 @@ def scr_fom_solve(sys, N=None, cfg=None):
         e1[0] = beta1
         try:
             y = np.linalg.solve(Hbar[:k, :k], e1)
-        except np.linalg.LinAlgError as exc:
-            raise BreakdownError(f"singular Hessenberg block in FOM: {exc}") from exc
+        except np.linalg.LinAlgError:  # no Galerkin iterate: end on the previous one
+            stop, k = ("breakdown", None), j
+            break
         res_rel = hnext * abs(y[-1]) / beta1
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
         if stop := cfg.stop(k, res_rel, hnext <= BREAKDOWN_TOL * beta1):
@@ -121,7 +122,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
         Q.append(w / hnext)
         NQ.append(N.apply(Q[-1]))
 
-    p = np.column_stack(Q[:k]) @ y
+    p = np.column_stack(Q[:k]) @ y if k else np.zeros(sys.n)
     u = -sys.M.solve(sys.A.matvec(p))
     termination, fired = stop
     return SolveResult(u, p, termination, history, fired, beta1)
@@ -183,7 +184,9 @@ def pminres_solve(sys, N=None, cfg=None):
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = max(float(np.hypot(gbar, beta)), 1e-300)
+        if (gamma := float(np.hypot(gbar, beta))) <= 1e-300:  # no rotation: keep x
+            stop = "breakdown", None
+            break
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar
@@ -233,7 +236,9 @@ def pgmres_solve(sys, N=None, cfg=None):
             tmp = c * R[i, j] + s * R[i + 1, j]
             R[i + 1, j] = -s * R[i, j] + c * R[i + 1, j]
             R[i, j] = tmp
-        denom = max(float(np.hypot(R[j, j], hnext)), 1e-300)
+        if (denom := float(np.hypot(R[j, j], hnext))) <= 1e-300:  # no rotation: keep j steps
+            stop, k = ("breakdown", None), j
+            break
         c, s = R[j, j] / denom, hnext / denom
         rotations.append((c, s))
         R[j, j] = denom
@@ -247,7 +252,7 @@ def pgmres_solve(sys, N=None, cfg=None):
         V.append(w / hnext)
 
     y = scipy.linalg.solve_triangular(R[:k, :k], g[:k], lower=False)
-    x = _blockdiag_solve(sys, N, np.column_stack(V[:k]) @ y)
+    x = _blockdiag_solve(sys, N, np.column_stack(V[:k]) @ y) if k else np.zeros(sys.m + sys.n)
     termination, fired = stop
     return SolveResult(x[:sys.m], x[sys.m:], termination, history, fired, beta)
 

@@ -303,19 +303,21 @@ def cmd_run(manifest_path, compare=False):
 
 
 def cmd_gen(args):
-    if args.kind == "random":
-        fields = dict(m=args.m, n=args.n, density=args.density, spectrum=(args.lo, args.hi),
-                      skew_strength=args.skew,
-                      c_rank=args.n // 2 if args.c_rank == -1 else args.c_rank, seed=args.seed)
-    else:
-        fields = dict(nx=args.nx, ny=args.ny, length=args.length, viscosity=args.viscosity,
-                      gamma=args.gamma, oseen_wind=args.oseen_wind)
+    fields = {k: v for k, v in vars(args).items() if k not in ("command", "kind", "output")}
     check_output_dir(args.output)
     system, _ = generate_problem(args.kind, fields)
     with _reported_write_errors(args.output):
         path = save_system(args.output, system)
     print(f"wrote {path} (m={system.m}, n={system.n}, M {system.M.kind})")
     return 0
+
+
+def _flag_value(text):
+    """A gen flag's value as an int, else a float, else the text: the spec checks its type."""
+    for parse in (int, float):
+        with contextlib.suppress(ValueError):
+            return parse(text)
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -335,24 +337,15 @@ def make_parser():
 
     gen_p = sub.add_parser("gen", help="generate a system on disk")
     gen_sub = gen_p.add_subparsers(dest="kind", required=True)
-    rnd = gen_sub.add_parser("random")
-    rnd.add_argument("--m", type=int, required=True)
-    rnd.add_argument("--n", type=int, required=True)
-    rnd.add_argument("--density", type=float, default=1.0)
-    rnd.add_argument("--lo", type=float, default=1.0)
-    rnd.add_argument("--hi", type=float, default=2.0)
-    rnd.add_argument("--skew", type=float, default=0.0)
-    rnd.add_argument("--c-rank", dest="c_rank", type=int, default=-1)
-    rnd.add_argument("--seed", type=int, default=0)
-    rnd.add_argument("-o", "--output", required=True)
-    stk = gen_sub.add_parser("stokes")
-    stk.add_argument("--nx", type=int, required=True)
-    stk.add_argument("--ny", type=int, required=True)
-    stk.add_argument("--length", type=float, default=1.0)
-    stk.add_argument("--viscosity", type=float, default=1.0)
-    stk.add_argument("--gamma", type=float, default=0.25)
-    stk.add_argument("--oseen-wind", dest="oseen_wind", default=None)
-    stk.add_argument("-o", "--output", required=True)
+    for kind, spec_type in SPECS.items():  # one flag per spec field, with the spec's default
+        kind_p = gen_sub.add_parser(kind)
+        for f in dataclasses.fields(spec_type):
+            required = f.default is dataclasses.MISSING
+            kind_p.add_argument("--" + f.name.replace("_", "-"), type=_flag_value,
+                                default=argparse.SUPPRESS, required=required,
+                                nargs=2 if isinstance(f.default, tuple) else None,
+                                help=None if required else f"default: {f.default}")
+        kind_p.add_argument("-o", "--output", required=True)
     return parser
 
 

@@ -9,13 +9,14 @@ wired through the discrete operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import SchurOperator
 from .errors import DimensionError, NotSpdError, NotSpsdError, RankRepairError
-from .linops import DENSE_EIG_LIMIT, DENSE_FACTOR_LIMIT, FactorizedOperator, SparseMatrix, factorize
+from .linops import (DENSE_EIG_LIMIT, DENSE_FACTOR_LIMIT, FactorizedOperator, SparseMatrix,
+                     as_sparse, factorize)
 from .system import SaddleSystem, check_fields
 
 
@@ -270,12 +271,9 @@ def compress_rhs(Mmat, A, C, b1, b2):
     Returns the compressed system and the shift w0 = M^{-1} b1; the original
     upper solution is recovered as recover_w(u, w0).
     """
-    sys = SaddleSystem.from_matrices(Mmat, A, C, np.zeros(np.shape(b2)))
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    w0 = sys.M.solve(b1)
-    b = b2 - sys.A.rmatvec(w0)
-    return replace(sys, b=b), w0
+    M, A = factorize(Mmat), as_sparse(A)
+    w0 = M.solve(np.asarray(b1, dtype=float))
+    return SaddleSystem(M, A, as_sparse(C), np.asarray(b2, dtype=float) - A.rmatvec(w0)), w0
 
 
 def recover_w(u, w0):

@@ -50,6 +50,14 @@ def hand_system():
 
 
 @pytest.fixture
+def inconsistent_system():
+    """m=3, n=2: A's second column is zero and b = (0, 1) is outside Range(A^T), so K z = f
+    has no solution."""
+    return SaddleSystem.from_matrices(np.diag([2.0, 3.0, 4.0]), [[1, 0], [0, 0], [1, 0]],
+                                      np.zeros((2, 2)), [0.0, 1.0])
+
+
+@pytest.fixture
 def hand_system_nonsym():
     """Same blocks but M = [[1, .5], [-.5, 1]]; S = 2.6."""
     return SaddleSystem.from_matrices(

@@ -343,6 +343,16 @@ class TestStoppingRule:
         assert res.termination == "converged"
         assert res.fired_criterion == "relative-residual"
 
+    def test_no_solver_converges_when_b_is_outside_the_range_of_a_transpose(
+            self, inconsistent_system):
+        # pminres and pgmres meet a Givens rotation with hypot 0 at step 1, and SCR-FOM a
+        # singular 1 x 1 Hessenberg block: each ends the run with the zero iterate.
+        results = {name: solve(inconsistent_system) for name, solve in SOLVERS.items()}
+        assert not any(res.converged for res in results.values())
+        for name, res in results.items():
+            assert (res.termination, res.iterations) == ("breakdown", 0), name
+            assert not np.any(res.final_vector()), name
+
     @pytest.mark.parametrize("solve, sys, cfg, steps", CAPS)
     def test_no_rule_fires_at_the_iteration_cap(self, solve, sys, cfg, steps):
         res = solve(sys, None, cfg)

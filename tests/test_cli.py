@@ -1,10 +1,12 @@
 """CLI harness: manifests, histories, summaries, comparison tables."""
 
 import csv
+import dataclasses
 import errno
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ import pytest
 import gsp.cli
 import gsp.mmio
 from conftest import LoggedSolves
-from gsp import (RandomSpec, SaddleSystem, SolverConfig, factorize, gen_random, load_system,
-                 save_system)
-from gsp.cli import SOLVERS, RunManifest, UsageError, main
+from gsp import (RandomSpec, SaddleSystem, SolverConfig, StokesSpec, factorize, gen_random,
+                 load_system, save_system)
+from gsp.cli import SOLVERS, SPECS, RunManifest, UsageError, main, make_parser
 from gsp.errors import DimensionError, NotSpdError, WrongSolverError, ZeroRhsError
 from gsp.system import SOLVER_RULES
 
@@ -596,6 +598,15 @@ def test_output_path_that_cannot_be_a_directory_is_one_error_line(tmp_path, caps
             ["file"] + (["m.json"] if verb != "gen" else []))
 
 
+def test_run_exits_2_when_b_is_outside_the_range_of_a_transpose(tmp_path, inconsistent_system):
+    save_system(tmp_path / "sys", inconsistent_system)
+    manifest = write_manifest(tmp_path / "m.json", solvers=list(SOLVERS),
+                              problem={"source": "load", "path": str(tmp_path / "sys/system.json")})
+    assert main(["run", manifest]) == 2
+    rows = csv.DictReader((tmp_path / "out/summary.csv").read_text().splitlines())
+    assert [row["termination"] for row in rows] == ["breakdown"] * len(SOLVERS)
+
+
 def test_outputs_deterministic_across_runs(tmp_path):
     doc = {
         "problem": {"source": "generate-random", "m": 14, "n": 7, "c_rank": 3,
@@ -649,11 +660,18 @@ class TestGen:
          f"bad stokes problem spec: grid nx={10**21}, ny=4 has m + n = "),
         (["stokes", "--nx", "40000", "--ny", "40000"],
          "bad stokes problem spec: grid nx=40000, ny=40000 has m + n = 4799919999 unknowns"),
-        # Only -1 means n // 2; the spec refuses any other negative c_rank.
+        # Each flag's value is type-checked by the spec, as a manifest's value is.
         (["random", "--m", "10", "--n", "5", "--c-rank", "-5"],
          "bad random problem spec: c_rank must be in [0, n]"),
+        (["random", "--m", "10", "--n", "5", "--c-rank", "-1"],
+         "bad random problem spec: c_rank must be in [0, n]"),
+        (["random", "--m", "10", "--n", "5", "--seed", "1.5"],
+         "bad random problem spec: 'seed' must be an integer, got 1.5"),
+        (["random", "--m", "10", "--n", "5", "--density", "nan"],
+         "bad random problem spec: 'density' must be finite, got nan"),
     ], ids=["viscosity-negative", "n-above-m", "unknown-wind", "m-huge", "nx-huge",
-            "grid-40000", "c-rank-negative"])
+            "grid-40000", "c-rank-negative", "c-rank-minus-one", "seed-not-integer",
+            "density-nan"])
     def test_refused_spec_exits_1_without_traceback(self, tmp_path, capsys, argv, fragment):
         out = tmp_path / "sys"
         assert main(["gen", *argv, "-o", str(out)]) == 1
@@ -661,18 +679,37 @@ class TestGen:
         assert err.startswith("gsp: error: ") and err.count("\n") == 1 and fragment in err
         assert not out.exists()
 
-    def test_random_flags_map_to_spec_fields(self, tmp_path):
-        # --lo/--hi are the spectrum, --skew the skew strength, --c-rank -1 means n // 2.
+    def test_random_flags_are_the_spec_fields(self, tmp_path):
+        # --spectrum takes LO HI; c_rank keeps the spec's default, 0, as in a manifest.
         out = tmp_path / "sys"
-        assert main(["gen", "random", "--m", "12", "--n", "6", "--density", "0.5", "--lo", "2",
-                     "--hi", "3", "--skew", "0.25", "--seed", "4", "-o", str(out)]) == 0
+        assert main(["gen", "random", "--m", "12", "--n", "6", "--density", "0.5", "--spectrum",
+                     "2", "3", "--skew-strength", "0.25", "--seed", "4", "-o", str(out)]) == 0
         want = gen_random(RandomSpec(m=12, n=6, density=0.5, spectrum=(2.0, 3.0),
-                                     skew_strength=0.25, c_rank=3, seed=4))
+                                     skew_strength=0.25, seed=4))
         got = load_system(str(out / "system.json"))
         for block in ("Mmat", "A", "C"):
             assert np.array_equal(np.asarray(getattr(got, block)),
                                   np.asarray(getattr(want, block)))
         assert np.array_equal(got.b, want.b) and got.symmetric is False
+        assert got.C.nnz == 0
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_help_lists_exactly_the_spec_fields(self, capsys, kind):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", kind, "-h"])
+        assert exc.value.code == 0
+        flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert flags == ["--" + f.name.replace("_", "-") for f in dataclasses.fields(SPECS[kind])]
+
+    def test_a_new_spec_field_gets_its_flag(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class PinnedStokesSpec(StokesSpec):
+            pin_cell: int = 0
+
+        monkeypatch.setitem(SPECS, "stokes", PinnedStokesSpec)
+        args = make_parser().parse_args(["gen", "stokes", "--nx", "4", "--ny", "4",
+                                         "--pin-cell", "3", "-o", "out"])
+        assert (args.nx, args.ny, args.pin_cell) == (4, 4, 3)
 
 
 def test_run_that_fails_to_write_keeps_the_older_outputs_intact(tmp_path, capsys):

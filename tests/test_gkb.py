@@ -16,7 +16,8 @@ from gsp import (
     verify_decomposition,
 )
 from gsp.craig import craig_solve
-from gsp.errors import DimensionError, NotSpdError, WrongSolverError, ZeroRhsError
+from gsp.errors import (BreakdownError, DimensionError, NotSpdError, WrongSolverError,
+                        ZeroRhsError)
 from gsp.nscraig import nscraig_solve
 from gsp.system import SaddleSystem, SolverConfig
 
@@ -220,3 +221,10 @@ class TestZeroC:
         assert rep.q_orthogonality <= 1e-8
         assert rep.v_orthogonality <= 1e-8
         assert rep.schur_residual <= 1e-8 * np.linalg.norm(gkb.H @ gkb.B)
+
+
+@pytest.mark.parametrize("oracle", [gkb_symmetric, gkb_nonsymmetric])
+def test_oracle_refuses_b_outside_the_range_of_a_transpose(oracle, inconsistent_system):
+    N = FactorizedOperator.identity(inconsistent_system.n)
+    with pytest.raises(BreakdownError, match=r"^alpha_1 vanished: b is outside Range\(A\^T\)$"):
+        oracle(inconsistent_system, N, steps=1)

@@ -395,6 +395,18 @@ class TestGenStokes:
 
 
 class TestCompressRhs:
+    def test_stokes48_builds_one_system(self, monkeypatch):
+        built = []
+        post_init = SaddleSystem.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SaddleSystem, "__post_init__", counting_post_init)
+        sys = gen_stokes_channel(StokesSpec(nx=48, ny=48))
+        assert len(built) == 1 and built[0] is sys
+
     def test_hand_example(self):
         sys, w0 = compress_rhs(np.eye(2), np.array([[1.0], [1.0]]), np.array([[1.0]]),
                                b1=[1.0, 0.0], b2=[2.0])
