@@ -27,8 +27,7 @@ from .linops import FactorizedOperator
 from .mmio import load_system, save_system, staged_files
 from .nscraig import nscraig_solve
 from .problems import RandomSpec, StokesSpec, gen_random, gen_stokes_channel_detailed
-from .system import (CRITERION_RESIDUAL, HISTORY_FIELDS, SolverConfig, check_fields,
-                     solver_inputs)
+from .system import HISTORY_FIELDS, SolverConfig, check_fields, solver_inputs
 
 SOLVERS = {
     "craig": craig_solve,
@@ -83,19 +82,9 @@ class RunManifest:
         if (self.preconditioner == "pressure-mass"
                 and self.problem.get("source") != "generate-stokes"):
             raise UsageError("pressure-mass preconditioner needs a generated stokes problem")
-        cfg = dict(self.config)  # the caller's dict stays as given
-        criterion = cfg.get("criterion")
-        if isinstance(criterion, dict):  # {"error-estimate": d}
-            if len(criterion) != 1:
-                raise UsageError(f"criterion object must have exactly one entry, got {criterion}")
-            if "error_delay" in cfg:
-                raise UsageError("give error_delay in the criterion object or as a key, not both")
-            (cfg["criterion"], cfg["error_delay"]), = criterion.items()
-            if cfg["criterion"] == CRITERION_RESIDUAL:
-                raise UsageError(f"criterion '{CRITERION_RESIDUAL}' has no error_delay window")
-        _refuse_unknown("config", cfg, CONFIG_KEYS)
+        _refuse_unknown("config", self.config, CONFIG_KEYS)
         try:
-            self.config = SolverConfig(**cfg)
+            self.config = SolverConfig(**self.config)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
 

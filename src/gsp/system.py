@@ -145,7 +145,7 @@ class SolverConfig:
     keep_basis: bool = False
 
     def __post_init__(self):
-        check_fields(self, tolerance=float, max_iterations=int, error_delay=int,
+        check_fields(self, tolerance=float, max_iterations=int, criterion=str, error_delay=int,
                      reorthogonalize=bool, keep_basis=bool)
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
@@ -294,8 +294,7 @@ class History(Sequence):
     solver left None is stored as NaN and reads back as None; a returned
     solve holds no other NaN (cfg.stop refuses a NaN res_rel or err_est, and
     the Golub-Kahan loop a NaN alpha or beta). An index, a slice or iteration
-    builds the records on read, so changing one changes nothing stored;
-    as_array is the stored rows themselves.
+    builds the records on read, so changing one changes nothing stored.
     """
 
     __slots__ = ("_data",)
@@ -333,13 +332,6 @@ class History(Sequence):
 
     def __repr__(self):
         return f"History({len(self)} steps)"
-
-    def as_array(self):
-        """The stored rows as a (steps, 6) float64 view: writing to it changes the history.
-
-        The history cannot grow while such a view is alive.
-        """
-        return np.frombuffer(self._data).reshape(-1, self._WIDTH)
 
     def column(self, name):
         """One HISTORY_FIELDS field of every step, as a new contiguous float64 array."""

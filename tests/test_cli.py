@@ -122,8 +122,10 @@ class TestRun:
         ({"problem": "x", "solvers": ["craig"]}, "'problem' must be a JSON object"),
         ({"problem": RANDOM, "solvers": ["craig"], "config": [1]},
          "'config' must be a JSON object"),
+        # criterion is SolverConfig's string; a {"error-estimate": d} object is not a spelling.
         ({"problem": RANDOM, "solvers": ["craig"],
-          "config": {"criterion": {"error-estimate": 2, "x": 1}}}, "exactly one entry"),
+          "config": {"criterion": {"error-estimate": 3}}},
+         "bad config: 'criterion' must be a string, got {'error-estimate': 3}"),
         ({"problem": dict(RANDOM, spectrum=5), "solvers": ["craig"]}, "bad random problem spec"),
         ({"problem": RANDOM, "solvers": "craig"}, "'solvers' must be a JSON array"),
         ({"problem": RANDOM, "solvers": [["craig"]]}, "unknown solvers"),
@@ -139,15 +141,8 @@ class TestRun:
         ({"problem": RANDOM, "solvers": ["craig"], "config": {"max_iterations": False}},
          "'max_iterations' must be an integer, got False"),
         ({"problem": RANDOM, "solvers": ["craig"],
-          "config": {"criterion": {"error-estimate": 2.0}}},
+          "config": {"criterion": "error-estimate", "error_delay": 2.0}},
          "'error_delay' must be an integer"),
-        # The shorthand gives the window; it must not silently override a stated one.
-        ({"problem": RANDOM, "solvers": ["craig"],
-          "config": {"criterion": {"error-estimate": 5}, "error_delay": 3}},
-         "give error_delay in the criterion object or as a key, not both"),
-        ({"problem": RANDOM, "solvers": ["craig"],
-          "config": {"criterion": {"relative-residual": 5}}},
-         "criterion 'relative-residual' has no error_delay window"),
         ({"problem": dict(RANDOM, m=10.0), "solvers": ["craig"]},
          "bad random problem spec: 'm' must be an integer, got 10.0"),
         ({"problem": dict(RANDOM, density="1"), "solvers": ["craig"]},
@@ -184,11 +179,10 @@ class TestRun:
          "bad config: max_iterations must be at least 1"),
         ({"problem": {"source": "generate-stokes", "nx": 4, "ny": 4, "gamma": -1.0},
           "solvers": ["craig"]}, "bad stokes problem spec: gamma must be nonnegative"),
-    ], ids=["top-level-array", "problem-string", "config-array", "criterion-two-entries",
+    ], ids=["top-level-array", "problem-string", "config-array", "criterion-object",
             "spectrum-number", "solvers-string", "solver-array", "tolerance-null",
             "load-path-number", "load-path-missing", "tolerance-true", "max-iterations-float",
-            "max-iterations-false", "error-delay-float", "criterion-object-and-error-delay",
-            "criterion-object-without-window", "m-float", "density-string",
+            "max-iterations-false", "error-delay-float", "m-float", "density-string",
             "spectrum-entry-true", "nx-float", "viscosity-true", "tolerance-infinity",
             "tolerance-nan", "length-infinity", "top-level-tolerance",
             "misspelled-preconditioner", "preconditioner-number", "solvers-missing",
@@ -299,15 +293,12 @@ class TestRun:
             assert manifest.config.reorthogonalize is flag
             assert manifest.report_error_vs_oracle is flag
 
-    def test_criterion_object_leaves_the_config_dict_unchanged(self):
-        accepted = {"criterion": {"both": 4}}
-        cfg = RunManifest(problem=RANDOM, solvers=["craig"], config=accepted).config
-        assert (cfg.criterion, cfg.error_delay) == ("both", 4)
-        assert accepted == {"criterion": {"both": 4}}
-        refused = {"criterion": {"error-estimate": 4}, "error_delay": 4}
-        with pytest.raises(UsageError, match="not both"):
-            RunManifest(problem=RANDOM, solvers=["craig"], config=refused)
-        assert refused == {"criterion": {"error-estimate": 4}, "error_delay": 4}
+    @pytest.mark.parametrize("criterion", ["relative-residual", "error-estimate", "both"])
+    def test_config_is_the_solver_config_fields(self, criterion):
+        # error_delay beside relative-residual is accepted and unused, as in the library.
+        config = {"criterion": criterion, "error_delay": 4}
+        manifest = RunManifest(problem=RANDOM, solvers=["craig"], config=config)
+        assert manifest.config == SolverConfig(**config)
 
     def test_integer_reals_load_as_floats(self, tmp_path):
         path = tmp_path / "m.json"
@@ -425,7 +416,7 @@ def test_error_estimate_criterion_in_manifest(tmp_path):
         tmp_path / "m.json",
         problem={"source": "generate-random", "m": 16, "n": 8, "c_rank": 4, "seed": 6},
         solvers=["craig"],
-        config={"tolerance": 1e-6, "criterion": {"error-estimate": 3}},
+        config={"tolerance": 1e-6, "criterion": "error-estimate", "error_delay": 3},
         output_dir=str(tmp_path / "out"),
     )
     assert main(["run", manifest]) == 0
@@ -460,7 +451,7 @@ def test_error_estimate_criterion_refused_for_baselines(tmp_path, capsys, monkey
         tmp_path / "m.json",
         problem={"source": "generate-random", "m": 40, "n": 20, "c_rank": 10, "seed": 71},
         solvers=["nscraig", "scr-fom"],
-        config={"tolerance": 1e-6, "criterion": {"error-estimate": 3}},
+        config={"tolerance": 1e-6, "criterion": "error-estimate", "error_delay": 3},
         output_dir=str(tmp_path / "out"),
     )
     assert main(["run", manifest]) == 1
@@ -497,7 +488,7 @@ def test_library_and_cli_refuse_what_the_rules_table_says(tmp_path, capsys, name
         system = SaddleSystem(system.M, system.A, system.C, b)
     config, cfg = {}, SolverConfig()
     if case == "error-estimate":
-        config = {"criterion": {"error-estimate": 3}}
+        config = {"criterion": "error-estimate", "error_delay": 3}
         cfg = SolverConfig(criterion="error-estimate", error_delay=3)
     save_system(tmp_path / "sys", system)
     manifest = write_manifest(

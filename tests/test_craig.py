@@ -10,6 +10,7 @@ import scipy.linalg
 from conftest import random_preconditioner, random_system
 from gsp import (
     FactorizedOperator,
+    History,
     SaddleSystem,
     SolverConfig,
     SparseMatrix,
@@ -27,7 +28,6 @@ from gsp import (
     scr_cg_solve,
 )
 from gsp.baselines import SchurOperator
-from gsp.system import HISTORY_FIELDS
 from gsp.errors import (
     InsufficientHistoryError,
     NonFiniteError,
@@ -268,7 +268,10 @@ class TestResidualCheck:
         def corrupted(s, N, cfg):  # doubles step k's stored scalar in every run that reaches it
             run = craig_solve(s, N, cfg)
             if run.iterations >= k:
-                run.history.as_array()[k - 1, HISTORY_FIELDS.index("scalar")] *= 2.0
+                rec = run.history[k - 1]
+                run.history = History([*run.history[:k - 1],
+                                       dataclasses.replace(rec, scalar=2.0 * rec.scalar),
+                                       *run.history[k:]])
             return run
 
         rep = craig_residual_check(sys, None, corrupted, SolverConfig())

@@ -228,3 +228,14 @@ def test_oracle_refuses_b_outside_the_range_of_a_transpose(oracle, inconsistent_
     N = FactorizedOperator.identity(inconsistent_system.n)
     with pytest.raises(BreakdownError, match=r"^alpha_1 vanished: b is outside Range\(A\^T\)$"):
         oracle(inconsistent_system, N, steps=1)
+
+
+@pytest.mark.parametrize("oracle", [gkb_symmetric, gkb_nonsymmetric])
+def test_oracle_refuses_a_vanishing_alpha_mid_run(oracle, inconsistent_system):
+    # b = (1, 1) has a component in Range(A^T), so alpha_1 is fine, but A's zero
+    # second column leaves nothing for step 2: alpha_2 is rounding error (about 2e-16).
+    sys = SaddleSystem(inconsistent_system.M, inconsistent_system.A, inconsistent_system.C,
+                       np.ones(2))
+    N = FactorizedOperator.identity(sys.n)
+    with pytest.raises(BreakdownError, match=r"^alpha_2 = .* below breakdown tolerance$"):
+        oracle(sys, N, steps=2)

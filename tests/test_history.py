@@ -49,11 +49,12 @@ class TestSequence:
         assert repr(History(RECORDS)) == "History(4 steps)"
 
     def test_none_is_stored_as_nan(self):
-        rows = History(RECORDS).as_array()
-        assert rows.shape == (4, 6) and rows.dtype == np.float64
-        assert np.isnan(rows[0, HISTORY_FIELDS.index("err_est")])
-        assert np.isnan(rows[2, 2:5]).all()
-        assert np.isnan(rows).sum() == 4
+        h = History(RECORDS)
+        columns = {name: h.column(name) for name in HISTORY_FIELDS}
+        assert all(c.shape == (4,) and c.dtype == np.float64 for c in columns.values())
+        assert np.isnan(columns["err_est"][0])
+        assert all(np.isnan(columns[name][2]) for name in HISTORY_FIELDS[2:5])
+        assert sum(np.isnan(c).sum() for c in columns.values()) == 4
 
     def test_indices_slices_and_iteration(self):
         h = History(RECORDS)
@@ -71,8 +72,6 @@ class TestSequence:
         h = History(RECORDS)
         h[0].scalar = 99.0
         assert h[0].scalar == -1.0
-        h.as_array()[0, HISTORY_FIELDS.index("scalar")] = 99.0
-        assert h[0].scalar == 99.0 and h.column("scalar")[0] == 99.0
 
     def test_steps_must_come_in_order(self):
         h = History(RECORDS[:1])

@@ -379,6 +379,15 @@ class TestFactorize:
         with pytest.raises(NotSpdError):
             factorize(K)
 
+    def test_sparse_cholesky_refuses_exactly_singular(self):
+        # Symmetric, not diagonal and sparse enough (12 of 100 entries) for SuperLU,
+        # whose second pivot in the [[1, 1], [1, 1]] block is exactly zero.
+        d = np.eye(10)
+        d[:2, :2] = 1.0
+        K = SparseMatrix.from_dense(d)
+        with pytest.raises(NotSpdError, match="Factor is exactly singular"):
+            factorize(K)
+
     @pytest.mark.parametrize("eps", [0.0, 1e-15])
     def test_sparse_lu_refuses_nearly_singular(self, eps):
         blocks = [[[2.0, 1.0], [0.5, 3.0]]] * 9 + [[[1.0, 1.0], [1.0, 1.0 + eps]]]
