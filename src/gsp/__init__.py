@@ -30,11 +30,10 @@ from .linops import (
 from .mmio import load_system, read_matrix_market, save_system, write_matrix_market
 from .nscraig import (
     craig_error_estimate,
-    craig_residual_check,
     nscraig_error_estimate,
-    nscraig_residual_check,
     nscraig_solve,
     replay,
+    residual_check,
 )
 from .problems import (
     RandomSpec,

@@ -70,7 +70,7 @@ def assemble_bidiagonal(alphas, betas, k=None):
 
 
 def _init_step(sys, N):
-    check_n(N, sys.n)
+    check_n(N, sys.n, product=True)
     b = sys.b
     if not np.any(b):
         raise ZeroRhsError("b must be nonzero")

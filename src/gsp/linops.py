@@ -22,11 +22,14 @@ copy (capped at DENSE_FACTOR_LIMIT); see factorize for the choice and its
 known limitation. The SPSD factorization of C stays a full symmetric
 eigendecomposition (capped at DENSE_EIG_LIMIT).
 
-M and N are both FactorizedOperators, and the solvers rely on one protocol
-for them: kind, dimension, apply (K x) and solve (K^{-1} b), plus inv_norm
-(sqrt(y^T K^{-1} y)) for an SPD kind. N must be SPD (any kind but
-lu-general) and n x n; gsp.system.check_n refuses any other N, for every
-solver and for the gsp.gkb oracles.
+M is a FactorizedOperator. N is any object with the members its caller reads
+(the N protocol), which gsp.system.check_n checks before any solve: dimension
+(n), spd (true) and solve (N^{-1} x) for every caller, and apply (N x) only for
+one that multiplies by N: nsCRAIG, SCR-FOM, CRAIG under reorthogonalize and the
+gsp.gkb oracles. So an N known by its inverse alone runs CRAIG, SCR-CG,
+pMINRES and pGMRES. inv_norm (sqrt(y^T N^{-1} y)) is read only by
+residual_check and the benchmark's correctness gate. A FactorizedOperator of
+an SPD kind has all five.
 """
 
 from __future__ import annotations
@@ -252,6 +255,11 @@ class FactorizedOperator:
     @property
     def dimension(self):
         return self.matrix.rows
+
+    @property
+    def spd(self):
+        """True unless lu-general: factorize refuses a symmetric K that is not positive definite."""
+        return self.kind != "lu-general"
 
     def apply(self, x):
         if self.kind == "diagonal":

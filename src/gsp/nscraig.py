@@ -379,7 +379,3 @@ def residual_check(sys, N, solve, cfg=None):
         if Q is not None:
             orth.append(max(abs(resid @ qj) for qj in Q[: rec.k]))
     return ResidualCheckReport(dual, upper, orth, runs[-1].beta1)
-
-
-# Both solvers run the same loop and fill the same result fields.
-craig_residual_check = nscraig_residual_check = residual_check

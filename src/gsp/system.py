@@ -64,7 +64,7 @@ class SaddleSystem:
     M is stored once, as its factorization: Mmat (the sparse matrix, for
     residual checks, the full-system baselines and oracles, and file output)
     is the matrix the factor was built from, and symmetric says whether
-    factorize read M as symmetric (any kind but lu-general). Neither can
+    factorize read M as symmetric (M.spd). Neither can
     disagree with M. The Golub-Kahan loop only solves with M; matvec forms
     the full product K z.
     """
@@ -106,8 +106,8 @@ class SaddleSystem:
 
     @property
     def symmetric(self):
-        """True unless M is LU-factored (factorize gives only a nonsymmetric M lu-general)."""
-        return self.M.kind != "lu-general"
+        """M.spd: factorize reads only a nonsymmetric M as not SPD."""
+        return self.M.spd
 
     def matvec(self, z):
         """K z for z = [x; y]."""
@@ -186,30 +186,35 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverRule:
-    """A solver's domain: whether it needs a symmetric M, whether it has an error estimate."""
+    """A solver's domain: whether it needs a symmetric M, has an error estimate, multiplies by N."""
 
     needs_symmetric: bool
     error_estimate: bool
+    needs_n_product: bool
 
 
 # One entry per solver name gsp run accepts; solver_inputs enforces it.
 SOLVER_RULES = {
-    "craig": SolverRule(needs_symmetric=True, error_estimate=True),
-    "nscraig": SolverRule(needs_symmetric=False, error_estimate=True),
-    "scr-cg": SolverRule(needs_symmetric=True, error_estimate=False),
-    "scr-fom": SolverRule(needs_symmetric=False, error_estimate=False),
-    "pminres": SolverRule(needs_symmetric=True, error_estimate=False),
-    "pgmres": SolverRule(needs_symmetric=False, error_estimate=False),
+    "craig": SolverRule(needs_symmetric=True, error_estimate=True, needs_n_product=False),
+    "nscraig": SolverRule(needs_symmetric=False, error_estimate=True, needs_n_product=True),
+    "scr-cg": SolverRule(needs_symmetric=True, error_estimate=False, needs_n_product=False),
+    "scr-fom": SolverRule(needs_symmetric=False, error_estimate=False, needs_n_product=True),
+    "pminres": SolverRule(needs_symmetric=True, error_estimate=False, needs_n_product=False),
+    "pgmres": SolverRule(needs_symmetric=False, error_estimate=False, needs_n_product=False),
 }
 
 
-def check_n(N, n):
-    """The rule on N shared by the solvers and the gsp.gkb oracles.
+def check_n(N, n, product):
+    """The N protocol of gsp.linops, shared by the solvers and the gsp.gkb oracles.
 
-    NotSpdError if N is LU-factored (factorize gives only a nonsymmetric N
-    lu-general), DimensionError if N is not n x n.
+    WrongSolverError naming the first member N lacks of dimension, spd, solve
+    and, if the caller multiplies by N (product), apply. NotSpdError unless
+    N.spd, DimensionError if N is not n x n.
     """
-    if N.kind == "lu-general":
+    for member in ("dimension", "spd", "solve") + (("apply",) if product else ()):
+        if not hasattr(N, member):
+            raise WrongSolverError(f"N has no {member}")
+    if not N.spd:
         raise NotSpdError("N must be symmetric positive definite")
     if N.dimension != n:
         raise DimensionError(f"N is {N.dimension} x {N.dimension}, expected n = {n}")
@@ -225,13 +230,15 @@ def solver_inputs(name, sys, N, cfg):
     """
     rule = SOLVER_RULES[name]
     cfg = SolverConfig() if cfg is None else cfg
+    # CRAIG multiplies by N only in its reorthogonalization pass.
+    product = rule.needs_n_product or (name == "craig" and cfg.reorthogonalize)
     N = FactorizedOperator.identity(sys.n) if N is None else N
     if rule.needs_symmetric and not sys.symmetric:
         raise WrongSolverError(f"{name} needs a symmetric M; use nscraig")
     if cfg.criterion == CRITERION_ERROR and not rule.error_estimate:
         raise WrongSolverError(f"{name} has no error estimate; use criterion "
                                f"'{CRITERION_RESIDUAL}' or '{CRITERION_BOTH}'")
-    check_n(N, sys.n)
+    check_n(N, sys.n, product)
     if not np.any(sys.b):
         raise ZeroRhsError("b must be nonzero")
     return N, cfg

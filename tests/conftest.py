@@ -42,6 +42,15 @@ class LoggedSolves:
         return getattr(self._target, name)
 
 
+class InverseOnly:
+    """An N known by its inverse alone: target's dimension, solve and inv_norm, and no apply."""
+
+    spd = True
+
+    def __init__(self, target):
+        self.dimension, self.solve, self.inv_norm = target.dimension, target.solve, target.inv_norm
+
+
 @pytest.fixture
 def hand_system():
     """m=2, n=1: M=I, A=[1;1], C=[1], b=(1); Schur complement S = 3."""

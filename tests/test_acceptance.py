@@ -22,20 +22,19 @@ from gsp import (
     StokesSpec,
     augment,
     compress_rhs,
-    craig_residual_check,
     craig_solve,
     direct_solve,
     factorize,
     gen_stokes_channel_detailed,
     gkb_nonsymmetric,
     gkb_symmetric,
-    nscraig_residual_check,
     nscraig_solve,
     pgmres_solve,
     pminres_solve,
     read_matrix_market,
     recover_w,
     replay,
+    residual_check,
     scr_cg_solve,
     scr_fom_solve,
     verify_decomposition,
@@ -134,11 +133,11 @@ def test_criterion_03_residual_recurrence_identity(suite1, suite2):
     worst_dual, worst_upper = 0.0, 0.0
     cfg = SolverConfig(tolerance=1e-6)
     for sys, _, _ in suite1["runs"]:
-        rep = craig_residual_check(sys, None, craig_solve, cfg)
+        rep = residual_check(sys, None, craig_solve, cfg)
         worst_dual = max(worst_dual, max(rep.dual_defects))
         worst_upper = max(worst_upper, max(rep.upper_ratios))
     for sys, _, _ in suite2["runs"]:
-        rep = nscraig_residual_check(sys, None, nscraig_solve, cfg)
+        rep = residual_check(sys, None, nscraig_solve, cfg)
         worst_dual = max(worst_dual, max(rep.dual_defects))
         worst_upper = max(worst_upper, max(rep.upper_ratios))
     assert worst_dual <= 1e-8   # |explicit - beta|scalar|| / beta_1

@@ -14,8 +14,8 @@ import pytest
 import gsp.cli
 import gsp.mmio
 from conftest import LoggedSolves
-from gsp import (RandomSpec, SaddleSystem, SolverConfig, StokesSpec, factorize, gen_random,
-                 load_system, save_system)
+from gsp import (RandomSpec, SaddleSystem, SolverConfig, StokesSpec, craig_solve, factorize,
+                 gen_random, gen_stokes_channel_detailed, load_system, save_system)
 from gsp.cli import SOLVERS, SPECS, RunManifest, UsageError, main, make_parser
 from gsp.errors import DimensionError, NotSpdError, WrongSolverError, ZeroRhsError
 from gsp.system import SOLVER_RULES
@@ -267,6 +267,33 @@ class TestRun:
         assert capsys.readouterr().err == f"gsp: error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source, preconditioner", [
+        ("generate-stokes", None), ("generate-stokes", "pressure-mass"),
+        ("generate-stokes", "identity"), ("generate-random", None)])
+    def test_preconditioner_key_picks_the_n_it_names(self, tmp_path, monkeypatch, source,
+                                                     preconditioner):
+        seen = []
+
+        def capture(system, N, cfg):
+            seen.append(N)
+            return craig_solve(system, N, cfg)
+
+        monkeypatch.setitem(SOLVERS, "craig", capture)
+        problem = {"source": source, "nx": 8, "ny": 8} if source == "generate-stokes" else RANDOM
+        doc = dict(problem=problem, solvers=["craig"])
+        if preconditioner is not None:
+            doc["preconditioner"] = preconditioner
+        assert main(["run", write_manifest(tmp_path / "m.json", **doc)]) == 0
+        [N] = seen
+        n = N.dimension
+        if source == "generate-stokes" and preconditioner != "identity":
+            want = gen_stokes_channel_detailed(StokesSpec(nx=8, ny=8)).preconditioner
+            assert np.array_equal(np.asarray(want.matrix), np.eye(n) / 64)  # hx hy on the diagonal
+        else:
+            assert n == (5 if source == "generate-random" else 63)
+            want = factorize(np.eye(n))
+        assert N.kind == want.kind and np.array_equal(np.asarray(N.matrix), np.asarray(want.matrix))
+
     @pytest.mark.parametrize("nx, ny", [(10**21, 4), (40000, 40000)], ids=["nx-huge", "grid-40000"])
     def test_stokes_grid_past_int32_indices_refused_before_generating(self, tmp_path, capsys,
                                                                       monkeypatch, nx, ny):
@@ -461,10 +488,13 @@ def test_error_estimate_criterion_refused_for_baselines(tmp_path, capsys, monkey
 
 
 def test_rules_table_holds_the_solver_domains():
-    # CRAIG, SCR-CG and MINRES need an SPD leading block; only the two CRAIGs estimate the error.
+    # CRAIG, SCR-CG and MINRES need an SPD leading block; only the two CRAIGs estimate the error;
+    # only nsCRAIG and SCR-FOM multiply by N (CRAIG too, under reorthogonalize).
     symmetric = {name for name, rule in SOLVER_RULES.items() if rule.needs_symmetric}
     estimate = {name for name, rule in SOLVER_RULES.items() if rule.error_estimate}
+    product = {name for name, rule in SOLVER_RULES.items() if rule.needs_n_product}
     assert symmetric == {"craig", "scr-cg", "pminres"} and estimate == {"craig", "nscraig"}
+    assert product == {"nscraig", "scr-fom"}
 
 
 def _refusal(name, case):

@@ -17,13 +17,13 @@ from gsp import (
     StokesSpec,
     compress_rhs,
     craig_error_estimate,
-    craig_residual_check,
     craig_solve,
     direct_solve,
     factorize,
     gen_stokes_channel,
     load_system,
     replay,
+    residual_check,
     save_system,
     scr_cg_solve,
 )
@@ -251,12 +251,12 @@ class TestResidualCheck:
     def test_defects_small_on_converged_run(self):
         sys = random_system(12, 6, c_rank=3, seed=24)
         N = random_preconditioner(6, seed=24)
-        rep = craig_residual_check(sys, N, craig_solve, SolverConfig())
+        rep = residual_check(sys, N, craig_solve, SolverConfig())
         assert max(rep.dual_defects) <= 1e-8
         assert max(rep.upper_ratios) <= 1e-9
 
     def test_hand_instance_zero_residual(self, hand_system):
-        rep = craig_residual_check(hand_system, None, craig_solve, SolverConfig())
+        rep = residual_check(hand_system, None, craig_solve, SolverConfig())
         assert rep.dual_defects[0] <= 1e-14
 
     def test_corrupted_scalar_detected(self):
@@ -274,7 +274,7 @@ class TestResidualCheck:
                                        *run.history[k:]])
             return run
 
-        rep = craig_residual_check(sys, None, corrupted, SolverConfig())
+        rep = residual_check(sys, None, corrupted, SolverConfig())
         assert abs(rep.dual_defects[k - 1] - expected) <= 1e-8 + 1e-6 * expected
         assert rep.dual_defects[k - 1] > 1e-10
 
@@ -284,7 +284,7 @@ class TestResidualCheck:
         sys0 = SaddleSystem(sys.M, SparseMatrix.zeros(8, 4), SparseMatrix.zeros(4, 4), sys.b)
         assert craig_solve(sys0, None).iterations == 0
         with pytest.raises(InsufficientHistoryError):
-            craig_residual_check(sys0, None, craig_solve)
+            residual_check(sys0, None, craig_solve)
 
 
 def test_matches_preconditioned_cg(hand_system):
@@ -330,8 +330,7 @@ def test_schur_norm_error_strictly_decreases():
 def test_residual_orthogonal_to_basis_with_reorthogonalization():
     sys = random_system(14, 7, c_rank=3, seed=30)
     N = random_preconditioner(7, seed=30)
-    rep = craig_residual_check(sys, N, craig_solve,
-                               SolverConfig(keep_basis=True, reorthogonalize=True))
+    rep = residual_check(sys, N, craig_solve, SolverConfig(keep_basis=True, reorthogonalize=True))
     assert max(rep.orth_defects) <= 1e-8 * rep.beta1
 
 

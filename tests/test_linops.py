@@ -1,6 +1,7 @@
 """Kernels, factorizations, and the SPD preconditioner."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -8,23 +9,36 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from conftest import InverseOnly, LoggedSolves, cholesky_preconditioner, random_system
 from gsp import (
     SaddleSystem,
+    SolverConfig,
     SparseMatrix,
     StokesSpec,
+    craig_solve,
     factorize,
     gen_stokes_channel,
+    gkb_nonsymmetric,
+    gkb_symmetric,
+    nscraig_solve,
+    pgmres_solve,
+    pminres_solve,
+    residual_check,
+    scr_cg_solve,
+    scr_fom_solve,
     spsd_factor,
 )
+from gsp.cli import SOLVERS
 from gsp.errors import (
     DimensionError,
     NonFiniteError,
     NotSpdError,
     NotSpsdError,
     SingularOperatorError,
+    WrongSolverError,
 )
 from gsp.linops import DENSE_FACTOR_DENSITY, DENSE_FACTOR_LIMIT, FactorizedOperator
-from gsp.system import SOLVER_RULES, solver_inputs
+from gsp.system import HISTORY_FIELDS, SOLVER_RULES, solver_inputs
 
 
 def _dense_inputs():
@@ -520,6 +534,55 @@ class TestSpsdFactor:
             spsd_factor(SparseMatrix.identity(2001))
 
 
+class TestNProtocol:
+    """Every caller reads N's dimension, spd and solve; one that multiplies by N reads apply too."""
+
+    @pytest.mark.parametrize("solve", [craig_solve, scr_cg_solve, pminres_solve, pgmres_solve])
+    def test_inverse_only_n_runs_bit_identically(self, solve):
+        sys = random_system(40, 20, seed=3)
+        N = cholesky_preconditioner(20, seed=5)
+        cfg = SolverConfig(tolerance=1e-10)
+        got, want = solve(sys, InverseOnly(N), cfg), solve(sys, N, cfg)
+        assert got.termination == want.termination == "converged"
+        assert got.u.tobytes() == want.u.tobytes() and got.p.tobytes() == want.p.tobytes()
+        for name in set(HISTORY_FIELDS) - {"wall_time_s"}:
+            assert got.history.column(name).tobytes() == want.history.column(name).tobytes()
+
+    def test_residual_check_reads_inverse_only_n(self):
+        N = InverseOnly(cholesky_preconditioner(20, seed=5))
+        rep = residual_check(random_system(40, 20, seed=3), N, craig_solve,
+                             SolverConfig(tolerance=1e-10))
+        assert max(rep.dual_defects) <= 1e-12
+
+    @pytest.mark.parametrize("caller", [
+        lambda sys, N: nscraig_solve(sys, N),
+        lambda sys, N: scr_fom_solve(sys, N),
+        lambda sys, N: craig_solve(sys, N, SolverConfig(reorthogonalize=True)),
+        lambda sys, N: gkb_symmetric(sys, N, steps=5),
+        lambda sys, N: gkb_nonsymmetric(sys, N, steps=5),
+    ], ids=["nscraig", "scr-fom", "craig-reorthogonalize", "gkb_symmetric", "gkb_nonsymmetric"])
+    def test_callers_that_multiply_refuse_inverse_only_n_before_any_solve(self, caller):
+        solves = []
+        N = LoggedSolves(InverseOnly(cholesky_preconditioner(20, seed=5)), solves)
+        with pytest.raises(WrongSolverError, match="^N has no apply$"):
+            caller(random_system(40, 20, c_rank=0, seed=3), N)
+        assert solves == []
+
+    @pytest.mark.parametrize("case, refusal, message", [
+        ("spd-false", NotSpdError, "^N must be symmetric positive definite$"),
+        ("no-solve", WrongSolverError, "^N has no solve$"),
+    ], ids=["spd-false", "no-solve"])
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_missing_or_false_member_refused_by_every_solver(self, name, case, refusal, message):
+        solves, N = [], factorize(np.eye(20))
+        members = dict(dimension=20, spd=case != "spd-false", apply=N.apply)
+        if case != "no-solve":
+            members["solve"] = lambda b: solves.append(b) or N.solve(b)
+        with pytest.raises(refusal, match=message):
+            SOLVERS[name](random_system(40, 20, seed=3), types.SimpleNamespace(**members), None)
+        assert solves == []
+
+
 class TestSpdPreconditioner:
     """N is an SPD FactorizedOperator; solver_inputs refuses any other kind."""
 
@@ -539,6 +602,12 @@ class TestSpdPreconditioner:
         for name in SOLVER_RULES:
             with pytest.raises(NotSpdError):
                 solver_inputs(name, sys, op, None)
+
+    def test_spd_is_every_kind_but_lu(self):
+        kinds = {N.kind: N.spd for N in (factorize(np.diag([1.0, 2.0])),
+                                         factorize(np.array([[2.0, 1.0], [1.0, 2.0]])),
+                                         factorize(np.array([[2.0, 1.0], [0.0, 2.0]])))}
+        assert kinds == {"diagonal": True, "cholesky-spd": True, "lu-general": False}
 
     def test_inv_norm(self):
         N = factorize(np.diag([4.0]))

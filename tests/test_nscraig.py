@@ -18,11 +18,11 @@ from gsp import (
     direct_solve,
     gen_stokes_channel,
     nscraig_error_estimate,
-    nscraig_residual_check,
     nscraig_solve,
     pgmres_solve,
     pminres_solve,
     replay,
+    residual_check,
     scr_cg_solve,
     scr_fom_solve,
 )
@@ -233,7 +233,7 @@ class TestResidualCheck:
     def test_defects_small(self):
         sys = random_system(14, 7, skew=0.5, c_rank=3, seed=46)
         N = random_preconditioner(7, seed=46)
-        rep = nscraig_residual_check(sys, N, nscraig_solve, SolverConfig(keep_basis=True))
+        rep = residual_check(sys, N, nscraig_solve, SolverConfig(keep_basis=True))
         assert max(rep.dual_defects) <= 1e-8
         assert max(rep.upper_ratios) <= 1e-9
         assert max(rep.orth_defects) <= 1e-8 * rep.beta1
@@ -248,10 +248,8 @@ class TestResidualCheck:
         sys = random_system(12, 6, c_rank=3, seed=48)
         N = random_preconditioner(6, seed=48)
         cfg = SolverConfig(tolerance=1e-300, max_iterations=6)
-        rn = nscraig_residual_check(sys, N, nscraig_solve, cfg)
-        from gsp import craig_residual_check
-
-        rc = craig_residual_check(sys, N, craig_solve, cfg)
+        rn = residual_check(sys, N, nscraig_solve, cfg)
+        rc = residual_check(sys, N, craig_solve, cfg)
         for a, b in zip(rn.dual_defects, rc.dual_defects):
             assert abs(a - b) <= 1e-10
 
