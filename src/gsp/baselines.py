@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import GspError, NotSpdError, SingularOperatorError
+from .errors import GspError, SingularOperatorError
+from .linops import spd_inner
 from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, grown, rhs_norm,
                      solver_inputs)
 
@@ -64,7 +65,7 @@ def scr_cg_solve(sys, N=None, cfg=None):
         p = p + eta * d
         r = r - eta * w
         z = N.solve(r)
-        rho_next = max(float(r @ z), 0.0)
+        rho_next = spd_inner(r, z)
         res_rel = float(np.sqrt(rho_next)) / beta1
         history.append(ConvergenceRecord(k, res_rel, wall_time_s=time.perf_counter() - t0))
         if stop := cfg.stop(k, res_rel, rho_next <= (BREAKDOWN_TOL * beta1) ** 2):
@@ -106,7 +107,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
             c = float(NQ[i] @ w)
             w = w - c * Q[i]
             Hbar[i, j] = c
-        hnext = float(np.sqrt(max(w @ N.apply(w), 0.0)))
+        hnext = float(np.sqrt(spd_inner(w, N.apply(w))))
         Hbar[k, j] = hnext
         e1 = np.zeros(k)
         e1[0] = beta1
@@ -148,9 +149,7 @@ def pminres_solve(sys, N=None, cfg=None):
     x = np.zeros(mn)
     r1 = f.copy()
     y = _blockdiag_solve(sys, N, r1)
-    if f @ y < 0.0:
-        raise NotSpdError("block preconditioner is not positive definite")
-    beta1 = rhs_norm(f, y)
+    beta1 = rhs_norm(f, y, "blkdiag(M, N)")
 
     oldb, beta = 0.0, beta1
     dbar = epsln = 0.0
@@ -174,10 +173,7 @@ def pminres_solve(sys, N=None, cfg=None):
         r2 = y
         y = _blockdiag_solve(sys, N, r2)
         oldb = beta
-        beta_sq = float(r2 @ y)
-        if beta_sq < 0.0:
-            raise NotSpdError("block preconditioner is not positive definite")
-        beta = float(np.sqrt(beta_sq))
+        beta = float(np.sqrt(spd_inner(r2, y, "blkdiag(M, N)")))
 
         oldeps = epsln
         delta = cs * dbar + sn * alfa

@@ -46,10 +46,21 @@ class UsageError(GspError):
     """Bad manifest or incompatible solver selection (exit code 1)."""
 
 
-def _refuse_unknown(what, keys, known):
-    unknown = sorted(set(keys) - set(known))
+def parse(cls, doc, what, known=None):
+    """cls(**doc), or a UsageError naming what: for keys outside known (default: cls's
+    fields), then for required fields doc lacks, then for cls's TypeError or ValueError."""
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(doc) - set([f.name for f in fields] if known is None else known))
     if unknown:
         raise UsageError(f"unknown {what} keys: {unknown}")
+    missing = [f.name for f in fields if f.name not in doc
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise UsageError(f"{what} missing keys: {missing}")
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {what}: {exc}") from exc
 
 
 @dataclasses.dataclass
@@ -82,11 +93,7 @@ class RunManifest:
         if (self.preconditioner == "pressure-mass"
                 and self.problem.get("source") != "generate-stokes"):
             raise UsageError("pressure-mass preconditioner needs a generated stokes problem")
-        _refuse_unknown("config", self.config, CONFIG_KEYS)
-        try:
-            self.config = SolverConfig(**self.config)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad config: {exc}") from exc
+        self.config = parse(SolverConfig, self.config, "config", CONFIG_KEYS)
 
     @classmethod
     def from_file(cls, path):
@@ -97,15 +104,7 @@ class RunManifest:
             raise UsageError(f"cannot read manifest {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError(f"manifest {path} must hold a JSON object")
-        _refuse_unknown("manifest", doc, (f.name for f in dataclasses.fields(cls)))
-        missing = [f.name for f in dataclasses.fields(cls) if f.name not in doc
-                   and f.default is f.default_factory is dataclasses.MISSING]
-        if missing:
-            raise UsageError(f"manifest missing keys: {missing}")
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise UsageError(f"manifest {exc}") from exc
+        return parse(cls, doc, "manifest")
 
 
 def generate_problem(kind, fields):
@@ -114,12 +113,7 @@ def generate_problem(kind, fields):
     The spec checks the fields; the preconditioner is the channel's
     pressure-mass diagonal, None for a random instance.
     """
-    spec_type = SPECS[kind]
-    _refuse_unknown("problem", fields, (f.name for f in dataclasses.fields(spec_type)))
-    try:
-        spec = spec_type(**fields)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad {kind} problem spec: {exc}") from exc
+    spec = parse(SPECS[kind], fields, f"{kind} problem spec")
     if kind == "random":
         return gen_random(spec), None
     prob = gen_stokes_channel_detailed(spec)
@@ -136,13 +130,14 @@ def build_problem(manifest):
     source = fields.pop("source", None)
     t0 = time.perf_counter()
     precond = None
-    if source in ("generate-random", "generate-stokes"):
+    if source in [f"generate-{kind}" for kind in SPECS]:
         system, precond = generate_problem(source.removeprefix("generate-"), fields)
     elif source == "load":
         path = fields.pop("path", None)
         if not isinstance(path, str):  # open(0) would read stdin
             raise UsageError(f"load source needs a string 'path', got {path!r}")
-        _refuse_unknown("problem", fields, ())
+        if fields:
+            raise UsageError(f"unknown problem keys: {sorted(fields)}")
         system = load_system(path)
     else:
         raise UsageError('problem has no "source"' if source is None

@@ -16,7 +16,7 @@ import scipy.sparse
 
 from .baselines import SchurOperator
 from .errors import BreakdownError, DimensionError, WrongSolverError, ZeroRhsError
-from .linops import SparseMatrix, spsd_factor
+from .linops import SparseMatrix, spd_inner, spsd_factor
 from .system import BREAKDOWN_TOL, SaddleSystem, check_n, grown, rhs_norm
 
 
@@ -116,7 +116,7 @@ def _bidiagonalize(sys, N, steps, full_mgs, reorthogonalize):
                 c = NQ[j] @ g
                 g = g - c * Q[j]
                 H[j, k - 1] += c
-        beta = float(np.sqrt(max(g @ N.apply(g), 0.0)))
+        beta = float(np.sqrt(spd_inner(g, N.apply(g))))
         betas.append(beta)
         H[k, k - 1] = beta
         if beta <= BREAKDOWN_TOL * beta1:

@@ -27,9 +27,10 @@ M is a FactorizedOperator. N is any object with the members its caller reads
 (n), spd (true) and solve (N^{-1} x) for every caller, and apply (N x) only for
 one that multiplies by N: nsCRAIG, SCR-FOM, CRAIG under reorthogonalize and the
 gsp.gkb oracles. So an N known by its inverse alone runs CRAIG, SCR-CG,
-pMINRES and pGMRES. inv_norm (sqrt(y^T N^{-1} y)) is read only by
-residual_check and the benchmark's correctness gate. A FactorizedOperator of
-an SPD kind has all five.
+pMINRES and pGMRES. inv_norm (sqrt(y^T N^{-1} y)) is read only by the
+benchmark's correctness gate. A FactorizedOperator of an SPD kind has all
+five. Every squared norm in N's inner product (y . N^{-1} y or x . N x) goes
+through spd_inner, which refuses one that an SPD N cannot give.
 """
 
 from __future__ import annotations
@@ -284,14 +285,26 @@ class FactorizedOperator:
         return x
 
     def inv_norm(self, y):
-        """sqrt(y^T K^{-1} y); a negative radicand at roundoff level (>= -1e-12 y^T y) gives 0."""
+        """sqrt(y^T K^{-1} y), its radicand read by spd_inner."""
         y = _as_float_vector(y, self.dimension, "y")
-        val = float(y @ self.solve(y))
-        if val < 0.0:
-            if val < -1e-12 * float(y @ y):
-                raise NotSpdError(f"negative radicand {val} in inverse-weighted norm")
-            return 0.0
-        return float(np.sqrt(val))
+        return float(np.sqrt(spd_inner(y, self.solve(y), "K")))
+
+
+def spd_inner(x, kx, what="N"):
+    """float(x @ kx) for kx = K x or K^{-1} x, K SPD: a squared norm in K's inner product.
+
+    A NaN passes through. A negative value at or above -1e-8 ||x|| ||kx|| is
+    roundoff and reads 0; a lower one raises NotSpdError naming what. For an
+    SPD K, x . K x >= ||x|| ||K x|| / cond(K), and rounding in the product and
+    in forming kx moves x . kx by about (n + cond(K)) eps ||x|| ||kx||: only an
+    indefinite K, or cond(K) above about 1e8, reaches the bound.
+    """
+    val = float(x @ kx)
+    if val < 0.0:
+        if val < -1e-8 * float(np.linalg.norm(x) * np.linalg.norm(kx)):
+            raise NotSpdError(f"{what} is not positive definite: squared norm {val:.3e}")
+        return 0.0
+    return val
 
 
 def as_sparse(K):

@@ -53,11 +53,12 @@ def _size_line(path):
                 return no
 
 
-def _read(path):
-    """Read a file as a dense ndarray (array layout) or a SparseMatrix (coordinate).
+def read_matrix_market(path):
+    """Read a real coordinate/array file as a SparseMatrix.
 
-    Duplicate coordinates are refused. Indices are int32 unless a dimension
-    needs more, as in a generated block, so save/load is bitwise.
+    An array-layout file goes through SparseMatrix.from_dense. Duplicate
+    coordinates are refused. Indices are int32 unless a dimension needs
+    more, as in a generated block, so save/load is bitwise.
     """
     import scipy.io
 
@@ -81,17 +82,11 @@ def _read(path):
             raise ParseError(found[2], line=int(found[1])) from exc
         raise ParseError(str(exc)) from exc
     if isinstance(entries, np.ndarray):
-        return entries
+        return SparseMatrix.from_dense(entries)
     try:
         return SparseMatrix.from_coo(rows, cols, entries.row, entries.col, entries.data)
     except DimensionError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def read_matrix_market(path):
-    """Read a real coordinate/array file as a SparseMatrix."""
-    entries = _read(path)
-    return SparseMatrix.from_dense(entries) if isinstance(entries, np.ndarray) else entries
 
 
 def read_vector(path):
@@ -100,11 +95,9 @@ def read_vector(path):
     Coordinate entries are scattered by assignment rather than summed into
     zeros, so a stored -0.0 keeps its sign.
     """
-    entries = _read(path)
+    entries = read_matrix_market(path)
     if entries.shape[1] != 1:
         raise ParseError(f"expected a single-column vector, got {entries.shape[1]} columns")
-    if isinstance(entries, np.ndarray):
-        return entries[:, 0]
     coo = entries.csr.tocoo()
     v = np.zeros(entries.rows)
     v[coo.row] = coo.data

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InsufficientHistoryError, NonFiniteError
-from .linops import FactorizedOperator
+from .linops import FactorizedOperator, spd_inner
 from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, SolverConfig,
                      grown, rhs_norm, solver_inputs)
 
@@ -184,7 +184,8 @@ def gkb_solve(sys, N, cfg, full_orth):
     only iterate nsCRAIG forms. cfg.keep_basis keeps Q (k x n) and nsCRAIG's
     Hessenberg H_k (k x k), grown as a (k+1) x k array that takes column k and
     beta_{k+1} each step; earlier iterates come from replay. A NaN or infinite
-    alpha or beta raises NonFiniteError; cfg.stop decides every other end.
+    alpha or beta raises NonFiniteError, and a squared beta that an SPD N cannot
+    give NotSpdError (spd_inner); cfg.stop decides every other end.
     """
     A, C, M = sys.A, sys.C, sys.M
     t0 = time.perf_counter()
@@ -249,7 +250,7 @@ def gkb_solve(sys, N, cfg, full_orth):
                 h += c
         if full_orth:
             lower.append(alpha, beta, zeta, h)
-        beta = _finite(float(np.sqrt(max(g @ ng, 0.0))), "beta", k + 1, k)
+        beta = _finite(float(np.sqrt(spd_inner(g, ng))), "beta", k + 1, k)
         if H is not None:
             H = grown(H, (k + 1, k), "F")
             H[:k, k - 1] = h
@@ -365,14 +366,15 @@ def residual_check(sys, N, solve, cfg=None):
     runs = replay(solve, sys, N, cfg)
     if not runs[-1].history:
         raise InsufficientHistoryError("the solve recorded no iteration")
-    N = N or FactorizedOperator.identity(sys.n)
+    if N is None:
+        N = FactorizedOperator.identity(sys.n)
     a_norm = float(np.linalg.norm(sys.A.values))
     Q = runs[-1].Q
     dual, upper, orth = [], [], [] if Q is not None else None
     for run in runs:
         rec, u, p = run.history[-1], run.u, run.p
         resid = sys.b - sys.A.rmatvec(u) + sys.C.matvec(p)
-        explicit = N.inv_norm(resid)
+        explicit = float(np.sqrt(spd_inner(resid, N.solve(resid))))
         dual.append(abs(explicit - rec.beta_next * abs(rec.scalar)) / run.beta1)
         block = np.linalg.norm(sys.Mmat.matvec(u) + sys.A.matvec(p))
         upper.append(block / max(a_norm * np.linalg.norm(p), 1e-300))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (DimensionError, NonFiniteError, NotSpdError, NotSpsdError, WrongSolverError,
                      ZeroRhsError)
-from .linops import FactorizedOperator, SparseMatrix, as_sparse, factorize
+from .linops import FactorizedOperator, SparseMatrix, as_sparse, factorize, spd_inner
 
 CRITERION_RESIDUAL = "relative-residual"
 CRITERION_ERROR = "error-estimate"
@@ -244,14 +244,13 @@ def solver_inputs(name, sys, N, cfg):
     return N, cfg
 
 
-def rhs_norm(r, z):
+def rhs_norm(r, z, what="N"):
     """sqrt(r . z), z the preconditioned r: a solver's initial residual norm.
 
-    A negative r . z (roundoff only, for an SPD preconditioner) counts as 0.
-    ZeroRhsError if the norm is 0, as for a nonzero b whose norm underflows;
-    a NaN passes through.
+    spd_inner reads r . z, refusing a what that is not SPD. ZeroRhsError if
+    the norm is 0, as for a nonzero b whose norm underflows; a NaN passes through.
     """
-    norm = float(np.sqrt(max(float(r @ z), 0.0)))
+    norm = float(np.sqrt(spd_inner(r, z, what)))
     if norm == 0.0:
         raise ZeroRhsError("the norm of b underflows to 0")
     return norm

@@ -43,12 +43,12 @@ class LoggedSolves:
 
 
 class InverseOnly:
-    """An N known by its inverse alone: target's dimension, solve and inv_norm, and no apply."""
+    """An N known by its inverse alone: target's dimension and solve, and no apply."""
 
     spd = True
 
     def __init__(self, target):
-        self.dimension, self.solve, self.inv_norm = target.dimension, target.solve, target.inv_norm
+        self.dimension, self.solve = target.dimension, target.solve
 
 
 @pytest.fixture

@@ -179,6 +179,11 @@ class TestRun:
          "bad config: max_iterations must be at least 1"),
         ({"problem": {"source": "generate-stokes", "nx": 4, "ny": 4, "gamma": -1.0},
           "solvers": ["craig"]}, "bad stokes problem spec: gamma must be nonnegative"),
+        # A spec's required field is named, not read off a TypeError of its constructor.
+        ({"problem": {"source": "generate-random", "n": 5}, "solvers": ["craig"]},
+         "random problem spec missing keys: ['m']"),
+        ({"problem": {"source": "generate-stokes", "ny": 4}, "solvers": ["craig"]},
+         "stokes problem spec missing keys: ['nx']"),
     ], ids=["top-level-array", "problem-string", "config-array", "criterion-object",
             "spectrum-number", "solvers-string", "solver-array", "tolerance-null",
             "load-path-number", "load-path-missing", "tolerance-true", "max-iterations-float",
@@ -187,7 +192,7 @@ class TestRun:
             "tolerance-nan", "length-infinity", "top-level-tolerance",
             "misspelled-preconditioner", "preconditioner-number", "solvers-missing",
             "solvers-empty", "solvers-repeated", "source-unknown", "source-missing",
-            "max-iterations-zero", "gamma-negative"])
+            "max-iterations-zero", "gamma-negative", "random-m-missing", "stokes-nx-missing"])
     def test_malformed_manifest_is_refused_without_traceback(self, tmp_path, capsys, doc,
                                                              fragment):
         if isinstance(doc, dict):

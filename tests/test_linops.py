@@ -16,6 +16,7 @@ from gsp import (
     SparseMatrix,
     StokesSpec,
     craig_solve,
+    direct_solve,
     factorize,
     gen_stokes_channel,
     gkb_nonsymmetric,
@@ -549,10 +550,12 @@ class TestNProtocol:
             assert got.history.column(name).tobytes() == want.history.column(name).tobytes()
 
     def test_residual_check_reads_inverse_only_n(self):
-        N = InverseOnly(cholesky_preconditioner(20, seed=5))
-        rep = residual_check(random_system(40, 20, seed=3), N, craig_solve,
-                             SolverConfig(tolerance=1e-10))
+        sys, N = random_system(40, 20, seed=3), cholesky_preconditioner(20, seed=5)
+        cfg = SolverConfig(tolerance=1e-10)
+        rep = residual_check(sys, InverseOnly(N), craig_solve, cfg)
         assert max(rep.dual_defects) <= 1e-12
+        # It reads N.solve alone, bit for bit as it reads the factor that N wraps.
+        assert repr(rep) == repr(residual_check(sys, N, craig_solve, cfg))
 
     @pytest.mark.parametrize("caller", [
         lambda sys, N: nscraig_solve(sys, N),
@@ -581,6 +584,50 @@ class TestNProtocol:
         with pytest.raises(refusal, match=message):
             SOLVERS[name](random_system(40, 20, seed=3), types.SimpleNamespace(**members), None)
         assert solves == []
+
+
+class FalselySpd:
+    """An N = diag(d) that claims spd but holds negative entries of d."""
+
+    spd = True
+
+    def __init__(self, d):
+        self.d, self.dimension = d, len(d)
+
+    def solve(self, x):
+        return x / self.d
+
+    def apply(self, x):
+        return x * self.d
+
+
+class TestIndefiniteN:
+    """A squared N-norm that only an indefinite N gives is refused, never read as 0."""
+
+    N = FalselySpd(np.where(np.isin(np.arange(20), [2, 7, 13]), -1.0, 1.0))
+
+    @pytest.mark.parametrize("caller", [
+        lambda sys, N: craig_solve(sys, N, SolverConfig(tolerance=1e-10)),
+        lambda sys, N: nscraig_solve(sys, N, SolverConfig(tolerance=1e-10)),
+        lambda sys, N: scr_cg_solve(sys, N, SolverConfig(tolerance=1e-10)),
+        lambda sys, N: scr_fom_solve(sys, N, SolverConfig(tolerance=1e-10)),
+        lambda sys, N: gkb_symmetric(sys, N, steps=20),
+        lambda sys, N: gkb_nonsymmetric(sys, N, steps=20),
+    ], ids=["craig", "nscraig", "scr-cg", "scr-fom", "gkb_symmetric", "gkb_nonsymmetric"])
+    def test_n_norm_callers_refuse(self, caller):
+        with pytest.raises(NotSpdError, match="^N is not positive definite"):
+            caller(random_system(40, 20, c_rank=0, seed=3), self.N)
+
+    def test_pminres_refuses_its_block_preconditioner(self):
+        with pytest.raises(NotSpdError, match=r"^blkdiag\(M, N\) is not positive definite"):
+            pminres_solve(random_system(40, 20, seed=3), self.N, SolverConfig(tolerance=1e-10))
+
+    def test_pgmres_takes_no_n_norm_and_converges(self):
+        sys = random_system(40, 20, seed=3)
+        res = pgmres_solve(sys, self.N, SolverConfig(tolerance=1e-10))
+        want = np.concatenate(direct_solve(sys))
+        assert res.termination == "converged"
+        assert np.linalg.norm(res.final_vector() - want) <= 1e-8 * np.linalg.norm(want)
 
 
 class TestSpdPreconditioner:
@@ -619,10 +666,12 @@ class TestSpdPreconditioner:
 
     def test_inv_norm_tiny_negative_radicand_clamped(self):
         # factorize refuses a nonpositive diagonal, so build the operator directly.
-        def diagonal(d):
-            return FactorizedOperator("diagonal", SparseMatrix.from_dense([[d]]), np.array([d]))
+        def diagonal(*d):
+            return FactorizedOperator("diagonal", SparseMatrix.from_dense(np.diag(d)),
+                                      np.array(d))
 
-        assert diagonal(-1e14).inv_norm([1.0]) == 0.0
+        # N^-1 = diag(1, -(1 + 1e-13)): y^T N^-1 y / (|y| |N^-1 y|) is about -5e-14, roundoff.
+        assert diagonal(1.0, -1.0 / (1.0 + 1e-13)).inv_norm([1.0, 1.0]) == 0.0
         with pytest.raises(NotSpdError):
             diagonal(-1.0).inv_norm([1.0])
 
