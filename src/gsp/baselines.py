@@ -107,7 +107,8 @@ def scr_fom_solve(sys, N=None, cfg=None):
             c = float(NQ[i] @ w)
             w = w - c * Q[i]
             Hbar[i, j] = c
-        hnext = float(np.sqrt(spd_inner(w, N.apply(w))))
+        nw = N.apply(w)
+        hnext = float(np.sqrt(spd_inner(w, nw)))
         Hbar[k, j] = hnext
         e1 = np.zeros(k)
         e1[0] = beta1
@@ -121,7 +122,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
         if stop := cfg.stop(k, res_rel, hnext <= BREAKDOWN_TOL * beta1):
             break
         Q.append(w / hnext)
-        NQ.append(N.apply(Q[-1]))
+        NQ.append(nw / hnext)
 
     p = np.column_stack(Q[:k]) @ y if k else np.zeros(sys.n)
     u = -sys.M.solve(sys.A.matvec(p))

@@ -1,17 +1,17 @@
 """Generalized Golub-Kahan solver loop behind CRAIG and nsCRAIG.
 
 One loop serves both solvers. CRAIG orthogonalizes each new right vector
-against the previous one only (three-term recurrence) and updates both
-iterates by short recurrences. nsCRAIG orthogonalizes it against the whole
-stored right basis in the N inner product by classical Gram-Schmidt run
-twice (CGS2, which keeps the basis orthogonal to working precision), with
-each vector's second pass lagged into the next step's projection (DCGS2):
-a step reads the stored basis twice, in one product that forms the
-coefficients of both passes and one that subtracts them. The projection
-coefficients form the Hessenberg columns. Every step appends one column of
-the lower factor L^T of H = B^T L^T (one banded solve with B^T), and solution
-assembly is deferred until the stopping rule fires: one triangular solve with
-that L^T and one bidiagonal back substitution.
+against the previous one only (three-term recurrence) and updates p by a
+short recurrence. nsCRAIG orthogonalizes it against the whole stored right
+basis in the N inner product by classical Gram-Schmidt run twice (CGS2,
+which keeps the basis orthogonal to working precision), with each vector's
+second pass lagged into the next step's projection (DCGS2): a step reads the
+stored basis twice, in one product that forms the coefficients of both passes
+and one that subtracts them. The projection coefficients form the Hessenberg
+columns. Every step appends one column of the lower factor L^T of
+H = B^T L^T (one banded solve with B^T), and p is assembled once the stopping
+rule fires: one triangular solve with that L^T and one bidiagonal back
+substitution. Both modes then form u = -M^{-1} A p, as the baselines do.
 """
 
 from __future__ import annotations
@@ -168,9 +168,9 @@ def gkb_solve(sys, N, cfg, full_orth):
     the next M v; N g = A^T v + t (minus alpha N q for CRAIG) gives g . N g in
     beta and, over beta, the next N q, from N q_1 = b / beta_1. So no step
     multiplies by M and no CRAIG step by N; nsCRAIG's Gram-Schmidt changes g,
-    and its step makes one N product to recompute N g. cfg.reorthogonalize
-    adds one explicit classical Gram-Schmidt pass over the final basis, and
-    one N product, per step in both modes (CRAIG's only pass).
+    and its step makes one N product to recompute N g. cfg.reorthogonalize is
+    CRAIG's full reorthogonalization (nsCRAIG's is already full): one classical
+    Gram-Schmidt pass over the stored basis, and one N product, per step.
     The right basis is one array of rows q_1, q_2, ... that starts at one row
     and doubles when a step outgrows it; CRAIG keeps only its latest vectors
     unless cfg.reorthogonalize or cfg.keep_basis needs the basis. nsCRAIG
@@ -180,8 +180,9 @@ def gkb_solve(sys, N, cfg, full_orth):
     the rows a step reads are final. If the lagged pass finds 1 - a . a <= 0,
     the run ends with termination "breakdown" and the previous step's iterate.
     nsCRAIG grows its IncrementalLowerFactor every step; the error-estimate
-    rule reads it each step and assemble_solution once, on termination: the
-    only iterate nsCRAIG forms. cfg.keep_basis keeps Q (k x n) and nsCRAIG's
+    rule reads it each step and assemble_solution once, on termination, where
+    CRAIG's p comes from a short recurrence. Neither carries a velocity: both
+    end with u = -M^{-1} A p. cfg.keep_basis keeps Q (k x n) and nsCRAIG's
     Hessenberg H_k (k x k), grown as a (k+1) x k array that takes column k and
     beta_{k+1} each step; earlier iterates come from replay. A NaN or infinite
     alpha or beta raises NonFiniteError, and a squared beta that an SPD N cannot
@@ -199,8 +200,8 @@ def gkb_solve(sys, N, cfg, full_orth):
     lower = IncrementalLowerFactor() if full_orth else None
     history = History()
     # Step 0's state: the first pass through the loop's head is step 1's, with
-    # M v_0 = 0, r_0 = 0 and zeta_0 = -1. u and p stay zero if alpha_1 breaks down.
-    u, p, mv, r = np.zeros(sys.m), np.zeros(sys.n), np.zeros(sys.m), np.zeros(sys.n)
+    # M v_0 = 0, r_0 = 0 and zeta_0 = -1. p stays zero if alpha_1 breaks down.
+    p, mv, r = np.zeros(sys.n), np.zeros(sys.m), np.zeros(sys.n)
     alpha, zeta = 1.0, -1.0
     alpha_floor = BREAKDOWN_TOL * max(beta1, 1.0)  # then BREAKDOWN_TOL * alpha_1
 
@@ -227,7 +228,6 @@ def gkb_solve(sys, N, cfg, full_orth):
         t = s / alpha
         zeta = -(beta / alpha) * zeta
         if not full_orth:
-            u = u + zeta * v
             p = p - (zeta / alpha) * r
 
         ng = A.rmatvec(v) + t
@@ -242,12 +242,9 @@ def gkb_solve(sys, N, cfg, full_orth):
                 break
             g, h = step
             ng = N.apply(g)
-        if cfg.reorthogonalize:
-            c = Q[:k] @ ng
-            g = g - c @ Q[:k]
+        if cfg.reorthogonalize and not full_orth:
+            g = g - (Q[:k] @ ng) @ Q[:k]
             ng = N.apply(g)
-            if full_orth:
-                h += c
         if full_orth:
             lower.append(alpha, beta, zeta, h)
         beta = _finite(float(np.sqrt(spd_inner(g, ng))), "beta", k + 1, k)
@@ -272,9 +269,8 @@ def gkb_solve(sys, N, cfg, full_orth):
 
     termination, fired = stop
     if full_orth and k:
-        y = assemble_solution(lower)
-        p = y @ Q[:k]
-        u = -M.solve(A.matvec(p))
+        p = assemble_solution(lower) @ Q[:k]
+    u = -M.solve(A.matvec(p))
     return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1,
                        H=None if H is None else H[:k, :k].copy(order="F"),
                        Q=Q[:k].copy() if cfg.keep_basis else None)

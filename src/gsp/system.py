@@ -128,10 +128,10 @@ class SolverConfig:
     criterion selects the stopping rule: 'relative-residual' monitors
     (beta_{k+1}/beta_1)|zeta_k| (or the chi analogue), 'error-estimate' the
     delayed energy-error estimate with window error_delay, 'both' stops on
-    whichever fires first. reorthogonalize adds one explicit classical
-    Gram-Schmidt pass per step over the stored right basis, at the cost of one
-    more N product (CRAIG: its only pass; nsCRAIG: one more after its lagged
-    CGS2, over the final rows). keep_basis retains what a rerun cannot give
+    whichever fires first. reorthogonalize is CRAIG's full reorthogonalization:
+    one classical Gram-Schmidt pass per step over the stored right basis, at
+    one N product; nsCRAIG (already full) and the baselines ignore it.
+    keep_basis retains what a rerun cannot give
     back, the right basis and nsCRAIG's Hessenberg matrix; earlier iterates
     come from gsp.nscraig.replay, the same run capped at each step count.
     Every field is type-checked on construction (check_fields), then range-checked.

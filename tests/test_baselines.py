@@ -129,6 +129,23 @@ class TestScrFom:
         for f, n in zip(rf, rn):
             assert np.linalg.norm(f.p - n.p) <= 1e-9 * max(np.linalg.norm(n.p), 1e-30)
 
+    def test_one_n_product_per_step(self):
+        # N w gives h_{k+1} and, over it, N q_{k+1}: one apply a step, plus N q_1's.
+        sys = random_system(40, 20, seed=3)
+        calls = []
+        N = cholesky_preconditioner(20, seed=3)
+
+        class Counted:
+            dimension, spd, solve = N.dimension, N.spd, N.solve
+
+            def apply(self, x):
+                calls.append(len(x))
+                return N.apply(x)
+
+        res = scr_fom_solve(sys, Counted(), SolverConfig(tolerance=1e-10))
+        assert res.iterations == 20
+        assert len(calls) == 21
+
     def test_eigenvector_rhs_one_step(self):
         sys = random_system(12, 5, skew=0.5, c_rank=3, seed=66)
         Sd = SchurOperator(sys).dense()

@@ -17,6 +17,7 @@ from gsp import (
     craig_solve,
     direct_solve,
     gen_stokes_channel,
+    gen_stokes_channel_detailed,
     nscraig_error_estimate,
     nscraig_solve,
     pgmres_solve,
@@ -29,6 +30,7 @@ from gsp import (
 from gsp.errors import InsufficientHistoryError, NonFiniteError, ZeroRhsError
 from gsp.gkb import assemble_bidiagonal
 from gsp.nscraig import IncrementalLowerFactor, assemble_solution
+from gsp.system import HISTORY_FIELDS
 
 
 def dense_reference(res, k):
@@ -446,7 +448,8 @@ class _System(_Counted):
 
 
 def _kernel_windows(monkeypatch, solve, skew, cfg):
-    """Counters of the logged kernel calls before step 1 and between consecutive records."""
+    """Counters of the logged kernel calls before step 1, between consecutive records
+    and after the last record."""
     sys = random_system(40, 20, skew=skew, c_rank=10, seed=54, spectrum=(1.0, 20.0))
     log, marks = [], []
     record = gsp.nscraig.ConvergenceRecord
@@ -463,7 +466,8 @@ def _kernel_windows(monkeypatch, solve, skew, cfg):
     start = next(i for i, (key, _, _) in enumerate(log) if key == "A.rmatvec")  # step 1
     windows = [Counter(key for key, _, _ in log[a:b]) for a, b in zip(marks, marks[1:])]
     assert len(windows) == res.iterations - 1
-    return Counter(key for key, _, _ in log[:start]), windows
+    tail = Counter(key for key, _, _ in log[marks[-1]:])
+    return Counter(key for key, _, _ in log[:start]), windows, tail
 
 
 # Before step 1: N q_1 = b / beta_1 needs no N product.
@@ -476,7 +480,7 @@ def test_one_kernel_application_each_per_iteration(monkeypatch, solve, skew):
     # Both solvers make one N-solve per step, whose right-hand side is N g.
     # CRAIG carries it and makes no N product; nsCRAIG's Gram-Schmidt changes
     # g, so it makes one, and its lagged second pass needs no second.
-    setup, windows = _kernel_windows(monkeypatch, solve, skew, SolverConfig(tolerance=1e-10))
+    setup, windows, _ = _kernel_windows(monkeypatch, solve, skew, SolverConfig(tolerance=1e-10))
     one_each = Counter({"A.matvec": 1, "A.rmatvec": 1, "M.solve": 1, "C.matvec": 1,
                         "N.solve": 1, "N.apply": N_PRODUCTS[solve]})
     assert setup == SETUP
@@ -485,12 +489,57 @@ def test_one_kernel_application_each_per_iteration(monkeypatch, solve, skew):
 
 @pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5)])
 def test_reorthogonalize_adds_one_n_product_per_iteration(monkeypatch, solve, skew):
-    setup, windows = _kernel_windows(monkeypatch, solve, skew,
-                                     SolverConfig(tolerance=1e-10, reorthogonalize=True))
+    # Only CRAIG's: the flag is its full reorthogonalization, and nsCRAIG's
+    # lagged CGS2 already orthogonalizes fully.
+    setup, windows, _ = _kernel_windows(monkeypatch, solve, skew,
+                                        SolverConfig(tolerance=1e-10, reorthogonalize=True))
     one_each = Counter({"A.matvec": 1, "A.rmatvec": 1, "M.solve": 1, "C.matvec": 1,
-                        "N.solve": 1, "N.apply": N_PRODUCTS[solve] + 1})
+                        "N.solve": 1, "N.apply": N_PRODUCTS[solve] + (solve is craig_solve)})
     assert setup == SETUP
     assert all(window == one_each for window in windows)
+
+
+@pytest.mark.parametrize("solve, skew", [(craig_solve, 0.0), (nscraig_solve, 0.5)])
+def test_velocity_is_one_m_solve_after_the_last_record(monkeypatch, solve, skew):
+    # No step updates u: both modes form u = -M^{-1} A p once, on termination.
+    _, _, tail = _kernel_windows(monkeypatch, solve, skew, SolverConfig(tolerance=1e-10))
+    assert tail == Counter({"A.matvec": 1, "M.solve": 1})
+
+
+def _velocity_cases(solve):
+    if solve is craig_solve:
+        return [random_system(40, 20, c_rank=10, seed=57),
+                gen_stokes_channel(StokesSpec(nx=8, ny=8))]
+    return [random_system(40, 20, skew=0.8, c_rank=10, seed=57),
+            gen_stokes_channel(StokesSpec(nx=8, ny=8, viscosity=1e-2, oseen_wind="poiseuille"))]
+
+
+@pytest.mark.parametrize("solve", [craig_solve, nscraig_solve])
+def test_velocity_is_recovered_from_p(solve):
+    # An alpha_1 breakdown, whose zero p gives the zero u, is checked for every
+    # solver by test_baselines' inconsistent_system test.
+    for sys in _velocity_cases(solve):
+        res = solve(sys, None, SolverConfig(tolerance=1e-10))
+        assert res.converged and res.iterations > 5
+        assert np.array_equal(res.u, -sys.M.solve(sys.A.matvec(res.p)))
+
+
+def _fingerprint(res):
+    columns = [res.history.column(f) for f in HISTORY_FIELDS if f != "wall_time_s"]
+    return [res.u.tobytes(), res.p.tobytes()] + [c.tobytes() for c in columns]
+
+
+def test_nscraig_ignores_reorthogonalize():
+    oseen = gen_stokes_channel_detailed(
+        StokesSpec(nx=8, ny=8, viscosity=1e-2, oseen_wind="poiseuille"))
+    cases = [(oseen.system, oseen.preconditioner),
+             (random_system(40, 20, skew=0.5, c_rank=10, seed=54),
+              cholesky_preconditioner(20, seed=54))]
+    for sys, N in cases:
+        plain = nscraig_solve(sys, N, SolverConfig(tolerance=1e-10))
+        flagged = nscraig_solve(sys, N, SolverConfig(tolerance=1e-10, reorthogonalize=True))
+        assert plain.iterations == flagged.iterations > 10
+        assert _fingerprint(plain) == _fingerprint(flagged)
 
 
 def test_carried_n_q_matches_explicit_product():
