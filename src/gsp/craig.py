@@ -20,10 +20,11 @@ from .system import ConvergenceRecord, SaddleSystem  # noqa: F401
 def craig_solve(sys, N=None, cfg=None):
     """Run CRAIG on a symmetric instance.
 
-    One N-solve a step and no N product (one under cfg.reorthogonalize, full
-    reorthogonalization over a stored Q). Only the latest q, v, r, s, t and p
-    are kept unless that or cfg.keep_basis (return Q) is set; u is one M-solve
-    at the end. Earlier iterates come from gsp.nscraig.replay.
+    One N-solve a step and no N product. Only the latest q, v, r, s, t and p
+    are kept unless cfg.keep_basis (return Q) is set; u is one M-solve at the
+    end. Earlier iterates come from gsp.nscraig.replay. The fully
+    orthogonalized run on a symmetric M is nscraig_solve, whose iterates are
+    CRAIG's in exact arithmetic.
     """
     N, cfg = solver_inputs("craig", sys, N, cfg)
     return gkb_solve(sys, N, cfg, full_orth=False)

@@ -168,17 +168,16 @@ def gkb_solve(sys, N, cfg, full_orth):
     the next M v; N g = A^T v + t (minus alpha N q for CRAIG) gives g . N g in
     beta and, over beta, the next N q, from N q_1 = b / beta_1. So no step
     multiplies by M and no CRAIG step by N; nsCRAIG's Gram-Schmidt changes g,
-    and its step makes one N product to recompute N g. cfg.reorthogonalize is
-    CRAIG's full reorthogonalization (nsCRAIG's is already full): one classical
-    Gram-Schmidt pass over the stored basis, and one N product, per step.
+    and its step makes one N product to recompute N g. The fully orthogonalized
+    loop is nsCRAIG's, on a symmetric M too; CRAIG projects on no basis.
     The right basis is one array of rows q_1, q_2, ... that starts at one row
     and doubles when a step outgrows it; CRAIG keeps only its latest vectors
-    unless cfg.reorthogonalize or cfg.keep_basis needs the basis. nsCRAIG
-    orthogonalizes by CGS2 with the second pass lagged one step
-    (_lagged_cgs2): step k drives its recurrences with q~_k, the vector after
-    one pass, and finishes q_k in row k-1 while projecting the new vector, so
-    the rows a step reads are final. If the lagged pass finds 1 - a . a <= 0,
-    the run ends with termination "breakdown" and the previous step's iterate.
+    unless cfg.keep_basis needs the basis. nsCRAIG orthogonalizes by CGS2
+    with the second pass lagged one step (_lagged_cgs2): step k drives its
+    recurrences with q~_k, the vector after one pass, and finishes q_k in row
+    k-1 while projecting the new vector, so the rows a step reads are final.
+    If the lagged pass finds 1 - a . a <= 0, the run ends with termination
+    "breakdown" and the previous step's iterate.
     nsCRAIG grows its IncrementalLowerFactor every step; the error-estimate
     rule reads it each step and assemble_solution once, on termination, where
     CRAIG's p comes from a short recurrence. Neither carries a velocity: both
@@ -194,7 +193,7 @@ def gkb_solve(sys, N, cfg, full_orth):
     ng = sys.b  # N g for g = N^{-1} b, so q_1 = g / beta_1
     g = N.solve(ng)
     beta = beta1 = _finite(rhs_norm(g, ng), "beta", 1, 0)
-    store_basis = full_orth or cfg.reorthogonalize or cfg.keep_basis
+    store_basis = full_orth or cfg.keep_basis
     Q = np.zeros((1, sys.n)) if store_basis else None
     H = np.zeros((1, 0), order="F") if full_orth and cfg.keep_basis else None
     lower = IncrementalLowerFactor() if full_orth else None
@@ -242,10 +241,6 @@ def gkb_solve(sys, N, cfg, full_orth):
                 break
             g, h = step
             ng = N.apply(g)
-        if cfg.reorthogonalize and not full_orth:
-            g = g - (Q[:k] @ ng) @ Q[:k]
-            ng = N.apply(g)
-        if full_orth:
             lower.append(alpha, beta, zeta, h)
         beta = _finite(float(np.sqrt(spd_inner(g, ng))), "beta", k + 1, k)
         if H is not None:

@@ -128,12 +128,10 @@ class SolverConfig:
     criterion selects the stopping rule: 'relative-residual' monitors
     (beta_{k+1}/beta_1)|zeta_k| (or the chi analogue), 'error-estimate' the
     delayed energy-error estimate with window error_delay, 'both' stops on
-    whichever fires first. reorthogonalize is CRAIG's full reorthogonalization:
-    one classical Gram-Schmidt pass per step over the stored right basis, at
-    one N product; nsCRAIG (already full) and the baselines ignore it.
-    keep_basis retains what a rerun cannot give
-    back, the right basis and nsCRAIG's Hessenberg matrix; earlier iterates
-    come from gsp.nscraig.replay, the same run capped at each step count.
+    whichever fires first. keep_basis retains what a rerun cannot give back,
+    the right basis and nsCRAIG's Hessenberg matrix; earlier iterates come
+    from gsp.nscraig.replay, the same run capped at each step count. A fully
+    orthogonalized run is a solver, not a field: nsCRAIG, on a symmetric M too.
     Every field is type-checked on construction (check_fields), then range-checked.
     """
 
@@ -141,12 +139,11 @@ class SolverConfig:
     max_iterations: int = 3000
     criterion: str = CRITERION_RESIDUAL
     error_delay: int = 5
-    reorthogonalize: bool = False
     keep_basis: bool = False
 
     def __post_init__(self):
         check_fields(self, tolerance=float, max_iterations=int, criterion=str, error_delay=int,
-                     reorthogonalize=bool, keep_basis=bool)
+                     keep_basis=bool)
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
@@ -230,15 +227,13 @@ def solver_inputs(name, sys, N, cfg):
     """
     rule = SOLVER_RULES[name]
     cfg = SolverConfig() if cfg is None else cfg
-    # CRAIG multiplies by N only in its reorthogonalization pass.
-    product = rule.needs_n_product or (name == "craig" and cfg.reorthogonalize)
     N = FactorizedOperator.identity(sys.n) if N is None else N
     if rule.needs_symmetric and not sys.symmetric:
         raise WrongSolverError(f"{name} needs a symmetric M; use nscraig")
     if cfg.criterion == CRITERION_ERROR and not rule.error_estimate:
         raise WrongSolverError(f"{name} has no error estimate; use criterion "
                                f"'{CRITERION_RESIDUAL}' or '{CRITERION_BOTH}'")
-    check_n(N, sys.n, product)
+    check_n(N, sys.n, rule.needs_n_product)
     if not np.any(sys.b):
         raise ZeroRhsError("b must be nonzero")
     return N, cfg

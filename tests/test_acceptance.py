@@ -154,10 +154,10 @@ def _energy_lhs(sys, u_star, p_star, u_k, p_k):
 
 def test_criterion_04_energy_error_identity():
     worst = 0.0
-    # symmetric: tail sums of zeta^2
+    # symmetric: tail sums of zeta^2, by nsCRAIG (CRAIG's iterates, fully orthogonalized)
     sys = random_system(48, 24, c_rank=12, seed=90, spectrum=(1.0, 1e4))
-    cfg = SolverConfig(tolerance=1e-300, max_iterations=24, reorthogonalize=True)
-    runs = replay(craig_solve, sys, None, cfg)
+    cfg = SolverConfig(tolerance=1e-300, max_iterations=24)
+    runs = replay(nscraig_solve, sys, None, cfg)
     res = runs[-1]
     assert res.iterations == 24
     u_star, p_star = direct_solve(sys)
@@ -171,8 +171,7 @@ def test_criterion_04_energy_error_identity():
 
     # nonsymmetric: tail sums of chi*zeta with zeta = L^{-T} chi
     sys_n = random_system(48, 24, skew=0.5, c_rank=12, seed=91, spectrum=(1.0, 1e3))
-    cfg_n = SolverConfig(tolerance=1e-300, max_iterations=24, keep_basis=True,
-                         reorthogonalize=True)
+    cfg_n = SolverConfig(tolerance=1e-300, max_iterations=24, keep_basis=True)
     runs_n = replay(nscraig_solve, sys_n, None, cfg_n)
     res_n = runs_n[-1]
     assert res_n.iterations == 24
@@ -295,15 +294,14 @@ def test_criterion_07_early_termination_on_eigenvector_rhs():
 
 def test_criterion_08_exact_full_length_termination():
     sys = random_system(24, 12, c_rank=6, seed=700, spectrum=(1.0, 100.0))
-    cfg = SolverConfig(tolerance=1e-300, max_iterations=12, reorthogonalize=True)
-    res = craig_solve(sys, None, cfg)
+    cfg = SolverConfig(tolerance=1e-300, max_iterations=12)
+    res = nscraig_solve(sys, None, cfg)  # the fully orthogonalized CRAIG
     assert res.termination != "breakdown"
     assert len(res.alphas) == 12
     assert res.betas[12] <= 1e-8 * res.betas[0]
 
     sys_n = random_system(24, 12, skew=0.5, c_rank=6, seed=701, spectrum=(1.0, 100.0))
-    res_n = nscraig_solve(sys_n, None, SolverConfig(tolerance=1e-300, max_iterations=12,
-                                                    reorthogonalize=True))
+    res_n = nscraig_solve(sys_n, None, cfg)
     assert res_n.termination != "breakdown"
     assert len(res_n.alphas) == 12
     assert res_n.betas[12] <= 1e-8 * res_n.betas[0]
@@ -370,8 +368,7 @@ def test_criterion_11_constrained_minimization():
     for n, seed in [(2, 800), (3, 801), (4, 802)]:
         sys = random_system(2 * n + 2, n, c_rank=max(1, n // 2), seed=seed)
         N = random_preconditioner(n, seed=seed)
-        cfg = SolverConfig(tolerance=1e-300, max_iterations=n, keep_basis=True,
-                           reorthogonalize=True)
+        cfg = SolverConfig(tolerance=1e-300, max_iterations=n, keep_basis=True)
         runs = replay(craig_solve, sys, N, cfg)
         res = runs[-1]
         u_star, p_star = direct_solve(sys)

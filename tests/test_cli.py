@@ -167,6 +167,9 @@ class TestRun:
          "unknown manifest keys: ['precondtioner']"),
         ({"problem": RANDOM, "solvers": ["craig"], "preconditioner": 5},
          "unknown preconditioner 5"),
+        # Full reorthogonalization is the solver nscraig, not a config key.
+        ({"problem": RANDOM, "solvers": ["craig"], "config": {"reorthogonalize": True}},
+         "unknown config keys: ['reorthogonalize']"),
         ({"problem": RANDOM}, "manifest missing keys: ['solvers']"),
         # An empty list would run nothing; a repeated solver would write two rows, one history.
         ({"problem": RANDOM, "solvers": []}, "solvers must name at least one solver"),
@@ -190,9 +193,10 @@ class TestRun:
             "max-iterations-false", "error-delay-float", "m-float", "density-string",
             "spectrum-entry-true", "nx-float", "viscosity-true", "tolerance-infinity",
             "tolerance-nan", "length-infinity", "top-level-tolerance",
-            "misspelled-preconditioner", "preconditioner-number", "solvers-missing",
-            "solvers-empty", "solvers-repeated", "source-unknown", "source-missing",
-            "max-iterations-zero", "gamma-negative", "random-m-missing", "stokes-nx-missing"])
+            "misspelled-preconditioner", "preconditioner-number", "config-reorthogonalize",
+            "solvers-missing", "solvers-empty", "solvers-repeated", "source-unknown",
+            "source-missing", "max-iterations-zero", "gamma-negative", "random-m-missing",
+            "stokes-nx-missing"])
     def test_malformed_manifest_is_refused_without_traceback(self, tmp_path, capsys, doc,
                                                              fragment):
         if isinstance(doc, dict):
@@ -212,14 +216,11 @@ class TestRun:
         assert "No such file or directory" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["false", 0, None], ids=["string-false", "zero", "null"])
-    @pytest.mark.parametrize("key", ["reorthogonalize", "report_error_vs_oracle"])
+    @pytest.mark.parametrize("key", ["report_error_vs_oracle"])
     def test_non_boolean_flag_is_refused(self, tmp_path, capsys, key, value):
         # bool("false") is True: a non-boolean flag must not switch anything on.
-        doc = {"problem": RANDOM, "solvers": ["craig"], "output_dir": str(tmp_path / "out")}
-        if key == "reorthogonalize":
-            doc["config"] = {key: value}
-        else:
-            doc[key] = value
+        doc = {"problem": RANDOM, "solvers": ["craig"], "output_dir": str(tmp_path / "out"),
+               key: value}
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(UsageError, match=f"'{key}' must be true or false"):
@@ -319,11 +320,8 @@ class TestRun:
         path = tmp_path / "m.json"
         for flag in (True, False):
             path.write_text(json.dumps({"problem": RANDOM, "solvers": ["craig"],
-                                        "config": {"reorthogonalize": flag},
                                         "report_error_vs_oracle": flag}))
-            manifest = RunManifest.from_file(str(path))
-            assert manifest.config.reorthogonalize is flag
-            assert manifest.report_error_vs_oracle is flag
+            assert RunManifest.from_file(str(path)).report_error_vs_oracle is flag
 
     @pytest.mark.parametrize("criterion", ["relative-residual", "error-estimate", "both"])
     def test_config_is_the_solver_config_fields(self, criterion):
@@ -494,7 +492,7 @@ def test_error_estimate_criterion_refused_for_baselines(tmp_path, capsys, monkey
 
 def test_rules_table_holds_the_solver_domains():
     # CRAIG, SCR-CG and MINRES need an SPD leading block; only the two CRAIGs estimate the error;
-    # only nsCRAIG and SCR-FOM multiply by N (CRAIG too, under reorthogonalize).
+    # only nsCRAIG and SCR-FOM multiply by N.
     symmetric = {name for name, rule in SOLVER_RULES.items() if rule.needs_symmetric}
     estimate = {name for name, rule in SOLVER_RULES.items() if rule.error_estimate}
     product = {name for name, rule in SOLVER_RULES.items() if rule.needs_n_product}

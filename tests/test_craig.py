@@ -303,7 +303,7 @@ def test_matches_preconditioned_cg(hand_system):
 def test_energy_error_identity_full_length():
     sys = random_system(16, 8, c_rank=4, seed=28, spectrum=(1.0, 1e3))
     N = random_preconditioner(8, seed=28)
-    cfg = SolverConfig(tolerance=1e-300, max_iterations=8, reorthogonalize=True)
+    cfg = SolverConfig(tolerance=1e-300, max_iterations=8)
     runs = replay(craig_solve, sys, N, cfg)
     res = runs[-1]
     u_star, p_star = direct_solve(sys)
@@ -327,10 +327,10 @@ def test_schur_norm_error_strictly_decreases():
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def test_residual_orthogonal_to_basis_with_reorthogonalization():
+def test_residual_orthogonal_to_basis():
     sys = random_system(14, 7, c_rank=3, seed=30)
     N = random_preconditioner(7, seed=30)
-    rep = residual_check(sys, N, craig_solve, SolverConfig(keep_basis=True, reorthogonalize=True))
+    rep = residual_check(sys, N, craig_solve, SolverConfig(keep_basis=True))
     assert max(rep.orth_defects) <= 1e-8 * rep.beta1
 
 
@@ -341,8 +341,7 @@ def test_constrained_minimization_property():
     # residual-orthogonality condition characterizes the argmin.
     sys = random_system(6, 3, c_rank=2, seed=31)
     N = random_preconditioner(3, seed=31)
-    cfg = SolverConfig(tolerance=1e-300, max_iterations=3, keep_basis=True,
-                       reorthogonalize=True)
+    cfg = SolverConfig(tolerance=1e-300, max_iterations=3, keep_basis=True)
     runs = replay(craig_solve, sys, N, cfg)
     res = runs[-1]
     u_star, p_star = direct_solve(sys)
@@ -389,7 +388,7 @@ def test_max_iterations_termination():
 
 
 def test_stored_basis_outgrows_initial_capacity():
-    # Ill-conditioned CRAIG without reorthogonalization runs past n steps; the
+    # Ill-conditioned CRAIG, which never reorthogonalizes, runs past n steps; the
     # stored basis starts at one row and doubles seven times, to 128 rows.
     sys = random_system(40, 20, c_rank=10, seed=7, spectrum=(1.0, 1e6))
     res = craig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=80,

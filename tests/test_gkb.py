@@ -23,7 +23,7 @@ from gsp.system import SaddleSystem, SolverConfig
 
 
 def full_length_config(n):
-    return SolverConfig(tolerance=1e-300, max_iterations=n, reorthogonalize=True)
+    return SolverConfig(tolerance=1e-300, max_iterations=n)
 
 
 class TestSymmetric:
@@ -197,7 +197,7 @@ class TestZeroC:
         N = random_preconditioner(n, seed=seed)
         oracle, solve = (gkb_symmetric, craig_solve) if skew == 0.0 else (
             gkb_nonsymmetric, nscraig_solve)
-        # both sides reorthogonalize, so no loss of orthogonality separates them
+        # the oracle reorthogonalizes; at n <= 12 steps both solvers stay within these bounds
         gkb = oracle(augment(sys), N, steps=n, reorthogonalize=True)
         result = solve(sys, N, full_length_config(n))
         assert len(gkb.alphas) == len(result.alphas) == n

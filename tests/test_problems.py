@@ -453,8 +453,8 @@ class TestFieldChecks:
         (lambda: SolverConfig(criterion="error-estimate", error_delay=2.5), TypeError,
          "'error_delay' must be an integer, got 2.5"),
         (lambda: SolverConfig(criterion=5), TypeError, "'criterion' must be a string, got 5"),
-        (lambda: SolverConfig(reorthogonalize=1), TypeError,
-         "'reorthogonalize' must be true or false, got 1"),
+        (lambda: SolverConfig(keep_basis=1), TypeError,
+         "'keep_basis' must be true or false, got 1"),
         (lambda: StokesSpec(nx=4.5, ny=4), TypeError, "'nx' must be an integer, got 4.5"),
         (lambda: StokesSpec(nx=4, ny=4, length=-1), ValueError, "length must be positive"),
         (lambda: StokesSpec(nx=4, ny=4, length=np.inf), ValueError,
@@ -471,7 +471,7 @@ class TestFieldChecks:
         (lambda: SolverConfig(max_iterations=0), ValueError, "max_iterations must be at least 1"),
         (lambda: StokesSpec(nx=4, ny=4, gamma=-1.0), ValueError, "gamma must be nonnegative"),
     ], ids=["max-iterations-float", "max-iterations-true", "tolerance-true", "error-delay-float",
-            "criterion-int", "reorthogonalize-int", "nx-float", "length-negative",
+            "criterion-int", "keep-basis-int", "nx-float", "length-negative",
             "length-infinity", "viscosity-nan", "m-float", "seed-float", "seed-negative",
             "spectrum-infinity", "spectrum-number", "max-iterations-zero", "gamma-negative"])
     def test_refusal_names_field_and_value(self, build, exc, fragment):
