@@ -17,8 +17,7 @@ from .craig import craig_solve
 from .gkb import (
     Bidiagonalization,
     augment,
-    gkb_nonsymmetric,
-    gkb_symmetric,
+    bidiagonalize,
     verify_decomposition,
 )
 from .linops import (

@@ -12,9 +12,9 @@ from __future__ import annotations
 from .nscraig import gkb_solve
 from .system import solver_inputs
 
-# Re-exported containers: this module owns their contracts, and the
-# benchmark's tracer (bench/tracing.py) patches ConvergenceRecord here.
-from .system import ConvergenceRecord, SaddleSystem  # noqa: F401
+# Unused here: kept only because the benchmark's tracer (bench/tracing.py) reads
+# vars(gsp.craig)["ConvergenceRecord"] and patches it.
+from .system import ConvergenceRecord  # noqa: F401
 
 
 def craig_solve(sys, N=None, cfg=None):

@@ -1,10 +1,11 @@
-"""Golub-Kahan bidiagonalization oracles for saddle point systems with C = 0.
+"""The Golub-Kahan bidiagonalization oracle for saddle point systems with C = 0.
 
-Arioli's generalized Golub-Kahan bidiagonalization of A in the M and N inner
-products, storing full bases so the factorization identities can be verified
-directly. augment() turns a system with C = E^T diag(w) E into the equivalent
-C = 0 system (blkdiag(M, diag(w)^{-1}), [A; E], 0, b); the production solvers
-reproduce the same scalar sequences without ever forming E.
+bidiagonalize runs the generalized bidiagonalization of A in the M and N inner
+products fully orthogonalized, for any M (on a symmetric M it is Arioli's
+three-term process in exact arithmetic), and stores full bases so that
+verify_decomposition can check the factorization identities. augment() turns
+C = E^T diag(w) E into the equivalent C = 0 system
+(blkdiag(M, diag(w)^{-1}), [A; E], 0, b); the solvers never form E.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class Bidiagonalization:
     beta_1..beta_{k+1}. B is the upper bidiagonal B_k and H the upper
     Hessenberg H_k, with A Q_k = M V_k B_k and
     A^T V_k = N Q_k H_k + beta_{k+1} N q_{k+1} e_k^T; L is the lower
-    triangle of V_k^T M V_k, and H_k = B_k^T L^T. A symmetric run has
-    H = B^T and L = I.
+    triangle of V_k^T M V_k, and H_k = B_k^T L^T. H = B^T and L = I
+    hold in exact arithmetic on a symmetric M, and to roundoff in a run.
     """
 
     Q: np.ndarray
@@ -69,100 +70,70 @@ def assemble_bidiagonal(alphas, betas, k=None):
     return B
 
 
-def _init_step(sys, N):
-    check_n(N, sys.n, product=True)
-    b = sys.b
-    if not np.any(b):
-        raise ZeroRhsError("b must be nonzero")
-    q = N.solve(b)
-    beta1 = rhs_norm(q, b)
-    q = q / beta1
-    w = sys.M.solve(sys.A.matvec(q))
-    alpha1 = float(np.sqrt(max(w @ sys.M.apply(w), 0.0)))
-    if alpha1 <= BREAKDOWN_TOL * max(beta1, 1.0):
-        raise BreakdownError("alpha_1 vanished: b is outside Range(A^T)")
-    return q, beta1, w / alpha1, alpha1
+def bidiagonalize(sys, N, steps):
+    """Bidiagonalize A of a C = 0 system in the M and N inner products.
 
-
-def _bidiagonalize(sys, N, steps, full_mgs, reorthogonalize):
-    """Shared oracle loop: three-term orthogonalization, or full MGS when full_mgs.
-
-    reorthogonalize adds one more MGS pass over the stored right basis. Returns
-    the bases Q and V as arrays of rows, alphas, betas and H_k under full_mgs:
-    a (k+1) x k array takes each step's MGS coefficients and beta_{k+1} below
-    them, and its leading k x k block is returned. Stored C entries raise
-    WrongSolverError, and an N that check_n refuses raises its error before
-    any solve.
+    One modified Gram-Schmidt pass in the N inner product orthogonalizes each
+    new right vector against all previous ones; its coefficients and
+    beta_{k+1} form H. The first step runs the loop's head from M v_0 = 0.
+    Stops early once beta_{k+1} falls below BREAKDOWN_TOL * beta_1; a
+    vanishing alpha, the sign of an inconsistent b, raises BreakdownError.
+    Stored C entries raise WrongSolverError, and an N that check_n refuses
+    raises its error before any solve.
     """
     if sys.C.nnz:
         raise WrongSolverError("the oracle needs C = 0: pass augment(sys)")
     n = sys.n
     if not 1 <= steps <= n:
         raise DimensionError(f"steps must be in [1, {n}]")
+    check_n(N, n, product=True)
+    b = sys.b
+    if not np.any(b):
+        raise ZeroRhsError("b must be nonzero")
     A, M = sys.A, sys.M
 
-    q, beta1, v, alpha = _init_step(sys, N)
-    Q, NQ, V = [q], [N.apply(q)], [v]
-    alphas, betas = [alpha], [beta1]
+    g = N.solve(b)
+    beta = beta1 = rhs_norm(g, b)
+    Q, NQ, V, alphas, betas = [], [], [], [], [beta1]
     H = np.zeros((1, 0))
-    passes = int(full_mgs) + int(reorthogonalize)
+    mv = np.zeros(sys.m)
+    alpha_floor = BREAKDOWN_TOL * max(beta1, 1.0)
 
     for k in range(1, steps + 1):
-        g = A.rmatvec(v)
-        g = N.solve(g if full_mgs else g - alphas[-1] * NQ[-1])
+        q = g / beta
+        Q.append(q)
+        NQ.append(N.apply(q))
+        w = M.solve(A.matvec(q) - beta * mv)
+        alpha = float(np.sqrt(max(w @ M.apply(w), 0.0)))
+        if alpha <= alpha_floor:
+            raise BreakdownError("alpha_1 vanished: b is outside Range(A^T)" if k == 1
+                                 else f"alpha_{k} = {alpha} below breakdown tolerance")
+        if k == 1:
+            alpha_floor = BREAKDOWN_TOL * alpha
+        alphas.append(alpha)
+        v = w / alpha
+        V.append(v)
+        mv = M.apply(v)
+
+        g = N.solve(A.rmatvec(v))
         H = grown(H, (k + 1, k))
-        for _ in range(passes):
-            for j in range(k):
-                c = NQ[j] @ g
-                g = g - c * Q[j]
-                H[j, k - 1] += c
+        for j in range(k):
+            c = NQ[j] @ g
+            g = g - c * Q[j]
+            H[j, k - 1] = c
         beta = float(np.sqrt(spd_inner(g, N.apply(g))))
         betas.append(beta)
         H[k, k - 1] = beta
         if beta <= BREAKDOWN_TOL * beta1:
             break
-        q = g / beta
-        Q.append(q)
-        NQ.append(N.apply(q))
-        if k == steps:
-            break
-        w = M.solve(A.matvec(q) - beta * M.apply(v))
-        alpha = float(np.sqrt(max(w @ M.apply(w), 0.0)))
-        if alpha <= BREAKDOWN_TOL * alphas[0]:
-            raise BreakdownError(f"alpha_{k + 1} = {alpha} below breakdown tolerance")
-        alphas.append(alpha)
-        v = w / alpha
-        V.append(v)
+    else:
+        Q.append(g / beta)
 
-    return np.array(Q), np.array(V), alphas, betas, H[:k, :k]
-
-
-def gkb_symmetric(sys, N, steps, reorthogonalize=False):
-    """Bidiagonalize A of a C = 0 system with a symmetric leading block.
-
-    Returns the Bidiagonalization, with H = B^T and L = I: the three-term
-    recurrence assumes both. Stops early (fewer than `steps` factors) once
-    beta_{k+1} falls below BREAKDOWN_TOL * beta_1; a vanishing alpha raises
-    BreakdownError instead, since it signals an inconsistent right-hand side.
-    """
-    Q, V, alphas, betas, _ = _bidiagonalize(sys, N, steps, False, reorthogonalize)
-    B = assemble_bidiagonal(alphas, betas)
-    return Bidiagonalization(Q, V, alphas, betas, B, B.T, np.eye(len(alphas)))
-
-
-def gkb_nonsymmetric(sys, N, steps, reorthogonalize=False):
-    """Decompose A of a C = 0 system with a (possibly) nonsymmetric leading block.
-
-    The new right vector is orthogonalized against all previous ones with
-    modified Gram-Schmidt in the N inner product (twice under
-    reorthogonalize); the projection coefficients form H. L is the lower
-    triangle of the left Gram matrix V^T M V (unit lower triangular in exact
-    arithmetic).
-    """
-    Q, V, alphas, betas, H = _bidiagonalize(sys, N, steps, True, reorthogonalize)
-    Vk = np.ascontiguousarray(V.T)  # m x k, the layout the Gram product has always read
-    L = np.tril(Vk.T @ _apply_columns(sys.M, Vk))
-    return Bidiagonalization(Q, V, alphas, betas, assemble_bidiagonal(alphas, betas), H, L)
+    V = np.array(V)
+    Vk = np.ascontiguousarray(V.T)  # m x k: another layout changes L's bits
+    L = np.tril(Vk.T @ _apply_columns(M, Vk))
+    return Bidiagonalization(np.array(Q), V, alphas, betas,
+                             assemble_bidiagonal(alphas, betas), H[:k, :k], L)
 
 
 def _apply_columns(K, X):

@@ -25,7 +25,7 @@ eigendecomposition (capped at DENSE_EIG_LIMIT).
 M is a FactorizedOperator. N is any object with the members its caller reads
 (the N protocol), which gsp.system.check_n checks before any solve: dimension
 (n), spd (true) and solve (N^{-1} x) for every caller, and apply (N x) only for
-one that multiplies by N: nsCRAIG, SCR-FOM and the gsp.gkb oracles. So an N
+one that multiplies by N: nsCRAIG, SCR-FOM and the gsp.gkb oracle. So an N
 known by its inverse alone runs CRAIG, SCR-CG, pMINRES and pGMRES. inv_norm
 (sqrt(y^T N^{-1} y)) is read only by the benchmark's correctness gate. A
 FactorizedOperator of an SPD kind has all five. Every squared norm in N's

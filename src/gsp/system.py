@@ -202,7 +202,7 @@ SOLVER_RULES = {
 
 
 def check_n(N, n, product):
-    """The N protocol of gsp.linops, shared by the solvers and the gsp.gkb oracles.
+    """The N protocol of gsp.linops, shared by the solvers and the gsp.gkb oracle.
 
     WrongSolverError naming the first member N lacks of dimension, spd, solve
     and, if the caller multiplies by N (product), apply. NotSpdError unless

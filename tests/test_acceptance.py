@@ -21,13 +21,12 @@ from gsp import (
     SparseMatrix,
     StokesSpec,
     augment,
+    bidiagonalize,
     compress_rhs,
     craig_solve,
     direct_solve,
     factorize,
     gen_stokes_channel_detailed,
-    gkb_nonsymmetric,
-    gkb_symmetric,
     nscraig_solve,
     pgmres_solve,
     pminres_solve,
@@ -201,7 +200,7 @@ def test_criterion_05_scalar_sequence_equivalence():
         c_rank = max(1, (1, n // 2, n)[i % 3])
         sys = random_system(m, n, c_rank=c_rank, seed=300 + i)
         N = random_preconditioner(n, seed=300 + i)
-        gkb = gkb_symmetric(augment(sys), N, steps=n)
+        gkb = bidiagonalize(augment(sys), N, steps=n)
         res = craig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=n))
         worst = max(worst, _scalar_gap(gkb, res))
     for i in range(10):
@@ -210,7 +209,7 @@ def test_criterion_05_scalar_sequence_equivalence():
         c_rank = max(1, (1, n // 2, n)[i % 3])
         sys = random_system(m, n, skew=0.5, c_rank=c_rank, seed=400 + i)
         N = random_preconditioner(n, seed=400 + i)
-        gkb = gkb_nonsymmetric(augment(sys), N, steps=n)
+        gkb = bidiagonalize(augment(sys), N, steps=n)
         res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=n))
         worst = max(worst, _scalar_gap(gkb, res))
     assert worst <= 1e-10
@@ -236,30 +235,23 @@ def _scalar_gap(gkb, res):
 def test_criterion_06_decomposition_identities():
     cases = [(12, 6, 3, 0.0, 500), (16, 8, 8, 0.0, 501),
              (12, 6, 3, 0.5, 502), (16, 8, 4, 0.5, 503)]
+    worst = 0.0
     for m, n, c_rank, skew, seed in cases:
         sys = random_system(m, n, skew=skew, c_rank=c_rank, seed=seed)
         N = random_preconditioner(n, seed=seed)
         aug = augment(sys)
-        symmetric = skew == 0.0
-        if symmetric:
-            gkb = gkb_symmetric(aug, N, steps=n, reorthogonalize=True)
-        else:
-            gkb = gkb_nonsymmetric(aug, N, steps=n)
+        gkb = bidiagonalize(aug, N, steps=n)
         rep = verify_decomposition(aug, N, gkb)
         assert rep.factor_residual <= 1e-9 * rep.scale
         assert rep.transpose_residual <= 1e-9 * rep.scale
         assert rep.q_orthogonality <= 1e-8
-        k = len(gkb.alphas)
-        B = gkb.B
-        if not symmetric:
-            H, L = gkb.H, gkb.L
-            assert np.abs(H - B.T @ L.T).max() <= 1e-10 * max(np.abs(H).max(), 1.0)
-            reduced = H @ B
-        else:
-            reduced = B.T @ B
-        assert k == n
-        assert rep.schur_residual <= 1e-8 * np.linalg.norm(reduced)
-    print("\ncriterion 06 decomposition identities: PASS")
+        H, B, L = gkb.H, gkb.B, gkb.L
+        assert np.abs(H - B.T @ L.T).max() <= 1e-10 * max(np.abs(H).max(), 1.0)
+        assert gkb.k == n
+        reduced_norm = np.linalg.norm(H @ B)
+        assert rep.schur_residual <= 1e-8 * reduced_norm
+        worst = max(worst, rep.schur_residual / reduced_norm)
+    print(f"\ncriterion 06 decomposition identities: PASS (max Schur gap {worst:.2e})")
 
 
 def test_criterion_07_early_termination_on_eigenvector_rhs():

@@ -1,4 +1,4 @@
-"""Bidiagonalization oracles on C = 0 systems and on the augmented form of the others."""
+"""The bidiagonalization oracle on C = 0 systems and on the augmented form of the others."""
 
 import math
 
@@ -10,9 +10,8 @@ from gsp import (
     FactorizedOperator,
     SparseMatrix,
     augment,
+    bidiagonalize,
     factorize,
-    gkb_nonsymmetric,
-    gkb_symmetric,
     verify_decomposition,
 )
 from gsp.craig import craig_solve
@@ -26,11 +25,17 @@ def full_length_config(n):
     return SolverConfig(tolerance=1e-300, max_iterations=n)
 
 
+# (m, n, c_rank, seed) of every symmetric random system that TestSymmetric and
+# TestZeroC bidiagonalize to full length, and of the one below
+SYMMETRIC = [(8, 4, 2, 7), (6, 3, 3, 8), (6, 3, 2, 9), (10, 5, 3, 10), (8, 4, 2, 11),
+             (12, 6, 0, 600), (24, 12, 0, 601)]
+
+
 class TestSymmetric:
     def test_hand_instance_terminates_after_one_step(self, hand_system):
         aug = augment(hand_system)
         N = FactorizedOperator.identity(1)
-        gkb = gkb_symmetric(aug, N, steps=1)
+        gkb = bidiagonalize(aug, N, steps=1)
         assert gkb.betas[0] == 1.0
         assert np.allclose(gkb.Q[0], [1.0])
         assert abs(gkb.alphas[0] - math.sqrt(3.0)) <= 1e-14
@@ -38,9 +43,7 @@ class TestSymmetric:
 
     def test_stored_c_refused(self, hand_system):
         with pytest.raises(WrongSolverError, match="augment"):
-            gkb_symmetric(hand_system, FactorizedOperator.identity(1), steps=1)
-        with pytest.raises(WrongSolverError, match="augment"):
-            gkb_nonsymmetric(hand_system, FactorizedOperator.identity(1), steps=1)
+            bidiagonalize(hand_system, FactorizedOperator.identity(1), steps=1)
 
     def test_augment_takes_every_c_saddle_system_takes(self):
         # C = e0 e0^T plus 0.9e-12 at (1, 2): inside is_symmetric's bound 1e-12 max|C|,
@@ -54,31 +57,29 @@ class TestSymmetric:
     def test_zero_rhs_rejected(self, hand_system):
         sys0 = SaddleSystem(hand_system.M, hand_system.A, hand_system.C, np.zeros(1))
         with pytest.raises(ZeroRhsError):
-            gkb_symmetric(augment(sys0), FactorizedOperator.identity(1), steps=1)
+            bidiagonalize(augment(sys0), FactorizedOperator.identity(1), steps=1)
 
     @pytest.mark.parametrize("case, refusal", [("nonsymmetric", NotSpdError),
                                                ("dimension-n-plus-1", DimensionError)])
-    @pytest.mark.parametrize("oracle", [gkb_symmetric, gkb_nonsymmetric])
-    def test_n_refused_before_any_solve(self, oracle, case, refusal):
+    def test_n_refused_before_any_solve(self, case, refusal):
         sys = random_system(40, 20, c_rank=0, seed=3)
         K = 2.0 * np.eye(20) + np.eye(20, k=1) if case == "nonsymmetric" else np.eye(21)
         solves = []
         with pytest.raises(refusal):
-            oracle(sys, LoggedSolves(factorize(K), solves), steps=5)
+            bidiagonalize(sys, LoggedSolves(factorize(K), solves), steps=5)
         assert solves == []
 
     @pytest.mark.parametrize("steps", [0, 6])
-    @pytest.mark.parametrize("oracle", [gkb_symmetric, gkb_nonsymmetric])
-    def test_steps_outside_one_to_n_refused(self, oracle, steps):
+    def test_steps_outside_one_to_n_refused(self, steps):
         aug = augment(random_system(10, 5, c_rank=0, seed=3))
         with pytest.raises(DimensionError, match=r"steps must be in \[1, 5\]"):
-            oracle(aug, FactorizedOperator.identity(5), steps=steps)
+            bidiagonalize(aug, FactorizedOperator.identity(5), steps=steps)
 
     def test_full_length_identities(self):
         sys = random_system(8, 4, c_rank=2, seed=7)
         N = random_preconditioner(4, seed=7)
         aug = augment(sys)
-        gkb = gkb_symmetric(aug, N, steps=4)
+        gkb = bidiagonalize(aug, N, steps=4)
         assert gkb.betas[-1] <= 1e-9 * gkb.betas[0]
         rep = verify_decomposition(aug, N, gkb)
         assert rep.factor_residual <= 1e-9 * rep.scale
@@ -90,7 +91,7 @@ class TestSymmetric:
         sys = random_system(6, 3, c_rank=3, seed=8)
         N = random_preconditioner(3, seed=8)
         aug = augment(sys)
-        gkb = gkb_symmetric(aug, N, steps=3)
+        gkb = bidiagonalize(aug, N, steps=3)
         rep = verify_decomposition(aug, N, gkb)
         B = gkb.B
         assert rep.schur_residual is not None
@@ -100,7 +101,7 @@ class TestSymmetric:
         sys = random_system(6, 3, c_rank=2, seed=9)
         N = random_preconditioner(3, seed=9)
         aug = augment(sys)
-        gkb = gkb_symmetric(aug, N, steps=3)
+        gkb = bidiagonalize(aug, N, steps=3)
         gkb.Q[1] = 1.01 * gkb.Q[1]
         rep = verify_decomposition(aug, N, gkb)
         assert 1.5e-2 <= rep.q_orthogonality <= 3e-2
@@ -108,7 +109,7 @@ class TestSymmetric:
     def test_scalars_match_craig(self):
         sys = random_system(10, 5, c_rank=3, seed=10)
         N = random_preconditioner(5, seed=10)
-        gkb = gkb_symmetric(augment(sys), N, steps=5)
+        gkb = bidiagonalize(augment(sys), N, steps=5)
         result = craig_solve(sys, N, full_length_config(5))
         for a, b in zip(gkb.alphas, result.alphas):
             assert abs(a - b) <= 1e-10 * abs(b)
@@ -120,29 +121,25 @@ class TestNonsymmetric:
     def test_hand_instance_alpha(self, hand_system_nonsym):
         aug = augment(hand_system_nonsym)
         N = FactorizedOperator.identity(1)
-        gkb = gkb_nonsymmetric(aug, N, steps=1)
+        gkb = bidiagonalize(aug, N, steps=1)
         assert gkb.betas[0] == 1.0
         assert abs(gkb.alphas[0] - math.sqrt(2.6)) <= 1e-14
 
-    def test_symmetric_input_reduces_to_symmetric_factors(self):
-        sys = random_system(8, 4, c_rank=2, seed=11)
-        N = random_preconditioner(4, seed=11)
-        aug = augment(sys)
-        gkb_n = gkb_nonsymmetric(aug, N, steps=4)
-        gkb_s = gkb_symmetric(aug, N, steps=4)
-        L = gkb_n.L
-        assert np.abs(L - np.eye(len(gkb_n.alphas))).max() <= 1e-10
-        H = gkb_n.H
-        B = gkb_n.B
-        assert np.abs(H - B.T).max() <= 1e-10 * np.abs(B).max()
-        for a, b in zip(gkb_n.alphas, gkb_s.alphas):
-            assert abs(a - b) <= 1e-10 * abs(b)
+    def test_symmetric_input_reduces_to_symmetric_factors(self, hand_system):
+        # Nothing assumes H = B^T and L = I: on a symmetric M they hold to roundoff.
+        runs = [(augment(hand_system), FactorizedOperator.identity(1), 1)]
+        runs += [(augment(random_system(m, n, c_rank=c_rank, seed=seed)),
+                  random_preconditioner(n, seed=seed), n) for m, n, c_rank, seed in SYMMETRIC]
+        for aug, N, steps in runs:
+            gkb = bidiagonalize(aug, N, steps=steps)
+            assert np.abs(gkb.H - gkb.B.T).max() <= 1e-10 * np.abs(gkb.B).max()
+            assert np.abs(gkb.L - np.eye(gkb.k)).max() <= 1e-10
 
     def test_full_length_identities_and_hessenberg_product(self):
         sys = random_system(8, 4, skew=0.5, c_rank=2, seed=12)
         N = random_preconditioner(4, seed=12)
         aug = augment(sys)
-        gkb = gkb_nonsymmetric(aug, N, steps=4)
+        gkb = bidiagonalize(aug, N, steps=4)
         rep = verify_decomposition(aug, N, gkb)
         assert rep.factor_residual <= 1e-9 * rep.scale
         assert rep.transpose_residual <= 1e-9 * rep.scale
@@ -155,7 +152,7 @@ class TestNonsymmetric:
         sys = random_system(8, 4, skew=0.5, c_rank=2, seed=13)
         N = random_preconditioner(4, seed=13)
         aug = augment(sys)
-        gkb = gkb_nonsymmetric(aug, N, steps=4)
+        gkb = bidiagonalize(aug, N, steps=4)
         HB = gkb.H @ gkb.B
         Ad = sys.A.to_dense()
         S = Ad.T @ np.column_stack([sys.M.solve(Ad[:, j]) for j in range(4)]) + sys.C.to_dense()
@@ -168,7 +165,7 @@ class TestNonsymmetric:
     def test_scalars_match_nscraig(self):
         sys = random_system(10, 5, skew=0.5, c_rank=3, seed=14)
         N = random_preconditioner(5, seed=14)
-        gkb = gkb_nonsymmetric(augment(sys), N, steps=5)
+        gkb = bidiagonalize(augment(sys), N, steps=5)
         result = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=5))
         for a, b in zip(gkb.alphas, result.alphas):
             assert abs(a - b) <= 1e-10 * abs(b)
@@ -195,10 +192,10 @@ class TestZeroC:
         n = m // 2
         sys = random_system(m, n, skew=skew, c_rank=0, seed=seed)
         N = random_preconditioner(n, seed=seed)
-        oracle, solve = (gkb_symmetric, craig_solve) if skew == 0.0 else (
-            gkb_nonsymmetric, nscraig_solve)
-        # the oracle reorthogonalizes; at n <= 12 steps both solvers stay within these bounds
-        gkb = oracle(augment(sys), N, steps=n, reorthogonalize=True)
+        solve = craig_solve if skew == 0.0 else nscraig_solve
+        # the oracle orthogonalizes fully and CRAIG not at all; at n <= 12 steps both
+        # solvers stay within these bounds
+        gkb = bidiagonalize(augment(sys), N, steps=n)
         result = solve(sys, N, full_length_config(n))
         assert len(gkb.alphas) == len(result.alphas) == n
         for a, b in zip(gkb.alphas, result.alphas):
@@ -211,9 +208,8 @@ class TestZeroC:
         n = m // 2
         sys = random_system(m, n, skew=skew, c_rank=0, seed=seed)
         N = random_preconditioner(n, seed=seed)
-        oracle = gkb_symmetric if skew == 0.0 else gkb_nonsymmetric
         aug = augment(sys)
-        gkb = oracle(aug, N, steps=n, reorthogonalize=True)
+        gkb = bidiagonalize(aug, N, steps=n)
         assert gkb.k == n
         rep = verify_decomposition(aug, N, gkb)
         assert rep.factor_residual <= 1e-9 * rep.scale
@@ -223,19 +219,17 @@ class TestZeroC:
         assert rep.schur_residual <= 1e-8 * np.linalg.norm(gkb.H @ gkb.B)
 
 
-@pytest.mark.parametrize("oracle", [gkb_symmetric, gkb_nonsymmetric])
-def test_oracle_refuses_b_outside_the_range_of_a_transpose(oracle, inconsistent_system):
+def test_oracle_refuses_b_outside_the_range_of_a_transpose(inconsistent_system):
     N = FactorizedOperator.identity(inconsistent_system.n)
     with pytest.raises(BreakdownError, match=r"^alpha_1 vanished: b is outside Range\(A\^T\)$"):
-        oracle(inconsistent_system, N, steps=1)
+        bidiagonalize(inconsistent_system, N, steps=1)
 
 
-@pytest.mark.parametrize("oracle", [gkb_symmetric, gkb_nonsymmetric])
-def test_oracle_refuses_a_vanishing_alpha_mid_run(oracle, inconsistent_system):
+def test_oracle_refuses_a_vanishing_alpha_mid_run(inconsistent_system):
     # b = (1, 1) has a component in Range(A^T), so alpha_1 is fine, but A's zero
     # second column leaves nothing for step 2: alpha_2 is rounding error (about 2e-16).
     sys = SaddleSystem(inconsistent_system.M, inconsistent_system.A, inconsistent_system.C,
                        np.ones(2))
     N = FactorizedOperator.identity(sys.n)
     with pytest.raises(BreakdownError, match=r"^alpha_2 = .* below breakdown tolerance$"):
-        oracle(sys, N, steps=2)
+        bidiagonalize(sys, N, steps=2)

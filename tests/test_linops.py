@@ -16,12 +16,11 @@ from gsp import (
     SolverConfig,
     SparseMatrix,
     StokesSpec,
+    bidiagonalize,
     craig_solve,
     direct_solve,
     factorize,
     gen_stokes_channel,
-    gkb_nonsymmetric,
-    gkb_symmetric,
     nscraig_solve,
     pgmres_solve,
     pminres_solve,
@@ -568,9 +567,8 @@ class TestNProtocol:
     @pytest.mark.parametrize("caller", [
         lambda sys, N: nscraig_solve(sys, N),
         lambda sys, N: scr_fom_solve(sys, N),
-        lambda sys, N: gkb_symmetric(sys, N, steps=5),
-        lambda sys, N: gkb_nonsymmetric(sys, N, steps=5),
-    ], ids=["nscraig", "scr-fom", "gkb_symmetric", "gkb_nonsymmetric"])
+        lambda sys, N: bidiagonalize(sys, N, steps=5),
+    ], ids=["nscraig", "scr-fom", "gkb"])
     def test_callers_that_multiply_refuse_inverse_only_n_before_any_solve(self, caller):
         solves = []
         N = LoggedSolves(InverseOnly(cholesky_preconditioner(20, seed=5)), solves)
@@ -618,9 +616,8 @@ class TestIndefiniteN:
         lambda sys, N: nscraig_solve(sys, N, SolverConfig(tolerance=1e-10)),
         lambda sys, N: scr_cg_solve(sys, N, SolverConfig(tolerance=1e-10)),
         lambda sys, N: scr_fom_solve(sys, N, SolverConfig(tolerance=1e-10)),
-        lambda sys, N: gkb_symmetric(sys, N, steps=20),
-        lambda sys, N: gkb_nonsymmetric(sys, N, steps=20),
-    ], ids=["craig", "nscraig", "scr-cg", "scr-fom", "gkb_symmetric", "gkb_nonsymmetric"])
+        lambda sys, N: bidiagonalize(sys, N, steps=20),
+    ], ids=["craig", "nscraig", "scr-cg", "scr-fom", "gkb"])
     def test_n_norm_callers_refuse(self, caller):
         with pytest.raises(NotSpdError, match="^N is not positive definite"):
             caller(random_system(40, 20, c_rank=0, seed=3), self.N)
