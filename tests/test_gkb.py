@@ -30,6 +30,20 @@ def full_length_config(n):
 SYMMETRIC = [(8, 4, 2, 7), (6, 3, 3, 8), (6, 3, 2, 9), (10, 5, 3, 10), (8, 4, 2, 11),
              (12, 6, 0, 600), (24, 12, 0, 601)]
 
+# Each refusal of the oracle is checked on a symmetric M (skew 0) and on a nonsymmetric
+# one (skew 0.5); the ids name the two kinds of run.
+M_KINDS = pytest.mark.parametrize("skew", [0.0, 0.5], ids=["gkb_symmetric", "gkb_nonsymmetric"])
+
+
+def skewed(sys, skew):
+    """sys with skew * (e0 e1^T - e1 e0^T) added to M; skew = 0 returns sys."""
+    if skew == 0.0:
+        return sys
+    M = sys.Mmat.to_dense()
+    M[0, 1] += skew
+    M[1, 0] -= skew
+    return SaddleSystem.from_matrices(M, sys.A, sys.C, sys.b)
+
 
 class TestSymmetric:
     def test_hand_instance_terminates_after_one_step(self, hand_system):
@@ -61,8 +75,9 @@ class TestSymmetric:
 
     @pytest.mark.parametrize("case, refusal", [("nonsymmetric", NotSpdError),
                                                ("dimension-n-plus-1", DimensionError)])
-    def test_n_refused_before_any_solve(self, case, refusal):
-        sys = random_system(40, 20, c_rank=0, seed=3)
+    @M_KINDS
+    def test_n_refused_before_any_solve(self, skew, case, refusal):
+        sys = random_system(40, 20, skew=skew, c_rank=0, seed=3)
         K = 2.0 * np.eye(20) + np.eye(20, k=1) if case == "nonsymmetric" else np.eye(21)
         solves = []
         with pytest.raises(refusal):
@@ -70,8 +85,9 @@ class TestSymmetric:
         assert solves == []
 
     @pytest.mark.parametrize("steps", [0, 6])
-    def test_steps_outside_one_to_n_refused(self, steps):
-        aug = augment(random_system(10, 5, c_rank=0, seed=3))
+    @M_KINDS
+    def test_steps_outside_one_to_n_refused(self, skew, steps):
+        aug = augment(random_system(10, 5, skew=skew, c_rank=0, seed=3))
         with pytest.raises(DimensionError, match=r"steps must be in \[1, 5\]"):
             bidiagonalize(aug, FactorizedOperator.identity(5), steps=steps)
 
@@ -219,17 +235,19 @@ class TestZeroC:
         assert rep.schur_residual <= 1e-8 * np.linalg.norm(gkb.H @ gkb.B)
 
 
-def test_oracle_refuses_b_outside_the_range_of_a_transpose(inconsistent_system):
+@M_KINDS
+def test_oracle_refuses_b_outside_the_range_of_a_transpose(skew, inconsistent_system):
     N = FactorizedOperator.identity(inconsistent_system.n)
     with pytest.raises(BreakdownError, match=r"^alpha_1 vanished: b is outside Range\(A\^T\)$"):
-        bidiagonalize(inconsistent_system, N, steps=1)
+        bidiagonalize(skewed(inconsistent_system, skew), N, steps=1)
 
 
-def test_oracle_refuses_a_vanishing_alpha_mid_run(inconsistent_system):
+@M_KINDS
+def test_oracle_refuses_a_vanishing_alpha_mid_run(skew, inconsistent_system):
     # b = (1, 1) has a component in Range(A^T), so alpha_1 is fine, but A's zero
     # second column leaves nothing for step 2: alpha_2 is rounding error (about 2e-16).
-    sys = SaddleSystem(inconsistent_system.M, inconsistent_system.A, inconsistent_system.C,
-                       np.ones(2))
+    sys = skewed(SaddleSystem(inconsistent_system.M, inconsistent_system.A,
+                              inconsistent_system.C, np.ones(2)), skew)
     N = FactorizedOperator.identity(sys.n)
     with pytest.raises(BreakdownError, match=r"^alpha_2 = .* below breakdown tolerance$"):
         bidiagonalize(sys, N, steps=2)

@@ -617,7 +617,9 @@ class TestIndefiniteN:
         lambda sys, N: scr_cg_solve(sys, N, SolverConfig(tolerance=1e-10)),
         lambda sys, N: scr_fom_solve(sys, N, SolverConfig(tolerance=1e-10)),
         lambda sys, N: bidiagonalize(sys, N, steps=20),
-    ], ids=["craig", "nscraig", "scr-cg", "scr-fom", "gkb"])
+        lambda sys, N: bidiagonalize(random_system(40, 20, skew=0.5, c_rank=0, seed=3), N,
+                                     steps=20),
+    ], ids=["craig", "nscraig", "scr-cg", "scr-fom", "gkb_symmetric", "gkb_nonsymmetric"])
     def test_n_norm_callers_refuse(self, caller):
         with pytest.raises(NotSpdError, match="^N is not positive definite"):
             caller(random_system(40, 20, c_rank=0, seed=3), self.N)
