@@ -16,8 +16,8 @@ import scipy.linalg
 
 from .errors import GspError, SingularOperatorError
 from .linops import spd_inner
-from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, grown, rhs_norm,
-                     solver_inputs)
+from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, grown, mgs_step,
+                     rhs_norm, solver_inputs)
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,7 @@ def scr_fom_solve(sys, N=None, cfg=None):
     for j in range(cfg.max_iterations):  # cfg.stop ends the last step at the latest
         k = j + 1
         Hbar = grown(Hbar, (k + 1, k))
-        w = N.solve(S.apply(Q[j]))
-        for i in range(k):
-            c = float(NQ[i] @ w)
-            w = w - c * Q[i]
-            Hbar[i, j] = c
+        w = mgs_step(N.solve(S.apply(Q[j])), Q, NQ, Hbar[:, j])
         nw = N.apply(w)
         hnext = float(np.sqrt(spd_inner(w, nw)))
         Hbar[k, j] = hnext
@@ -224,10 +220,7 @@ def pgmres_solve(sys, N=None, cfg=None):
     for j in range(cfg.max_iterations):  # cfg.stop ends the last step at the latest
         k = j + 1
         R, g = grown(R, (k + 1, k)), grown(g, (k + 1,))
-        w = sys.matvec(_blockdiag_solve(sys, N, V[j]))
-        for i in range(k):
-            R[i, j] = float(V[i] @ w)
-            w = w - R[i, j] * V[i]
+        w = mgs_step(sys.matvec(_blockdiag_solve(sys, N, V[j])), V, V, R[:, j])
         hnext = float(np.linalg.norm(w))
         for (c, s), i in zip(rotations, range(j)):
             tmp = c * R[i, j] + s * R[i + 1, j]

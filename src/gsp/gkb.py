@@ -18,7 +18,7 @@ import scipy.sparse
 from .baselines import SchurOperator
 from .errors import BreakdownError, DimensionError, WrongSolverError, ZeroRhsError
 from .linops import SparseMatrix, spd_inner, spsd_factor
-from .system import BREAKDOWN_TOL, SaddleSystem, check_n, grown, rhs_norm
+from .system import BREAKDOWN_TOL, SaddleSystem, check_n, grown, mgs_step, rhs_norm
 
 
 def augment(sys):
@@ -115,12 +115,8 @@ def bidiagonalize(sys, N, steps):
         V.append(v)
         mv = M.apply(v)
 
-        g = N.solve(A.rmatvec(v))
         H = grown(H, (k + 1, k))
-        for j in range(k):
-            c = NQ[j] @ g
-            g = g - c * Q[j]
-            H[j, k - 1] = c
+        g = mgs_step(N.solve(A.rmatvec(v)), Q, NQ, H[:, k - 1])
         beta = float(np.sqrt(spd_inner(g, N.apply(g))))
         betas.append(beta)
         H[k, k - 1] = beta

@@ -77,6 +77,13 @@ class IncrementalLowerFactor:
         """The k x k unit lower triangular L (a view)."""
         return self.Lt[: self.k, : self.k].T
 
+    def hessenberg(self):
+        """H_k = B_k^T L_k^T: row i is alpha_i times row i of L^T plus beta_i times row i - 1."""
+        Lt = self.Lt[: self.k, : self.k]
+        H = self.band[0, : self.k, None] * Lt
+        H[1:] += self.band[1, : self.k - 1, None] * Lt[:-1]
+        return H
+
     def error_ratio(self, d):
         """nscraig_error_estimate at the current k, without a k x k solve.
 
@@ -181,9 +188,9 @@ def gkb_solve(sys, N, cfg, full_orth):
     nsCRAIG grows its IncrementalLowerFactor every step; the error-estimate
     rule reads it each step and assemble_solution once, on termination, where
     CRAIG's p comes from a short recurrence. Neither carries a velocity: both
-    end with u = -M^{-1} A p. cfg.keep_basis keeps Q (k x n) and nsCRAIG's
-    Hessenberg H_k (k x k), grown as a (k+1) x k array that takes column k and
-    beta_{k+1} each step; earlier iterates come from replay. A NaN or infinite
+    end with u = -M^{-1} A p. cfg.keep_basis keeps Q (k x n) and, for nsCRAIG,
+    returns the Hessenberg H_k = B_k^T L_k^T (k x k) that its factor holds,
+    formed once at termination; earlier iterates come from replay. A NaN or infinite
     alpha or beta raises NonFiniteError, and a squared beta that an SPD N cannot
     give NotSpdError (spd_inner); cfg.stop decides every other end.
     """
@@ -195,7 +202,6 @@ def gkb_solve(sys, N, cfg, full_orth):
     beta = beta1 = _finite(rhs_norm(g, ng), "beta", 1, 0)
     store_basis = full_orth or cfg.keep_basis
     Q = np.zeros((1, sys.n)) if store_basis else None
-    H = np.zeros((1, 0), order="F") if full_orth and cfg.keep_basis else None
     lower = IncrementalLowerFactor() if full_orth else None
     history = History()
     # Step 0's state: the first pass through the loop's head is step 1's, with
@@ -243,10 +249,6 @@ def gkb_solve(sys, N, cfg, full_orth):
             ng = N.apply(g)
             lower.append(alpha, beta, zeta, h)
         beta = _finite(float(np.sqrt(spd_inner(g, ng))), "beta", k + 1, k)
-        if H is not None:
-            H = grown(H, (k + 1, k), "F")
-            H[:k, k - 1] = h
-            H[k, k - 1] = beta
 
         res_rel = (beta / beta1) * abs(zeta)
         err_est = None
@@ -267,7 +269,7 @@ def gkb_solve(sys, N, cfg, full_orth):
         p = assemble_solution(lower) @ Q[:k]
     u = -M.solve(A.matvec(p))
     return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1,
-                       H=None if H is None else H[:k, :k].copy(order="F"),
+                       H=lower.hessenberg() if full_orth and cfg.keep_basis else None,
                        Q=Q[:k].copy() if cfg.keep_basis else None)
 
 

@@ -266,6 +266,14 @@ def grown(a, shape, order="C"):
     return new
 
 
+def mgs_step(w, vectors, weights, column):
+    """w after one modified Gram-Schmidt pass against vectors; column[i] = weights[i] . w_i."""
+    for i, (q, wq) in enumerate(zip(vectors, weights)):
+        c = column[i] = float(wq @ w)  # w_i: w less its components along vectors[:i]
+        w = w - c * q
+    return w
+
+
 @dataclass(slots=True)
 class ConvergenceRecord:
     """One iteration of a solve.

@@ -133,6 +133,8 @@ class TestRun:
         # open(0) would read a system manifest from stdin.
         ({"problem": {"source": "load", "path": 0}, "solvers": ["craig"]}, "string 'path'"),
         ({"problem": {"source": "load"}, "solvers": ["craig"]}, "string 'path'"),
+        ({"problem": {"source": "load", "path": "system.json", "nx": 4}, "solvers": ["craig"]},
+         "gsp: error: unknown problem keys: ['nx']\n"),
         # float(True) is 1.0 and int(2.9) is 2: wrong-kind numbers must not run.
         ({"problem": RANDOM, "solvers": ["craig"], "config": {"tolerance": True}},
          "'tolerance' must be a number, got True"),
@@ -189,7 +191,7 @@ class TestRun:
          "stokes problem spec missing keys: ['nx']"),
     ], ids=["top-level-array", "problem-string", "config-array", "criterion-object",
             "spectrum-number", "solvers-string", "solver-array", "tolerance-null",
-            "load-path-number", "load-path-missing", "tolerance-true", "max-iterations-float",
+            "load-path-number", "load-path-missing", "load-extra-key", "tolerance-true", "max-iterations-float",
             "max-iterations-false", "error-delay-float", "m-float", "density-string",
             "spectrum-entry-true", "nx-float", "viscosity-true", "tolerance-infinity",
             "tolerance-nan", "length-infinity", "top-level-tolerance",

@@ -1,6 +1,8 @@
 """nsCRAIG solver: hand values, deferred assembly, estimates, equivalences."""
 
+import gc
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,10 +15,13 @@ from gsp import (
     SaddleSystem,
     SolverConfig,
     StokesSpec,
+    augment,
+    bidiagonalize,
     craig_error_estimate,
     craig_solve,
     direct_solve,
     gen_stokes_channel,
+    gen_stokes_channel_detailed,
     nscraig_error_estimate,
     nscraig_solve,
     pgmres_solve,
@@ -284,6 +289,68 @@ def test_hessenberg_factors_lower_extraction():
     assert np.abs(np.triu(L, 1)).max() <= 1e-12
     assert np.abs(np.diag(L) - 1.0).max() <= 1e-10
     assert np.abs(H - B.T @ L.T).max() <= 1e-10 * max(np.abs(H).max(), 1.0)
+
+
+class TestKeptHessenberg:
+    """A kept run's H is B^T L^T, read off its incremental factor once, at termination."""
+
+    def test_is_the_factors_hessenberg(self, monkeypatch):
+        factors = []
+
+        class Recorded(IncrementalLowerFactor):
+            def __init__(self):
+                super().__init__()
+                factors.append(self)
+
+        monkeypatch.setattr(gsp.nscraig, "IncrementalLowerFactor", Recorded)
+        sys = random_system(30, 15, skew=0.5, c_rank=7, seed=53)
+        res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-10, keep_basis=True))
+        (lower,) = factors
+        assert lower.k == res.iterations and np.array_equal(res.H, lower.hessenberg())
+
+    @pytest.mark.parametrize("m, n, c_rank, skew, seed", [
+        (24, 12, 5, 0.5, 1), (30, 15, 0, 0.5, 2), (40, 20, 7, 0.8, 3), (16, 8, 8, 0.3, 4)])
+    def test_matches_the_oracle(self, m, n, c_rank, skew, seed):
+        # The oracle forms H from its own MGS coefficients on the augmented
+        # C = 0 system, independently of the solver's factor; the gap was at
+        # most 3e-14 on these cases.
+        sys = random_system(m, n, skew=skew, c_rank=c_rank, seed=seed)
+        N = cholesky_preconditioner(n, seed=seed)
+        k = n - 2
+        res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=k,
+                                                 keep_basis=True))
+        gkb = bidiagonalize(augment(sys), N, k)
+        assert res.H.shape == gkb.H.shape == (k, k)
+        assert np.linalg.norm(res.H - gkb.H) <= 1e-10 * np.linalg.norm(gkb.H)
+
+    def test_kept_run_costs_at_most_its_kept_arrays(self):
+        # 86 steps on a 255-pressure Oseen channel. A per-step (k+1) x k
+        # Hessenberg, doubled as it grew and copied on return, put the extra
+        # peak at 1.32 times Q.nbytes + H.nbytes; forming H once puts it at 0.76.
+        prob = gen_stokes_channel_detailed(StokesSpec(nx=16, ny=16, viscosity=1e-2,
+                                                      oseen_wind="poiseuille"))
+        peaks = {}
+        for keep in (False, True):
+            cfg = SolverConfig(tolerance=1e-10, keep_basis=keep)
+            nscraig_solve(prob.system, prob.preconditioner, cfg)  # first-call imports
+            gc.collect()
+            tracemalloc.start()
+            try:
+                res = nscraig_solve(prob.system, prob.preconditioner, cfg)
+                peaks[keep] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert res.iterations == 86
+        assert peaks[True] - peaks[False] <= res.Q.nbytes + res.H.nbytes
+
+    def test_shape_after_zero_and_one_steps(self, inconsistent_system):
+        res = nscraig_solve(inconsistent_system, None, SolverConfig(keep_basis=True))
+        assert res.termination == "breakdown" and res.iterations == 0
+        assert res.H.shape == (0, 0) and res.Q.shape == (0, 2)
+        sys = random_system(12, 6, skew=0.5, c_rank=3, seed=43)
+        res = nscraig_solve(sys, None, SolverConfig(max_iterations=1, keep_basis=True))
+        assert res.iterations == 1 and res.H.shape == (1, 1)
+        assert abs(res.H[0, 0] - res.alphas[0]) <= 1e-12 * res.alphas[0]  # h_11 = alpha_1 l_11
 
 
 def test_arnoldi_identity_at_partial_length():
