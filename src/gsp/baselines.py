@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import GspError, SingularOperatorError
-from .linops import spd_inner
+from .errors import DimensionError, GspError, SingularOperatorError
+from .linops import DENSE_EIG_LIMIT, spd_inner
 from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, grown, mgs_step,
                      rhs_norm, solver_inputs)
 
@@ -31,7 +31,11 @@ class SchurOperator:
         return s.A.rmatvec(s.M.solve(s.A.matvec(x))) + s.C.matvec(x)
 
     def dense(self):
+        """S as a dense n x n array: A densified and n M-solves, so m is capped."""
         s = self.sys
+        if s.m > DENSE_EIG_LIMIT:  # before any allocation or solve
+            raise DimensionError(f"SchurOperator.dense densifies A: m is capped at "
+                                 f"{DENSE_EIG_LIMIT}")
         Ad = s.A.to_dense()
         return Ad.T @ np.column_stack([s.M.solve(Ad[:, j]) for j in range(s.n)]) + s.C.to_dense()
 

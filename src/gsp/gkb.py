@@ -17,7 +17,7 @@ import scipy.sparse
 
 from .baselines import SchurOperator
 from .errors import BreakdownError, DimensionError, WrongSolverError, ZeroRhsError
-from .linops import SparseMatrix, spd_inner, spsd_factor
+from .linops import DENSE_EIG_LIMIT, SparseMatrix, spd_inner, spsd_factor
 from .system import BREAKDOWN_TOL, SaddleSystem, check_n, grown, mgs_step, rhs_norm
 
 
@@ -156,8 +156,11 @@ def verify_decomposition(sys, N, gkb):
     A^T V = N Q H + beta_{k+1} N q_{k+1} e_k^T, of Q^T N Q = I and of
     V^T M V = L; when the decomposition ran to full
     length, H B is also compared against the preconditioned Schur complement
-    A^T M^{-1} A expressed in the right basis (formed densely).
+    A^T M^{-1} A expressed in the right basis (formed densely). A is densified,
+    so m is capped at DENSE_EIG_LIMIT (DimensionError).
     """
+    if sys.m > DENSE_EIG_LIMIT:
+        raise DimensionError(f"verify_decomposition densifies A: m is capped at {DENSE_EIG_LIMIT}")
     k = gkb.k
     Qk, Vk = gkb.Q[:k].T, gkb.V.T
     Ad = sys.A.to_dense()

@@ -177,9 +177,8 @@ def gkb_solve(sys, N, cfg, full_orth):
     multiplies by M and no CRAIG step by N; nsCRAIG's Gram-Schmidt changes g,
     and its step makes one N product to recompute N g. The fully orthogonalized
     loop is nsCRAIG's, on a symmetric M too; CRAIG projects on no basis.
-    The right basis is one array of rows q_1, q_2, ... that starts at one row
-    and doubles when a step outgrows it; CRAIG keeps only its latest vectors
-    unless cfg.keep_basis needs the basis. nsCRAIG orthogonalizes by CGS2
+    The right basis Q, rows q_1, q_2, ..., doubles when a step outgrows it;
+    CRAIG stores it only for cfg.keep_basis. nsCRAIG orthogonalizes by CGS2
     with the second pass lagged one step (_lagged_cgs2): step k drives its
     recurrences with q~_k, the vector after one pass, and finishes q_k in row
     k-1 while projecting the new vector, so the rows a step reads are final.
@@ -188,11 +187,10 @@ def gkb_solve(sys, N, cfg, full_orth):
     nsCRAIG grows its IncrementalLowerFactor every step; the error-estimate
     rule reads it each step and assemble_solution once, on termination, where
     CRAIG's p comes from a short recurrence. Neither carries a velocity: both
-    end with u = -M^{-1} A p. cfg.keep_basis keeps Q (k x n) and, for nsCRAIG,
-    returns the Hessenberg H_k = B_k^T L_k^T (k x k) that its factor holds,
-    formed once at termination; earlier iterates come from replay. A NaN or infinite
-    alpha or beta raises NonFiniteError, and a squared beta that an SPD N cannot
-    give NotSpdError (spd_inner); cfg.stop decides every other end.
+    end with u = -M^{-1} A p. cfg.keep_basis returns the loop's own Q, trimmed
+    in place to k x n, and nsCRAIG's H_k = B_k^T L_k^T, formed once from its
+    factor; replay gives earlier iterates. A NaN or infinite alpha or beta raises
+    NonFiniteError, a squared beta no SPD N gives NotSpdError (spd_inner).
     """
     A, C, M = sys.A, sys.C, sys.M
     t0 = time.perf_counter()
@@ -268,9 +266,11 @@ def gkb_solve(sys, N, cfg, full_orth):
     if full_orth and k:
         p = assemble_solution(lower) @ Q[:k]
     u = -M.solve(A.matvec(p))
+    if cfg.keep_basis:  # safe: Q never leaves here, and every view of it died with its statement
+        Q.resize((k, sys.n), refcheck=False)
     return SolveResult(u, p, termination, history, fired_criterion=fired, beta1=beta1,
                        H=lower.hessenberg() if full_orth and cfg.keep_basis else None,
-                       Q=Q[:k].copy() if cfg.keep_basis else None)
+                       Q=Q if cfg.keep_basis else None)
 
 
 def nscraig_solve(sys, N=None, cfg=None):
@@ -346,11 +346,13 @@ def replay(solve, sys, N, cfg=None):
     """Runs of solve capped at k = 1..K steps; the last is the uncapped run, of K steps.
 
     The loops are deterministic, so run k ends on the uncapped run's iterate k
-    bit for bit: every iterate without storing any, at O(K^2) steps.
+    bit for bit: every iterate without storing any, at O(K^2) steps. Only the
+    last keeps cfg.keep_basis's arrays: run k's are its Q[:k] and H[:k, :k].
     """
     cfg = cfg or SolverConfig()
     last = solve(sys, N, cfg)
-    capped = [solve(sys, N, replace(cfg, max_iterations=k)) for k in range(1, last.iterations)]
+    capped = [solve(sys, N, replace(cfg, max_iterations=k, keep_basis=False))
+              for k in range(1, last.iterations)]
     return capped + [last]
 
 

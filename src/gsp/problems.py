@@ -281,5 +281,5 @@ def recover_w(u, w0):
 
 
 def schur_condition_number(sys):
-    """Dense 2-norm condition number of S = A^T M^{-1} A + C (diagnostic)."""
+    """Dense 2-norm condition number of S = A^T M^{-1} A + C (diagnostic; m capped by dense())."""
     return float(np.linalg.cond(SchurOperator(sys).dense()))

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from gsp import (
+    FactorizedOperator,
     RandomSpec,
     SaddleSystem,
+    SchurOperator,
     SolverConfig,
     SparseMatrix,
     StokesSpec,
+    bidiagonalize,
     compress_rhs,
     craig_solve,
     direct_solve,
@@ -24,6 +27,7 @@ from gsp import (
     save_system,
     schur_condition_number,
     validate_system,
+    verify_decomposition,
 )
 from gsp.errors import DimensionError, NotSpdError, NotSpsdError, RankRepairError
 from gsp.linops import DENSE_FACTOR_DENSITY
@@ -218,6 +222,26 @@ class TestGenStokes:
         monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
         with pytest.raises(DimensionError, match="capped at 2000"):
             validate_system(sys)
+
+    @pytest.mark.parametrize("call, fragment", [
+        (lambda sys, N, gkb: SchurOperator(sys).dense(), "SchurOperator.dense"),
+        (lambda sys, N, gkb: schur_condition_number(sys), "SchurOperator.dense"),
+        (lambda sys, N, gkb: verify_decomposition(sys, N, gkb), "verify_decomposition"),
+    ], ids=["schur-dense", "schur-condition-number", "verify-decomposition"])
+    def test_dense_schur_checks_capped_before_densifying(self, monkeypatch, call, fragment):
+        sys = gen_stokes_channel(StokesSpec(nx=33, ny=32, gamma=0.0))  # m = 2047; C = 0
+        N = FactorizedOperator.identity(sys.n)
+        gkb = bidiagonalize(sys, N, steps=1)
+        solves = []
+
+        def refuse(self):
+            raise AssertionError("densified a system the cap refuses")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
+        monkeypatch.setattr(type(sys.M), "solve", lambda M, x: solves.append(x))
+        with pytest.raises(DimensionError, match=f"^{fragment} densifies A: m is capped at 2000$"):
+            call(sys, N, gkb)
+        assert not solves
 
     @pytest.mark.parametrize("M, A, C, exc, fragment", [
         # Nonsymmetric, so factorize takes it by LU; its symmetric part has eigenvalues -0.5 and 1.
