@@ -61,7 +61,7 @@ def scr_cg_solve(sys, N=None, cfg=None):
     while True:
         k += 1
         w = S.apply(d)
-        dw = float(d @ w)
+        dw = spd_inner(d, w, "the Schur complement")
         if dw <= 0.0:
             stop = "breakdown", None
             break

@@ -77,7 +77,8 @@ def bidiagonalize(sys, N, steps):
     new right vector against all previous ones; its coefficients and
     beta_{k+1} form H. The first step runs the loop's head from M v_0 = 0.
     Stops early once beta_{k+1} falls below BREAKDOWN_TOL * beta_1; a
-    vanishing alpha, the sign of an inconsistent b, raises BreakdownError.
+    vanishing alpha, the sign of an inconsistent b, raises BreakdownError,
+    and an alpha^2 = w . M w that no (N)SPD M gives NotSpdError (spd_inner).
     Stored C entries raise WrongSolverError, and an N that check_n refuses
     raises its error before any solve.
     """
@@ -104,7 +105,7 @@ def bidiagonalize(sys, N, steps):
         Q.append(q)
         NQ.append(N.apply(q))
         w = M.solve(A.matvec(q) - beta * mv)
-        alpha = float(np.sqrt(max(w @ M.apply(w), 0.0)))
+        alpha = float(np.sqrt(spd_inner(w, M.apply(w), "M")))
         if alpha <= alpha_floor:
             raise BreakdownError("alpha_1 vanished: b is outside Range(A^T)" if k == 1
                                  else f"alpha_{k} = {alpha} below breakdown tolerance")

@@ -28,13 +28,14 @@ M is a FactorizedOperator. N is any object with the members its caller reads
 one that multiplies by N: nsCRAIG, SCR-FOM and the gsp.gkb oracle. So an N
 known by its inverse alone runs CRAIG, SCR-CG, pMINRES and pGMRES. inv_norm
 (sqrt(y^T N^{-1} y)) is read only by the benchmark's correctness gate. A
-FactorizedOperator of an SPD kind has all five. Every squared norm in N's
-inner product (y . N^{-1} y or x . N x) goes through spd_inner, which refuses
-one that an SPD N cannot give.
+FactorizedOperator of an SPD kind has all five. Every squared norm a solver
+takes goes through spd_inner, which refuses one that no SPD operator gives:
+N's (y . N^{-1} y or x . N x), alpha^2 in blkdiag(M, C) and SCR-CG's d . S d.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -293,15 +294,20 @@ class FactorizedOperator:
 def spd_inner(x, kx, what="N"):
     """float(x @ kx) for kx = K x or K^{-1} x, K SPD: a squared norm in K's inner product.
 
-    A NaN passes through. A negative value at or above -1e-8 ||x|| ||kx|| is
-    roundoff and reads 0; a lower one raises NotSpdError naming what. For an
-    SPD K, x . K x >= ||x|| ||K x|| / cond(K), and rounding in the product and
-    in forming kx moves x . kx by about (n + cond(K)) eps ||x|| ||kx||: only an
-    indefinite K, or cond(K) above about 1e8, reaches the bound.
+    Matching tuples of blocks x = (x_1, ...) and kx = (K_1 x_1, ...) give the
+    norm in blkdiag(K_1, ...), checked as one: block products summed in order,
+    ||x|| and ||kx|| of the stacked blocks. A NaN passes through. A negative
+    value at or above -1e-8 ||x|| ||kx|| is roundoff and reads 0; a lower one
+    raises NotSpdError naming what. For an SPD K, x . K x >= ||x|| ||K x|| /
+    cond(K), and rounding in the product and in forming kx moves x . kx by
+    about (n + cond(K)) eps ||x|| ||kx||: only an indefinite K, or cond(K)
+    above about 1e8, reaches the bound.
     """
-    val = float(x @ kx)
+    xs, kxs = (x, kx) if isinstance(x, tuple) else ((x,), (kx,))
+    val = float(sum(a @ b for a, b in zip(xs, kxs)))
     if val < 0.0:
-        if val < -1e-8 * float(np.linalg.norm(x) * np.linalg.norm(kx)):
+        scale = math.prod(math.hypot(*map(np.linalg.norm, v)) for v in (xs, kxs))
+        if val < -1e-8 * scale:
             raise NotSpdError(f"{what} is not positive definite: squared norm {val:.3e}")
         return 0.0
     return val

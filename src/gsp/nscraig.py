@@ -190,7 +190,8 @@ def gkb_solve(sys, N, cfg, full_orth):
     end with u = -M^{-1} A p. cfg.keep_basis returns the loop's own Q, trimmed
     in place to k x n, and nsCRAIG's H_k = B_k^T L_k^T, formed once from its
     factor; replay gives earlier iterates. A NaN or infinite alpha or beta raises
-    NonFiniteError, a squared beta no SPD N gives NotSpdError (spd_inner).
+    NonFiniteError. A squared alpha (w . M w + r . C r, one norm in blkdiag(M, C))
+    or beta that no (N)SPD M, SPSD C and SPD N give raises NotSpdError (spd_inner).
     """
     A, C, M = sys.A, sys.C, sys.M
     t0 = time.perf_counter()
@@ -219,7 +220,8 @@ def gkb_solve(sys, N, cfg, full_orth):
         w = M.solve(mw)
         r = q - (beta / alpha) * r
         s = C.matvec(r)
-        alpha = _finite(float(np.sqrt(max(w @ mw + r @ s, 0.0))), "alpha", k + 1, k + 1)
+        alpha2 = spd_inner((w, r), (mw, s), "blkdiag(M, C)")
+        alpha = _finite(float(np.sqrt(alpha2)), "alpha", k + 1, k + 1)
         if alpha <= alpha_floor:
             stop = "breakdown", None
             break

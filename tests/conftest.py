@@ -28,6 +28,27 @@ def cholesky_preconditioner(n, seed=0, lo=0.5, hi=2.0):
     return N
 
 
+def indefinite_m_system():
+    """m=40, n=20, C = 0, b in Range(A^T): M = diag(I, -I) + 0.1 (G - G^T) is neither SPD nor
+    NSPD (its symmetric part is diag(I, -I)), outside CRAIG's and nsCRAIG's hypotheses."""
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((40, 40))
+    M = np.diag(np.repeat([1.0, -1.0], 20)) + 0.1 * (G - G.T)
+    A = rng.standard_normal((40, 20))
+    return SaddleSystem.from_matrices(M, A, np.zeros((20, 20)), A.T @ rng.standard_normal(40))
+
+
+def indefinite_c_system(c):
+    """m=40, n=20: SPD M = Q diag(U(1, 2)) Q^T and C = diag(1 x 10, c x 10), so for c < 0
+    C is not SPSD; at c = -50 the Schur complement A^T M^{-1} A + C is indefinite too."""
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    M = (Q * rng.uniform(1.0, 2.0, 40)) @ Q.T
+    A = rng.standard_normal((40, 20))
+    return SaddleSystem.from_matrices((M + M.T) / 2.0, A, np.diag(np.repeat([1.0, c], 10)),
+                                      rng.standard_normal(20))
+
+
 class LoggedSolves:
     """Forwards to target, logging the length of every vector its solve is given."""
 

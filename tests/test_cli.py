@@ -13,7 +13,7 @@ import pytest
 
 import gsp.cli
 import gsp.mmio
-from conftest import LoggedSolves
+from conftest import LoggedSolves, indefinite_m_system
 from gsp import (RandomSpec, SaddleSystem, SolverConfig, StokesSpec, craig_solve, factorize,
                  gen_random, gen_stokes_channel_detailed, load_system, save_system)
 from gsp.cli import SOLVERS, SPECS, RunManifest, UsageError, main, make_parser
@@ -631,6 +631,18 @@ def test_run_exits_2_when_b_is_outside_the_range_of_a_transpose(tmp_path, incons
     assert main(["run", manifest]) == 2
     rows = csv.DictReader((tmp_path / "out/summary.csv").read_text().splitlines())
     assert [row["termination"] for row in rows] == ["breakdown"] * len(SOLVERS)
+
+
+def test_run_refuses_an_m_outside_nscraigs_hypotheses(tmp_path, capsys):
+    # M's symmetric part is indefinite, so alpha^2 = w . M w can be no squared norm: one error
+    # line and exit 1, where reading it as 0 ended the run in breakdown with exit 2.
+    save_system(tmp_path / "sys", indefinite_m_system())
+    manifest = write_manifest(tmp_path / "m.json", solvers=["nscraig"],
+                              problem={"source": "load", "path": str(tmp_path / "sys/system.json")})
+    assert main(["run", manifest]) == 1
+    assert re.fullmatch(r"gsp: error: blkdiag\(M, C\) is not positive definite: "
+                        r"squared norm -\S+\n", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_outputs_deterministic_across_runs(tmp_path):

@@ -10,7 +10,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from conftest import InverseOnly, LoggedSolves, cholesky_preconditioner, random_system
+from conftest import (InverseOnly, LoggedSolves, cholesky_preconditioner, indefinite_c_system,
+                      indefinite_m_system, random_system)
 from gsp import (
     SaddleSystem,
     SolverConfig,
@@ -38,7 +39,8 @@ from gsp.errors import (
     SingularOperatorError,
     WrongSolverError,
 )
-from gsp.linops import DENSE_FACTOR_DENSITY, DENSE_FACTOR_LIMIT, FactorizedOperator
+from gsp.linops import (DENSE_FACTOR_DENSITY, DENSE_FACTOR_LIMIT, FactorizedOperator,
+                        spd_inner)
 from gsp.system import HISTORY_FIELDS, SOLVER_RULES, solver_inputs
 
 
@@ -634,6 +636,72 @@ class TestIndefiniteN:
         want = np.concatenate(direct_solve(sys))
         assert res.termination == "converged"
         assert np.linalg.norm(res.final_vector() - want) <= 1e-8 * np.linalg.norm(want)
+
+
+class TestIndefiniteMOrC:
+    """alpha^2 = w . M w + r . C r, one squared norm in blkdiag(M, C), and SCR-CG's d . S d
+    are refused when only an M or C outside the hypotheses gives them, never read as 0."""
+
+    def test_nscraig_refuses_an_m_whose_symmetric_part_is_indefinite(self):
+        # Without the check the negative alpha_4^2 read as 0: breakdown after 3 steps, error 1.28.
+        with pytest.raises(NotSpdError, match=r"^blkdiag\(M, C\) is not positive definite"):
+            nscraig_solve(indefinite_m_system())
+
+    def test_oracle_refuses_an_m_whose_symmetric_part_is_indefinite(self):
+        sys = indefinite_m_system()
+        with pytest.raises(NotSpdError, match="^M is not positive definite"):
+            bidiagonalize(sys, FactorizedOperator.identity(sys.n), 20)
+
+    @pytest.mark.parametrize("solve", [scr_fom_solve, pgmres_solve])
+    def test_solvers_that_take_no_m_norm_still_solve_it(self, solve):
+        sys = indefinite_m_system()
+        res = solve(sys)
+        want = np.concatenate(direct_solve(sys))
+        assert res.termination == "exact-termination"
+        assert np.linalg.norm(res.final_vector() - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("solve, what", [(craig_solve, r"blkdiag\(M, C\)"),
+                                             (nscraig_solve, r"blkdiag\(M, C\)"),
+                                             (scr_cg_solve, "the Schur complement")],
+                             ids=["craig", "nscraig", "scr-cg"])
+    def test_a_c_that_makes_the_schur_complement_indefinite_is_refused(self, solve, what):
+        # Without the check each read its first negative square as 0: breakdown after
+        # 1 step, error 6.49.
+        with pytest.raises(NotSpdError, match=f"^{what} is not positive definite"):
+            solve(indefinite_c_system(-50.0))
+
+    @pytest.mark.parametrize("name, termination, steps", [
+        ("craig", "converged", 21), ("nscraig", "exact-termination", 20),
+        ("scr-cg", "converged", 20), ("scr-fom", "converged", 20),
+        ("pminres", "converged", 42), ("pgmres", "converged", 40)])
+    def test_a_c_that_leaves_the_schur_complement_spd_is_solved(self, name, termination,
+                                                                   steps):
+        # C = diag(1, -5) is not SPSD, but S = A^T M^{-1} A + C is SPD (lambda_min 2.0), and
+        # the one check on alpha^2 lets a negative r . C r through when w . M w outweighs it.
+        sys = indefinite_c_system(-5.0)
+        res = SOLVERS[name](sys, None, SolverConfig(tolerance=1e-10))
+        want = np.concatenate(direct_solve(sys))
+        assert (res.termination, res.iterations) == (termination, steps)
+        assert np.linalg.norm(res.final_vector() - want) <= 1.1e-11 * np.linalg.norm(want)
+
+
+class TestSpdInnerBlocks:
+    """spd_inner on matching tuples of blocks: one squared norm in blkdiag(K_1, K_2)."""
+
+    def test_sums_the_blocks_in_order(self):
+        rng = np.random.default_rng(8)
+        w, r = rng.standard_normal((2, 30))
+        mw, cr = rng.uniform(1.0, 2.0, 30) * w, rng.uniform(0.0, 1.0, 30) * r
+        assert spd_inner((w, r), (mw, cr)) == w @ mw + r @ cr
+        assert spd_inner((w,), (mw,)) == spd_inner(w, mw) == w @ mw
+
+    def test_checks_the_sum_against_the_stacked_norms(self):
+        # ||(w; r)|| ||(M w; C r)|| = 2, so the bound is -2e-8. The sum -1e-12 is roundoff
+        # and reads 0, though its block r . C r alone is -1.
+        w, r = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert spd_inner((w, r), (w, -(1.0 + 1e-12) * r)) == 0.0
+        with pytest.raises(NotSpdError, match=r"^blkdiag\(M, C\) is not positive definite"):
+            spd_inner((w, r), (w, -(1.0 + 1e-7) * r), "blkdiag(M, C)")
 
 
 class TestSpdPreconditioner:
