@@ -39,10 +39,8 @@ from .problems import (
     StokesSpec,
     compress_rhs,
     gen_random,
-    gen_stokes_channel,
     gen_stokes_channel_detailed,
     recover_w,
-    schur_condition_number,
     validate_system,
 )
 from .system import ConvergenceRecord, History, SaddleSystem, SolveResult, SolverConfig

@@ -11,9 +11,10 @@ Repeated runs are bit-reproducible: the CSR kernels always, gemv for a fixed
 BLAS build and thread count. from_dense copies dense input into that CSR
 storage by index arithmetic (a fully nonzero array is its own row-major data
 with column indices 0..cols-1 in every row), byte-identical to scipy's
-dense -> CSR conversion at about the cost of one copy. is_symmetric tests a
-fully stored matrix on its dense view, one block of rows of K - K^T at a
-time, and a partly stored one on K - K^T in CSR form, by the same rule.
+dense -> CSR conversion at about the cost of one copy. The property
+is_symmetric tests a fully stored matrix on its dense view, one block of rows
+of K - K^T at a time, and a partly stored one on K - K^T in CSR form, by the
+same rule, once per matrix.
 
 factorize reads the factor kind off the matrix (diagonal, Cholesky or LU)
 and factors a sparsely stored matrix with SuperLU, straight from its CSR
@@ -70,7 +71,8 @@ class SparseMatrix:
     The transposed view used by rmatvec shares the CSR arrays. When every
     entry is stored, _full is csr.data viewed as the rows x cols row-major
     matrix, and matvec/rmatvec run BLAS gemv on it; otherwise it is None and
-    they run scipy's CSR/CSC kernels.
+    they run scipy's CSR/CSC kernels. is_symmetric and is_diagonal are
+    properties, each computed on first read and kept.
     """
 
     csr: scipy.sparse.csr_array
@@ -191,6 +193,7 @@ class SparseMatrix:
         x = _as_float_vector(x, self.rows)
         return self._transposed @ x if self._full is None else x @ self._full
 
+    @cached_property
     def is_symmetric(self):
         """max|K - K^T| <= 1e-12 max|K|, computed from the stored entries only.
 
@@ -199,10 +202,6 @@ class SparseMatrix:
         partly stored one on the sparse difference of its CSR arrays. The
         matrix is immutable, so the verdict is computed once and kept.
         """
-        return self._symmetric
-
-    @cached_property
-    def _symmetric(self):
         if self.rows != self.cols:
             return False
         if self._full is not None:
@@ -221,12 +220,9 @@ class SparseMatrix:
         scale = np.abs(self.values).max() if self.nnz else 0.0
         return bool((gap.max() if gap.nnz else 0.0) <= 1e-12 * max(scale, 1e-300))
 
+    @cached_property
     def is_diagonal(self):
         """True when every stored entry off the diagonal is zero; computed once."""
-        return self._diagonal
-
-    @cached_property
-    def _diagonal(self):
         return np.count_nonzero(self.csr.diagonal()) == np.count_nonzero(self.values)
 
     def __array__(self, dtype=None, copy=None):
@@ -399,12 +395,12 @@ def factorize(K):
     if dense and n > DENSE_FACTOR_LIMIT:  # refused before any O(nnz) symmetry test
         raise DimensionError(f"dense factorization capped at dimension {DENSE_FACTOR_LIMIT}")
 
-    if K.is_diagonal():  # hence symmetric
+    if K.is_diagonal:  # hence symmetric
         d = K.csr.diagonal()
         if np.any(d <= 0.0):
             raise NotSpdError("diagonal matrix has a nonpositive entry")
         return FactorizedOperator("diagonal", K, d)
-    kind = "cholesky-spd" if K.is_symmetric() else "lu-general"
+    kind = "cholesky-spd" if K.is_symmetric else "lu-general"
     factor = _dense_factor if dense else _sparse_factor
     return FactorizedOperator(kind, K, factor(kind, K))
 
@@ -426,7 +422,7 @@ def spsd_factor(C):
         raise DimensionError("spsd_factor requires a square matrix")
     if C.rows > DENSE_EIG_LIMIT:  # before densifying
         raise DimensionError(f"dense eigendecomposition capped at dimension {DENSE_EIG_LIMIT}")
-    if not C.is_symmetric():
+    if not C.is_symmetric:
         raise NotSpsdError("matrix is not symmetric")
     w, v = np.linalg.eigh(C.to_dense())
     cutoff = _RANK_TOLERANCE * max(float(w.max()), 0.0)

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import SchurOperator
-from .errors import DimensionError, NotSpdError, NotSpsdError, RankRepairError
+from .errors import DimensionError, NotSpdError, RankRepairError
 from .linops import (DENSE_EIG_LIMIT, DENSE_FACTOR_LIMIT, FactorizedOperator, SparseMatrix,
-                     as_sparse, factorize)
+                     as_sparse, factorize, spsd_factor)
 from .system import SaddleSystem, check_fields
 
 
@@ -119,7 +118,12 @@ def gen_random(spec):
 
 
 def validate_system(sys):
-    """Check the block hypotheses explicitly on dense copies; returns the measured margins."""
+    """Check the block hypotheses explicitly on dense copies; returns nothing, raises on a failure.
+
+    NotSpdError unless M's symmetric part is positive definite, RankRepairError
+    unless A has full column rank, and spsd_factor's NotSpsdError unless C is
+    SPSD by its rule, the one augment applies. m is capped at DENSE_EIG_LIMIT.
+    """
     if sys.m > DENSE_EIG_LIMIT:
         raise DimensionError(f"validate_system densifies M: m is capped at {DENSE_EIG_LIMIT}")
     md = sys.Mmat.to_dense()
@@ -130,11 +134,7 @@ def validate_system(sys):
     sv = np.linalg.svd(sys.A.to_dense(), compute_uv=False)
     if sv.min() <= 1e-12 * sv.max():
         raise RankRepairError("A is numerically rank deficient")
-    eig_c = np.linalg.eigvalsh(sys.C.to_dense())
-    if eig_c.min() < -1e-10 * max(eig_c.max(), 1.0):
-        raise NotSpsdError(f"C has negative eigenvalue {eig_c.min()}")
-    return {"min_eig_m": min_eig_m, "sigma_min_a": float(sv.min()),
-            "min_eig_c": float(eig_c.min())}
+    spsd_factor(sys.C)
 
 
 # The channel's wind profiles, functions of y; the manufactured velocity is
@@ -181,11 +181,6 @@ class StokesProblem:
     w0: np.ndarray            # velocity shift absorbed by the RHS compression
     velocity: np.ndarray      # manufactured interior velocity (original problem)
     pressure: np.ndarray      # manufactured pressure, pinned dof removed
-
-
-def gen_stokes_channel(spec):
-    """Return just the SaddleSystem of the channel analogue."""
-    return gen_stokes_channel_detailed(spec).system
 
 
 def _halves(a, axis):
@@ -261,7 +256,7 @@ def gen_stokes_channel_detailed(spec):
     system, w0 = compress_rhs(Mmat, A, C, Mmat.matvec(vel) + A.matvec(p_star),
                               A.rmatvec(vel) - C.matvec(p_star))
     precond = factorize(SparseMatrix.from_coo(  # the pressure mass, over nu when M is NSPD
-        n, n, np.arange(n), np.arange(n), np.full(n, hx * hy / (1.0 if system.symmetric else nu))))
+        n, n, np.arange(n), np.arange(n), np.full(n, hx * hy / (1.0 if system.M.spd else nu))))
     return StokesProblem(system, precond, w0, vel, p_star)
 
 
@@ -278,8 +273,3 @@ def compress_rhs(Mmat, A, C, b1, b2):
 
 def recover_w(u, w0):
     return np.asarray(u, dtype=float) + np.asarray(w0, dtype=float)
-
-
-def schur_condition_number(sys):
-    """Dense 2-norm condition number of S = A^T M^{-1} A + C (diagnostic; m capped by dense())."""
-    return float(np.linalg.cond(SchurOperator(sys).dense()))

@@ -63,10 +63,9 @@ class SaddleSystem:
 
     M is stored once, as its factorization: Mmat (the sparse matrix, for
     residual checks, the full-system baselines and oracles, and file output)
-    is the matrix the factor was built from, and symmetric says whether
-    factorize read M as symmetric (M.spd). Neither can
-    disagree with M. The Golub-Kahan loop only solves with M; matvec forms
-    the full product K z.
+    is the matrix the factor was built from, so it cannot disagree with M,
+    and M.spd says whether factorize read M as symmetric. The Golub-Kahan
+    loop only solves with M; matvec forms the full product K z.
     """
 
     M: FactorizedOperator
@@ -89,7 +88,7 @@ class SaddleSystem:
                              ("C", self.C.values)):
             if not np.isfinite(values).all():
                 raise NonFiniteError(f"{name} holds a NaN or an infinity")
-        if not self.C.is_symmetric():
+        if not self.C.is_symmetric:
             raise NotSpsdError("C must be symmetric")
 
     @property
@@ -103,11 +102,6 @@ class SaddleSystem:
     @property
     def Mmat(self):
         return self.M.matrix
-
-    @property
-    def symmetric(self):
-        """M.spd: factorize reads only a nonsymmetric M as not SPD."""
-        return self.M.spd
 
     def matvec(self, z):
         """K z for z = [x; y]."""
@@ -228,7 +222,7 @@ def solver_inputs(name, sys, N, cfg):
     rule = SOLVER_RULES[name]
     cfg = SolverConfig() if cfg is None else cfg
     N = FactorizedOperator.identity(sys.n) if N is None else N
-    if rule.needs_symmetric and not sys.symmetric:
+    if rule.needs_symmetric and not sys.M.spd:
         raise WrongSolverError(f"{name} needs a symmetric M; use nscraig")
     if cfg.criterion == CRITERION_ERROR and not rule.error_estimate:
         raise WrongSolverError(f"{name} has no error estimate; use criterion "

@@ -728,7 +728,7 @@ class TestGen:
         for block in ("Mmat", "A", "C"):
             assert np.array_equal(np.asarray(getattr(got, block)),
                                   np.asarray(getattr(want, block)))
-        assert np.array_equal(got.b, want.b) and got.symmetric is False
+        assert np.array_equal(got.b, want.b) and got.M.spd is False
         assert got.C.nnz == 0
 
     @pytest.mark.parametrize("kind", sorted(SPECS))

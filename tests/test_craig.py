@@ -20,7 +20,7 @@ from gsp import (
     craig_solve,
     direct_solve,
     factorize,
-    gen_stokes_channel,
+    gen_stokes_channel_detailed,
     load_system,
     replay,
     residual_check,
@@ -56,7 +56,7 @@ class TestContainers:
         A, C = rng.standard_normal((12, 5)), np.diag([1.0, 0.5, 0.0, 0.0, 0.0])
         sys = SaddleSystem.from_matrices(np.diag(rng.uniform(1.0, 3.0, 12)), A, C,
                                          rng.standard_normal(5))
-        assert sys.M.kind == "diagonal" and sys.symmetric
+        assert sys.M.kind == "diagonal" and sys.M.spd
         cfg = SolverConfig(tolerance=1e-10)
         runs = replay(craig_solve, sys, None, cfg), replay(scr_cg_solve, sys, None, cfg)
         assert len(runs[0]) == len(runs[1]) >= 5
@@ -73,7 +73,7 @@ class TestContainers:
         A = rng.standard_normal((3, 3))
         with pytest.raises(NotSpsdError):
             SaddleSystem.from_matrices(spd, A, bent, np.ones(3))
-        assert SaddleSystem.from_matrices(spd, A, spd, np.ones(3)).symmetric
+        assert SaddleSystem.from_matrices(spd, A, spd, np.ones(3)).M.spd
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("block", ["Mmat", "A", "C", "b"])
@@ -97,12 +97,13 @@ class TestContainers:
         systems = [SaddleSystem.from_matrices(M, A, C, np.ones(3))
                    for M in (spd, spd + np.triu(g, 1), np.diag(np.diag(spd)))]
         systems += [random_system(12, 5, skew=skew, seed=2) for skew in (0.0, 0.5)]
-        systems += [gen_stokes_channel(StokesSpec(nx=4, ny=4)), gen_stokes_channel(oseen)]
+        systems += [gen_stokes_channel_detailed(spec).system
+                    for spec in (StokesSpec(nx=4, ny=4), oseen)]
         systems.append(load_system(save_system(str(tmp_path), systems[-1])))
         systems.append(compress_rhs(spd, A, C, np.ones(6), np.ones(3))[0])
         for sys in systems:
             assert sys.Mmat is sys.M.matrix
-            assert sys.symmetric == (sys.M.kind != "lu-general")
+            assert sys.M.spd == (sys.M.kind != "lu-general")
         assert [sys.M.kind for sys in systems] == (
             ["cholesky-spd", "lu-general", "diagonal", "cholesky-spd", "lu-general",
              "cholesky-spd", "lu-general", "lu-general", "cholesky-spd"])
@@ -124,7 +125,7 @@ class TestContainers:
         assert calls == []
         built = SaddleSystem.from_matrices(sys.Mmat, sys.A, sys.C, sys.b)
         assert calls == [(30, 30)]  # the dense factor's input only
-        assert built.symmetric == (skew == 0.0)
+        assert built.M.spd == (skew == 0.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

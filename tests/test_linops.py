@@ -21,7 +21,7 @@ from gsp import (
     craig_solve,
     direct_solve,
     factorize,
-    gen_stokes_channel,
+    gen_stokes_channel_detailed,
     nscraig_solve,
     pgmres_solve,
     pminres_solve,
@@ -219,8 +219,8 @@ class TestSparseMatrix:
         padded[:n, :n] = k
         K, P = SparseMatrix.from_dense(k), SparseMatrix.from_dense(padded)
         assert K._full is not None and P._full is None
-        assert K.is_symmetric() is symmetric
-        assert P.is_symmetric() is symmetric
+        assert K.is_symmetric is symmetric
+        assert P.is_symmetric is symmetric
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_dense_view_symmetry_holds_no_m_by_m_temporary(self, symmetric):
@@ -229,7 +229,7 @@ class TestSparseMatrix:
         K = SparseMatrix.from_dense(g + g.T if symmetric else g)
         tracemalloc.start()
         try:
-            assert K.is_symmetric() is symmetric
+            assert K.is_symmetric is symmetric
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -240,15 +240,15 @@ class TestSparseMatrix:
         padded = np.zeros((4, 5))
         padded[:3, :4] = a
         assert SparseMatrix.from_dense(a)._full is not None
-        assert not SparseMatrix.from_dense(a).is_symmetric()
-        assert not SparseMatrix.from_dense(padded).is_symmetric()
+        assert not SparseMatrix.from_dense(a).is_symmetric
+        assert not SparseMatrix.from_dense(padded).is_symmetric
 
     def test_is_diagonal_ignores_stored_zeros_off_the_diagonal(self):
         K = SparseMatrix.from_coo(3, 3, [0, 0, 1, 2, 2], [0, 2, 1, 0, 2],
                                   [2.0, 0.0, 3.0, -0.0, 4.0])
-        assert K.nnz == 5 and K.is_diagonal()
+        assert K.nnz == 5 and K.is_diagonal
         assert factorize(K).kind == "diagonal"
-        assert not SparseMatrix.from_coo(3, 3, [0, 2], [0, 1], [1.0, 1e-300]).is_diagonal()
+        assert not SparseMatrix.from_coo(3, 3, [0, 2], [0, 1], [1.0, 1e-300]).is_diagonal
 
     def test_round_trip_dense(self):
         rng = np.random.default_rng(1)
@@ -430,8 +430,8 @@ class TestFactorize:
         # The oseen32 convection-diffusion M (1984 unknowns, 9668 entries):
         # SuperLU's default COLAMD ordering filled L + U to 70,298 entries,
         # minimum degree on M^T + M to 44,566.
-        M = gen_stokes_channel(StokesSpec(nx=32, ny=32, viscosity=1e-3,
-                                          oseen_wind="poiseuille")).Mmat
+        M = gen_stokes_channel_detailed(StokesSpec(nx=32, ny=32, viscosity=1e-3,
+                                                   oseen_wind="poiseuille")).system.Mmat
         op = factorize(M)
         assert op.kind == "lu-general"
         assert op._factor.L.nnz + op._factor.U.nnz <= 45_000

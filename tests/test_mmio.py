@@ -9,7 +9,7 @@ import pytest
 
 import gsp.mmio
 
-from gsp import (SolverConfig, SparseMatrix, StokesSpec, craig_solve, gen_stokes_channel,
+from gsp import (SolverConfig, SparseMatrix, StokesSpec, craig_solve, gen_stokes_channel_detailed,
                  load_system, read_matrix_market, save_system, write_matrix_market)
 from gsp.errors import LoadError, NotSpdError, ParseError
 from gsp.mmio import read_vector, write_vector
@@ -182,7 +182,7 @@ def test_system_manifest_round_trip(tmp_path):
     sys = random_system(8, 4, skew=0.3, c_rank=2, seed=81)
     manifest = save_system(tmp_path / "out", sys)
     back = load_system(manifest)
-    assert back.symmetric == sys.symmetric
+    assert back.M.spd == sys.M.spd
     assert np.array_equal(back.Mmat.values, sys.Mmat.values)
     assert np.array_equal(back.A.values, sys.A.values)
     assert np.array_equal(back.C.values, sys.C.values)
@@ -220,15 +220,15 @@ def test_manifest_naming_a_directory_is_a_load_error(tmp_path):
                                                (False, None, "cholesky-spd")])
 def test_older_manifest_symmetric_key_is_ignored(tmp_path, flag, wind, kind):
     # Older manifests carried a "symmetric" key; the kind is read off M alone.
-    sys = gen_stokes_channel(StokesSpec(nx=6, ny=6, viscosity=0.1, oseen_wind=wind))
+    sys = gen_stokes_channel_detailed(StokesSpec(nx=6, ny=6, viscosity=0.1, oseen_wind=wind)).system
     manifest = save_system(tmp_path, sys)
     doc = json.loads((tmp_path / "system.json").read_text())
     assert "symmetric" not in doc
     doc["symmetric"] = flag
     (tmp_path / "system.json").write_text(json.dumps(doc))
     loaded = load_system(manifest)
-    assert loaded.M.kind == kind and loaded.symmetric is not flag
-    if loaded.symmetric:
+    assert loaded.M.kind == kind and loaded.M.spd is not flag
+    if loaded.M.spd:
         assert craig_solve(loaded, None, SolverConfig(tolerance=1e-10)).converged
 
 
@@ -248,10 +248,10 @@ def test_symmetric_indefinite_m_refused_whatever_an_older_manifest_says(tmp_path
 def test_load_tests_each_block_symmetry_once(tmp_path, monkeypatch):
     # factorize asks whether M is symmetric and SaddleSystem whether C is;
     # the immutable SparseMatrix would answer any second question from cache.
-    sys = gen_stokes_channel(StokesSpec(nx=8, ny=8))
+    sys = gen_stokes_channel_detailed(StokesSpec(nx=8, ny=8)).system
     path = save_system(tmp_path / "stokes", sys)
     shapes = []
-    cache = vars(SparseMatrix)["_symmetric"]  # the functools.cached_property
+    cache = vars(SparseMatrix)["is_symmetric"]  # the functools.cached_property
     verdict = cache.func
 
     def counted(K):
@@ -260,7 +260,7 @@ def test_load_tests_each_block_symmetry_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cache, "func", counted)
     loaded = load_system(path)
-    assert loaded.symmetric
+    assert loaded.M.spd
     assert shapes == [(sys.m, sys.m), (sys.n, sys.n)]  # M once, then C
 
 

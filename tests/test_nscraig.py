@@ -20,7 +20,6 @@ from gsp import (
     craig_error_estimate,
     craig_solve,
     direct_solve,
-    gen_stokes_channel,
     gen_stokes_channel_detailed,
     nscraig_error_estimate,
     nscraig_solve,
@@ -215,8 +214,8 @@ class TestErrorEstimate:
         lambda: random_system(120, 60, c_rank=30, seed=3, spectrum=(1.0, 50.0)),
         lambda: random_system(120, 60, skew=0.5, c_rank=30, seed=3, spectrum=(1.0, 50.0)),
         lambda: random_system(120, 60, skew=0.8, c_rank=30, seed=3, spectrum=(1.0, 50.0)),
-        lambda: gen_stokes_channel(StokesSpec(nx=16, ny=16, viscosity=1e-2,
-                                              oseen_wind="poiseuille")),
+        lambda: gen_stokes_channel_detailed(StokesSpec(nx=16, ny=16, viscosity=1e-2,
+                                                       oseen_wind="poiseuille")).system,
     ], ids=["symmetric", "skew-0.5", "skew-0.8", "oseen16"])
     def test_estimate_stop_meets_tolerance(self, make):
         # The delayed ratio is a squared energy norm; stopping on the ratio
@@ -390,7 +389,8 @@ def test_no_monotonicity_assumed_but_converges():
 
 def test_cgs2_keeps_basis_orthogonal():
     # Modified Gram-Schmidt, one pass per step, reached max|Q^T N Q - I| = 0.30 here.
-    sys = gen_stokes_channel(StokesSpec(nx=12, ny=12, viscosity=1e-2, oseen_wind="poiseuille"))
+    sys = gen_stokes_channel_detailed(StokesSpec(nx=12, ny=12, viscosity=1e-2,
+                                                 oseen_wind="poiseuille")).system
     N = random_preconditioner(sys.n, seed=5)
     res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=120,
                                              keep_basis=True))
@@ -404,7 +404,8 @@ def test_lagged_cgs2_keeps_long_oseen_basis_orthogonal():
     # 320 steps on a 575-pressure Oseen channel with a non-identity N. Skipping
     # the lagged second pass (one classical Gram-Schmidt pass per step) leaves
     # max|Q^T N Q - I| at 1.0 here.
-    sys = gen_stokes_channel(StokesSpec(nx=24, ny=24, viscosity=1e-3, oseen_wind="poiseuille"))
+    sys = gen_stokes_channel_detailed(StokesSpec(nx=24, ny=24, viscosity=1e-3,
+                                                 oseen_wind="poiseuille")).system
     N = random_preconditioner(sys.n, seed=6)
     res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=320,
                                              keep_basis=True))
@@ -417,7 +418,8 @@ def test_lagged_cgs2_keeps_long_oseen_basis_orthogonal():
 def test_lagged_cgs2_keeps_basis_orthogonal_under_cholesky_preconditioner():
     # A dense, Cholesky-factored N: the carried N q~ and N g (right-hand
     # sides of its triangular solves) must stay within rounding of N.apply.
-    sys = gen_stokes_channel(StokesSpec(nx=12, ny=12, viscosity=1e-2, oseen_wind="poiseuille"))
+    sys = gen_stokes_channel_detailed(StokesSpec(nx=12, ny=12, viscosity=1e-2,
+                                                 oseen_wind="poiseuille")).system
     N = cholesky_preconditioner(sys.n, seed=5)
     res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=120,
                                              keep_basis=True))
@@ -607,9 +609,10 @@ def test_velocity_is_one_m_solve_after_the_last_record(monkeypatch, solve, skew)
 def _velocity_cases(solve):
     if solve is craig_solve:
         return [random_system(40, 20, c_rank=10, seed=57),
-                gen_stokes_channel(StokesSpec(nx=8, ny=8))]
+                gen_stokes_channel_detailed(StokesSpec(nx=8, ny=8)).system]
     return [random_system(40, 20, skew=0.8, c_rank=10, seed=57),
-            gen_stokes_channel(StokesSpec(nx=8, ny=8, viscosity=1e-2, oseen_wind="poiseuille"))]
+            gen_stokes_channel_detailed(StokesSpec(nx=8, ny=8, viscosity=1e-2,
+                                                   oseen_wind="poiseuille")).system]
 
 
 @pytest.mark.parametrize("solve", [craig_solve, nscraig_solve])
