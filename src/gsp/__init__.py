@@ -5,6 +5,8 @@ Golub-Kahan bidiagonalization of the augmented off-diagonal block, plus
 Schur-complement-reduction and preconditioned MINRES/GMRES baselines.
 """
 
+from types import ModuleType as _Module
+
 from .baselines import (
     SchurOperator,
     direct_solve,
@@ -45,5 +47,7 @@ from .problems import (
 )
 from .system import ConvergenceRecord, History, SaddleSystem, SolveResult, SolverConfig
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; the submodules they bind (gsp.system, ...) are not exported.
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _Module)]
 __version__ = "0.1.0"

@@ -40,9 +40,9 @@ class Bidiagonalization:
     """k steps of the generalized Golub-Kahan bidiagonalization of A, as arrays.
 
     Q holds rows q_1..q_{k+1} (q_{k+1} is missing when beta_{k+1} broke
-    down) and V rows v_1..v_k; alphas holds alpha_1..alpha_k and betas
-    beta_1..beta_{k+1}. B is the upper bidiagonal B_k and H the upper
-    Hessenberg H_k, with A Q_k = M V_k B_k and
+    down) and V rows v_1..v_k; the float64 arrays alphas and betas hold
+    alpha_1..alpha_k and beta_1..beta_{k+1}. B is the upper bidiagonal B_k
+    and H the upper Hessenberg H_k, with A Q_k = M V_k B_k and
     A^T V_k = N Q_k H_k + beta_{k+1} N q_{k+1} e_k^T; L is the lower
     triangle of V_k^T M V_k, and H_k = B_k^T L^T. H = B^T and L = I
     hold in exact arithmetic on a symmetric M, and to roundoff in a run.
@@ -50,8 +50,8 @@ class Bidiagonalization:
 
     Q: np.ndarray
     V: np.ndarray
-    alphas: list[float]
-    betas: list[float]
+    alphas: np.ndarray
+    betas: np.ndarray
     B: np.ndarray
     H: np.ndarray
     L: np.ndarray
@@ -61,12 +61,12 @@ class Bidiagonalization:
         return len(self.alphas)
 
 
-def assemble_bidiagonal(alphas, betas, k=None):
-    """Upper bidiagonal B_k: alphas on the diagonal, beta_2..beta_k above it."""
+def assemble_bidiagonal(alphas, beta_next, k=None):
+    """Upper bidiagonal B_k: alphas on the diagonal, beta_next (beta_2, beta_3, ..) above it."""
     k = k or len(alphas)
     B = np.diag(np.asarray(alphas[:k], dtype=float))
     if k > 1:
-        B += np.diag(np.asarray(betas[1:k], dtype=float), 1)
+        B += np.diag(np.asarray(beta_next[:k - 1], dtype=float), 1)
     return B
 
 
@@ -129,8 +129,9 @@ def bidiagonalize(sys, N, steps):
     V = np.array(V)
     Vk = np.ascontiguousarray(V.T)  # m x k: another layout changes L's bits
     L = np.tril(Vk.T @ _apply_columns(M, Vk))
+    alphas, betas = np.array(alphas), np.array(betas)
     return Bidiagonalization(np.array(Q), V, alphas, betas,
-                             assemble_bidiagonal(alphas, betas), H[:k, :k], L)
+                             assemble_bidiagonal(alphas, betas[1:]), H[:k, :k], L)
 
 
 def _apply_columns(K, X):
@@ -158,8 +159,10 @@ def verify_decomposition(sys, N, gkb):
     V^T M V = L; when the decomposition ran to full
     length, H B is also compared against the preconditioned Schur complement
     A^T M^{-1} A expressed in the right basis (formed densely). A is densified,
-    so m is capped at DENSE_EIG_LIMIT (DimensionError).
+    so m is capped at DENSE_EIG_LIMIT (DimensionError). An N that check_n
+    refuses raises its error first.
     """
+    check_n(N, sys.n, product=True)
     if sys.m > DENSE_EIG_LIMIT:
         raise DimensionError(f"verify_decomposition densifies A: m is capped at {DENSE_EIG_LIMIT}")
     k = gkb.k

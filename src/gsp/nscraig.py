@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import InsufficientHistoryError, NonFiniteError
+from .errors import InsufficientHistoryError, NonFiniteError, WrongSolverError
 from .linops import FactorizedOperator, spd_inner
 from .system import (BREAKDOWN_TOL, ConvergenceRecord, History, SolveResult, SolverConfig,
                      grown, rhs_norm, solver_inputs)
@@ -359,10 +359,19 @@ def replay(solve, sys, N, cfg=None):
 
 
 def residual_check(sys, N, solve, cfg=None):
-    """Recompute each replayed run's final residual explicitly against its last record."""
-    runs = replay(solve, sys, N, cfg)
-    if not runs[-1].history:
+    """Recompute each replayed run's final residual explicitly against its last record.
+
+    A one-step probe refuses, before the replay, a solve that records no
+    step (InsufficientHistoryError) or no beta_next and scalar, as only CRAIG
+    and nsCRAIG record them (WrongSolverError).
+    """
+    cfg = cfg or SolverConfig()
+    probe = solve(sys, N, replace(cfg, max_iterations=1, keep_basis=False)).history
+    if not probe:
         raise InsufficientHistoryError("the solve recorded no iteration")
+    if probe[0].beta_next is None or probe[0].scalar is None:
+        raise WrongSolverError("the solve records no beta_next and scalar: use CRAIG or nsCRAIG")
+    runs = replay(solve, sys, N, cfg)
     if N is None:
         N = FactorizedOperator.identity(sys.n)
     a_norm = float(np.linalg.norm(sys.A.values))

@@ -272,9 +272,10 @@ def mgs_step(w, vectors, weights, column):
 class ConvergenceRecord:
     """One iteration of a solve.
 
-    scalar is zeta_k for CRAIG, chi_k for nsCRAIG, and None for baselines;
-    res_rel is the solver's own relative residual estimate, bit-for-bit the
-    value used in the stopping test.
+    alpha and beta_next are alpha_k and beta_{k+1}; scalar is zeta_k, the one
+    recurrence of both Golub-Kahan solvers (nsCRAIG hands it to its factor as
+    chi_k); all three are None for baselines. res_rel is the solver's own
+    relative residual estimate, bit-for-bit the value used in the stopping test.
     """
 
     k: int
@@ -341,17 +342,13 @@ class History(Sequence):
         j = HISTORY_FIELDS.index(name)
         return np.frombuffer(self._data[j::self._WIDTH])
 
-    def values(self, name):
-        """column(name) as a list of Python floats, None where the solver recorded none."""
-        return [None if math.isnan(x) else x for x in self.column(name).tolist()]
-
 
 @dataclass
 class SolveResult:
     """Final iterates and per-iteration history of one solver run.
 
-    The bidiagonalization scalars live in the history only; alphas, betas and
-    scalars read its columns back. beta1 is the N^{-1}-norm of b (baselines
+    A step's scalars live in the history only and are read as its columns,
+    history.column(name); beta1 is beta_1, the N^{-1}-norm of b (baselines
     store their own initial residual norm there). The right basis Q (k x n,
     rows q_1..q_k) and nsCRAIG's Hessenberg H (k x k, H_k) are kept only
     under keep_basis, so a result without them is O(k + m + n) in size.
@@ -369,21 +366,6 @@ class SolveResult:
     @property
     def iterations(self):
         return len(self.history)
-
-    @property
-    def alphas(self):
-        """alpha_1 .. alpha_k."""
-        return self.history.values("alpha")
-
-    @property
-    def betas(self):
-        """beta_1 .. beta_{k+1}."""
-        return [self.beta1] + self.history.values("beta_next")
-
-    @property
-    def scalars(self):
-        """zeta_1 .. zeta_k for CRAIG, chi_1 .. chi_k for nsCRAIG."""
-        return self.history.values("scalar")
 
     @property
     def converged(self):

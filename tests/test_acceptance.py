@@ -160,7 +160,7 @@ def test_criterion_04_energy_error_identity():
     res = runs[-1]
     assert res.iterations == 24
     u_star, p_star = direct_solve(sys)
-    z = np.array(res.scalars)
+    z = res.history.column("scalar")
     total = float(z @ z)
     for k in range(res.iterations):
         lhs = _energy_lhs(sys, u_star, p_star, runs[k].u, runs[k].p)
@@ -175,12 +175,12 @@ def test_criterion_04_energy_error_identity():
     res_n = runs_n[-1]
     assert res_n.iterations == 24
     u_star, p_star = direct_solve(sys_n)
-    k_full = len(res_n.alphas)
-    B = assemble_bidiagonal(res_n.alphas, res_n.betas, k_full)
+    chi = res_n.history.column("scalar")
+    B = assemble_bidiagonal(res_n.history.column("alpha"), res_n.history.column("beta_next"))
     H = res_n.H
     Lt = scipy.linalg.solve_triangular(B.T, H, lower=True)
-    zeta = scipy.linalg.solve_triangular(Lt, np.array(res_n.scalars), lower=False)
-    terms = np.array(res_n.scalars) * zeta
+    zeta = scipy.linalg.solve_triangular(Lt, chi, lower=False)
+    terms = chi * zeta
     total_n = float(terms.sum())
     worst_n = 0.0
     for k in range(res_n.iterations):
@@ -223,13 +223,11 @@ def _scalar_gap(gkb, res):
     compute it by cancellation at the roundoff floor, where relative
     comparison is meaningless.
     """
-    gap = 0.0
-    k = min(len(gkb.alphas), len(res.alphas))
-    for a, b in zip(gkb.alphas[:k], res.alphas[:k]):
-        gap = max(gap, abs(a - b) / abs(b))
-    for a, b in zip(gkb.betas[:k], res.betas[:k]):
-        gap = max(gap, abs(a - b) / max(abs(b), 1e-300))
-    return gap
+    k = min(gkb.k, res.iterations)
+    alphas = res.history.column("alpha")[:k]
+    betas = np.concatenate(([res.beta1], res.history.column("beta_next")[:k - 1]))
+    return float(max(np.max(np.abs(gkb.alphas[:k] - alphas) / np.abs(alphas)),
+                     np.max(np.abs(gkb.betas[:k] - betas) / np.maximum(np.abs(betas), 1e-300))))
 
 
 def test_criterion_06_decomposition_identities():
@@ -289,17 +287,18 @@ def test_criterion_08_exact_full_length_termination():
     cfg = SolverConfig(tolerance=1e-300, max_iterations=12)
     res = nscraig_solve(sys, None, cfg)  # the fully orthogonalized CRAIG
     assert res.termination != "breakdown"
-    assert len(res.alphas) == 12
-    assert res.betas[12] <= 1e-8 * res.betas[0]
+    assert res.iterations == 12
+    beta13 = res.history.column("beta_next")[11]
+    assert beta13 <= 1e-8 * res.beta1
 
     sys_n = random_system(24, 12, skew=0.5, c_rank=6, seed=701, spectrum=(1.0, 100.0))
     res_n = nscraig_solve(sys_n, None, cfg)
     assert res_n.termination != "breakdown"
-    assert len(res_n.alphas) == 12
-    assert res_n.betas[12] <= 1e-8 * res_n.betas[0]
+    assert res_n.iterations == 12
+    beta13_n = res_n.history.column("beta_next")[11]
+    assert beta13_n <= 1e-8 * res_n.beta1
     print(f"\ncriterion 08 full-length termination: PASS "
-          f"(beta ratios {res.betas[12] / res.betas[0]:.2e}, "
-          f"{res_n.betas[12] / res_n.betas[0]:.2e})")
+          f"(beta ratios {beta13 / res.beta1:.2e}, {beta13_n / res_n.beta1:.2e})")
 
 
 def test_criterion_09_stokes_iteration_counts(tmp_path):
@@ -380,7 +379,7 @@ def test_criterion_11_constrained_minimization():
             obj_craig = objective(runs[k - 1].u, runs[k - 1].p)
             worst = max(worst, abs(obj_craig - obj_min) / (1.0 + obj_min))
             resid = sys.b - Ad.T @ (U @ y_min) + Cd @ (Q @ y_min)
-            assert np.linalg.norm(Q.T @ resid) <= 1e-8 * res.betas[0]
+            assert np.linalg.norm(Q.T @ resid) <= 1e-8 * res.beta1
     assert worst <= 1e-8
     print(f"\ncriterion 11 constrained minimization: PASS (max gap {worst:.2e})")
 

@@ -149,9 +149,9 @@ class TestHandInstance:
         assert res.termination == "exact-termination"
         assert np.allclose(res.u, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
         assert np.allclose(res.p, [-1.0 / 3.0], atol=1e-14)
-        assert res.betas[0] == 1.0
-        assert abs(res.alphas[0] - math.sqrt(3.0)) <= 1e-14
-        assert abs(res.scalars[0] - 1.0 / math.sqrt(3.0)) <= 1e-14
+        assert res.beta1 == 1.0
+        assert abs(res.history.column("alpha")[0] - math.sqrt(3.0)) <= 1e-14
+        assert abs(res.history.column("scalar")[0] - 1.0 / math.sqrt(3.0)) <= 1e-14
         assert len(res.history) == res.iterations
 
     def test_wrong_solver(self, hand_system_nonsym):
@@ -264,7 +264,7 @@ class TestResidualCheck:
         sys = random_system(12, 6, c_rank=3, seed=25)
         res = craig_solve(sys, None, SolverConfig())
         k = res.iterations // 2
-        expected = res.history[k - 1].beta_next * abs(res.history[k - 1].scalar) / res.betas[0]
+        expected = res.history[k - 1].beta_next * abs(res.history[k - 1].scalar) / res.beta1
 
         def corrupted(s, N, cfg):  # doubles step k's stored scalar in every run that reaches it
             run = craig_solve(s, N, cfg)
@@ -309,7 +309,7 @@ def test_energy_error_identity_full_length():
     res = runs[-1]
     u_star, p_star = direct_solve(sys)
     Md, Cd = sys.Mmat.to_dense(), sys.C.to_dense()
-    z = np.array(res.scalars)
+    z = res.history.column("scalar")
     total = float(z @ z)
     for k in range(res.iterations):
         du = u_star - runs[k].u
@@ -364,7 +364,7 @@ def test_constrained_minimization_property():
         assert abs(obj_craig - obj_min) <= 1e-8 * (1.0 + obj_min)
         # the argmin satisfies the Galerkin orthogonality of the lower residual
         resid = sys.b - Ad.T @ (U @ y_min) + Cd @ (Q @ y_min)
-        assert np.linalg.norm(Q.T @ resid) <= 1e-8 * res.betas[0]
+        assert np.linalg.norm(Q.T @ resid) <= 1e-8 * res.beta1
         # randomly perturbing the coefficients never does better
         rng = np.random.default_rng(100 + k)
         for _ in range(25):

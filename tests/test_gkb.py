@@ -25,6 +25,17 @@ def full_length_config(n):
     return SolverConfig(tolerance=1e-300, max_iterations=n)
 
 
+def assert_scalars_match(gkb, res):
+    """The oracle's alpha_1..alpha_k and beta_1..beta_k agree with a k-step run's to 1e-10.
+
+    beta_{k+1} is left out: both routes reach it by cancellation at roundoff.
+    """
+    alphas = res.history.column("alpha")
+    assert (np.abs(gkb.alphas - alphas) <= 1e-10 * np.abs(alphas)).all()
+    betas = np.concatenate(([res.beta1], res.history.column("beta_next")[:-1]))
+    assert (np.abs(gkb.betas[:-1] - betas) <= 1e-10 * np.maximum(np.abs(betas), 1e-300)).all()
+
+
 # (m, n, c_rank, seed) of every symmetric random system that TestSymmetric and
 # TestZeroC bidiagonalize to full length, and of the one below
 SYMMETRIC = [(8, 4, 2, 7), (6, 3, 3, 8), (6, 3, 2, 9), (10, 5, 3, 10), (8, 4, 2, 11),
@@ -58,6 +69,12 @@ class TestSymmetric:
     def test_stored_c_refused(self, hand_system):
         with pytest.raises(WrongSolverError, match="augment"):
             bidiagonalize(hand_system, FactorizedOperator.identity(1), steps=1)
+
+    def test_verify_decomposition_refuses_a_missing_n(self, hand_system):
+        aug = augment(hand_system)
+        gkb = bidiagonalize(aug, FactorizedOperator.identity(1), steps=1)
+        with pytest.raises(WrongSolverError, match="^N has no dimension$"):
+            verify_decomposition(aug, None, gkb)
 
     def test_augment_takes_every_c_saddle_system_takes(self):
         # C = e0 e0^T plus 0.9e-12 at (1, 2): inside is_symmetric's bound 1e-12 max|C|,
@@ -127,10 +144,7 @@ class TestSymmetric:
         N = random_preconditioner(5, seed=10)
         gkb = bidiagonalize(augment(sys), N, steps=5)
         result = craig_solve(sys, N, full_length_config(5))
-        for a, b in zip(gkb.alphas, result.alphas):
-            assert abs(a - b) <= 1e-10 * abs(b)
-        for a, b in zip(gkb.betas[:-1], result.betas[:-1]):
-            assert abs(a - b) <= 1e-10 * max(abs(b), 1e-300)
+        assert_scalars_match(gkb, result)
 
 
 class TestNonsymmetric:
@@ -183,10 +197,7 @@ class TestNonsymmetric:
         N = random_preconditioner(5, seed=14)
         gkb = bidiagonalize(augment(sys), N, steps=5)
         result = nscraig_solve(sys, N, SolverConfig(tolerance=1e-300, max_iterations=5))
-        for a, b in zip(gkb.alphas, result.alphas):
-            assert abs(a - b) <= 1e-10 * abs(b)
-        for a, b in zip(gkb.betas[:-1], result.betas[:-1]):
-            assert abs(a - b) <= 1e-10 * max(abs(b), 1e-300)
+        assert_scalars_match(gkb, result)
 
 
 ZERO_C = [(12, 0.0, 600), (24, 0.0, 601), (12, 0.5, 602), (24, 0.5, 603)]
@@ -213,11 +224,8 @@ class TestZeroC:
         # solvers stay within these bounds
         gkb = bidiagonalize(augment(sys), N, steps=n)
         result = solve(sys, N, full_length_config(n))
-        assert len(gkb.alphas) == len(result.alphas) == n
-        for a, b in zip(gkb.alphas, result.alphas):
-            assert abs(a - b) <= 1e-10 * abs(b)
-        for a, b in zip(gkb.betas[:n], result.betas[:n]):  # beta_{n+1} is roundoff
-            assert abs(a - b) <= 1e-10 * abs(b)
+        assert gkb.k == result.iterations == n
+        assert_scalars_match(gkb, result)  # beta_{n+1} is roundoff
 
     @pytest.mark.parametrize("m,skew,seed", ZERO_C)
     def test_full_length_identities(self, m, skew, seed):

@@ -29,6 +29,7 @@ from gsp import (
     scr_cg_solve,
     scr_fom_solve,
     spsd_factor,
+    verify_decomposition,
 )
 from gsp.cli import SOLVERS
 from gsp.errors import (
@@ -570,7 +571,9 @@ class TestNProtocol:
         lambda sys, N: nscraig_solve(sys, N),
         lambda sys, N: scr_fom_solve(sys, N),
         lambda sys, N: bidiagonalize(sys, N, steps=5),
-    ], ids=["nscraig", "scr-fom", "gkb"])
+        lambda sys, N: verify_decomposition(
+            sys, N, bidiagonalize(sys, FactorizedOperator.identity(20), steps=5)),
+    ], ids=["nscraig", "scr-fom", "gkb", "verify-decomposition"])
     def test_callers_that_multiply_refuse_inverse_only_n_before_any_solve(self, caller):
         solves = []
         N = LoggedSolves(InverseOnly(cholesky_preconditioner(20, seed=5)), solves)

@@ -30,7 +30,7 @@ from gsp import (
     scr_cg_solve,
     scr_fom_solve,
 )
-from gsp.errors import InsufficientHistoryError, NonFiniteError, ZeroRhsError
+from gsp.errors import InsufficientHistoryError, NonFiniteError, WrongSolverError, ZeroRhsError
 from gsp.gkb import assemble_bidiagonal
 from gsp.nscraig import IncrementalLowerFactor, assemble_solution
 
@@ -41,7 +41,7 @@ def dense_reference(res, k):
     Built by dense solves from the kept Hessenberg matrix: H z = beta_1 e1,
     B y = -z and L^T = B^{-T} H.
     """
-    B = assemble_bidiagonal(res.alphas, res.betas, k)
+    B = assemble_bidiagonal(res.history.column("alpha"), res.history.column("beta_next"), k)
     H = res.H[:k, :k]
     e1 = np.zeros(k)
     e1[0] = res.beta1
@@ -52,8 +52,10 @@ def dense_reference(res, k):
 def grown_factor(res, k):
     """The solver's incremental factor after k steps, replayed from a kept run."""
     lower = IncrementalLowerFactor()
+    alphas, chis = res.history.column("alpha"), res.history.column("scalar")
+    betas = np.concatenate(([res.beta1], res.history.column("beta_next")))
     for i in range(k):
-        lower.append(res.alphas[i], res.betas[i], res.scalars[i], res.H[:i + 1, i])
+        lower.append(alphas[i], betas[i], chis[i], res.H[:i + 1, i])
     return lower
 
 
@@ -62,14 +64,14 @@ class TestHandInstances:
         res = nscraig_solve(hand_system, None)
         assert res.iterations == 1
         assert res.termination == "exact-termination"
-        assert res.betas[0] == 1.0
-        assert abs(res.alphas[0] - math.sqrt(3.0)) <= 1e-14
+        assert res.beta1 == 1.0
+        assert abs(res.history.column("alpha")[0] - math.sqrt(3.0)) <= 1e-14
         assert np.allclose(res.p, [-1.0 / 3.0], atol=1e-14)
         assert np.allclose(res.u, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
     def test_nonsymmetric_instance(self, hand_system_nonsym):
         res = nscraig_solve(hand_system_nonsym, None)
-        assert abs(res.alphas[0] - math.sqrt(2.6)) <= 1e-14
+        assert abs(res.history.column("alpha")[0] - math.sqrt(2.6)) <= 1e-14
         assert res.iterations == 1
         assert np.allclose(res.p, [-1.0 / 2.6], atol=1e-12)
         assert np.allclose(res.u, [0.4 / 2.6, 1.2 / 2.6], atol=1e-12)
@@ -86,9 +88,9 @@ def test_random_nspd_residual_identity():
     N = random_preconditioner(5, seed=41)
     res = nscraig_solve(sys, N, SolverConfig(tolerance=1e-12))
     explicit = N.inv_norm(sys.b - sys.A.rmatvec(res.u) + sys.C.matvec(res.p))
-    assert explicit / res.betas[0] <= 1e-10
+    assert explicit / res.beta1 <= 1e-10
     rec = res.history[-1]
-    assert abs(explicit - rec.beta_next * abs(rec.scalar)) <= 1e-8 * res.betas[0]
+    assert abs(explicit - rec.beta_next * abs(rec.scalar)) <= 1e-8 * res.beta1
 
 
 def test_matches_craig_scalars_on_symmetric_input():
@@ -97,10 +99,11 @@ def test_matches_craig_scalars_on_symmetric_input():
     cfg = SolverConfig(tolerance=1e-300, max_iterations=7)
     rn = nscraig_solve(sys, N, cfg)
     rc = craig_solve(sys, N, cfg)
-    for a, b in zip(rn.alphas, rc.alphas):
-        assert abs(a - b) <= 1e-10 * abs(b)
-    for a, b in zip(rn.betas[:-1], rc.betas[:-1]):
-        assert abs(a - b) <= 1e-10 * max(abs(b), 1e-300)
+    a, b = rn.history.column("alpha"), rc.history.column("alpha")
+    assert (np.abs(a - b) <= 1e-10 * np.abs(b)).all()
+    assert abs(rn.beta1 - rc.beta1) <= 1e-10 * rc.beta1
+    a, b = rn.history.column("beta_next")[:-1], rc.history.column("beta_next")[:-1]
+    assert (np.abs(a - b) <= 1e-10 * np.maximum(np.abs(b), 1e-300)).all()
     assert np.linalg.norm(rn.p - rc.p) <= 1e-10 * np.linalg.norm(rc.p)
 
 
@@ -165,7 +168,7 @@ def test_triangular_and_dense_assembly_cross_check():
     sys = random_system(12, 6, skew=0.5, c_rank=3, seed=44)
     res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=5,
                                                 keep_basis=True))
-    k = len(res.alphas)
+    k = res.iterations
     y_tri = assemble_solution(grown_factor(res, k))
     y_dense = dense_reference(res, k)[3]
     assert np.linalg.norm(y_tri - y_dense) <= 1e-11 * np.linalg.norm(y_dense)
@@ -235,9 +238,10 @@ class TestErrorEstimate:
         res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=12,
                                                     keep_basis=True))
         lower = IncrementalLowerFactor()  # no rows, grown five times to 16
+        alphas, chis = res.history.column("alpha"), res.history.column("scalar")
+        betas = np.concatenate(([res.beta1], res.history.column("beta_next")))
         for k in range(1, res.iterations + 1):
-            lower.append(res.alphas[k - 1], res.betas[k - 1], res.scalars[k - 1],
-                         res.H[:k, k - 1])
+            lower.append(alphas[k - 1], betas[k - 1], chis[k - 1], res.H[:k, k - 1])
             cap = 1 << (k - 1).bit_length()  # 1, 2, 4, 8, 16: the capacities _upper_solve names
             assert lower.Lt.shape == (cap, cap) and lower.band.shape == (2, cap)
             assert lower.Lt.flags.f_contiguous and lower.band.flags.f_contiguous
@@ -253,10 +257,10 @@ class TestErrorEstimate:
         res = nscraig_solve(sys, None, SolverConfig(tolerance=tol, criterion="error-estimate",
                                                     error_delay=d, keep_basis=True))
         assert res.fired_criterion == "error-estimate" and res.iterations == 27
-        rebuilt = []
+        rebuilt, chis = [], res.history.column("scalar")
         for k in range(d, res.iterations + 1):
             L = dense_reference(res, k)[2]
-            rebuilt.append(math.sqrt(abs(nscraig_error_estimate(res.scalars, L, k, d))))
+            rebuilt.append(math.sqrt(abs(nscraig_error_estimate(chis, L, k, d))))
         recorded = [rec.err_est for rec in res.history[d - 1:]]
         assert np.allclose(recorded, rebuilt, rtol=1e-10, atol=0.0)
         assert [e < tol for e in rebuilt].index(True) + d == res.iterations
@@ -286,12 +290,25 @@ class TestResidualCheck:
         for a, b in zip(rn.dual_defects, rc.dual_defects):
             assert abs(a - b) <= 1e-10
 
+    @pytest.mark.parametrize("solve", [scr_cg_solve, scr_fom_solve, pminres_solve, pgmres_solve])
+    def test_solve_without_golub_kahan_scalars_refused_before_the_replay(self, solve):
+        caps = []
+
+        def logged(sys, N, cfg):
+            caps.append(cfg.max_iterations)
+            return solve(sys, N, cfg)
+
+        with pytest.raises(WrongSolverError, match="records no beta_next and scalar"):
+            residual_check(random_system(40, 20, seed=3), None, logged,
+                           SolverConfig(tolerance=1e-10))
+        assert caps == [1]  # the one-step probe only
+
 
 def test_hessenberg_factors_lower_extraction():
     sys = random_system(10, 5, skew=0.5, c_rank=2, seed=49)
     res = nscraig_solve(sys, None, SolverConfig(tolerance=1e-300, max_iterations=5,
                                                 keep_basis=True))
-    k = len(res.alphas)
+    k = res.iterations
     B, H, _, _ = dense_reference(res, k)
     L = grown_factor(res, k).lower_factor()
     assert np.abs(np.triu(L, 1)).max() <= 1e-12
@@ -360,7 +377,8 @@ class TestKeptHessenberg:
         sys = random_system(12, 6, skew=0.5, c_rank=3, seed=43)
         res = nscraig_solve(sys, None, SolverConfig(max_iterations=1, keep_basis=True))
         assert res.iterations == 1 and res.H.shape == (1, 1)
-        assert abs(res.H[0, 0] - res.alphas[0]) <= 1e-12 * res.alphas[0]  # h_11 = alpha_1 l_11
+        alpha1 = res.history.column("alpha")[0]
+        assert abs(res.H[0, 0] - alpha1) <= 1e-12 * alpha1  # h_11 = alpha_1 l_11
 
 
 def test_arnoldi_identity_at_partial_length():
@@ -371,8 +389,9 @@ def test_arnoldi_identity_at_partial_length():
                                              keep_basis=True))
     from gsp.baselines import SchurOperator
 
-    k = len(res.alphas)
-    HB = res.H[:k, :k] @ assemble_bidiagonal(res.alphas, res.betas, k)
+    k = res.iterations
+    HB = res.H[:k, :k] @ assemble_bidiagonal(res.history.column("alpha"),
+                                             res.history.column("beta_next"))
     Q = np.column_stack(res.Q[:k])
     Sd = SchurOperator(sys).dense()
     assert np.linalg.norm(HB - Q.T @ Sd @ Q) <= 1e-8 * np.linalg.norm(HB)
@@ -637,8 +656,7 @@ def test_carried_n_q_matches_explicit_product():
     rhs = [args[0] for key, args, _ in log if key == "N.solve"]
     aty = [out for key, _, out in log if key == "A.rmatvec"]
     cr = [out for key, _, out in log if key == "C.matvec"]
-    for k in range(1, res.iterations + 1):
-        alpha = res.alphas[k - 1]
+    for k, alpha in enumerate(res.history.column("alpha"), start=1):
         carried = (aty[k - 1] + cr[k - 1] / alpha - rhs[k]) / alpha
         expected = N.apply(res.Q[k - 1])
         assert np.linalg.norm(carried - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -653,7 +671,8 @@ def test_carried_m_v_matches_explicit_product():
     aq = [out for key, _, out in log if key == "A.matvec"]
     solves = [(args[0], out) for key, args, out in log if key == "M.solve"]
     assert res.iterations > 5
+    alphas, beta_next = res.history.column("alpha"), res.history.column("beta_next")
     for j in range(1, res.iterations):
-        mv = sys.Mmat.matvec(solves[j - 1][1] / res.alphas[j - 1])
-        expected = aq[j] - res.betas[j] * mv
+        mv = sys.Mmat.matvec(solves[j - 1][1] / alphas[j - 1])
+        expected = aq[j] - beta_next[j - 1] * mv
         assert np.linalg.norm(solves[j][0] - expected) <= 1e-13 * np.linalg.norm(expected)
